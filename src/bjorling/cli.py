@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one problem file")
     p_solve.add_argument("problem", help="path to a problem JSON file")
-    p_solve.add_argument("--order", type=int, default=None, help="series order override")
+    p_solve.add_argument(
+        "--order", default=None, help=f"series order override (2 to {problemfile.MAX_ORDER})"
+    )
     p_solve.add_argument(
         "--tol",
         type=float,

@@ -42,6 +42,9 @@ _TOL_KEYS = {
     "fd_step",
 }
 
+# Largest accepted truncation order, in the file or as the CLI override.
+MAX_ORDER = 48
+
 
 def _jet_entry(entry, order: int, center: float, params: dict, label: str) -> USeries:
     if isinstance(entry, str):
@@ -59,6 +62,24 @@ def _jet_entry(entry, order: int, center: float, params: dict, label: str) -> US
         f"{label}: expected an expression string, a number, or "
         '{"coeffs": [...]}'
     )
+
+
+def _bounded_int(value, label: str, lo: int, hi: int | None = None) -> int:
+    # Integers, integral floats and integer text (the CLI passes text).
+    number = value
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            number = None
+    if isinstance(number, float) and number.is_integer():
+        number = int(number)
+    if isinstance(number, bool) or not isinstance(number, int):
+        raise SchemaError(f"{label} must be an integer, got {value!r}")
+    if number < lo or (hi is not None and number > hi):
+        bounds = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
+        raise SchemaError(f"{label} must be {bounds}, got {number}")
+    return number
 
 
 def _resolve_group(doc: dict) -> GroupModel:
@@ -81,7 +102,7 @@ def _resolve_group(doc: dict) -> GroupModel:
 
 def problem_from_dict(
     doc: dict,
-    order_override: int | None = None,
+    order_override: int | str | None = None,
     tolerance_overrides: dict | None = None,
 ) -> BjorlingProblem:
     if not isinstance(doc, dict):
@@ -101,8 +122,8 @@ def problem_from_dict(
         float(grid_doc["u_max"]),
         float(grid_doc["v_min"]),
         float(grid_doc["v_max"]),
-        int(grid_doc["nu"]),
-        int(grid_doc["nv"]),
+        _bounded_int(grid_doc["nu"], "grid nu", 2),
+        _bounded_int(grid_doc["nv"], "grid nv", 2),
     )
 
     tol_doc = dict(doc.get("tolerances") or {})
@@ -118,7 +139,9 @@ def problem_from_dict(
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
-    order = int(order_override if order_override is not None else doc["order"])
+    order = _bounded_int(
+        order_override if order_override is not None else doc["order"], "order", 2, MAX_ORDER
+    )
     center = float(doc.get("u0", 0.5 * (grid.u_min + grid.u_max)))
     params = {str(k): float(v) for k, v in (doc.get("params") or {}).items()}
 
@@ -149,7 +172,7 @@ def problem_from_dict(
 
 def load_problem(
     path,
-    order_override: int | None = None,
+    order_override: int | str | None = None,
     tolerance_overrides: dict | None = None,
 ) -> tuple[BjorlingProblem, dict]:
     text = Path(path).read_text(encoding="utf-8")

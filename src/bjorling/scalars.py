@@ -105,6 +105,16 @@ class KScalar:
     def norm(self) -> float:
         return math.sqrt(abs(self.sq_mod()))
 
+    def min_gain(self) -> float:
+        """Smallest factor by which multiplying by this value shrinks a vector.
+
+        |z| in complex mode; min(|p|, |q|) of the split coordinates in
+        paracomplex mode, which vanishes on the zero divisors.
+        """
+        if self.mode is Mode.COMPLEX:
+            return math.hypot(self.re, self.im)
+        return min(abs(self.re + self.im), abs(self.re - self.im))
+
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0
 

@@ -21,9 +21,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import BranchError, DegenerateSqrt, DomainError, NonIntegrable, NotInvertible
 from .scalars import KScalar, Mode
+from .slices import lower_toeplitz, sqrt_columns
 
 
 @lru_cache(maxsize=None)
@@ -234,13 +236,9 @@ class USeries:
 def _udiv(a: USeries, b: USeries) -> USeries:
     _check_centers(a, b)
     n = min(a.order, b.order)
-    b0 = b.coeffs[0]
-    if abs(b0) <= 1e-300:
+    if abs(b.coeffs[0]) <= 1e-300:
         raise NotInvertible("division by a jet with zero constant term")
-    q = np.zeros(n + 1)
-    for k in range(n + 1):
-        acc = a.coeffs[k] - np.dot(q[:k], b.coeffs[k:0:-1])
-        q[k] = acc / b0
+    q = solve_triangular(lower_toeplitz(b.coeffs[: n + 1]), a.coeffs[: n + 1], lower=True)
     return USeries(q, a.center)
 
 
@@ -530,17 +528,10 @@ class KSeries:
         return KSeries(-self.re, -self.im, self.mode)
 
     def __mul__(self, other):
-        if isinstance(other, KSeries):
-            self._check(other)
-            s = self.mode.unit_square
-            re = self.re * other.re + s * (self.im * other.im)
-            im = self.re * other.im + self.im * other.re
-            return KSeries(re, im, self.mode)
         if isinstance(other, (int, float, BiSeries)):
             return KSeries(self.re * other, self.im * other, self.mode)
-        if isinstance(other, KScalar):
-            if other.mode is not self.mode:
-                raise ValueError("mode mismatch in scalar multiplication")
+        if isinstance(other, (KSeries, KScalar)):
+            self._check(other)
             s = self.mode.unit_square
             re = self.re * other.re + s * (self.im * other.im)
             im = self.re * other.im + self.im * other.re
@@ -560,62 +551,53 @@ class KSeries:
 
     def dz(self) -> "KSeries":
         """Holomorphic derivative for the mode's coordinate z = u + unit*v."""
-        a_u, b_u = self.re.du(), self.im.du()
+        s = self.mode.unit_square
         a_v, b_v = self.re.dv(), self.im.dv()
-        if self.mode is Mode.PARACOMPLEX:
-            return KSeries(0.5 * (a_u + b_v), 0.5 * (b_u + a_v), self.mode)
-        return KSeries(0.5 * (a_u + b_v), 0.5 * (b_u - a_v), self.mode)
+        return KSeries(0.5 * (self.re.du() + b_v), 0.5 * (self.im.du() + s * a_v), self.mode)
 
     def dzbar(self) -> "KSeries":
         """Conjugate derivative; vanishing characterizes analyticity."""
-        a_u, b_u = self.re.du(), self.im.du()
+        s = self.mode.unit_square
         a_v, b_v = self.re.dv(), self.im.dv()
-        if self.mode is Mode.PARACOMPLEX:
-            return KSeries(0.5 * (a_u - b_v), 0.5 * (b_u - a_v), self.mode)
-        return KSeries(0.5 * (a_u - b_v), 0.5 * (b_u + a_v), self.mode)
+        return KSeries(0.5 * (self.re.du() - b_v), 0.5 * (self.im.du() - s * a_v), self.mode)
 
     def sqrt(self, branch: KScalar) -> "KSeries":
         """Series square root with the stated value at the center.
 
         The branch must satisfy branch^2 == constant term (BranchError
-        otherwise) and must be invertible (DegenerateSqrt otherwise); the
-        remaining coefficients follow degree by degree from matching the
-        graded parts of r*r against the input.
+        otherwise) and must be invertible (DegenerateSqrt otherwise).  The
+        root is solved one v-slice at a time (``sqrt_columns``), after its
+        column 0 is solved the same way along u.  ``sqrt_condition``
+        estimates how much rounding that can amplify.
         """
         if branch.mode is not self.mode:
             raise ValueError("branch mode mismatch")
-        n = self.order
-        s = self.mode.unit_square
-        a_re, a_im = self.re.coeffs, self.im.coeffs
+        a = np.stack([self.re.coeffs, self.im.coeffs])
         b2 = branch * branch
-        scale = max(1.0, abs(a_re[0, 0]), abs(a_im[0, 0]))
-        if max(abs(b2.re - a_re[0, 0]), abs(b2.im - a_im[0, 0])) > 1e-10 * scale:
+        scale = max(1.0, abs(a[0, 0, 0]), abs(a[1, 0, 0]))
+        if max(abs(b2.re - a[0, 0, 0]), abs(b2.im - a[1, 0, 0])) > 1e-10 * scale:
             raise BranchError(
                 f"branch {branch} squares to {b2}, constant term is "
-                f"({a_re[0, 0]:g}, {a_im[0, 0]:g})"
+                f"({a[0, 0, 0]:g}, {a[1, 0, 0]:g})"
             )
-        try:
-            inv2 = (2.0 * branch).inverse()
-        except NotInvertible as exc:
-            raise DegenerateSqrt(f"branch {branch} is not invertible") from exc
-        r_re = np.zeros_like(a_re)
-        r_im = np.zeros_like(a_im)
-        r_re[0, 0] = branch.re
-        r_im[0, 0] = branch.im
-        for d in range(1, n + 1):
-            # Entries of degree d in r are still zero here, so the full
-            # product r*r contributes only strictly lower-degree pairs.
-            sq_re = _conv2(r_re, r_re) + s * _conv2(r_im, r_im)
-            sq_im = 2.0 * _conv2(r_re, r_im)
-            for m in range(d + 1):
-                k = d - m
-                c_re = a_re[m, k] - sq_re[m, k]
-                c_im = a_im[m, k] - sq_im[m, k]
-                r_re[m, k] = inv2.re * c_re + s * inv2.im * c_im
-                r_im[m, k] = inv2.re * c_im + inv2.im * c_re
-        return KSeries(
-            BiSeries(r_re, self.center), BiSeries(r_im, self.center), self.mode
-        )
+        if not (2.0 * branch).is_invertible():
+            raise DegenerateSqrt(f"branch {branch} is not invertible")
+        s = self.mode.unit_square
+        r = np.zeros_like(a)
+        r[:, 0, 0] = branch.re, branch.im
+        sqrt_columns(a[:, :, :1].transpose(0, 2, 1), r[:, :, :1].transpose(0, 2, 1), s)
+        sqrt_columns(a, r, s)
+        return KSeries(BiSeries(r[0], self.center), BiSeries(r[1], self.center), self.mode)
+
+    def sqrt_condition(self, branch: KScalar) -> float:
+        """Rounding amplification estimate for ``self.sqrt(branch)``.
+
+        Each degree of the root divides by 2 * branch, which can magnify an
+        error by sqrt(|self|) / branch.min_gain() -- at unit scale
+        1 / min(|p0|, |q0|) in split coordinates -- compounded over the order.
+        """
+        gain = branch.min_gain()
+        return math.inf if gain == 0.0 else (math.sqrt(self.maxabs()) / gain) ** self.order
 
     def eval(self, u: float, v: float) -> KScalar:
         return KScalar(self.re.eval(u, v), self.im.eval(u, v), self.mode)

@@ -21,9 +21,10 @@ from .errors import (
     ProblemValidationError,
     UnsupportedRecipe,
 )
-from .groups import GroupModel, lorentz_cross, lorentz_dot
-from .scalars import Mode
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
+from .scalars import KScalar, Mode
 from .series import BiSeries, KSeries, USeries, antiderivative_from_partials
+from .slices import cauchy_slice, column_divider, sqrt_columns
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,47 @@ def initial_data(problem: BjorlingProblem):
     return tangent0, frame0
 
 
-def _times_unit(x: KSeries) -> KSeries:
-    # Multiply by the mode's imaginary unit.
-    if x.mode is Mode.PARACOMPLEX:
-        return KSeries(x.im, x.re, x.mode)
-    return KSeries(-1.0 * x.im, x.re, x.mode)
-
-
 def cone_series(frame_data) -> KSeries:
     """The quadratic cone combination psi1^2 + psi2^2 - psi3^2."""
     p1, p2, p3 = frame_data
     return p1 * p1 + p2 * p2 - p3 * p3
+
+
+def _frame_stack(frame_data, order: int) -> np.ndarray:
+    # (6, n+1, n+1): real tables of psi_1..3, then their unit tables; only
+    # column 0 (v = 0) comes from the data.
+    x = np.zeros((6, order + 1, order + 1))
+    for c, comp in enumerate(frame_data):
+        k = min(order, comp.order)
+        x[c, : k + 1, 0] = comp.re.coeffs[: k + 1, 0]
+        x[c + 3, : k + 1, 0] = comp.im.coeffs[: k + 1, 0]
+    return x
+
+
+def _frame_series(x: np.ndarray, center: float, mode: Mode):
+    return tuple(
+        KSeries(BiSeries(x[c], center), BiSeries(x[c + 3], center), mode) for c in range(3)
+    )
+
+
+def _cone_slice(p: np.ndarray, s: float) -> np.ndarray:
+    # (re, unit) slice of psi1^2 + psi2^2 - psi3^2 from the pair slices p.
+    square, cross = np.einsum("iim->im", p), np.einsum("iim->im", p[:3, 3:])
+    return np.stack([SIGNATURE @ (square[:3] + s * square[3:]), 2.0 * SIGNATURE @ cross])
+
+
+def _march_step(gamma, s: float, x: np.ndarray, level: int, p: np.ndarray, comps) -> None:
+    # Column level+1 of components `comps` from psi_v = unit * (psi_u + 2 G),
+    # with the (re, unit) slices of G_c = sum gamma[a,b,c] conj(psi_a) psi_b.
+    rows = x.shape[1] - 1 - level
+    p = p[..., :rows]
+    conj_products = np.stack([p[:3, :3] - s * p[3:, 3:], p[:3, 3:] - p[3:, :3]])
+    quad = np.einsum("abc,kabm->kcm", gamma, conj_products)
+    deg = np.arange(1.0, rows + 1)
+    rhs = deg * x[:, 1 : rows + 1, level].reshape(2, 3, rows) + 2.0 * quad
+    for c in comps:  # unit * (a + unit b) = s b + unit a
+        x[c, :rows, level + 1] = s * rhs[1, c] / (level + 1)
+        x[c + 3, :rows, level + 1] = rhs[0, c] / (level + 1)
 
 
 def ck_march(
@@ -172,48 +203,29 @@ def ck_march(
     """March the frame system order by order in v.
 
     The system d psi_c / dzbar + G_c = 0 rearranges, using the definition
-    of dzbar, into psi_v = unit * (psi_u + 2 G); the v-degree (n+1) slice
-    of each component then follows from slices <= n because G is quadratic.
-    The recurrence is evaluated strictly lower-triangularly; with the
-    built-in connection tables the cone combination is preserved to
-    roundoff, and a drift beyond ``cone_tol`` raises ConstraintDrift.
+    of dzbar, into psi_v = unit * (psi_u + 2 G); the v-degree (L+1) slice
+    of each component then follows from slices <= L because G is
+    quadratic.  Each level builds only the v-degree-L slice of every
+    conj(psi_a) psi_b (one Cauchy slice, ``slices.cauchy_slice``), so the
+    march costs O(order^4) flops in O(order) array operations.  The same
+    slices give the cone combination level by level; with the built-in
+    connection tables it is preserved to roundoff, and a drift beyond
+    ``cone_tol`` raises ConstraintDrift.
     """
-    n = order
-    center = frame_data0[0].center
-    parts = []
-    for comp in frame_data0:
-        re = np.zeros((n + 1, n + 1))
-        im = np.zeros((n + 1, n + 1))
-        k = min(n, comp.order)
-        re[: k + 1, 0] = comp.re.coeffs[: k + 1, 0]
-        im[: k + 1, 0] = comp.im.coeffs[: k + 1, 0]
-        parts.append((re, im))
-
-    for level in range(n):
-        current = tuple(
-            KSeries(BiSeries(re, center), BiSeries(im, center), mode)
-            for re, im in parts
+    s = mode.unit_square
+    x = _frame_stack(frame_data0, order)
+    drift = 0.0
+    for level in range(order + 1):
+        p = cauchy_slice(x, x, level, order + 1 - level)
+        drift = max(drift, float(np.max(np.abs(_cone_slice(p, s)))))
+        if level < order:
+            _march_step(group.gamma, s, x, level, p, (0, 1, 2))
+    if cone_tol is not None and drift > cone_tol:
+        raise ConstraintDrift(
+            f"cone constraint drifted to {drift:.3e} during marching "
+            f"(tolerance {cone_tol:.3e}); connection table inconsistent"
         )
-        quad = group.pde_quadratic(current)
-        denom = float(level + 1)
-        for c in range(3):
-            rhs = _times_unit(current[c].du() + 2.0 * quad[c])
-            re, im = parts[c]
-            rows = n - level  # entries (m, level) with m + level <= n - 1
-            re[:rows, level + 1] = rhs.re.coeffs[:rows, level] / denom
-            im[:rows, level + 1] = rhs.im.coeffs[:rows, level] / denom
-
-    out = tuple(
-        KSeries(BiSeries(re, center), BiSeries(im, center), mode) for re, im in parts
-    )
-    if cone_tol is not None:
-        drift = cone_series(out).maxabs()
-        if drift > cone_tol:
-            raise ConstraintDrift(
-                f"cone constraint drifted to {drift:.3e} during marching "
-                f"(tolerance {cone_tol:.3e}); connection table inconsistent"
-            )
-    return out
+    return _frame_series(x, frame_data0[0].center, mode)
 
 
 def ck_march_cone_lift(
@@ -224,59 +236,40 @@ def ck_march_cone_lift(
     order: int,
 ):
     """March only the first two frame equations, lifting the third component
-    as a series square root of psi1^2 + psi2^2 at every order.
+    as the series square root of psi1^2 + psi2^2.
 
     This is the harness for checking that the lifted component then
-    satisfies the third equation on its own.  The lift needs an invertible
-    branch at the center, otherwise DegenerateSqrt.
+    satisfies the third equation on its own.  The lift extends psi3 by one
+    v-column per level, with the march's slices: column L solves
+    2 psi3_0 psi3_L = (psi1^2 + psi2^2 - psi3^2)_L with psi3_L still zero.
+    The lift needs an invertible branch at the center, otherwise
+    DegenerateSqrt.
     """
-    n = order
-    center = first0.center
-    parts = []
-    for comp in (first0, second0):
-        re = np.zeros((n + 1, n + 1))
-        im = np.zeros((n + 1, n + 1))
-        k = min(n, comp.order)
-        re[: k + 1, 0] = comp.re.coeffs[: k + 1, 0]
-        im[: k + 1, 0] = comp.im.coeffs[: k + 1, 0]
-        parts.append((re, im))
-
-    def wrap(pair):
-        return KSeries(BiSeries(pair[0], center), BiSeries(pair[1], center), mode)
-
-    sq0 = (wrap(parts[0]) * wrap(parts[0]) + wrap(parts[1]) * wrap(parts[1])).eval(
-        center, 0.0
-    )
-    branch = sq0.sqrt()
-
-    third = None
-    for level in range(n):
-        p1, p2 = wrap(parts[0]), wrap(parts[1])
-        third = (p1 * p1 + p2 * p2).sqrt(branch)
-        quad = group.pde_quadratic((p1, p2, third))
-        denom = float(level + 1)
-        for c in range(2):
-            rhs = _times_unit(wrap(parts[c]).du() + 2.0 * quad[c])
-            re, im = parts[c]
-            rows = n - level
-            re[:rows, level + 1] = rhs.re.coeffs[:rows, level] / denom
-            im[:rows, level + 1] = rhs.im.coeffs[:rows, level] / denom
-
-    p1, p2 = wrap(parts[0]), wrap(parts[1])
-    third = (p1 * p1 + p2 * p2).sqrt(branch)
-    return p1, p2, third
-
-
-def _partials_from_tangent(tangent: KSeries) -> tuple[BiSeries, BiSeries]:
-    # f_u and f_v of the real potential behind a tangent component.
-    if tangent.mode is Mode.PARACOMPLEX:
-        return 2.0 * tangent.re, 2.0 * tangent.im
-    return 2.0 * tangent.re, -2.0 * tangent.im
+    s = mode.unit_square
+    x = _frame_stack((first0, second0), order)
+    for level in range(order + 1):
+        lift = _cone_slice(cauchy_slice(x, x, level, order + 1 - level), s)
+        if level == 0:
+            # Column 0 is the root of a function of u alone: a one-row table.
+            branch = KScalar(lift[0, 0], lift[1, 0], mode).sqrt()
+            root = np.zeros((2, 1, order + 1))
+            root[:, 0, 0] = branch.re, branch.im
+            sqrt_columns(lift[:, None, :], root, s)
+            x[[2, 5], :, 0] = root[:, 0]
+            divide = column_divider(2.0 * root[:, 0], s)
+        else:
+            x[[2, 5], : order + 1 - level, level] = divide(lift)
+        if level < order:
+            p = cauchy_slice(x, x, level, order - level)
+            _march_step(group.gamma, s, x, level, p, (0, 1))
+    return _frame_series(x, first0.center, mode)
 
 
 def _real_integral(tangent: KSeries, compat_rtol: float) -> BiSeries:
-    fu, fv = _partials_from_tangent(tangent)
-    return antiderivative_from_partials(fu, fv, compat_rtol)
+    # The real potential behind a tangent component: f_u = 2 re and
+    # f_v = 2 unit_square * im.
+    s = tangent.mode.unit_square
+    return antiderivative_from_partials(2.0 * tangent.re, (2.0 * s) * tangent.im, compat_rtol)
 
 
 def reconstruct_surface(

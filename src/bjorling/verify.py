@@ -71,7 +71,10 @@ def weierstrass_residuals(group: GroupModel, frame_data) -> tuple[float, float]:
     """Coefficient-level residuals of the representation conditions.
 
     Returns (cone, pde): the largest coefficient of psi1^2 + psi2^2 - psi3^2
-    and the largest coefficient over c of d psi_c / dzbar + G_c.
+    and the largest coefficient over c of d psi_c / dzbar + G_c.  Both are
+    built from full series products (``GroupModel.pde_quadratic``), not from
+    the march's slice kernel, so this certificate stays independent of the
+    code that produced the coefficients.
     """
     cone = cone_series(frame_data).maxabs()
     quad = group.pde_quadratic(frame_data)

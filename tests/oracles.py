@@ -2,7 +2,9 @@
 
 Everything here is deliberately built from a different path than the
 library: symbolic Christoffel symbols via sympy, series coefficients from
-factorial formulas, and brute-force dictionary polynomial products.
+factorial formulas, brute-force dictionary polynomial products, and the
+frame march as a literal transcription of the PDE with full series
+products at every level.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 import sympy as sp
+
+from bjorling.scalars import KScalar, Mode
+from bjorling.series import BiSeries, KSeries
 
 
 @lru_cache(maxsize=None)
@@ -101,3 +106,98 @@ def split_cosh_parts(order: int) -> tuple[np.ndarray, np.ndarray]:
     re = brute_mul_2d(cu, cv, order)
     im = brute_mul_2d(su, sv, order)
     return table_from_dict(re, order), table_from_dict(im, order)
+
+
+# ---------------------------------------------------------------------------
+# full-product march references
+
+
+def _times_unit(x: KSeries) -> KSeries:
+    # Multiply by the mode's imaginary unit.
+    if x.mode is Mode.PARACOMPLEX:
+        return KSeries(x.im, x.re, x.mode)
+    return KSeries(-1.0 * x.im, x.re, x.mode)
+
+
+def _column_zero_tables(components, n):
+    parts = []
+    for comp in components:
+        re = np.zeros((n + 1, n + 1))
+        im = np.zeros((n + 1, n + 1))
+        k = min(n, comp.order)
+        re[: k + 1, 0] = comp.re.coeffs[: k + 1, 0]
+        im[: k + 1, 0] = comp.im.coeffs[: k + 1, 0]
+        parts.append((re, im))
+    return parts
+
+
+def _march_level(group, parts, current, level, n):
+    # Write column level+1 of each part from the full quadratic G.
+    quad = group.pde_quadratic(current)
+    denom = float(level + 1)
+    for c, (re, im) in enumerate(parts):
+        rhs = _times_unit(current[c].du() + 2.0 * quad[c])
+        rows = n - level  # entries (m, level) with m + level <= n - 1
+        re[:rows, level + 1] = rhs.re.coeffs[:rows, level] / denom
+        im[:rows, level + 1] = rhs.im.coeffs[:rows, level] / denom
+
+
+def reference_ck_march(group, frame_data0, mode: Mode, order: int):
+    """The frame march with the whole quadratic G rebuilt at every level."""
+    n = order
+    center = frame_data0[0].center
+    parts = _column_zero_tables(frame_data0, n)
+
+    def wrap(pair):
+        return KSeries(BiSeries(pair[0], center), BiSeries(pair[1], center), mode)
+
+    for level in range(n):
+        _march_level(group, parts, tuple(wrap(p) for p in parts), level, n)
+    return tuple(wrap(p) for p in parts)
+
+
+def reference_sqrt(a: KSeries, branch: KScalar) -> KSeries:
+    """Series square root matched total degree by total degree against
+    full products r * r."""
+    n = a.order
+    s = a.mode.unit_square
+    inv2 = (2.0 * branch).inverse()
+    r_re = np.zeros((n + 1, n + 1))
+    r_im = np.zeros((n + 1, n + 1))
+    r_re[0, 0] = branch.re
+    r_im[0, 0] = branch.im
+    for d in range(1, n + 1):
+        # Entries of degree d in r are still zero, so r*r holds only
+        # strictly lower-degree pairs there.
+        r = KSeries(BiSeries(r_re, a.center), BiSeries(r_im, a.center), a.mode)
+        sq = r * r
+        for m in range(d + 1):
+            k = d - m
+            c_re = a.re.coeffs[m, k] - sq.re.coeffs[m, k]
+            c_im = a.im.coeffs[m, k] - sq.im.coeffs[m, k]
+            r_re[m, k] = inv2.re * c_re + s * inv2.im * c_im
+            r_im[m, k] = inv2.re * c_im + inv2.im * c_re
+    return KSeries(BiSeries(r_re, a.center), BiSeries(r_im, a.center), a.mode)
+
+
+def reference_cone_lift(group, first0: KSeries, second0: KSeries, mode: Mode, order: int):
+    """March equations 1-2 with full products, taking psi3 as a full square
+    root of psi1^2 + psi2^2 at every level."""
+    n = order
+    center = first0.center
+    parts = _column_zero_tables((first0, second0), n)
+
+    def wrap(pair):
+        return KSeries(BiSeries(pair[0], center), BiSeries(pair[1], center), mode)
+
+    p1, p2 = wrap(parts[0]), wrap(parts[1])
+    branch = (p1 * p1 + p2 * p2).eval(center, 0.0).sqrt()
+
+    def lifted():
+        p1, p2 = wrap(parts[0]), wrap(parts[1])
+        return p1, p2, reference_sqrt(p1 * p1 + p2 * p2, branch)
+
+    for level in range(n):
+        current = lifted()
+        _march_level(group, parts, current, level, n)
+    return lifted()

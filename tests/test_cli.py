@@ -171,3 +171,50 @@ def test_solve_order_override(workdir, capsys):
 def test_usage_error_exit_code(workdir, capsys):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def _grid(**sizes):
+    grid = corpus.build_problem_dict("heisenberg_vertical_plane")["grid"]
+    return {"grid": {**grid, **sizes}}
+
+
+_NOT_INT = "order must be an integer"
+_RANGE = "order must be between 2 and 48"
+
+
+@pytest.mark.parametrize(
+    "overrides, cli_order, message",
+    [
+        pytest.param({"order": 2.7}, None, _NOT_INT, id="file-order-fractional"),
+        pytest.param({"order": 1}, None, _RANGE, id="file-order-below-2"),
+        pytest.param({"order": "twelve"}, None, _NOT_INT, id="file-order-text"),
+        pytest.param({"order": 49}, None, _RANGE, id="file-order-above-cap"),
+        pytest.param({}, "2.7", _NOT_INT, id="cli-order-fractional"),
+        pytest.param({}, "-3", _RANGE, id="cli-order-below-2"),
+        pytest.param({}, "twelve", _NOT_INT, id="cli-order-text"),
+        pytest.param({}, "49", _RANGE, id="cli-order-above-cap"),
+        pytest.param(_grid(nu=2.7), None, "grid nu must be an integer", id="nu-fractional"),
+        pytest.param(_grid(nu=1), None, "grid nu must be at least 2", id="nu-below-2"),
+        pytest.param(_grid(nv=8.5), None, "grid nv must be an integer", id="nv-fractional"),
+        pytest.param(_grid(nv=0), None, "grid nv must be at least 2", id="nv-below-2"),
+    ],
+)
+def test_bad_order_or_grid_size_is_one_line_schema_error(
+    workdir, capsys, overrides, cli_order, message
+):
+    path = _write_problem(workdir / "bounds.problem.json", **overrides)
+    argv = ["solve", str(path)] + (["--order", cli_order] if cli_order is not None else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_order_at_the_cap_is_accepted(workdir):
+    from bjorling.problemfile import MAX_ORDER, problem_from_dict
+
+    doc = corpus.build_problem_dict("heisenberg_vertical_plane")
+    assert problem_from_dict(doc, order_override=str(MAX_ORDER)).order == MAX_ORDER
+    assert problem_from_dict(dict(doc, order=12.0)).order == 12

@@ -8,21 +8,24 @@ from bjorling.config import CurveClass, GridSpec, ProblemKind
 from bjorling.errors import (
     CausalMismatch,
     CharacteristicData,
+    DegenerateSqrt,
     ProblemValidationError,
     UnsupportedRecipe,
 )
-from bjorling.groups import generic_group, h2xr, heisenberg
+from bjorling.groups import de_sitter, generic_group, h2xr, heisenberg
 from bjorling.scalars import KScalar, Mode
 from bjorling.series import BiSeries, KSeries, USeries
 from bjorling.solver import (
     BjorlingProblem,
     ck_march,
+    ck_march_cone_lift,
     classify_curve,
     cone_series,
     initial_data,
     reconstruct_surface,
     solve_bjorling,
 )
+from oracles import reference_ck_march, reference_cone_lift
 
 P = Mode.PARACOMPLEX
 
@@ -350,6 +353,69 @@ def test_generic_group_cannot_reconstruct():
     prob = problemfile.problem_from_dict(doc)
     with pytest.raises(UnsupportedRecipe):
         solve_bjorling(prob)
+
+
+def _random_column_data(rng, count, mode, order, lead=None):
+    # Frame data on v = 0 only: random u-jets, optionally with the constant
+    # term drawn from +-lead so the data stays away from zero.
+    def jet():
+        c = rng.uniform(-0.3, 0.3, order + 1)
+        if lead is not None:
+            c[0] = rng.choice([-1.0, 1.0]) * rng.uniform(*lead)
+        return BiSeries.from_univariate_u(USeries(c), order)
+
+    return tuple(KSeries(jet(), jet(), mode) for _ in range(count))
+
+
+def _march_cases():
+    for example_id in corpus.EXAMPLE_IDS:
+        for order in (8, 20):
+            yield pytest.param("corpus", example_id, order, id=f"{example_id}-{order}")
+    for seed in (1, 2):
+        for mode in (Mode.PARACOMPLEX, Mode.COMPLEX):
+            yield pytest.param("generic", (seed, mode), 12, id=f"generic{seed}-{mode.value}")
+
+
+@pytest.mark.parametrize("source, case, order", list(_march_cases()))
+def test_march_matches_full_product_reference(source, case, order):
+    if source == "corpus":
+        prob = _problem(case, order=order)
+        group, mode = prob.group, prob.mode
+        _, frame0 = initial_data(prob)
+    else:
+        seed, mode = case
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(-1.0, 1.0, (3, 3, 3))
+        group = generic_group(table - table.transpose(1, 0, 2))
+        frame0 = _random_column_data(rng, 3, mode, order)
+    want = reference_ck_march(group, frame0, mode, order)
+    got = ck_march(group, frame0, mode, order)
+    scale = max(w.maxabs() for w in want)
+    for g, w in zip(got, want):
+        assert (g - w).maxabs() <= 1e-11 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("group", [heisenberg(), de_sitter(), h2xr()], ids=lambda g: g.name)
+@pytest.mark.parametrize("mode", [Mode.PARACOMPLEX, Mode.COMPLEX], ids=lambda m: m.value)
+def test_cone_lift_matches_full_product_reference(group, mode):
+    order = 6
+    rng = np.random.default_rng(606)
+    checked = 0
+    while checked < 3:
+        p1, p2 = _random_column_data(rng, 2, mode, order, lead=(0.4, 0.9))
+        s0 = (p1 * p1 + p2 * p2).eval(0.0, 0.0)
+        if abs(s0.sq_mod()) < 0.05:
+            continue
+        try:
+            s0.sqrt()
+        except DegenerateSqrt:
+            continue
+        want = reference_cone_lift(group, p1, p2, mode, order)
+        got = ck_march_cone_lift(group, p1, p2, mode, order)
+        scale = max(w.maxabs() for w in want)
+        for g, w in zip(got, want):
+            assert (g - w).maxabs() <= 1e-11 * max(1.0, scale)
+        checked += 1
 
 
 def test_generic_march_agrees_with_builtin():
