@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import solve_ivp
 
 from .series import USeries, ode_taylor
@@ -31,7 +32,8 @@ class ExampleInfo:
 
 
 def _ivp_profile(rhs, y0: float, half_width: float):
-    """Scalar profile y(t) of y' = rhs(y) on [-half_width, half_width]."""
+    """Profile y(t) of y' = rhs(y) on [-half_width, half_width], from the
+    integrator's dense output; t may be a numpy array."""
     span = 1.12 * half_width + 1e-6
     fwd = solve_ivp(
         lambda t, y: [rhs(y[0])],
@@ -59,7 +61,7 @@ def _ivp_profile(rhs, y0: float, half_width: float):
             return float(fwd.sol(t)[0])
         return float(bwd.sol(t)[0])
 
-    return profile
+    return np.vectorize(profile, otypes=[float])
 
 
 def helicoid_radius_ode(c: float):
@@ -240,9 +242,9 @@ def _h2xr_horizontal_plane(params, order):
 def _ref_vertical_plane(params):
     c = params["c"]
     return lambda u, v: (
-        math.exp(v) * math.cosh(u),
-        c,
-        math.exp(v) * (-(c / 2.0) * math.cosh(u) + math.sinh(u)),
+        np.exp(v) * np.cosh(u),
+        c + 0.0 * u,
+        np.exp(v) * (-(c / 2.0) * np.cosh(u) + np.sinh(u)),
     )
 
 
@@ -254,8 +256,8 @@ def _ref_helicoid(params, half_width=0.45):
 
     rho = _ivp_profile(rhs, rho0, half_width)
     return lambda u, v: (
-        rho(u) * math.cos(v),
-        rho(u) * math.sin(v),
+        rho(u) * np.cos(v),
+        rho(u) * np.sin(v),
         c * v + b,
     )
 
@@ -277,27 +279,27 @@ def _ref_saddle(params, half_width=0.3):
 def _ref_desitter_vertical(params):
     c = params["c"]
     return lambda u, v: (
-        math.exp(-v) * math.sinh(u),
-        c,
-        math.exp(-v) * math.cosh(u),
+        np.exp(-v) * np.sinh(u),
+        c + 0.0 * u,
+        np.exp(-v) * np.cosh(u),
     )
 
 
 def _ref_desitter_diagonal(params):
     r = _SQRT2INV
     return lambda u, v: (
-        math.exp(-v) * r * math.sinh(u),
-        math.exp(-v) * r * math.sinh(u),
-        math.exp(-v) * math.cosh(u),
+        np.exp(-v) * r * np.sinh(u),
+        np.exp(-v) * r * np.sinh(u),
+        np.exp(-v) * np.cosh(u),
     )
 
 
 def _ref_h2xr_plane(params):
     c = params["c"]
     return lambda u, v: (
-        math.exp(v) * math.cos(u),
-        math.exp(v) * math.sin(u),
-        c,
+        np.exp(v) * np.cos(u),
+        np.exp(v) * np.sin(u),
+        c + 0.0 * u,
     )
 
 
@@ -404,7 +406,10 @@ def build_problem_dict(example_id: str, params: dict | None = None, order: int =
 
 
 def reference_surface(example_id: str, params: dict | None = None):
-    """Independent closed-form evaluator (u, v) -> coordinate triple."""
+    """Independent closed-form evaluator (u, v) -> coordinate triple.
+
+    u and v may be numpy arrays of one shape; each coordinate then has
+    that shape."""
     _require(example_id)
     _, ref_builder, info = _REGISTRY[example_id]
     merged = dict(info.defaults)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import ast
 import math
 
+import numpy as np
+
 from .errors import ExpressionError
 from .series import USeries
 
@@ -67,15 +69,17 @@ def _eval_node(node, env, text):
         arg = _eval_node(node.args[0], env, text)
         if isinstance(arg, USeries):
             return getattr(arg, node.func.id)()
+        if isinstance(arg, np.ndarray):
+            return getattr(np, node.func.id)(arg)
         return getattr(math, node.func.id)(arg)
     raise ExpressionError(f"unsupported syntax in {text!r}")
 
 
 def evaluate_series(text: str, env: dict):
-    """Evaluate an expression over an environment of jets and numbers.
+    """Evaluate an expression over an environment of jets, arrays and numbers.
 
-    Returns a USeries when any variable in the environment is one,
-    otherwise a float.
+    Returns a USeries when any variable in the environment is one, an
+    array when one is a numpy array, otherwise a float.
     """
     try:
         tree = ast.parse(text, mode="eval")

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedRecipe
-from .series import USeries
+from .errors import DomainError, NotInvertible, UnsupportedRecipe
 
 SIGNATURE = np.array([1.0, 1.0, -1.0])
 
@@ -64,27 +63,61 @@ def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, L / 2.0
 
 
+def _stack(nest, shape) -> np.ndarray:
+    # A 3x3 nest of floats and arrays as one (3, 3, *shape) array.
+    return np.array([[np.broadcast_to(e, shape) for e in row] for row in nest], dtype=float)
+
+
+def _apply(nest, w):
+    # A 3x3 nest of entries applied to a component triple (any entry types).
+    return tuple(row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in nest)
+
+
+def _inverse(m):
+    # Adjugate over determinant; works for floats, arrays and jets alike.
+    adj = [
+        [
+            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+    if isinstance(det, float) and det == 0.0:
+        raise NotInvertible("frame matrix is singular")
+    return tuple(tuple(a / det for a in row) for row in adj)
+
+
 class GroupModel:
-    """Immutable bundle of one group's frame, chart and PDE data."""
+    """Immutable bundle of one group's frame, chart and PDE data.
+
+    The chart is given by one pair of callables: ``frame(x)`` is the frame
+    matrix A (columns are the frame fields in coordinates) and
+    ``coframe(x)`` its inverse, each a 3x3 nest of entries for a coordinate
+    triple x.  The parts of x may be floats, numpy arrays of one shape, or
+    ``USeries`` jets, so the same two functions give the point and grid
+    matrices, the metric and Christoffel symbols on whole grids, and the
+    jet maps along a curve.  ``chart_guard(x)`` must work elementwise on a
+    (3, ...) stack too.
+    """
 
     def __init__(
         self,
         name: str,
         structure_constants,
-        frame_matrix_at=None,
+        frame=None,
+        coframe=None,
         chart_guard=None,
-        jet_frame_from_coords=None,
-        jet_coords_from_frame=None,
         recipe: str | None = None,
         description: str = "",
     ):
         self.name = name
         self.C = np.asarray(structure_constants, dtype=float)
         self.L, self.gamma = connection_from_structure(self.C)
-        self._frame_matrix_at = frame_matrix_at
+        self.frame = frame
+        self.coframe = coframe
         self._chart_guard = chart_guard or (lambda x: True)
-        self._jet_frame_from_coords = jet_frame_from_coords
-        self._jet_coords_from_frame = jet_coords_from_frame
         self.recipe = recipe
         self.description = description
         self._gamma_terms = [
@@ -97,47 +130,55 @@ class GroupModel:
 
     # chart ---------------------------------------------------------------
 
+    def chart_mask(self, x) -> np.ndarray:
+        """Which points of a (3, ...) stack lie in the chart, shape x.shape[1:]."""
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(self._chart_guard(x), x.shape[1:])
+
     def in_chart(self, x) -> bool:
-        return bool(self._chart_guard(np.asarray(x, dtype=float)))
+        """True when every point of x (one point, or a (3, ...) stack) is inside."""
+        return bool(np.all(self.chart_mask(x)))
+
+    def _require_frame(self) -> None:
+        if self.frame is None:
+            raise UnsupportedRecipe(f"group {self.name} has no frame matrix")
 
     def frame_matrix(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Frame matrix A (columns are the frame fields in coordinates)
-        and its inverse at one chart point."""
+        """A and A^{-1} at a point (3x3 each) or at a (3, ...) stack of
+        points ((3, 3, ...) each).  Raises DomainError if any point is
+        outside the chart."""
         x = np.asarray(x, dtype=float)
-        if not self._chart_guard(x):
-            raise DomainError(f"point {x.tolist()} outside the {self.name} chart")
-        if self._frame_matrix_at is None:
-            raise UnsupportedRecipe(f"group {self.name} has no frame matrix")
-        return self._frame_matrix_at(x)
+        mask = self.chart_mask(x)
+        if not mask.all():
+            bad = x.reshape(3, -1)[:, np.argmin(mask.ravel())]
+            raise DomainError(f"point {bad.tolist()} outside the {self.name} chart")
+        self._require_frame()
+        return _stack(self.frame(x), mask.shape), _stack(self.coframe(x), mask.shape)
 
     def metric(self, x) -> np.ndarray:
-        """Coordinate metric pulled back through the frame: Ainv^T diag Ainv."""
+        """Coordinate metric Ainv^T diag Ainv at a point or a (3, ...) stack."""
         _, ainv = self.frame_matrix(x)
-        return ainv.T @ (SIGNATURE[:, None] * ainv)
+        return np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
 
-    def christoffels(self, x, step: float | None = None) -> np.ndarray:
+    def christoffels(self, x, step=None) -> np.ndarray:
         """Coordinate Christoffel symbols by central differences of the metric.
 
-        Returns Gamma[k, i, j], symmetric in (i, j).  Used only as the
-        independent, coordinate-level certificate; nothing in the solver
-        depends on it.
+        Returns Gamma[k, i, j, ...], symmetric in (i, j), at a point or on a
+        (3, ...) stack of points; the default step is 1e-5 * max(1, |x|_inf)
+        per point.  Used only as the independent, coordinate-level
+        certificate; nothing in the solver depends on it.
         """
         x = np.asarray(x, dtype=float)
-        h = step if step is not None else 1e-5 * max(1.0, float(np.max(np.abs(x))))
-        g0 = self.metric(x)
-        dg = np.zeros((3, 3, 3))  # dg[l] = d g / d x_l
-        for l in range(3):
-            e = np.zeros(3)
-            e[l] = h
-            dg[l] = (self.metric(x + e) - self.metric(x - e)) / (2.0 * h)
-        ginv = np.linalg.inv(g0)
-        d = np.transpose(dg, (1, 2, 0))  # d[i, j, l] = d_l g_ij
-        t = np.zeros((3, 3, 3))  # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        for i in range(3):
-            for j in range(3):
-                for l in range(3):
-                    t[i, j, l] = d[j, l, i] + d[i, l, j] - d[i, j, l]
-        return 0.5 * np.einsum("kl,ijl->kij", ginv, t)
+        h = step if step is not None else 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=0))
+        shift = np.eye(3).reshape((3, 3) + (1,) * (x.ndim - 1)) * h
+        # dg[l, i, j] = d_l g_ij
+        dg = np.stack([self.metric(x + e) - self.metric(x - e) for e in shift]) / (2.0 * h)
+        rest = tuple(range(3, dg.ndim))
+        # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+        t = dg + np.transpose(dg, (1, 0, 2) + rest) - np.transpose(dg, (1, 2, 0) + rest)
+        g = np.moveaxis(self.metric(x), (0, 1), (-2, -1))
+        ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
+        return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t)
 
     # PDE -----------------------------------------------------------------
 
@@ -157,19 +198,13 @@ class GroupModel:
 
     def frame_jet_from_coords(self, curve, w):
         """Apply A^{-1}(curve(u)) to a coordinate-component jet triple."""
-        if self._jet_frame_from_coords is None:
-            raise UnsupportedRecipe(
-                f"group {self.name} has no frame matrix description"
-            )
-        return self._jet_frame_from_coords(curve, w)
+        self._require_frame()
+        return _apply(self.coframe(curve), w)
 
     def coords_jet_from_frame(self, curve, w):
         """Apply A(curve(u)) to a frame-component jet triple."""
-        if self._jet_coords_from_frame is None:
-            raise UnsupportedRecipe(
-                f"group {self.name} has no frame matrix description"
-            )
-        return self._jet_coords_from_frame(curve, w)
+        self._require_frame()
+        return _apply(self.frame(curve), w)
 
     def __repr__(self) -> str:
         return f"GroupModel({self.name!r})"
@@ -188,31 +223,11 @@ def heisenberg() -> GroupModel:
     C = np.zeros((3, 3, 3))
     C[0, 1, 2] = 1.0
     C[1, 0, 2] = -1.0
-
-    def frame_matrix_at(x):
-        a = np.array(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-x[1] / 2.0, x[0] / 2.0, 1.0]]
-        )
-        ainv = np.array(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [x[1] / 2.0, -x[0] / 2.0, 1.0]]
-        )
-        return a, ainv
-
-    def jet_frame_from_coords(curve, w):
-        third = 0.5 * curve[1] * w[0] - 0.5 * curve[0] * w[1] + w[2]
-        return (w[0], w[1], third)
-
-    def jet_coords_from_frame(curve, w):
-        third = -0.5 * curve[1] * w[0] + 0.5 * curve[0] * w[1] + w[2]
-        return (w[0], w[1], third)
-
     return GroupModel(
         "heisenberg",
         C,
-        frame_matrix_at=frame_matrix_at,
-        chart_guard=lambda x: True,
-        jet_frame_from_coords=jet_frame_from_coords,
-        jet_coords_from_frame=jet_coords_from_frame,
+        frame=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-x[1] / 2.0, x[0] / 2.0, 1.0)),
+        coframe=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (x[1] / 2.0, -x[0] / 2.0, 1.0)),
         recipe="heisenberg",
         description="Lorentzian Heisenberg group (entire chart)",
     )
@@ -229,24 +244,15 @@ def de_sitter() -> GroupModel:
     C[1, 2, 1] = -1.0
     C[2, 1, 1] = 1.0
 
-    def frame_matrix_at(x):
-        a = np.diag([x[2], x[2], x[2]])
-        ainv = np.diag([1.0 / x[2], 1.0 / x[2], 1.0 / x[2]])
-        return a, ainv
-
-    def jet_frame_from_coords(curve, w):
-        return (w[0] / curve[2], w[1] / curve[2], w[2] / curve[2])
-
-    def jet_coords_from_frame(curve, w):
-        return (w[0] * curve[2], w[1] * curve[2], w[2] * curve[2])
+    def scaled(s):
+        return ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
 
     return GroupModel(
         "desitter",
         C,
-        frame_matrix_at=frame_matrix_at,
+        frame=lambda x: scaled(x[2]),
+        coframe=lambda x: scaled(1.0 / x[2]),
         chart_guard=lambda x: x[2] > 0.0,
-        jet_frame_from_coords=jet_frame_from_coords,
-        jet_coords_from_frame=jet_coords_from_frame,
         recipe="desitter",
         description="de Sitter space, halfspace chart x3 > 0",
     )
@@ -261,24 +267,15 @@ def h2xr() -> GroupModel:
     C[0, 1, 0] = -1.0
     C[1, 0, 0] = 1.0
 
-    def frame_matrix_at(x):
-        a = np.diag([x[1], x[1], 1.0])
-        ainv = np.diag([1.0 / x[1], 1.0 / x[1], 1.0])
-        return a, ainv
-
-    def jet_frame_from_coords(curve, w):
-        return (w[0] / curve[1], w[1] / curve[1], w[2])
-
-    def jet_coords_from_frame(curve, w):
-        return (w[0] * curve[1], w[1] * curve[1], w[2])
+    def scaled(s):
+        return ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))
 
     return GroupModel(
         "h2xr",
         C,
-        frame_matrix_at=frame_matrix_at,
+        frame=lambda x: scaled(x[1]),
+        coframe=lambda x: scaled(1.0 / x[1]),
         chart_guard=lambda x: x[1] > 0.0,
-        jet_frame_from_coords=jet_frame_from_coords,
-        jet_coords_from_frame=jet_coords_from_frame,
         recipe="h2xr",
         description="hyperbolic plane x a timelike line, chart x2 > 0",
     )
@@ -293,89 +290,33 @@ def generic_group(
     """Group given by raw structure constants, optionally with a frame matrix.
 
     ``frame_exprs`` is a 3x3 nest of expression strings in x1, x2, x3
-    (columns are the frame fields).  Without it only the frame-level
-    residual machinery is available.  Reconstruction of a surface is never
+    (columns are the frame fields).  The entries are evaluated on whatever
+    the coordinates are (floats, numpy arrays, jets), and the coframe is
+    their adjugate inverse.  Without it only the frame-level residual
+    machinery is available.  Reconstruction of a surface is never
     available for generic groups: there is no closed integration recipe.
     """
     from .expressions import evaluate_series  # local import, avoids a cycle
 
-    frame_matrix_at = None
-    jet_frame = None
-    jet_coords = None
+    frame = coframe = None
     if frame_exprs is not None:
         rows = [list(r) for r in frame_exprs]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("frame matrix description must be 3x3")
 
-        def frame_matrix_at(x):
-            env = {"x1": float(x[0]), "x2": float(x[1]), "x3": float(x[2])}
-            a = np.array(
-                [[evaluate_series(rows[i][j], env) for j in range(3)] for i in range(3)],
-                dtype=float,
-            )
-            try:
-                ainv = np.linalg.inv(a)
-            except np.linalg.LinAlgError as exc:
-                raise DomainError(f"frame matrix singular at {x}") from exc
-            return a, ainv
+        def frame(x):
+            env = {"x1": x[0], "x2": x[1], "x3": x[2]}
+            return tuple(tuple(evaluate_series(e, env) for e in row) for row in rows)
 
-        def _entry_jets(curve):
-            order = min(c.order for c in curve)
-            center = curve[0].center
-            env = {"x1": curve[0], "x2": curve[1], "x3": curve[2]}
-            out = []
-            for i in range(3):
-                row = []
-                for j in range(3):
-                    val = evaluate_series(rows[i][j], env)
-                    if not isinstance(val, USeries):
-                        val = USeries.constant(float(val), order, center)
-                    row.append(val)
-                out.append(row)
-            return out
-
-        def jet_coords(curve, w):
-            m = _entry_jets(curve)
-            return tuple(
-                m[i][0] * w[0] + m[i][1] * w[1] + m[i][2] * w[2] for i in range(3)
-            )
-
-        def jet_frame(curve, w):
-            m = _entry_jets(curve)
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-            adj = [
-                [
-                    m[1][1] * m[2][2] - m[1][2] * m[2][1],
-                    m[0][2] * m[2][1] - m[0][1] * m[2][2],
-                    m[0][1] * m[1][2] - m[0][2] * m[1][1],
-                ],
-                [
-                    m[1][2] * m[2][0] - m[1][0] * m[2][2],
-                    m[0][0] * m[2][2] - m[0][2] * m[2][0],
-                    m[0][2] * m[1][0] - m[0][0] * m[1][2],
-                ],
-                [
-                    m[1][0] * m[2][1] - m[1][1] * m[2][0],
-                    m[0][1] * m[2][0] - m[0][0] * m[2][1],
-                    m[0][0] * m[1][1] - m[0][1] * m[1][0],
-                ],
-            ]
-            return tuple(
-                (adj[i][0] * w[0] + adj[i][1] * w[1] + adj[i][2] * w[2]) / det
-                for i in range(3)
-            )
+        def coframe(x):
+            return _inverse(frame(x))
 
     return GroupModel(
         name,
         structure_constants,
-        frame_matrix_at=frame_matrix_at,
+        frame=frame,
+        coframe=coframe,
         chart_guard=chart_guard,
-        jet_frame_from_coords=jet_frame,
-        jet_coords_from_frame=jet_coords,
         recipe=None,
         description="user-supplied structure constants (residual checks only)",
     )

@@ -8,7 +8,8 @@ enough to re-evaluate the surface anywhere without re-solving.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ import numpy as np
 from .config import GridSpec, ProblemKind, Tolerances
 from .errors import SchemaError
 from .expressions import evaluate_jet
-from .groups import GroupModel, by_name, generic_group, lorentz_dot
+from .groups import GroupModel, by_name, generic_group
 from .series import BiSeries, USeries
 from .solver import BjorlingProblem, BjorlingSolution
+from .verify import conformality_defect, surface_grids
 
 _REQUIRED_KEYS = {"group", "mode", "beta", "V", "order", "grid"}
 _OPTIONAL_KEYS = {
@@ -82,6 +84,31 @@ def _bounded_int(value, label: str, lo: int, hi: int | None = None) -> int:
     return number
 
 
+def _finite(value, label: str) -> float:
+    # Numbers and numeric text; NaN, infinities, booleans and other text fail.
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise SchemaError(f"{label} must be a finite number, got {value!r}")
+    return number
+
+
+def _grid_from_dict(grid_doc) -> GridSpec:
+    """The ``grid`` entry of a problem or solution file, checked."""
+    if not isinstance(grid_doc, dict) or set(grid_doc) != _GRID_KEYS:
+        raise SchemaError(f"grid must have exactly the keys {sorted(_GRID_KEYS)}")
+    grid = GridSpec(
+        *(_finite(grid_doc[k], f"grid {k}") for k in ("u_min", "u_max", "v_min", "v_max")),
+        _bounded_int(grid_doc["nu"], "grid nu", 2),
+        _bounded_int(grid_doc["nv"], "grid nv", 2),
+    )
+    if not (grid.u_min < grid.u_max and grid.v_min < grid.v_max):
+        raise SchemaError("grid ranges must be increasing")
+    return grid
+
+
 def _resolve_group(doc: dict) -> GroupModel:
     name = doc["group"]
     if name == "generic":
@@ -114,17 +141,7 @@ def problem_from_dict(
     if missing:
         raise SchemaError(f"missing problem keys: {sorted(missing)}")
 
-    grid_doc = doc["grid"]
-    if not isinstance(grid_doc, dict) or set(grid_doc) != _GRID_KEYS:
-        raise SchemaError(f"grid must have exactly the keys {sorted(_GRID_KEYS)}")
-    grid = GridSpec(
-        float(grid_doc["u_min"]),
-        float(grid_doc["u_max"]),
-        float(grid_doc["v_min"]),
-        float(grid_doc["v_max"]),
-        _bounded_int(grid_doc["nu"], "grid nu", 2),
-        _bounded_int(grid_doc["nv"], "grid nv", 2),
-    )
+    grid = _grid_from_dict(doc["grid"])
 
     tol_doc = dict(doc.get("tolerances") or {})
     unknown_tol = set(tol_doc) - _TOL_KEYS
@@ -132,7 +149,7 @@ def problem_from_dict(
         raise SchemaError(f"unknown tolerance keys: {sorted(unknown_tol)}")
     if tolerance_overrides:
         tol_doc.update(tolerance_overrides)
-    tolerances = Tolerances().merged({k: float(v) for k, v in tol_doc.items()})
+    tolerances = Tolerances().merged({k: _finite(v, f"tolerance {k}") for k, v in tol_doc.items()})
 
     try:
         kind = ProblemKind.from_string(doc["mode"])
@@ -142,8 +159,8 @@ def problem_from_dict(
     order = _bounded_int(
         order_override if order_override is not None else doc["order"], "order", 2, MAX_ORDER
     )
-    center = float(doc.get("u0", 0.5 * (grid.u_min + grid.u_max)))
-    params = {str(k): float(v) for k, v in (doc.get("params") or {}).items()}
+    center = _finite(doc.get("u0", 0.5 * (grid.u_min + grid.u_max)), "u0")
+    params = {str(k): _finite(v, f"param {k}") for k, v in (doc.get("params") or {}).items()}
 
     beta_doc, field_doc = doc["beta"], doc["V"]
     for label, entries in (("beta", beta_doc), ("V", field_doc)):
@@ -195,14 +212,7 @@ def solution_payload(sol: BjorlingSolution) -> dict:
         "order": sol.order,
         "center_u": sol.center,
         "base_point": sol.base.tolist(),
-        "grid": {
-            "u_min": sol.grid.u_min,
-            "u_max": sol.grid.u_max,
-            "v_min": sol.grid.v_min,
-            "v_max": sol.grid.v_max,
-            "nu": sol.grid.nu,
-            "nv": sol.grid.nv,
-        },
+        "grid": asdict(sol.grid),
         "frame_data": [
             {"re": comp.re.coeffs.tolist(), "im": comp.im.coeffs.tolist()}
             for comp in sol.frame_data
@@ -242,16 +252,8 @@ class StoredSolution:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
         try:
-            grid_doc = doc["grid"]
-            grid = GridSpec(
-                float(grid_doc["u_min"]),
-                float(grid_doc["u_max"]),
-                float(grid_doc["v_min"]),
-                float(grid_doc["v_max"]),
-                int(grid_doc["nu"]),
-                int(grid_doc["nv"]),
-            )
-            center = float(doc["center_u"])
+            grid = _grid_from_dict(doc["grid"])
+            center = _finite(doc["center_u"], "center_u")
             surface = tuple(
                 BiSeries(np.asarray(tab, dtype=float), center)
                 for tab in doc["surface"]
@@ -285,45 +287,22 @@ def build_mesh(stored: StoredSolution) -> SurfaceMesh:
     deterministic.
     """
     us, vs = stored.grid.us(), stored.grid.vs()
-    pts = [f.eval_grid(us, vs) for f in stored.surface]
-    fu = [f.du() for f in stored.surface]
-    fv = [f.dv() for f in stored.surface]
-    fug = [f.eval_grid(us, vs) for f in fu]
-    fvg = [f.eval_grid(us, vs) for f in fv]
-    sigma = stored.kind.sigma
-
-    nu, nv = stored.grid.nu, stored.grid.nv
-    index = -np.ones((nu, nv), dtype=int)
-    vertices, uv, residual = [], [], []
-    clipped = 0
-    for i in range(nu):
-        for j in range(nv):
-            x = np.array([pts[0][i, j], pts[1][i, j], pts[2][i, j]])
-            if not stored.group.in_chart(x):
-                clipped += 1
-                continue
-            _, ainv = stored.group.frame_matrix(x)
-            vec_u = ainv @ np.array([fug[0][i, j], fug[1][i, j], fug[2][i, j]])
-            vec_v = ainv @ np.array([fvg[0][i, j], fvg[1][i, j], fvg[2][i, j]])
-            defect = abs(lorentz_dot(vec_u, vec_v)) + abs(
-                lorentz_dot(vec_u, vec_u) + sigma * lorentz_dot(vec_v, vec_v)
-            )
-            index[i, j] = len(vertices)
-            vertices.append(x)
-            uv.append((us[i], vs[j]))
-            residual.append(defect)
-    faces = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            corners = (index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1])
-            if all(k >= 0 for k in corners):
-                faces.append(corners)
+    x, fu, fv = surface_grids(stored.surface, us, vs)
+    inside = stored.group.chart_mask(x)
+    index = np.full(inside.shape, -1)
+    index[inside] = np.arange(np.count_nonzero(inside))
+    quads = np.stack(
+        [index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]], axis=-1
+    ).reshape(-1, 4)
+    u, v = np.meshgrid(us, vs, indexing="ij")
     return SurfaceMesh(
-        vertices=np.asarray(vertices, dtype=float).reshape(-1, 3),
-        uv=np.asarray(uv, dtype=float).reshape(-1, 2),
-        residual=np.asarray(residual, dtype=float),
-        faces=faces,
-        clipped=clipped,
+        vertices=x[:, inside].T,
+        uv=np.stack([u[inside], v[inside]], axis=1),
+        residual=conformality_defect(
+            stored.group, x[:, inside], fu[:, inside], fv[:, inside], stored.kind.sigma
+        ),
+        faces=[tuple(q) for q in quads[np.all(quads >= 0, axis=1)].tolist()],
+        clipped=int(inside.size - np.count_nonzero(inside)),
     )
 
 

@@ -405,12 +405,13 @@ class BiSeries:
             out = out * h + 1.0 / math.factorial(k)
         return out * math.exp(a0)
 
-    def eval(self, u: float, v: float) -> float:
-        t = float(u) - self.center
-        n = self.order
-        tp = np.power(t, np.arange(n + 1))
-        vp = np.power(float(v), np.arange(n + 1))
-        return float(tp @ self.coeffs @ vp)
+    def eval(self, u, v):
+        """Value at (u, v).  u and v may be numpy arrays; they are broadcast
+        together and the result has their common shape (a scalar for
+        scalar arguments).  ``eval_grid`` is the tensor-grid form."""
+        t = np.asarray(u, dtype=float) - self.center
+        t, v = np.broadcast_arrays(t, np.asarray(v, dtype=float))
+        return np.polynomial.polynomial.polyval2d(t, v, self.coeffs)
 
     def eval_grid(self, us, vs) -> np.ndarray:
         """Values on the tensor grid, shape (len(us), len(vs))."""

@@ -344,12 +344,17 @@ class BjorlingSolution:
     def mode(self) -> Mode:
         return self.kind.mode
 
-    def surface_point(self, u: float, v: float) -> np.ndarray:
-        return np.array([f.eval(u, v) for f in self.surface])
+    def surface_point(self, u, v) -> np.ndarray:
+        return evaluate_surface(self.surface, u, v)
 
     def surface_evaluator(self):
-        surface = self.surface
-        return lambda u, v: np.array([f.eval(u, v) for f in surface])
+        return self.surface_point
+
+
+def evaluate_surface(surface, u, v) -> np.ndarray:
+    """Coordinates of a series triple at (u, v), shape (3, *np.shape(u));
+    u and v may be arrays of one shape."""
+    return np.array([f.eval(u, v) for f in surface])
 
 
 def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:

@@ -10,6 +10,7 @@ table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,10 @@ import numpy as np
 from .config import GridSpec, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import GroupModel, lorentz_cross, lorentz_dot
-from .solver import StripInfo, cone_series
+from .solver import StripInfo, cone_series, evaluate_surface
+
+# Dyadic shrinks of the v-strip tried before the report gives up.
+MAX_HALVINGS = 6
 
 
 @dataclass
@@ -55,16 +59,27 @@ class ResidualReport:
                 out[key] = val
         return out
 
-    def passes(self, tol: Tolerances) -> bool:
-        return (
-            self.strip_valid
-            and self.cone_residual <= tol.cone
-            and self.pde_residual <= tol.series
-            and self.boundary_curve_residual <= tol.series
-            and self.normal_residual <= tol.series
-            and self.conformality_residual <= tol.conformality
-            and self.minimality_residual <= tol.minimality
+    def failures(self, tol: Tolerances) -> list[str]:
+        """Every failing check, as "name = value > bound" lines."""
+        bounds = (
+            ("cone_residual", tol.cone),
+            ("pde_residual", tol.series),
+            ("boundary_curve_residual", tol.series),
+            ("normal_residual", tol.series),
+            ("conformality_residual", tol.conformality),
+            ("minimality_residual", tol.minimality),
         )
+        out = [
+            f"{name} = {getattr(self, name):.3e} > {bound:.3e}"
+            for name, bound in bounds
+            if not getattr(self, name) <= bound
+        ]
+        if not self.strip_valid:
+            out.append("no validated strip")
+        return out
+
+    def passes(self, tol: Tolerances) -> bool:
+        return not self.failures(tol)
 
 
 def weierstrass_residuals(group: GroupModel, frame_data) -> tuple[float, float]:
@@ -98,32 +113,41 @@ def hermitian_sign_profile(frame_data, us, vs) -> tuple[float, float]:
     return float(total.min()), float(total.max())
 
 
+def surface_grids(surface, us, vs):
+    """Points and tangents f_u, f_v of a series triple on the tensor grid
+    us x vs: three (3, len(us), len(vs)) stacks."""
+    return tuple(
+        np.array([f.eval_grid(us, vs) for f in fs])
+        for fs in (surface, [f.du() for f in surface], [f.dv() for f in surface])
+    )
+
+
+def frame_components(group: GroupModel, x, *vectors):
+    """Coordinate vectors at the points of a (3, ...) stack, each turned into
+    frame components through the inverse frame matrix there."""
+    _, ainv = group.frame_matrix(x)
+    return tuple(np.einsum("ij...,j...->i...", ainv, w) for w in vectors)
+
+
+def conformality_defect(group: GroupModel, x, fu, fv, sigma: float) -> np.ndarray:
+    """|g(f_u, f_v)| + |g(f_u, f_u) + sigma g(f_v, f_v)| at every point of
+    (3, ...) stacks of points and tangents."""
+    vec_u, vec_v = frame_components(group, x, fu, fv)
+    return np.abs(lorentz_dot(vec_u, vec_v)) + np.abs(
+        lorentz_dot(vec_u, vec_u) + sigma * lorentz_dot(vec_v, vec_v)
+    )
+
+
 def conformality_residual(
     group: GroupModel, surface, sigma: float, us, vs
 ) -> float:
-    """Grid max of |g(f_u, f_v)| + |g(f_u, f_u) + sigma g(f_v, f_v)|.
+    """Grid max of the conformality defect of a series triple.
 
     Tangent vectors are converted to frame components through the inverse
     frame matrix at each surface point.  Leaving the chart raises
     DomainError (callers use that to shrink the strip).
     """
-    fu = [f.du() for f in surface]
-    fv = [f.dv() for f in surface]
-    pts = [f.eval_grid(us, vs) for f in surface]
-    fug = [f.eval_grid(us, vs) for f in fu]
-    fvg = [f.eval_grid(us, vs) for f in fv]
-    worst = 0.0
-    for i in range(len(us)):
-        for j in range(len(vs)):
-            x = np.array([pts[0][i, j], pts[1][i, j], pts[2][i, j]])
-            _, ainv = group.frame_matrix(x)
-            vec_u = ainv @ np.array([fug[0][i, j], fug[1][i, j], fug[2][i, j]])
-            vec_v = ainv @ np.array([fvg[0][i, j], fvg[1][i, j], fvg[2][i, j]])
-            res = abs(lorentz_dot(vec_u, vec_v)) + abs(
-                lorentz_dot(vec_u, vec_u) + sigma * lorentz_dot(vec_v, vec_v)
-            )
-            worst = max(worst, res)
-    return worst
+    return float(np.max(conformality_defect(group, *surface_grids(surface, us, vs), sigma)))
 
 
 def boundary_residuals(
@@ -142,36 +166,24 @@ def boundary_residuals(
         k = min(row.size, b.coeffs.size)
         curve_res = max(curve_res, float(np.max(np.abs(row[:k] - b.coeffs[:k]))))
 
-    fu = [f.du() for f in surface]
-    fv = [f.dv() for f in surface]
-    res_plus = 0.0
-    res_minus = 0.0
-    for u in us:
-        x = np.array([f.eval(u, 0.0) for f in surface])
-        _, ainv = group.frame_matrix(x)
-        vec_u = ainv @ np.array([f.eval(u, 0.0) for f in fu])
-        vec_v = ainv @ np.array([f.eval(u, 0.0) for f in fv])
-        normal = np.array(lorentz_cross(vec_u, vec_v))
-        norm2 = lorentz_dot(normal, normal)
-        if abs(norm2) <= 1e-12 * max(1.0, float(normal @ normal)):
-            raise DegenerateFrame(f"degenerate normal at u = {u:g}")
-        normal = normal / np.sqrt(abs(norm2))
-        target = np.array([w.eval(u) for w in normal_field])
-        res_plus = max(res_plus, float(np.max(np.abs(normal - target))))
-        res_minus = max(res_minus, float(np.max(np.abs(normal + target))))
+    us = np.asarray(us, dtype=float)
+    x, fu, fv = (grid[..., 0] for grid in surface_grids(surface, us, [0.0]))
+    normal = np.array(lorentz_cross(*frame_components(group, x, fu, fv)))
+    norm2 = lorentz_dot(normal, normal)
+    degenerate = np.abs(norm2) <= 1e-12 * np.maximum(1.0, np.sum(normal * normal, axis=0))
+    if degenerate.any():
+        raise DegenerateFrame(f"degenerate normal at u = {us[np.argmax(degenerate)]:g}")
+    normal = normal / np.sqrt(np.abs(norm2))
+    target = np.array([w.eval(us) for w in normal_field])
+    res_plus = float(np.max(np.abs(normal - target)))
+    res_minus = float(np.max(np.abs(normal + target)))
     if res_plus <= res_minus:
         return curve_res, res_plus, False
     return curve_res, res_minus, True
 
 
 def tension_residual(
-    group: GroupModel,
-    surface_fn,
-    sigma: float,
-    us,
-    vs,
-    step: float = 1e-3,
-    christoffel_step: float | None = None,
+    group: GroupModel, surface_fn, sigma: float, us, vs, step: float = 1e-3
 ) -> float:
     """Coordinate-level minimality certificate by finite differences.
 
@@ -181,41 +193,43 @@ def tension_residual(
     coefficients, then normalizes by the conformal factor.  Everything is
     independent of the series machinery except (optionally) point
     evaluation.
+
+    The whole us x vs grid is done at once: ``surface_fn(u, v)`` is called
+    five times, with arrays u, v of shape (len(us), len(vs)), and must
+    return the coordinates as one array of shape (3, *u.shape).
     """
-    worst = 0.0
+    u, v = np.meshgrid(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), indexing="ij")
     h = step
-    for u in np.asarray(us, dtype=float):
-        for v in np.asarray(vs, dtype=float):
-            f0 = np.asarray(surface_fn(u, v), dtype=float)
-            fpu = np.asarray(surface_fn(u + h, v), dtype=float)
-            fmu = np.asarray(surface_fn(u - h, v), dtype=float)
-            fpv = np.asarray(surface_fn(u, v + h), dtype=float)
-            fmv = np.asarray(surface_fn(u, v - h), dtype=float)
-            f_u = (fpu - fmu) / (2.0 * h)
-            f_v = (fpv - fmv) / (2.0 * h)
-            f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
-            f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
-            gam = group.christoffels(f0, step=christoffel_step)
-            quad = np.einsum("kij,i,j->k", gam, f_u, f_u) - sigma * np.einsum(
-                "kij,i,j->k", gam, f_v, f_v
-            )
-            resid = f_uu - sigma * f_vv + quad
-            g = group.metric(f0)
-            conf = 0.5 * (abs(f_u @ g @ f_u) + abs(f_v @ g @ f_v))
-            worst = max(worst, float(np.max(np.abs(resid))) / max(conf, 1e-12))
-    return worst
+    f0, fpu, fmu, fpv, fmv = (
+        np.asarray(surface_fn(a, b), dtype=float)
+        for a, b in ((u, v), (u + h, v), (u - h, v), (u, v + h), (u, v - h))
+    )
+    f_u = (fpu - fmu) / (2.0 * h)
+    f_v = (fpv - fmv) / (2.0 * h)
+    f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
+    f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
+    gam = group.christoffels(f0)
+    quad = np.einsum("kij...,i...,j...->k...", gam, f_u, f_u) - sigma * np.einsum(
+        "kij...,i...,j...->k...", gam, f_v, f_v
+    )
+    resid = f_uu - sigma * f_vv + quad
+    g = group.metric(f0)
+    conf = 0.5 * (
+        np.abs(np.einsum("i...,ij...,j...->...", f_u, g, f_u))
+        + np.abs(np.einsum("i...,ij...,j...->...", f_v, g, f_v))
+    )
+    return float(np.max(np.max(np.abs(resid), axis=0) / np.maximum(conf, 1e-12)))
 
 
 def compare_to_reference(surface, reference_fn, us, vs) -> float:
-    """Largest grid deviation between a series triple and a closed form."""
-    grids = [f.eval_grid(us, vs) for f in surface]
-    worst = 0.0
-    for i, u in enumerate(np.asarray(us, dtype=float)):
-        for j, v in enumerate(np.asarray(vs, dtype=float)):
-            ref = np.asarray(reference_fn(u, v), dtype=float)
-            here = np.array([g[i, j] for g in grids])
-            worst = max(worst, float(np.max(np.abs(here - ref))))
-    return worst
+    """Largest grid deviation between a series triple and a closed form.
+
+    ``reference_fn(u, v)`` is called once, with arrays u, v of shape
+    (len(us), len(vs)), and returns the three coordinates on them.
+    """
+    u, v = np.meshgrid(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), indexing="ij")
+    here = np.array([f.eval_grid(us, vs) for f in surface])
+    return float(np.max(np.abs(here - np.asarray(reference_fn(u, v), dtype=float))))
 
 
 def graph_identity_residual(surface, relation, us, vs) -> float:
@@ -234,7 +248,6 @@ def build_report(
     normal_field,
     grid: GridSpec,
     tol: Tolerances,
-    max_halvings: int = 6,
 ) -> tuple[ResidualReport, StripInfo]:
     """Assemble the full residual report, shrinking the v-strip dyadically
     until the grid-level residuals pass (or the strip bottoms out).
@@ -250,12 +263,12 @@ def build_report(
         group, surface, curve, normal_field, kind, us
     )
 
-    surface_fn = lambda u, v: np.array([f.eval(u, v) for f in surface])
+    surface_fn = functools.partial(evaluate_surface, surface)
     conf = float("inf")
     minim = float("inf")
     chosen = None
     attempted = None
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         sub = report_grid.scaled_v(0.5**halvings)
         vs = sub.vs()
         try:
@@ -271,7 +284,7 @@ def build_report(
             break
     if chosen is None and attempted is None:
         # Even the thinnest strip leaves the chart.
-        strip = StripInfo(0.0, 0.0, max_halvings, False)
+        strip = StripInfo(0.0, 0.0, MAX_HALVINGS, False)
         sign_lo, sign_hi = hermitian_sign_profile(
             frame_data, us, np.array([0.0])
         )

@@ -2,9 +2,10 @@
 
 Everything here is deliberately built from a different path than the
 library: symbolic Christoffel symbols via sympy, series coefficients from
-factorial formulas, brute-force dictionary polynomial products, and the
+factorial formulas, brute-force dictionary polynomial products, the
 frame march as a literal transcription of the PDE with full series
-products at every level.
+products at every level, and the grid certificates and the mesh as loops
+over single grid points.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
+from bjorling.groups import lorentz_dot
 from bjorling.scalars import KScalar, Mode
 from bjorling.series import BiSeries, KSeries
 
@@ -201,3 +203,92 @@ def reference_cone_lift(group, first0: KSeries, second0: KSeries, mode: Mode, or
         current = lifted()
         _march_level(group, parts, current, level, n)
     return lifted()
+
+
+# ---------------------------------------------------------------------------
+# per-point references for the grid certificates and the mesh
+
+
+def _point_defect(group, x, fu, fv, sigma):
+    _, ainv = group.frame_matrix(x)
+    vec_u = ainv @ fu
+    vec_v = ainv @ fv
+    return abs(lorentz_dot(vec_u, vec_v)) + abs(
+        lorentz_dot(vec_u, vec_u) + sigma * lorentz_dot(vec_v, vec_v)
+    )
+
+
+def reference_conformality_residual(group, surface, sigma, us, vs) -> float:
+    """Grid max of the conformality defect, one grid point at a time."""
+    pts = [f.eval_grid(us, vs) for f in surface]
+    fug = [f.du().eval_grid(us, vs) for f in surface]
+    fvg = [f.dv().eval_grid(us, vs) for f in surface]
+    worst = 0.0
+    for i in range(len(us)):
+        for j in range(len(vs)):
+            x, tu, tv = (np.array([g[k][i, j] for k in range(3)]) for g in (pts, fug, fvg))
+            worst = max(worst, _point_defect(group, x, tu, tv, sigma))
+    return worst
+
+
+def reference_tension_residual(group, surface_fn, sigma, us, vs, step=1e-3) -> float:
+    """The finite-difference tension certificate, one grid point at a time
+    with scalar calls of ``surface_fn``."""
+    worst = 0.0
+    h = step
+    for u in np.asarray(us, dtype=float):
+        for v in np.asarray(vs, dtype=float):
+            f0 = np.asarray(surface_fn(u, v), dtype=float)
+            fpu = np.asarray(surface_fn(u + h, v), dtype=float)
+            fmu = np.asarray(surface_fn(u - h, v), dtype=float)
+            fpv = np.asarray(surface_fn(u, v + h), dtype=float)
+            fmv = np.asarray(surface_fn(u, v - h), dtype=float)
+            f_u = (fpu - fmu) / (2.0 * h)
+            f_v = (fpv - fmv) / (2.0 * h)
+            f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
+            f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
+            gam = group.christoffels(f0)
+            quad = np.einsum("kij,i,j->k", gam, f_u, f_u) - sigma * np.einsum(
+                "kij,i,j->k", gam, f_v, f_v
+            )
+            resid = f_uu - sigma * f_vv + quad
+            g = group.metric(f0)
+            conf = 0.5 * (abs(f_u @ g @ f_u) + abs(f_v @ g @ f_v))
+            worst = max(worst, float(np.max(np.abs(resid))) / max(conf, 1e-12))
+    return worst
+
+
+def reference_build_mesh(stored):
+    """(vertices, uv, residual, faces, clipped) of a stored solution's mesh,
+    built by visiting the grid points row by row."""
+    us, vs = stored.grid.us(), stored.grid.vs()
+    pts = [f.eval_grid(us, vs) for f in stored.surface]
+    fug = [f.du().eval_grid(us, vs) for f in stored.surface]
+    fvg = [f.dv().eval_grid(us, vs) for f in stored.surface]
+    nu, nv = stored.grid.nu, stored.grid.nv
+    index = -np.ones((nu, nv), dtype=int)
+    vertices, uv, residual = [], [], []
+    clipped = 0
+    for i in range(nu):
+        for j in range(nv):
+            x, tu, tv = (np.array([g[k][i, j] for k in range(3)]) for g in (pts, fug, fvg))
+            if not stored.group.in_chart(x):
+                clipped += 1
+                continue
+            index[i, j] = len(vertices)
+            vertices.append(x)
+            uv.append((us[i], vs[j]))
+            residual.append(_point_defect(stored.group, x, tu, tv, stored.kind.sigma))
+    faces = []
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            corners = (index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1])
+            if all(k >= 0 for k in corners):
+                faces.append(corners)
+    return (
+        np.asarray(vertices, dtype=float).reshape(-1, 3),
+        np.asarray(uv, dtype=float).reshape(-1, 2),
+        np.asarray(residual, dtype=float),
+        faces,
+        clipped,
+    )

@@ -235,7 +235,7 @@ def test_criterion_08_independent_minimality_certificate():
         assert res <= 1e-8
 
     # (c) a non-minimal probe is loudly non-minimal
-    probe = lambda u, v: np.array([u, 1.0, v + 1.0])
+    probe = lambda u, v: np.array([u, 1.0 + 0.0 * u, v + 1.0])
     res = tension_residual(
         de_sitter(), probe, -1.0, np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5), step=1e-3
     )

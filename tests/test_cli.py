@@ -197,6 +197,28 @@ _RANGE = "order must be between 2 and 48"
         pytest.param(_grid(nu=1), None, "grid nu must be at least 2", id="nu-below-2"),
         pytest.param(_grid(nv=8.5), None, "grid nv must be an integer", id="nv-fractional"),
         pytest.param(_grid(nv=0), None, "grid nv must be at least 2", id="nv-below-2"),
+        pytest.param(
+            {"params": {"c": float("nan")}}, None, "param c must be a finite number", id="param-nan"
+        ),
+        pytest.param({"params": {"c": "one"}}, None, "param c must be a finite number", id="param-text"),
+        pytest.param(
+            _grid(u_max=float("inf")), None, "grid u_max must be a finite number", id="u-max-inf"
+        ),
+        pytest.param(_grid(v_min="low"), None, "grid v_min must be a finite number", id="v-min-text"),
+        pytest.param(_grid(u_min=2.0), None, "grid ranges must be increasing", id="u-range-reversed"),
+        pytest.param(
+            {"tolerances": {"minimality": "tight"}},
+            None,
+            "tolerance minimality must be a finite number",
+            id="tolerance-text",
+        ),
+        pytest.param(
+            {"tolerances": {"cone": float("nan")}},
+            None,
+            "tolerance cone must be a finite number",
+            id="tolerance-nan",
+        ),
+        pytest.param({"u0": float("-inf")}, None, "u0 must be a finite number", id="u0-inf"),
     ],
 )
 def test_bad_order_or_grid_size_is_one_line_schema_error(
@@ -218,3 +240,27 @@ def test_order_at_the_cap_is_accepted(workdir):
     doc = corpus.build_problem_dict("heisenberg_vertical_plane")
     assert problem_from_dict(doc, order_override=str(MAX_ORDER)).order == MAX_ORDER
     assert problem_from_dict(dict(doc, order=12.0)).order == 12
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        pytest.param(-1, "grid nu must be at least 2, got -1", id="negative"),
+        pytest.param(2.7, "grid nu must be an integer, got 2.7", id="fractional"),
+        pytest.param(0, "grid nu must be at least 2, got 0", id="zero"),
+        pytest.param(1, "grid nu must be at least 2, got 1", id="one"),
+    ],
+)
+def test_export_mesh_rejects_bad_solution_grid_size(workdir, capsys, size, message):
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--out", "."]) == 0
+    doc = json.loads((workdir / "plane.solution.json").read_text())
+    doc["grid"]["nu"] = size
+    (workdir / "bad.solution.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["export-mesh", "bad.solution.json", "--format", "obj", "--out", "bad.obj"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert not (workdir / "bad.obj").exists()

@@ -16,6 +16,7 @@ from bjorling.groups import (
     lorentz_dot,
 )
 from bjorling.scalars import KScalar, Mode
+from bjorling.series import USeries
 from oracles import exact_christoffels
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -190,11 +191,29 @@ def test_desitter_frame_matrix_and_guard():
 
 def test_frame_inverse_identity_random_points():
     rng = np.random.default_rng(13)
-    for model in (heisenberg(), de_sitter(), h2xr()):
+    curved = generic_group(
+        heisenberg().C,
+        frame_exprs=[["x3", "0", "x1"], ["0", "x3", "0"], ["-x2/2", "x1/2", "exp(x1)"]],
+    )
+    for model in (heisenberg(), de_sitter(), h2xr(), curved):
         for _ in range(25):
             x = rng.uniform(0.2, 2.0, 3)
             a, ainv = model.frame_matrix(x)
             assert np.max(np.abs(a @ ainv - np.eye(3))) <= 1e-12
+        # a (3, 4, 5) stack of points
+        a, ainv = model.frame_matrix(rng.uniform(0.2, 2.0, (3, 4, 5)))
+        assert a.shape == ainv.shape == (3, 3, 4, 5)
+        eye = np.eye(3)[:, :, None, None]
+        assert np.max(np.abs(np.einsum("ik...,kj...->ij...", a, ainv) - eye)) <= 1e-12
+        # a jet triple: frame(x) coframe(x) is the identity jet
+        coeffs = rng.uniform(-0.5, 0.5, (3, 7))
+        coeffs[:, 0] = rng.uniform(0.2, 2.0, 3)
+        x = tuple(USeries(c) for c in coeffs)
+        a, ainv = model.frame(x), model.coframe(x)
+        for i in range(3):
+            for j in range(3):
+                entry = sum(a[i][k] * ainv[k][j] for k in range(3)) - float(i == j)
+                assert np.max(np.abs(getattr(entry, "coeffs", entry))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bjorling import corpus, problemfile
-from bjorling.config import ProblemKind
+from bjorling.config import GridSpec, ProblemKind
 from bjorling.errors import DomainError
 from bjorling.groups import de_sitter, h2xr, heisenberg
 from bjorling.scalars import KScalar, Mode
@@ -18,7 +18,12 @@ from bjorling.verify import (
     tension_residual,
     weierstrass_residuals,
 )
-from oracles import exact_christoffels
+from oracles import (
+    exact_christoffels,
+    reference_build_mesh,
+    reference_conformality_residual,
+    reference_tension_residual,
+)
 
 P = Mode.PARACOMPLEX
 
@@ -198,7 +203,7 @@ def test_tension_flags_non_minimal_probe():
     # the plane x2 = c parametrized by (u, c, v + 1) in the de Sitter chart
     # is a conformal timelike minimal surface, so the timelike operator is
     # silent on it; under the spacelike operator it is far from minimal
-    probe = lambda u, v: np.array([u, 1.0, v + 1.0])
+    probe = lambda u, v: np.array([u, 1.0 + 0.0 * u, v + 1.0])
     us = np.linspace(-0.3, 0.3, 5)
     vs = np.linspace(-0.3, 0.3, 5)
     res = tension_residual(de_sitter(), probe, -1.0, us, vs, step=1e-3)
@@ -264,6 +269,58 @@ def test_saddle_graph_identity():
         prob.grid.vs(),
     )
     assert res <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# whole-grid certificates and mesh against per-point references
+
+
+def _assert_mesh_matches_reference(stored):
+    mesh = problemfile.build_mesh(stored)
+    vertices, uv, residual, faces, clipped = reference_build_mesh(stored)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.uv, uv)
+    assert mesh.faces == faces
+    assert mesh.clipped == clipped
+    scale = max(1.0, float(np.max(np.abs(vertices), initial=0.0)) ** 2)
+    assert mesh.residual.shape == residual.shape
+    assert np.max(np.abs(mesh.residual - residual), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_grid_code_matches_per_point_reference(example_id):
+    prob = _problem(example_id)
+    sol = solve_bjorling(prob)
+    us = prob.grid.coarse().us()
+    vs = np.linspace(sol.strip.v_min, sol.strip.v_max, prob.grid.coarse().nv)
+    sigma = prob.kind.sigma
+
+    conf = conformality_residual(sol.group, sol.surface, sigma, us, vs)
+    want = reference_conformality_residual(sol.group, sol.surface, sigma, us, vs)
+    scale = max(1.0, max(float(np.max(np.abs(f.eval_grid(us, vs)))) for f in sol.surface) ** 2)
+    assert abs(conf - want) <= 1e-12 * scale
+
+    tension = tension_residual(sol.group, sol.surface_evaluator(), sigma, us, vs)
+    want = reference_tension_residual(sol.group, sol.surface_evaluator(), sigma, us, vs)
+    assert abs(tension - want) <= 1e-8
+
+    stored = problemfile.StoredSolution(sol.group, sol.kind, sol.surface, prob.grid, {})
+    _assert_mesh_matches_reference(stored)
+
+
+def test_clipped_mesh_matches_per_point_reference():
+    # x2 = v + 0.5 leaves the halfplane chart for v <= -0.5
+    n = 6
+    surface = (
+        BiSeries.variable_u(n) + 0.3 * BiSeries.variable_v(n) * BiSeries.variable_u(n),
+        BiSeries.variable_v(n) + 0.5,
+        BiSeries.variable_u(n) * BiSeries.variable_u(n),
+    )
+    stored = problemfile.StoredSolution(
+        h2xr(), ProblemKind.SPACELIKE_SURFACE, surface, GridSpec(-0.5, 0.5, -1.0, 1.0, 7, 13), {}
+    )
+    assert problemfile.build_mesh(stored).clipped > 0
+    _assert_mesh_matches_reference(stored)
 
 
 # ---------------------------------------------------------------------------
