@@ -58,7 +58,7 @@ def main() -> int:
             spath = out_dir / f"{example_id}.solution.json"
             problemfile.write_solution(sol, spath)
             problemfile.write_report(sol, out_dir / f"{example_id}.report.json")
-            mesh = problemfile.build_mesh(problemfile.StoredSolution.load(spath))
+            mesh = problemfile.build_mesh(sol)
             mpath = out_dir / f"{example_id}.surface.{args.mesh}"
             if args.mesh == "obj":
                 problemfile.write_obj(mesh, mpath)

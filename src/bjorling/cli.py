@@ -80,6 +80,20 @@ def _stem(path: Path) -> str:
     return name
 
 
+def _export_mesh(solution, fmt: str, out: Path):
+    """Mesh a solution, in memory or loaded from its file, on its grid and
+    write it to ``out`` as OBJ or CSV; warns about clipped grid points."""
+    mesh = problemfile.build_mesh(solution)
+    if mesh.clipped:
+        print(f"warning: clipped {mesh.clipped} grid points outside the chart", file=sys.stderr)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if fmt == "obj":
+        problemfile.write_obj(mesh, out)
+    else:
+        problemfile.write_csv(mesh, out)
+    return mesh
+
+
 def _cmd_solve(args) -> int:
     path = Path(args.problem)
     overrides = None
@@ -111,18 +125,8 @@ def _cmd_solve(args) -> int:
     problemfile.write_report(solution, report_path)
     written = [solution_path, report_path]
     if args.mesh:
-        stored = problemfile.StoredSolution.load(solution_path)
-        mesh = problemfile.build_mesh(stored)
-        if mesh.clipped:
-            print(
-                f"warning: clipped {mesh.clipped} grid points outside the chart",
-                file=sys.stderr,
-            )
         mesh_path = out_dir / f"{stem}.surface.{args.mesh}"
-        if args.mesh == "obj":
-            problemfile.write_obj(mesh, mesh_path)
-        else:
-            problemfile.write_csv(mesh, mesh_path)
+        _export_mesh(solution, args.mesh, mesh_path)
         written.append(mesh_path)
 
     report = solution.report
@@ -168,19 +172,8 @@ def _cmd_export_mesh(args) -> int:
     except (OSError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    mesh = problemfile.build_mesh(stored)
-    if mesh.clipped:
-        print(
-            f"warning: clipped {mesh.clipped} grid points outside the chart",
-            file=sys.stderr,
-        )
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "obj":
-        problemfile.write_obj(mesh, out)
-    else:
-        problemfile.write_csv(mesh, out)
+    mesh = _export_mesh(stored, args.format, out)
     print(f"wrote {out} ({mesh.vertices.shape[0]} vertices, {len(mesh.faces)} faces)")
     return 0
 
@@ -192,17 +185,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 1 for usage per our contract
         return 1 if exc.code not in (0, None) else 0
+    commands = {"solve": _cmd_solve, "examples": _cmd_examples, "export-mesh": _cmd_export_mesh}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "examples":
-            return _cmd_examples(args)
-        if args.command == "export-mesh":
-            return _cmd_export_mesh(args)
+        return commands[args.command](args)
     except BjorlingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -35,23 +35,12 @@ def _ivp_profile(rhs, y0: float, half_width: float):
     """Profile y(t) of y' = rhs(y) on [-half_width, half_width], from the
     integrator's dense output; t may be a numpy array."""
     span = 1.12 * half_width + 1e-6
-    fwd = solve_ivp(
-        lambda t, y: [rhs(y[0])],
-        (0.0, span),
-        [y0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
-    bwd = solve_ivp(
-        lambda t, y: [rhs(y[0])],
-        (0.0, -span),
-        [y0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
+    fwd, bwd = (
+        solve_ivp(
+            lambda t, y: [rhs(y[0])], (0.0, end), [y0],
+            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
+        )
+        for end in (span, -span)
     )
     if not (fwd.success and bwd.success):
         raise RuntimeError("reference profile integration failed")
@@ -67,11 +56,6 @@ def _ivp_profile(rhs, y0: float, half_width: float):
 def helicoid_radius_ode(c: float):
     """Right side of the helicoid radial profile equation."""
     return lambda y: ((0.5 * (y * y) - c) ** 2 - y * y).sqrt()
-
-
-def saddle_height_ode(c: float):
-    """Right side of the saddle height profile equation."""
-    return lambda q: (16.0 * c * c * (q * q) - c * c).sqrt()
 
 
 def _helicoid_jets(c: float, rho0: float, b: float, order: int, center: float = 0.0):

@@ -54,8 +54,6 @@ def _eval_node(node, env, text):
             expo = _eval_node(node.right, env, text)
             if not isinstance(expo, float) or expo != int(expo):
                 raise ExpressionError(f"powers must be integer literals in {text!r}")
-            if isinstance(base, float):
-                return base ** int(expo)
             return base ** int(expo)
         raise ExpressionError(f"operator not allowed in {text!r}")
     if isinstance(node, ast.Call):
@@ -89,6 +87,8 @@ def evaluate_series(text: str, env: dict):
         return _eval_node(tree, env, text)
     except ZeroDivisionError:
         raise ExpressionError(f"division by zero in {text!r}") from None
+    except OverflowError:
+        raise ExpressionError(f"overflow in {text!r}") from None
 
 
 def evaluate_jet(text: str, order: int, center: float, params: dict | None = None) -> USeries:

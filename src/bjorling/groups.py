@@ -301,8 +301,9 @@ def generic_group(
     frame = coframe = None
     if frame_exprs is not None:
         rows = [list(r) for r in frame_exprs]
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("frame matrix description must be 3x3")
+        entries = [e for r in rows for e in r]
+        if [len(r) for r in rows] != [3, 3, 3] or not all(isinstance(e, str) for e in entries):
+            raise ValueError("frame matrix must be a 3x3 nest of expression strings")
 
         def frame(x):
             env = {"x1": x[0], "x2": x[1], "x3": x[2]}

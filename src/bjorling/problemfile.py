@@ -52,18 +52,27 @@ def _jet_entry(entry, order: int, center: float, params: dict, label: str) -> US
     if isinstance(entry, str):
         return evaluate_jet(entry, order, center, params)
     if isinstance(entry, dict) and set(entry) == {"coeffs"}:
-        coeffs = np.asarray(entry["coeffs"], dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
+        raw = entry["coeffs"]
+        if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{label}: coefficient list must be 1-D and nonempty")
+        coeffs = [_finite(c, f"{label} coefficient {k}") for k, c in enumerate(raw)]
         # The list length is the jet's order: padding with zeros would
         # claim accuracy the file does not contain.
         return USeries(coeffs[: order + 1], center)
     if isinstance(entry, (int, float)):
-        return USeries.constant(float(entry), order, center)
+        return USeries.constant(_finite(entry, label), order, center)
     raise SchemaError(
         f"{label}: expected an expression string, a number, or "
         '{"coeffs": [...]}'
     )
+
+
+def _object(doc: dict, key: str) -> dict:
+    # An optional JSON object entry; absent or null is empty.
+    value = {} if doc.get(key) is None else doc[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _bounded_int(value, label: str, lo: int, hi: int | None = None) -> int:
@@ -114,9 +123,10 @@ def _resolve_group(doc: dict) -> GroupModel:
     if name == "generic":
         if "structure_constants" not in doc:
             raise SchemaError("generic groups need an inline structure_constants table")
-        return generic_group(
-            doc["structure_constants"], frame_exprs=doc.get("frame_matrix")
-        )
+        try:
+            return generic_group(doc["structure_constants"], frame_exprs=doc.get("frame_matrix"))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"generic group: {exc}") from None
     if "structure_constants" in doc or "frame_matrix" in doc:
         raise SchemaError(
             "structure_constants / frame_matrix apply only to group 'generic'"
@@ -143,7 +153,7 @@ def problem_from_dict(
 
     grid = _grid_from_dict(doc["grid"])
 
-    tol_doc = dict(doc.get("tolerances") or {})
+    tol_doc = dict(_object(doc, "tolerances"))
     unknown_tol = set(tol_doc) - _TOL_KEYS
     if unknown_tol:
         raise SchemaError(f"unknown tolerance keys: {sorted(unknown_tol)}")
@@ -160,7 +170,7 @@ def problem_from_dict(
         order_override if order_override is not None else doc["order"], "order", 2, MAX_ORDER
     )
     center = _finite(doc.get("u0", 0.5 * (grid.u_min + grid.u_max)), "u0")
-    params = {str(k): _finite(v, f"param {k}") for k, v in (doc.get("params") or {}).items()}
+    params = {str(k): _finite(v, f"param {k}") for k, v in _object(doc, "params").items()}
 
     beta_doc, field_doc = doc["beta"], doc["V"]
     for label, entries in (("beta", beta_doc), ("V", field_doc)):
@@ -187,17 +197,32 @@ def problem_from_dict(
     )
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
+
+
 def load_problem(
     path,
     order_override: int | str | None = None,
     tolerance_overrides: dict | None = None,
 ) -> tuple[BjorlingProblem, dict]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
-    return problem_from_dict(doc, order_override, tolerance_overrides), doc
+    doc = _read_json(path)
+    problem = problem_from_dict(doc, order_override, tolerance_overrides)
+    # The solve differentiates the curve once and uses the field as it is, so
+    # a file must give the curve to order + 1 and the field to the order; only
+    # a coefficient list can fall short.
+    n = problem.order
+    for name, jets, need in (("beta", problem.curve, n + 2), ("V", problem.normal_field, n + 1)):
+        for i, jet in enumerate(jets):
+            if jet.order + 1 < need:
+                raise SchemaError(
+                    f"{name}[{i}]: coefficient list has {jet.order + 1} values, "
+                    f"order {n} needs {need}"
+                )
+    return problem, doc
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +272,7 @@ class StoredSolution:
 
     @staticmethod
     def load(path) -> "StoredSolution":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
+        doc = _read_json(path)
         try:
             grid = _grid_from_dict(doc["grid"])
             center = _finite(doc["center_u"], "center_u")
@@ -279,16 +301,17 @@ class SurfaceMesh:
     clipped: int  # count of grid points outside the chart
 
 
-def build_mesh(stored: StoredSolution) -> SurfaceMesh:
-    """Evaluate the stored surface on its grid and assemble quads.
+def build_mesh(solution) -> SurfaceMesh:
+    """Evaluate a solution's surface on its grid and assemble quads.
 
-    Grid points that violate the chart guard are clipped: they get no
-    vertex, and no face touches them.  Ordering is row-major in (u, v),
-    deterministic.
+    ``solution`` is a ``StoredSolution`` or a ``BjorlingSolution``: only its
+    ``group``, ``kind``, ``surface`` and ``grid`` are read.  Grid points that
+    violate the chart guard are clipped: they get no vertex, and no face
+    touches them.  Ordering is row-major in (u, v), deterministic.
     """
-    us, vs = stored.grid.us(), stored.grid.vs()
-    x, fu, fv = surface_grids(stored.surface, us, vs)
-    inside = stored.group.chart_mask(x)
+    us, vs = solution.grid.us(), solution.grid.vs()
+    x, fu, fv = surface_grids(solution.surface, us, vs)
+    inside = solution.group.chart_mask(x)
     index = np.full(inside.shape, -1)
     index[inside] = np.arange(np.count_nonzero(inside))
     quads = np.stack(
@@ -299,7 +322,7 @@ def build_mesh(stored: StoredSolution) -> SurfaceMesh:
         vertices=x[:, inside].T,
         uv=np.stack([u[inside], v[inside]], axis=1),
         residual=conformality_defect(
-            stored.group, x[:, inside], fu[:, inside], fv[:, inside], stored.kind.sigma
+            solution.group, x[:, inside], fu[:, inside], fv[:, inside], solution.kind.sigma
         ),
         faces=[tuple(q) for q in quads[np.all(quads >= 0, axis=1)].tolist()],
         clipped=int(inside.size - np.count_nonzero(inside)),
@@ -307,19 +330,16 @@ def build_mesh(stored: StoredSolution) -> SurfaceMesh:
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:
-    lines = []
-    for x in mesh.vertices:
-        lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
-    for quad in mesh.faces:
-        a, b, c, d = (k + 1 for k in quad)  # OBJ indices are 1-based
-        lines.append(f"f {a} {b} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vertex = "v {:.17g} {:.17g} {:.17g}\n".format
+    face = "f {} {} {} {}\n".format
+    quads = np.asarray(mesh.faces, dtype=int).reshape(-1, 4) + 1  # OBJ indices are 1-based
+    text = "".join(map(vertex, *mesh.vertices.T.tolist())) + "".join(map(face, *quads.T.tolist()))
+    # A mesh with no vertex is a file holding one empty line.
+    Path(path).write_text(text or "\n", encoding="utf-8")
 
 
 def write_csv(mesh: SurfaceMesh, path) -> None:
-    lines = ["u,v,x1,x2,x3,residual"]
-    for (u, v), x, r in zip(mesh.uv, mesh.vertices, mesh.residual):
-        lines.append(
-            f"{u:.17g},{v:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g},{r:.17g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["{:.17g}"] * 6) + "\n"
+    columns = np.column_stack([mesh.uv, mesh.vertices, mesh.residual]).T.tolist()
+    text = "u,v,x1,x2,x3,residual\n" + "".join(map(row.format, *columns))
+    Path(path).write_text(text, encoding="utf-8")

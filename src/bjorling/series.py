@@ -21,11 +21,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyvander
 from scipy.linalg import solve_triangular
 
 from .errors import BranchError, DegenerateSqrt, DomainError, NonIntegrable, NotInvertible
 from .scalars import KScalar, Mode
-from .slices import lower_toeplitz, sqrt_columns
+from .slices import cauchy_slice, lower_toeplitz, sqrt_columns
 
 
 @lru_cache(maxsize=None)
@@ -393,33 +394,37 @@ class BiSeries:
     def exp(self) -> "BiSeries":
         """exp of the series, exact to the truncation order.
 
-        The constant term is peeled off and the remaining nilpotent part is
-        summed by Horner; ``(a - a0)^k`` has total degree >= k, so order+1
-        terms suffice.
+        E = exp(h) solves E_v = h_v E, so column L+1 of E is the v-degree-L
+        slice of h_v E (``slices.cauchy_slice``) divided by L+1; column 0 is
+        the univariate exp of column 0 of h.  O(order^4) flops, like the march.
         """
         n = self.order
-        a0 = self.coeffs[0, 0]
-        h = self - a0
-        out = BiSeries.constant(1.0 / math.factorial(n), n, self.center)
-        for k in range(n - 1, -1, -1):
-            out = out * h + 1.0 / math.factorial(k)
-        return out * math.exp(a0)
+        e = np.zeros((1, n + 1, n + 1))
+        e[0, :, 0] = USeries(self.coeffs[:, 0], self.center).exp().coeffs
+        hv = np.zeros_like(e)
+        hv[0, :, :n] = self.coeffs[:, 1:] * np.arange(1, n + 1)
+        for level in range(n):
+            rows = n - level
+            e[0, :rows, level + 1] = cauchy_slice(hv, e, level, rows)[0, 0] / (level + 1)
+        return BiSeries(e[0], self.center)
+
+    def _weighted_powers(self, u) -> np.ndarray:
+        # Row i of T C, T the power table of u - center: contracting its last
+        # axis with the powers of v gives the values.
+        t = np.asarray(u, dtype=float) - self.center
+        return polyvander(t, self.order) @ self.coeffs
 
     def eval(self, u, v):
         """Value at (u, v).  u and v may be numpy arrays; they are broadcast
         together and the result has their common shape (a scalar for
         scalar arguments).  ``eval_grid`` is the tensor-grid form."""
-        t = np.asarray(u, dtype=float) - self.center
-        t, v = np.broadcast_arrays(t, np.asarray(v, dtype=float))
-        return np.polynomial.polynomial.polyval2d(t, v, self.coeffs)
+        vp = polyvander(np.asarray(v, dtype=float), self.order)
+        out = np.einsum("...k,...k->...", self._weighted_powers(u), vp)
+        return out.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))[()]
 
     def eval_grid(self, us, vs) -> np.ndarray:
         """Values on the tensor grid, shape (len(us), len(vs))."""
-        t = np.asarray(us, dtype=float) - self.center
-        n = self.order
-        tp = np.power(t[:, None], np.arange(n + 1)[None, :])
-        vp = np.power(np.asarray(vs, dtype=float)[None, :], np.arange(n + 1)[:, None])
-        return tp @ self.coeffs @ vp
+        return self._weighted_powers(us) @ polyvander(np.asarray(vs, dtype=float), self.order).T
 
     def maxabs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))

@@ -4,8 +4,9 @@ Everything here is deliberately built from a different path than the
 library: symbolic Christoffel symbols via sympy, series coefficients from
 factorial formulas, brute-force dictionary polynomial products, the
 frame march as a literal transcription of the PDE with full series
-products at every level, and the grid certificates and the mesh as loops
-over single grid points.
+products at every level, the series exp as a Horner sum of full products,
+the grid certificates and the mesh as loops over single grid points, and
+the mesh files written one line at a time.
 """
 
 from __future__ import annotations
@@ -108,6 +109,19 @@ def split_cosh_parts(order: int) -> tuple[np.ndarray, np.ndarray]:
     re = brute_mul_2d(cu, cv, order)
     im = brute_mul_2d(su, sv, order)
     return table_from_dict(re, order), table_from_dict(im, order)
+
+
+def reference_exp(a: BiSeries) -> BiSeries:
+    """exp of a bivariate series: the constant term peeled off and the
+    nilpotent rest summed by Horner with full products; (a - a0)^k has
+    total degree >= k, so order + 1 terms suffice."""
+    n = a.order
+    a0 = a.coeffs[0, 0]
+    h = a - a0
+    out = BiSeries.constant(1.0 / math.factorial(n), n, a.center)
+    for k in range(n - 1, -1, -1):
+        out = out * h + 1.0 / math.factorial(k)
+    return out * math.exp(a0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +306,22 @@ def reference_build_mesh(stored):
         faces,
         clipped,
     )
+
+
+def reference_write_obj(mesh, path) -> None:
+    """OBJ text built one f-string per vertex and per face."""
+    lines = []
+    for x in mesh.vertices:
+        lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
+    for quad in mesh.faces:
+        a, b, c, d = (k + 1 for k in quad)  # OBJ indices are 1-based
+        lines.append(f"f {a} {b} {c} {d}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_csv(mesh, path) -> None:
+    """CSV text built one f-string per vertex."""
+    lines = ["u,v,x1,x2,x3,residual"]
+    for (u, v), x, r in zip(mesh.uv, mesh.vertices, mesh.residual):
+        lines.append(f"{u:.17g},{v:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g},{r:.17g}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

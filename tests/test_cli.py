@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,20 @@ def _grid(**sizes):
 
 _NOT_INT = "order must be an integer"
 _RANGE = "order must be between 2 and 48"
+_PLANE_BETA = ["cosh(u)", "c", "-(c/2)*cosh(u) + sinh(u)"]
+
+
+def _cosh_list(count):
+    # Taylor coefficients of cosh(u) about 0, the plane's beta[0].
+    return {"coeffs": [1.0 / math.factorial(k) if k % 2 == 0 else 0.0 for k in range(count)]}
+
+
+def _generic(**entries):
+    from bjorling.groups import heisenberg
+
+    doc = {"group": "generic", "structure_constants": heisenberg().C.tolist()}
+    doc["frame_matrix"] = [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]]
+    return {**doc, **entries}
 
 
 @pytest.mark.parametrize(
@@ -219,6 +234,65 @@ _RANGE = "order must be between 2 and 48"
             id="tolerance-nan",
         ),
         pytest.param({"u0": float("-inf")}, None, "u0 must be a finite number", id="u0-inf"),
+        pytest.param({"params": [1.0]}, None, "params must be a JSON object", id="params-list"),
+        pytest.param({"params": "c"}, None, "params must be a JSON object", id="params-text"),
+        pytest.param({"tolerances": [1]}, None, "tolerances must be a JSON object", id="tolerances-list"),
+        pytest.param({"tolerances": 3}, None, "tolerances must be a JSON object", id="tolerances-number"),
+        pytest.param(
+            _generic(structure_constants=[[0.0, 1.0], [1.0, 0.0]]),
+            None,
+            "generic group: structure constants must form a 3x3x3 table",
+            id="structure-constants-shape",
+        ),
+        pytest.param(
+            _generic(structure_constants=[[["a"] * 3] * 3] * 3),
+            None,
+            "generic group: could not convert",
+            id="structure-constants-text",
+        ),
+        pytest.param(
+            _generic(frame_matrix=[["1", "0"], ["0", "1"]]),
+            None,
+            "generic group: frame matrix must be a 3x3 nest of expression strings",
+            id="frame-matrix-2x2",
+        ),
+        pytest.param(
+            {"beta": [{"coeffs": ["one", 0.0]}] + _PLANE_BETA[1:]},
+            None,
+            "beta[0] coefficient 0 must be a finite number",
+            id="coeffs-text",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + [True] + _PLANE_BETA[2:]},
+            None,
+            "beta[1] must be a finite number, got True",
+            id="beta-boolean",
+        ),
+        pytest.param({"V": ["0", True, "0"]}, None, "V[1] must be a finite number, got True", id="V-boolean"),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["exp(1000)"] + _PLANE_BETA[2:]},
+            None,
+            "overflow in 'exp(1000)'",
+            id="expression-overflow",
+        ),
+        pytest.param(
+            {"beta": [_cosh_list(13)] + _PLANE_BETA[1:]},
+            None,
+            "beta[0]: coefficient list has 13 values, order 12 needs 14",
+            id="coeffs-short",
+        ),
+        pytest.param(
+            {"beta": [_cosh_list(14)] + _PLANE_BETA[1:]},
+            "13",
+            "beta[0]: coefficient list has 14 values, order 13 needs 15",
+            id="coeffs-short-for-cli-order",
+        ),
+        pytest.param(
+            {"V": ["0", {"coeffs": [1.0] + [0.0] * 11}, "0"]},
+            None,
+            "V[1]: coefficient list has 12 values, order 12 needs 13",
+            id="field-coeffs-short",
+        ),
     ],
 )
 def test_bad_order_or_grid_size_is_one_line_schema_error(
@@ -264,3 +338,28 @@ def test_export_mesh_rejects_bad_solution_grid_size(workdir, capsys, size, messa
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert not (workdir / "bad.obj").exists()
+
+
+def test_helicoid_profile_is_refused_above_its_order(workdir, capsys):
+    assert main(["examples", "heisenberg_helicoid"]) == 0
+    capsys.readouterr()
+    assert main(["solve", "heisenberg_helicoid.problem.json", "--order", "13"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "beta[0]: coefficient list has 14 values, order 13 needs 15" in lines[0]
+    # a lower order truncates the list
+    from bjorling.problemfile import load_problem
+
+    problem, _ = load_problem("heisenberg_helicoid.problem.json", order_override=10)
+    assert problem.curve[0].order == 11
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_solve_mesh_matches_export_mesh(workdir, capsys, fmt):
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--mesh", fmt, "--out", "."]) == 0
+    code = main(["export-mesh", "plane.solution.json", "--format", fmt, "--out", f"exported.{fmt}"])
+    assert code == 0
+    written = (workdir / f"plane.surface.{fmt}").read_bytes()
+    assert written == (workdir / f"exported.{fmt}").read_bytes()

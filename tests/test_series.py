@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from bjorling.series import (
     ode_taylor,
     para_cr_residual,
 )
-from oracles import split_cosh_parts, univariate_coeffs
+from oracles import reference_exp, split_cosh_parts, univariate_coeffs
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -249,6 +250,15 @@ def test_exp_is_a_homomorphism(seed):
     assert (lhs - rhs).maxabs() <= 1e-10 * max(1.0, lhs.maxabs())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("order", [0, 1, 8, 20, 30])
+def test_exp_matches_horner_reference(order, seed):
+    rng = np.random.default_rng(seed)
+    a = BiSeries(rng.uniform(-0.5, 0.5, (order + 1, order + 1)), 0.3)
+    want = reference_exp(a)
+    assert (a.exp() - want).maxabs() <= 1e-12 * max(1.0, want.maxabs())
+
+
 # ---------------------------------------------------------------------------
 # square roots
 
@@ -353,3 +363,29 @@ def test_eval_and_grid_agree():
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             assert grid[i, j] == pytest.approx(f.eval(u, v), abs=1e-13)
+
+
+@pytest.mark.parametrize("order", [0, 12, 30])
+def test_eval_matches_polyval2d(order):
+    rng = np.random.default_rng(order)
+    f = BiSeries(rng.standard_normal((order + 1, order + 1)), 0.4)
+    tol = 1e-13 * max(1.0, float(np.sum(np.abs(f.coeffs))))
+
+    def want(u, v):
+        return polyval2d(np.asarray(u) - 0.4, np.asarray(v), f.coeffs)
+
+    value = f.eval(0.1, -0.2)
+    assert isinstance(value, float) and not isinstance(value, np.ndarray)
+    assert abs(value - want(0.1, -0.2)) <= tol
+
+    u = rng.uniform(-0.5, 1.3, (17, 9))
+    v = rng.uniform(-0.5, 0.5, (17, 9))
+    got = f.eval(u, v)
+    assert got.shape == (17, 9)
+    assert np.max(np.abs(got - want(u, v))) <= tol
+
+    us, vs = np.linspace(-0.5, 1.3, 17), np.linspace(-0.5, 0.5, 9)
+    grid = want(*np.meshgrid(us, vs, indexing="ij"))
+    for got in (f.eval(us[:, None], vs[None, :]), f.eval_grid(us, vs)):
+        assert got.shape == (17, 9)
+        assert np.max(np.abs(got - grid)) <= tol

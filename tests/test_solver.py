@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ from bjorling.config import CurveClass, GridSpec, ProblemKind
 from bjorling.errors import (
     CausalMismatch,
     CharacteristicData,
+    ConstraintDrift,
     DegenerateSqrt,
     ProblemValidationError,
     UnsupportedRecipe,
 )
 from bjorling.groups import de_sitter, generic_group, h2xr, heisenberg
 from bjorling.scalars import KScalar, Mode
-from bjorling.series import BiSeries, KSeries, USeries
+from bjorling.series import BiSeries, KSeries, USeries, antiderivative_from_partials
 from bjorling.solver import (
     BjorlingProblem,
     ck_march,
@@ -25,7 +27,7 @@ from bjorling.solver import (
     reconstruct_surface,
     solve_bjorling,
 )
-from oracles import reference_ck_march, reference_cone_lift
+from oracles import reference_ck_march, reference_cone_lift, reference_exp
 
 P = Mode.PARACOMPLEX
 
@@ -588,3 +590,26 @@ def test_hermitian_sign_matches_curve_character():
         assert sol.report.herm_sign_consistent
         assert math.copysign(1.0, sol.report.herm_sign_max) == want
         assert math.copysign(1.0, sol.report.herm_sign_min) == want
+
+
+@pytest.mark.parametrize(
+    "example_id", ["desitter_vertical_plane", "desitter_diagonal_plane", "h2xr_horizontal_plane"]
+)
+def test_exp_of_growth_series_matches_horner_reference(example_id):
+    # The series the de Sitter (psi_3) and H2xR (psi_2) rebuilds exponentiate.
+    prob = _problem(example_id, order=30)
+    frame = ck_march(prob.group, initial_data(prob)[1], prob.mode, prob.order)
+    part = frame[2] if prob.group.recipe == "desitter" else frame[1]
+    growth = antiderivative_from_partials(2.0 * part.re, (2.0 * prob.mode.unit_square) * part.im)
+    for order in (0, 1, 8, 20, 30):
+        h = growth.truncated(order)
+        want = reference_exp(h)
+        assert (h.exp() - want).maxabs() <= 1e-12 * max(1.0, want.maxabs())
+
+
+def test_field_jet_one_order_short_is_caught_in_the_initial_data():
+    prob = _problem("heisenberg_helicoid")
+    v1, v2, v3 = prob.normal_field
+    short = dataclasses.replace(prob, normal_field=(v1, v2.truncated(prob.order - 1), v3))
+    with pytest.raises(ConstraintDrift, match="in the initial data"):
+        solve_bjorling(short)

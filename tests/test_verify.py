@@ -23,6 +23,8 @@ from oracles import (
     reference_build_mesh,
     reference_conformality_residual,
     reference_tension_residual,
+    reference_write_csv,
+    reference_write_obj,
 )
 
 P = Mode.PARACOMPLEX
@@ -321,6 +323,34 @@ def test_clipped_mesh_matches_per_point_reference():
     )
     assert problemfile.build_mesh(stored).clipped > 0
     _assert_mesh_matches_reference(stored)
+
+
+def test_mesh_writers_match_line_by_line_reference(tmp_path):
+    sol = _solved("heisenberg_vertical_plane")
+    full = problemfile.build_mesh(sol)
+    n = 6
+    clipped = problemfile.build_mesh(
+        problemfile.StoredSolution(
+            h2xr(),
+            ProblemKind.SPACELIKE_SURFACE,
+            (
+                BiSeries.variable_u(n) + 0.3 * BiSeries.variable_v(n) * BiSeries.variable_u(n),
+                BiSeries.variable_v(n) + 0.5,
+                BiSeries.variable_u(n) * BiSeries.variable_u(n),
+            ),
+            GridSpec(-0.5, 0.5, -1.0, 1.0, 7, 13),
+            {},
+        )
+    )
+    assert clipped.clipped > 0
+    for mesh in (full, clipped):
+        for write, reference in (
+            (problemfile.write_obj, reference_write_obj),
+            (problemfile.write_csv, reference_write_csv),
+        ):
+            write(mesh, tmp_path / "got")
+            reference(mesh, tmp_path / "want")
+            assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 # ---------------------------------------------------------------------------
