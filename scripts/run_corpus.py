@@ -2,7 +2,7 @@
 """Solve every built-in example and tabulate residuals.
 
 Usage:
-  python3 scripts/run_corpus.py [--order N] [--mesh obj|csv] [--out DIR]
+  python3 scripts/run_corpus.py [--order N]
 
 Each row reports the coefficient-level residuals (cone, first-order
 system), the grid-level certificates (conformality, tension), and the
@@ -24,11 +24,8 @@ from bjorling.verify import compare_to_reference
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=12)
-    ap.add_argument("--mesh", choices=("obj", "csv"), default=None)
-    ap.add_argument("--out", default="corpus_out")
     args = ap.parse_args()
 
-    out_dir = Path(args.out)
     header = (
         f"{'example':28s} {'dev':>9s} {'cone':>9s} {'pde':>9s} "
         f"{'conf':>9s} {'tension':>9s} {'normal':>9s} {'ms':>6s} strip"
@@ -53,17 +50,6 @@ def main() -> int:
             f"{r.minimality_residual:9.2e} {r.normal_residual:9.2e} "
             f"{ms:6.0f} {'ok' if r.strip_valid else 'SHRUNK'}"
         )
-        if args.mesh:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            spath = out_dir / f"{example_id}.solution.json"
-            problemfile.write_solution(sol, spath)
-            problemfile.write_report(sol, out_dir / f"{example_id}.report.json")
-            mesh = problemfile.build_mesh(sol)
-            mpath = out_dir / f"{example_id}.surface.{args.mesh}"
-            if args.mesh == "obj":
-                problemfile.write_obj(mesh, mpath)
-            else:
-                problemfile.write_csv(mesh, mpath)
     return 1 if failures else 0
 
 

@@ -1,9 +1,10 @@
 """Built-in example problems with closed-form reference surfaces.
 
 Six surfaces with known parametrizations, two or three per ambient group.
-Each entry builds a problem-file dictionary (the same schema the CLI
-reads) and an independent reference evaluator.  Profile functions defined
-by first-order ODEs are solved for the reference with an adaptive
+Each example is one record: its info, the center, grid and data of its
+problem-file dictionary (the same schema the CLI reads), and an
+independent reference evaluator.  Profile functions defined by
+first-order ODEs are solved for the reference with an adaptive
 Runge-Kutta integrator, deliberately not with the Taylor recurrence the
 solver itself uses.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,6 +31,20 @@ class ExampleInfo:
     description: str
     defaults: dict
     formula: str
+
+
+@dataclass(frozen=True)
+class _Example:
+    """One corpus entry.  ``data(params, order)`` gives the problem file's
+    ``beta``, ``V`` and ``params`` entries as new lists and dicts;
+    ``reference(params)`` gives the closed form (u, v) -> coordinate
+    triple.  ``grid`` is (u_min, u_max, v_min, v_max, nu, nv)."""
+
+    info: ExampleInfo
+    u0: float
+    grid: tuple
+    data: Callable
+    reference: Callable
 
 
 def _ivp_profile(rhs, y0: float, half_width: float):
@@ -53,182 +69,19 @@ def _ivp_profile(rhs, y0: float, half_width: float):
     return np.vectorize(profile, otypes=[float])
 
 
-def helicoid_radius_ode(c: float):
-    """Right side of the helicoid radial profile equation."""
-    return lambda y: ((0.5 * (y * y) - c) ** 2 - y * y).sqrt()
-
-
-def _helicoid_jets(c: float, rho0: float, b: float, order: int, center: float = 0.0):
-    rho = ode_taylor(helicoid_radius_ode(c), rho0, order + 1, center)
+def _helicoid_data(params, order):
+    # The radial profile solves rho' = sqrt((rho^2/2 - c)^2 - rho^2); the
+    # file carries its Taylor coefficients, one order above the field's.
+    c = params["c"]
+    rho = ode_taylor(
+        lambda y: ((0.5 * (y * y) - c) ** 2 - y * y).sqrt(), params["rho0"], order + 1
+    )
     rho_d = rho.deriv()
-    beta = (
-        rho,
-        USeries.constant(0.0, order + 1, center),
-        USeries.constant(b, order + 1, center),
-    )
-    field = (
-        USeries.constant(0.0, order, center),
-        (rho * rho - 2.0 * c) / (2.0 * rho_d),
-        -(rho / rho_d),
-    )
-    return beta, field
-
-
-# ---------------------------------------------------------------------------
-# problem-dict builders
-
-
-def _vertical_plane(params, order):
-    c = params["c"]
-    return {
-        "schema_version": 1,
-        "group": "heisenberg",
-        "mode": "timelike",
-        "u0": 0.0,
-        "order": order,
-        "beta": ["cosh(u)", "c", "-(c/2)*cosh(u) + sinh(u)"],
-        "V": ["0", "1", "0"],
-        "params": {"c": c},
-        "grid": {
-            "u_min": -1.0,
-            "u_max": 1.0,
-            "v_min": -0.5,
-            "v_max": 0.5,
-            "nu": 33,
-            "nv": 17,
-        },
-    }
-
-
-def _helicoid(params, order):
-    c, rho0, b = params["c"], params["rho0"], params["b"]
-    beta, field = _helicoid_jets(c, rho0, b, order)
-    return {
-        "schema_version": 1,
-        "group": "heisenberg",
-        "mode": "spacelike-curve",
-        "u0": 0.0,
-        "order": order,
-        "beta": [
-            {"coeffs": beta[0].coeffs.tolist()},
-            "0",
-            "b",
-        ],
-        "V": [
-            {"coeffs": field[0].coeffs.tolist()},
-            {"coeffs": field[1].coeffs.tolist()},
-            {"coeffs": field[2].coeffs.tolist()},
-        ],
-        "params": {"c": c, "rho0": rho0, "b": b},
-        "grid": {
-            "u_min": -0.3,
-            "u_max": 0.3,
-            "v_min": -0.5,
-            "v_max": 0.5,
-            "nu": 25,
-            "nv": 17,
-        },
-    }
-
-
-def _saddle(params, order):
-    c, q0 = params["c"], params["Q0"]
-    qp0 = math.sqrt(16.0 * c * c * q0 * q0 - c * c)
-    return {
-        "schema_version": 1,
-        "group": "heisenberg",
-        "mode": "timelike",
-        "u0": 0.0,
-        "order": order,
-        "beta": ["4*c*u", "-4*Q0", "-8*c*Q0*u"],
-        "V": ["-4*c*Q0/Qp0", "0", "c/Qp0"],
-        "params": {"c": c, "Q0": q0, "Qp0": qp0},
-        "grid": {
-            "u_min": -0.5,
-            "u_max": 0.5,
-            "v_min": -0.2,
-            "v_max": 0.2,
-            "nu": 25,
-            "nv": 9,
-        },
-    }
-
-
-def _desitter_vertical_plane(params, order):
-    c = params["c"]
-    return {
-        "schema_version": 1,
-        "group": "desitter",
-        "mode": "spacelike-curve",
-        "u0": 0.0,
-        "order": order,
-        "beta": ["sinh(u)", "c", "cosh(u)"],
-        "V": ["0", "1", "0"],
-        "params": {"c": c},
-        "grid": {
-            "u_min": -0.75,
-            "u_max": 0.75,
-            "v_min": -0.5,
-            "v_max": 0.5,
-            "nu": 25,
-            "nv": 17,
-        },
-    }
-
-
-def _desitter_diagonal_plane(params, order):
-    return {
-        "schema_version": 1,
-        "group": "desitter",
-        "mode": "spacelike-curve",
-        "u0": 0.0,
-        "order": order,
-        "beta": ["r*sinh(u)", "r*sinh(u)", "cosh(u)"],
-        "V": ["-r", "r", "0"],
-        "params": {"r": _SQRT2INV},
-        "grid": {
-            "u_min": -0.75,
-            "u_max": 0.75,
-            "v_min": -0.5,
-            "v_max": 0.5,
-            "nu": 25,
-            "nv": 17,
-        },
-    }
-
-
-def _h2xr_horizontal_plane(params, order):
-    c = params["c"]
-    return {
-        "schema_version": 1,
-        "group": "h2xr",
-        "mode": "spacelike-surface",
-        "u0": math.pi / 2.0,
-        "order": order,
-        "beta": ["cos(u)", "sin(u)", "c"],
-        "V": ["0", "0", "1"],
-        "params": {"c": c},
-        "grid": {
-            "u_min": math.pi / 4.0,
-            "u_max": 3.0 * math.pi / 4.0,
-            "v_min": -0.5,
-            "v_max": 0.5,
-            "nu": 25,
-            "nv": 17,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# reference evaluators
-
-
-def _ref_vertical_plane(params):
-    c = params["c"]
-    return lambda u, v: (
-        np.exp(v) * np.cosh(u),
-        c + 0.0 * u,
-        np.exp(v) * (-(c / 2.0) * np.cosh(u) + np.sinh(u)),
+    field = (USeries.constant(0.0, order), (rho * rho - 2.0 * c) / (2.0 * rho_d), -(rho / rho_d))
+    return (
+        [{"coeffs": rho.coeffs.tolist()}, "0", "b"],
+        [{"coeffs": f.coeffs.tolist()} for f in field],
+        {"c": c, "rho0": params["rho0"], "b": params["b"]},
     )
 
 
@@ -246,6 +99,16 @@ def _ref_helicoid(params, half_width=0.45):
     )
 
 
+def _saddle_data(params, order):
+    c, q0 = params["c"], params["Q0"]
+    qp0 = math.sqrt(16.0 * c * c * q0 * q0 - c * c)
+    return (
+        ["4*c*u", "-4*Q0", "-8*c*Q0*u"],
+        ["-4*c*Q0/Qp0", "0", "c/Qp0"],
+        {"c": c, "Q0": q0, "Qp0": qp0},
+    )
+
+
 def _ref_saddle(params, half_width=0.3):
     c, q0 = params["c"], params["Q0"]
 
@@ -260,133 +123,170 @@ def _ref_saddle(params, half_width=0.3):
     )
 
 
-def _ref_desitter_vertical(params):
-    c = params["c"]
-    return lambda u, v: (
-        np.exp(-v) * np.sinh(u),
-        c + 0.0 * u,
-        np.exp(-v) * np.cosh(u),
-    )
-
-
-def _ref_desitter_diagonal(params):
-    r = _SQRT2INV
-    return lambda u, v: (
-        np.exp(-v) * r * np.sinh(u),
-        np.exp(-v) * r * np.sinh(u),
-        np.exp(-v) * np.cosh(u),
-    )
-
-
-def _ref_h2xr_plane(params):
-    c = params["c"]
-    return lambda u, v: (
-        np.exp(v) * np.cos(u),
-        np.exp(v) * np.sin(u),
-        c + 0.0 * u,
-    )
-
-
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY = {
-    "heisenberg_vertical_plane": (
-        _vertical_plane,
-        _ref_vertical_plane,
-        ExampleInfo(
-            "heisenberg_vertical_plane",
-            "heisenberg",
-            "timelike",
-            "timelike vertical plane y = c in the Heisenberg group",
-            {"c": 1.0},
-            "(exp(v)*cosh(u), c, exp(v)*(-(c/2)*cosh(u) + sinh(u)))",
+_EXAMPLES = {
+    example.info.example_id: example
+    for example in (
+        _Example(
+            ExampleInfo(
+                "heisenberg_vertical_plane",
+                "heisenberg",
+                "timelike",
+                "timelike vertical plane y = c in the Heisenberg group",
+                {"c": 1.0},
+                "(exp(v)*cosh(u), c, exp(v)*(-(c/2)*cosh(u) + sinh(u)))",
+            ),
+            u0=0.0,
+            grid=(-1.0, 1.0, -0.5, 0.5, 33, 17),
+            data=lambda p, order: (
+                ["cosh(u)", "c", "-(c/2)*cosh(u) + sinh(u)"],
+                ["0", "1", "0"],
+                {"c": p["c"]},
+            ),
+            reference=lambda p: lambda u, v: (
+                np.exp(v) * np.cosh(u),
+                p["c"] + 0.0 * u,
+                np.exp(v) * (-(p["c"] / 2.0) * np.cosh(u) + np.sinh(u)),
+            ),
         ),
-    ),
-    "heisenberg_helicoid": (
-        _helicoid,
-        _ref_helicoid,
-        ExampleInfo(
-            "heisenberg_helicoid",
-            "heisenberg",
-            "spacelike-curve",
-            "timelike helicoid over an ODE radial profile rho(u)",
-            {"c": -1.0, "rho0": 1.0, "b": 0.0},
-            "(rho(u)*cos(v), rho(u)*sin(v), c*v + b)",
+        _Example(
+            ExampleInfo(
+                "heisenberg_helicoid",
+                "heisenberg",
+                "spacelike-curve",
+                "timelike helicoid over an ODE radial profile rho(u)",
+                {"c": -1.0, "rho0": 1.0, "b": 0.0},
+                "(rho(u)*cos(v), rho(u)*sin(v), c*v + b)",
+            ),
+            u0=0.0,
+            grid=(-0.3, 0.3, -0.5, 0.5, 25, 17),
+            data=_helicoid_data,
+            reference=_ref_helicoid,
         ),
-    ),
-    "heisenberg_saddle": (
-        _saddle,
-        _ref_saddle,
-        ExampleInfo(
-            "heisenberg_saddle",
-            "heisenberg",
-            "timelike",
-            "saddle-type graph z = x*y/2 over an ODE height profile Q(v)",
-            {"c": 1.0, "Q0": 0.5},
-            "(4*c*u, -4*Q(v), -8*c*u*Q(v)); lies on z = x*y/2",
+        _Example(
+            ExampleInfo(
+                "heisenberg_saddle",
+                "heisenberg",
+                "timelike",
+                "saddle-type graph z = x*y/2 over an ODE height profile Q(v)",
+                {"c": 1.0, "Q0": 0.5},
+                "(4*c*u, -4*Q(v), -8*c*u*Q(v)); lies on z = x*y/2",
+            ),
+            u0=0.0,
+            grid=(-0.5, 0.5, -0.2, 0.2, 25, 9),
+            data=_saddle_data,
+            reference=_ref_saddle,
         ),
-    ),
-    "desitter_vertical_plane": (
-        _desitter_vertical_plane,
-        _ref_desitter_vertical,
-        ExampleInfo(
-            "desitter_vertical_plane",
-            "desitter",
-            "spacelike-curve",
-            "timelike vertical plane x2 = c in de Sitter space",
-            {"c": 1.0},
-            "(exp(-v)*sinh(u), c, exp(-v)*cosh(u))",
+        _Example(
+            ExampleInfo(
+                "desitter_vertical_plane",
+                "desitter",
+                "spacelike-curve",
+                "timelike vertical plane x2 = c in de Sitter space",
+                {"c": 1.0},
+                "(exp(-v)*sinh(u), c, exp(-v)*cosh(u))",
+            ),
+            u0=0.0,
+            grid=(-0.75, 0.75, -0.5, 0.5, 25, 17),
+            data=lambda p, order: (
+                ["sinh(u)", "c", "cosh(u)"],
+                ["0", "1", "0"],
+                {"c": p["c"]},
+            ),
+            reference=lambda p: lambda u, v: (
+                np.exp(-v) * np.sinh(u),
+                p["c"] + 0.0 * u,
+                np.exp(-v) * np.cosh(u),
+            ),
         ),
-    ),
-    "desitter_diagonal_plane": (
-        _desitter_diagonal_plane,
-        _ref_desitter_diagonal,
-        ExampleInfo(
-            "desitter_diagonal_plane",
-            "desitter",
-            "spacelike-curve",
-            "timelike plane x1 = x2 in de Sitter space",
-            {},
-            "exp(-v)*(sinh(u)/sqrt(2), sinh(u)/sqrt(2), cosh(u))",
+        _Example(
+            ExampleInfo(
+                "desitter_diagonal_plane",
+                "desitter",
+                "spacelike-curve",
+                "timelike plane x1 = x2 in de Sitter space",
+                {},
+                "exp(-v)*(sinh(u)/sqrt(2), sinh(u)/sqrt(2), cosh(u))",
+            ),
+            u0=0.0,
+            grid=(-0.75, 0.75, -0.5, 0.5, 25, 17),
+            data=lambda p, order: (
+                ["r*sinh(u)", "r*sinh(u)", "cosh(u)"],
+                ["-r", "r", "0"],
+                {"r": _SQRT2INV},
+            ),
+            reference=lambda p: lambda u, v: (
+                np.exp(-v) * _SQRT2INV * np.sinh(u),
+                np.exp(-v) * _SQRT2INV * np.sinh(u),
+                np.exp(-v) * np.cosh(u),
+            ),
         ),
-    ),
-    "h2xr_horizontal_plane": (
-        _h2xr_horizontal_plane,
-        _ref_h2xr_plane,
-        ExampleInfo(
-            "h2xr_horizontal_plane",
-            "h2xr",
-            "spacelike-surface",
-            "spacelike horizontal plane x3 = c in H2 x R",
-            {"c": 1.0},
-            "(exp(v)*cos(u), exp(v)*sin(u), c)",
+        _Example(
+            ExampleInfo(
+                "h2xr_horizontal_plane",
+                "h2xr",
+                "spacelike-surface",
+                "spacelike horizontal plane x3 = c in H2 x R",
+                {"c": 1.0},
+                "(exp(v)*cos(u), exp(v)*sin(u), c)",
+            ),
+            u0=math.pi / 2.0,
+            grid=(math.pi / 4.0, 3.0 * math.pi / 4.0, -0.5, 0.5, 25, 17),
+            data=lambda p, order: (
+                ["cos(u)", "sin(u)", "c"],
+                ["0", "0", "1"],
+                {"c": p["c"]},
+            ),
+            reference=lambda p: lambda u, v: (
+                np.exp(v) * np.cos(u),
+                np.exp(v) * np.sin(u),
+                p["c"] + 0.0 * u,
+            ),
         ),
-    ),
+    )
 }
 
-EXAMPLE_IDS = tuple(_REGISTRY)
+EXAMPLE_IDS = tuple(_EXAMPLES)
+
+
+def _lookup(example_id: str, params: dict | None = None):
+    """The example's record and its defaults updated by ``params``."""
+    if example_id not in _EXAMPLES:
+        raise KeyError(
+            f"unknown example {example_id!r}; available: {', '.join(EXAMPLE_IDS)}"
+        )
+    example = _EXAMPLES[example_id]
+    return example, {**example.info.defaults, **(params or {})}
 
 
 def list_examples() -> list[ExampleInfo]:
-    return [info for _, _, info in _REGISTRY.values()]
+    return [example.info for example in _EXAMPLES.values()]
 
 
 def example_info(example_id: str) -> ExampleInfo:
-    _require(example_id)
-    return _REGISTRY[example_id][2]
+    return _lookup(example_id)[0].info
 
 
 def build_problem_dict(example_id: str, params: dict | None = None, order: int = 12) -> dict:
-    """Problem-file dictionary for one example; params override defaults."""
-    _require(example_id)
-    builder, _, info = _REGISTRY[example_id]
-    merged = dict(info.defaults)
-    merged.update(params or {})
-    d = builder(merged, order)
-    d["name"] = example_id
-    d["description"] = info.description
-    return d
+    """Problem-file dictionary for one example; params override defaults.
+    Every call builds a new document."""
+    example, merged = _lookup(example_id, params)
+    beta, field, doc_params = example.data(merged, order)
+    return {
+        "schema_version": 1,
+        "group": example.info.group,
+        "mode": example.info.kind,
+        "u0": example.u0,
+        "order": order,
+        "beta": beta,
+        "V": field,
+        "params": doc_params,
+        "grid": dict(zip(("u_min", "u_max", "v_min", "v_max", "nu", "nv"), example.grid)),
+        "name": example_id,
+        "description": example.info.description,
+    }
 
 
 def reference_surface(example_id: str, params: dict | None = None):
@@ -394,28 +294,16 @@ def reference_surface(example_id: str, params: dict | None = None):
 
     u and v may be numpy arrays of one shape; each coordinate then has
     that shape."""
-    _require(example_id)
-    _, ref_builder, info = _REGISTRY[example_id]
-    merged = dict(info.defaults)
-    merged.update(params or {})
-    return ref_builder(merged)
+    example, merged = _lookup(example_id, params)
+    return example.reference(merged)
 
 
 def reference_stub(example_id: str, params: dict | None = None) -> dict:
     """Serializable description of the reference surface."""
-    info = example_info(example_id)
-    merged = dict(info.defaults)
-    merged.update(params or {})
+    example, merged = _lookup(example_id, params)
     return {
         "schema_version": 1,
         "example": example_id,
         "params": merged,
-        "closed_form": info.formula,
+        "closed_form": example.info.formula,
     }
-
-
-def _require(example_id: str) -> None:
-    if example_id not in _REGISTRY:
-        raise KeyError(
-            f"unknown example {example_id!r}; available: {', '.join(EXAMPLE_IDS)}"
-        )

@@ -95,7 +95,11 @@ def evaluate_jet(text: str, order: int, center: float, params: dict | None = Non
     """Jet of an expression in u (plus named parameters) about the center."""
     env = dict(params or {})
     env["u"] = USeries.variable(order, center)
-    out = evaluate_series(text, env)
-    if isinstance(out, USeries):
-        return out
-    return USeries.constant(float(out), order, center)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = evaluate_series(text, env)
+    if not isinstance(out, USeries):
+        out = USeries.constant(float(out), order, center)
+    # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
+    if not np.all(np.isfinite(out.coeffs)):
+        raise ExpressionError(f"non-finite value in {text!r}")
+    return out

@@ -186,6 +186,16 @@ def problem_from_dict(
         _jet_entry(field_doc[i], order + 1, center, params, f"V[{i}]")
         for i in range(3)
     )
+    # The solve differentiates the curve once and uses the field as it is, so
+    # the data must give the curve to order + 1 and the field to the order;
+    # only a coefficient list can fall short.
+    for name, jets, need in (("beta", curve, order + 2), ("V", field, order + 1)):
+        for i, jet in enumerate(jets):
+            if jet.order + 1 < need:
+                raise SchemaError(
+                    f"{name}[{i}]: coefficient list has {jet.order + 1} values, "
+                    f"order {order} needs {need}"
+                )
     return BjorlingProblem(
         group=_resolve_group(doc),
         curve=curve,
@@ -210,19 +220,7 @@ def load_problem(
     tolerance_overrides: dict | None = None,
 ) -> tuple[BjorlingProblem, dict]:
     doc = _read_json(path)
-    problem = problem_from_dict(doc, order_override, tolerance_overrides)
-    # The solve differentiates the curve once and uses the field as it is, so
-    # a file must give the curve to order + 1 and the field to the order; only
-    # a coefficient list can fall short.
-    n = problem.order
-    for name, jets, need in (("beta", problem.curve, n + 2), ("V", problem.normal_field, n + 1)):
-        for i, jet in enumerate(jets):
-            if jet.order + 1 < need:
-                raise SchemaError(
-                    f"{name}[{i}]: coefficient list has {jet.order + 1} values, "
-                    f"order {n} needs {need}"
-                )
-    return problem, doc
+    return problem_from_dict(doc, order_override, tolerance_overrides), doc
 
 
 # ---------------------------------------------------------------------------

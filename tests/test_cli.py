@@ -35,16 +35,17 @@ def test_examples_unknown_name(workdir, capsys):
     assert "unknown example" in err
 
 
-def test_examples_materialize_and_solve(workdir, capsys):
-    assert main(["examples", "desitter_diagonal_plane"]) == 0
-    problem = workdir / "desitter_diagonal_plane.problem.json"
-    reference = workdir / "desitter_diagonal_plane.reference.json"
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_examples_materialize_and_solve(workdir, capsys, example_id):
+    assert main(["examples", example_id]) == 0
+    problem = workdir / f"{example_id}.problem.json"
+    reference = workdir / f"{example_id}.reference.json"
     assert problem.exists() and reference.exists()
     ref = json.loads(reference.read_text())
-    assert ref["example"] == "desitter_diagonal_plane"
+    assert ref["example"] == example_id
     assert main(["solve", str(problem), "--out", "out"]) == 0
-    assert (workdir / "out" / "desitter_diagonal_plane.solution.json").exists()
-    assert (workdir / "out" / "desitter_diagonal_plane.report.json").exists()
+    assert (workdir / "out" / f"{example_id}.solution.json").exists()
+    assert (workdir / "out" / f"{example_id}.report.json").exists()
 
 
 def test_examples_materialize_helicoid_profile(workdir, capsys):
@@ -274,6 +275,18 @@ def _generic(**entries):
             None,
             "overflow in 'exp(1000)'",
             id="expression-overflow",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["1e400"] + _PLANE_BETA[2:]},
+            None,
+            "non-finite value in '1e400'",
+            id="expression-literal-inf",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["1e300*1e300"] + _PLANE_BETA[2:]},
+            None,
+            "non-finite value in '1e300*1e300'",
+            id="expression-product-inf",
         ),
         pytest.param(
             {"beta": [_cosh_list(13)] + _PLANE_BETA[1:]},

@@ -99,6 +99,28 @@ def test_coefficient_list_entries():
     assert sol.report.strip_valid
 
 
+def test_short_coefficient_list_is_refused_without_a_file():
+    doc = corpus.build_problem_dict("heisenberg_helicoid")
+    doc["order"] = 20
+    with pytest.raises(SchemaError, match=r"beta\[0\]: coefficient list has 14 values, order 20"):
+        problemfile.problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_each_example_document_is_new(example_id):
+    first = corpus.build_problem_dict(example_id)
+    want = json.dumps(corpus.build_problem_dict(example_id))
+    for entries in (first["beta"], first["V"]):
+        for entry in entries:
+            if isinstance(entry, dict):
+                entry["coeffs"][0] = 99.0
+        entries[1] = "99"
+        entries.append("1")
+    first["params"]["extra"] = 1.0
+    first["grid"]["nu"] = 3
+    assert json.dumps(corpus.build_problem_dict(example_id)) == want
+
+
 def test_bad_json_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -32,8 +32,8 @@ from oracles import reference_ck_march, reference_cone_lift, reference_exp
 P = Mode.PARACOMPLEX
 
 
-def _problem(example_id, params=None, **tweaks):
-    doc = corpus.build_problem_dict(example_id, params)
+def _problem(example_id, params=None, order=12, **tweaks):
+    doc = corpus.build_problem_dict(example_id, params, order=order)
     for key, val in tweaks.items():
         doc[key] = val
     return problemfile.problem_from_dict(doc)
