@@ -77,29 +77,35 @@ def evaluate_series(text: str, env: dict):
     """Evaluate an expression over an environment of jets, arrays and numbers.
 
     Returns a USeries when any variable in the environment is one, an
-    array when one is a numpy array, otherwise a float.
+    array when one is a numpy array, otherwise a float.  A value, entry or
+    coefficient that is not finite raises ExpressionError.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
     try:
-        return _eval_node(tree, env, text)
+        with np.errstate(all="ignore"):
+            out = _eval_node(tree, env, text)
     except ZeroDivisionError:
         raise ExpressionError(f"division by zero in {text!r}") from None
     except OverflowError:
         raise ExpressionError(f"overflow in {text!r}") from None
+    except ValueError:
+        # An infinite argument of math.sin or math.cos, or a jet division by
+        # a non-finite jet (scipy refuses those).
+        raise ExpressionError(f"non-finite value in {text!r}") from None
+    # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
+    if not np.all(np.isfinite(out.coeffs if isinstance(out, USeries) else out)):
+        raise ExpressionError(f"non-finite value in {text!r}")
+    return out
 
 
 def evaluate_jet(text: str, order: int, center: float, params: dict | None = None) -> USeries:
     """Jet of an expression in u (plus named parameters) about the center."""
     env = dict(params or {})
     env["u"] = USeries.variable(order, center)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = evaluate_series(text, env)
+    out = evaluate_series(text, env)
     if not isinstance(out, USeries):
         out = USeries.constant(float(out), order, center)
-    # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
-    if not np.all(np.isfinite(out.coeffs)):
-        raise ExpressionError(f"non-finite value in {text!r}")
     return out

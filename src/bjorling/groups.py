@@ -120,13 +120,6 @@ class GroupModel:
         self._chart_guard = chart_guard or (lambda x: True)
         self.recipe = recipe
         self.description = description
-        self._gamma_terms = [
-            (a, b, c, self.gamma[a, b, c])
-            for a in range(3)
-            for b in range(3)
-            for c in range(3)
-            if self.gamma[a, b, c] != 0.0
-        ]
 
     # chart ---------------------------------------------------------------
 
@@ -190,8 +183,8 @@ class GroupModel:
         """
         zero = frame_data[0] * 0.0
         out = [zero, zero, zero]
-        for a, b, c, coef in self._gamma_terms:
-            out[c] = out[c] + coef * (frame_data[a].conj() * frame_data[b])
+        for a, b, c in zip(*np.nonzero(self.gamma)):
+            out[c] = out[c] + self.gamma[a, b, c] * (frame_data[a].conj() * frame_data[b])
         return tuple(out)
 
     # jets along a curve ----------------------------------------------------

@@ -36,22 +36,33 @@ def _triangle_mask(order: int) -> np.ndarray:
     return m
 
 
-def _conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D polynomial product via one flattened 1-D convolution.
+@lru_cache(maxsize=None)
+def _product_gathers(order: int) -> np.ndarray:
+    # [0, m, P] is the flat index of x[m - i, j] and [1, k, P] that of y[i, k - j]
+    # for the P-th pair i + j <= order; a negative degree gets the pad's index.
+    n1 = order + 1
+    i, j = ij = np.array(np.nonzero(_triangle_mask(order)))[:, None]
+    deg = np.arange(n1)[:, None]
+    idx = np.where(deg >= ij, [(deg - i) * n1 + j, i * n1 + deg - j], n1 * n1)
+    idx.setflags(write=False)
+    return idx
 
-    Rows are padded to the full output width so column degrees never wrap
-    into the next row (Kronecker substitution).
+
+def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every truncated product x[s] * y[t] of two stacks of triangular tables.
+
+    ``x``, ``y`` are (p, n+1, n+1), (q, n+1, n+1); the result (p, q, n+1, n+1)
+    has [s, t, m, k] = sum of x[s, m - i, j] y[t, i, k - j] over i + j <= n
+    (no other pair reaches m + k <= n): one matmul of the u-Toeplitz stack of
+    x with the v-shifted stack of y.
     """
-    ra, ca = a.shape
-    rb, cb = b.shape
-    width = ca + cb - 1
-    fa = np.zeros((ra, width))
-    fa[:, :ca] = a
-    fb = np.zeros((rb, width))
-    fb[:, :cb] = b
-    flat = np.convolve(fa.ravel(), fb.ravel())
-    rows = ra + rb - 1
-    return flat[: rows * width].reshape(rows, width)
+    p, q, n1 = x.shape[0], y.shape[0], x.shape[1]
+    left, right = _product_gathers(n1 - 1)
+    xf, yf = (np.append(z.reshape(len(z), -1), np.zeros((len(z), 1)), axis=1) for z in (x, y))
+    a = np.take(xf, left, axis=1).reshape(p * n1, -1)
+    b = np.take(yf.T, right.T, axis=0).reshape(-1, n1 * q)
+    out = (a @ b).reshape(p, n1, n1, q).transpose(0, 3, 1, 2)
+    return np.where(_triangle_mask(n1 - 1), out, 0.0)
 
 
 def _check_centers(a, b) -> None:
@@ -367,12 +378,8 @@ class BiSeries:
         if isinstance(other, (int, float)):
             return BiSeries(self.coeffs * float(other), self.center)
         if isinstance(other, BiSeries):
-            _check_centers(self, other)
-            n = min(self.order, other.order)
-            full = _conv2(
-                self.coeffs[: n + 1, : n + 1], other.coeffs[: n + 1, : n + 1]
-            )
-            return BiSeries(full[: n + 1, : n + 1], self.center)
+            a, b = self._pair(other)
+            return BiSeries(pair_products(a[None], b[None])[0, 0], self.center)
         return NotImplemented
 
     __rmul__ = __mul__

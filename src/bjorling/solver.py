@@ -107,12 +107,23 @@ def classify_curve(
     The velocity is converted to frame components first, then the squared
     speed is sampled across [u_lo, u_hi].  Any numerically null sample
     makes the curve lightlike (characteristic data); a strict sign change
-    without a null sample is reported as mixed.
+    without a null sample is reported as mixed.  ProblemValidationError is
+    raised when a sample of the squared speed, or of the squared coordinate
+    velocity, overflows.
     """
     vel = tuple(c.deriv() for c in curve)
     frame_vel = group.frame_jet_from_coords(curve, vel)
     speed2 = lorentz_dot(frame_vel, frame_vel)
-    vals = speed2.eval(np.linspace(u_lo, u_hi, samples))
+    us = np.linspace(u_lo, u_hi, samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = speed2.eval(us)
+        # The frame components cancel terms as large as the coordinate
+        # velocity; once their squares overflow, only rounding is left.
+        finite = np.all(np.isfinite(vals + sum(w.eval(us) ** 2 for w in vel)))
+    if not finite:
+        raise ProblemValidationError(
+            f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"
+        )
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.any(np.abs(vals) <= causal_rtol * scale):
         return CurveClass.LIGHTLIKE

@@ -17,8 +17,9 @@ import numpy as np
 
 from .config import GridSpec, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
-from .groups import GroupModel, lorentz_cross, lorentz_dot
-from .solver import StripInfo, cone_series, evaluate_surface
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
+from .series import BiSeries, KSeries, pair_products
+from .solver import StripInfo, evaluate_surface
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
 MAX_HALVINGS = 6
@@ -85,18 +86,26 @@ class ResidualReport:
 def weierstrass_residuals(group: GroupModel, frame_data) -> tuple[float, float]:
     """Coefficient-level residuals of the representation conditions.
 
-    Returns (cone, pde): the largest coefficient of psi1^2 + psi2^2 - psi3^2
-    and the largest coefficient over c of d psi_c / dzbar + G_c.  Both are
-    built from full series products (``GroupModel.pde_quadratic``), not from
-    the march's slice kernel, so this certificate stays independent of the
-    code that produced the coefficients.
+    Returns (cone, pde): the largest coefficients of psi1^2 + psi2^2 - psi3^2
+    and of d psi_c / dzbar + G_c, G_c = sum gamma[a,b,c] conj(psi_a) psi_b,
+    read from the truncated products of all pairs of the six (re, unit) tables
+    made in one batch by ``series.pair_products``, not by the march's slice
+    kernel: the certificate stays independent of the code that made the data.
     """
-    cone = cone_series(frame_data).maxabs()
-    quad = group.pde_quadratic(frame_data)
+    s = frame_data[0].mode.unit_square
+    n = min(comp.order for comp in frame_data)
+    parts = [comp.re for comp in frame_data] + [comp.im for comp in frame_data]
+    x = np.stack([b.truncated(n).coeffs for b in parts])
+    p = pair_products(x, x).reshape(2, 3, 2, 3, n + 1, n + 1)
+    # (re, unit) parts of psi_a psi_b and of conj(psi_a) psi_b, indexed [a, b].
+    square = np.stack([p[0, :, 0] + s * p[1, :, 1], p[0, :, 1] + p[1, :, 0]])
+    mixed = np.stack([p[0, :, 0] - s * p[1, :, 1], p[0, :, 1] - p[1, :, 0]])
+    cone = float(np.max(np.abs(np.einsum("a,raamk->rmk", SIGNATURE, square))))
+    quad = np.tensordot(group.gamma, mixed, axes=([0, 1], [1, 2]))
     pde = 0.0
-    for c in range(3):
-        resid = frame_data[c].dzbar() + quad[c].truncated(frame_data[c].order - 1)
-        pde = max(pde, resid.maxabs())
+    for c, comp in enumerate(frame_data):
+        g = (BiSeries(quad[c, r], comp.center).truncated(comp.order - 1) for r in range(2))
+        pde = max(pde, (comp.dzbar() + KSeries(*g, comp.mode)).maxabs())
     return cone, pde
 
 

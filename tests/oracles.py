@@ -2,7 +2,9 @@
 
 Everything here is deliberately built from a different path than the
 library: symbolic Christoffel symbols via sympy, series coefficients from
-factorial formulas, brute-force dictionary polynomial products, the
+factorial formulas, brute-force dictionary polynomial products, table
+products by one Kronecker-substituted 1-D convolution, the
+coefficient-level certificate with every product made that way, the
 frame march as a literal transcription of the PDE with full series
 products at every level, the series exp as a Horner sum of full products,
 the grid certificates and the mesh as loops over single grid points, and
@@ -97,6 +99,59 @@ def table_from_dict(d: dict, order: int) -> np.ndarray:
     for (m, n), c in d.items():
         out[m, n] = c
     return out
+
+
+def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two triangular tables of one order.
+
+    The full 2-D product is one flattened 1-D convolution: rows are padded
+    to the full output width so column degrees never wrap into the next row
+    (Kronecker substitution).  It is then cut back to the triangle.
+    """
+    rows, cols = a.shape
+    width = 2 * cols - 1
+    fa = np.zeros((rows, width))
+    fa[:, :cols] = a
+    fb = np.zeros((rows, width))
+    fb[:, :cols] = b
+    full = np.convolve(fa.ravel(), fb.ravel())[: (2 * rows - 1) * width].reshape(-1, width)
+    degree = np.add.outer(np.arange(rows), np.arange(cols))
+    return np.where(degree < rows, full[:rows, :cols], 0.0)
+
+
+def _reference_kmul(x, y, s):
+    # (re, unit) tables of the product of two algebra-valued tables.
+    return (
+        reference_product(x[0], y[0]) + s * reference_product(x[1], y[1]),
+        reference_product(x[0], y[1]) + reference_product(x[1], y[0]),
+    )
+
+
+def reference_weierstrass_residuals(group, frame_data) -> tuple[float, float]:
+    """(cone, pde) of ``verify.weierstrass_residuals``, transcribed from
+    ``solver.cone_series`` and ``GroupModel.pde_quadratic`` with every table
+    product made by ``reference_product``, one product at a time."""
+    s = frame_data[0].mode.unit_square
+    psi = [(comp.re.coeffs, comp.im.coeffs) for comp in frame_data]
+    squares = [_reference_kmul(p, p, s) for p in psi]
+    cone = max(
+        float(np.max(np.abs(squares[0][r] + squares[1][r] - squares[2][r]))) for r in range(2)
+    )
+    pde = 0.0
+    for c, comp in enumerate(frame_data):
+        quad = [np.zeros_like(psi[c][0]), np.zeros_like(psi[c][0])]
+        for a in range(3):
+            for b in range(3):
+                if group.gamma[a, b, c] != 0.0:
+                    term = _reference_kmul((psi[a][0], -psi[a][1]), psi[b], s)
+                    quad = [q + group.gamma[a, b, c] * t for q, t in zip(quad, term)]
+        dz = comp.dzbar()
+        n = dz.order
+        for r, part in enumerate((dz.re, dz.im)):
+            resid = part.coeffs + quad[r][: n + 1, : n + 1]
+            degree = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+            pde = max(pde, float(np.max(np.abs(np.where(degree <= n, resid, 0.0)))))
+    return cone, pde
 
 
 def split_cosh_parts(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -258,6 +258,12 @@ def _generic(**entries):
             id="frame-matrix-2x2",
         ),
         pytest.param(
+            _generic(frame_matrix=[["1", "0", "0"], ["0", "1e400", "0"], ["-x2/2", "x1/2", "1"]]),
+            None,
+            "non-finite value in '1e400'",
+            id="frame-matrix-inf",
+        ),
+        pytest.param(
             {"beta": [{"coeffs": ["one", 0.0]}] + _PLANE_BETA[1:]},
             None,
             "beta[0] coefficient 0 must be a finite number",
@@ -287,6 +293,18 @@ def _generic(**entries):
             None,
             "non-finite value in '1e300*1e300'",
             id="expression-product-inf",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["sin(1e400)"] + _PLANE_BETA[2:]},
+            None,
+            "non-finite value in 'sin(1e400)'",
+            id="expression-sin-of-inf",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["1/(u*1e300*1e300 + 1)"] + _PLANE_BETA[2:]},
+            None,
+            "non-finite value in '1/(u*1e300*1e300 + 1)'",
+            id="expression-division-by-inf",
         ),
         pytest.param(
             {"beta": [_cosh_list(13)] + _PLANE_BETA[1:]},
@@ -319,6 +337,15 @@ def test_bad_order_or_grid_size_is_one_line_schema_error(
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert "Traceback" not in captured.err
+
+
+def test_overflowing_curve_speed_is_rejected_as_overflow(workdir, capsys):
+    path = _write_problem(workdir / "huge.problem.json", params={"c": 1e200})
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "overflow" in lines[0]
+    assert "characteristic" not in lines[0]
 
 
 def test_order_at_the_cap_is_accepted(workdir):

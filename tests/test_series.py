@@ -14,9 +14,10 @@ from bjorling.series import (
     USeries,
     antiderivative_from_partials,
     ode_taylor,
+    pair_products,
     para_cr_residual,
 )
-from oracles import reference_exp, split_cosh_parts, univariate_coeffs
+from oracles import reference_exp, reference_product, split_cosh_parts, univariate_coeffs
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -84,6 +85,21 @@ def test_product_of_u_and_v():
     want = np.zeros((4, 4))
     want[1, 1] = 1.0
     assert np.array_equal(prod.coeffs, want)
+
+
+@pytest.mark.parametrize("stacks", [(1, 1), (2, 3), (6, 6)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 30, 48])
+def test_pair_products_match_reference(order, stacks):
+    rng = np.random.default_rng(order)
+    triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
+    x, y = (rng.uniform(-1.0, 1.0, (k, order + 1, order + 1)) * triangle for k in stacks)
+    got = pair_products(x, y)
+    assert got.shape == (*stacks, order + 1, order + 1)
+    for s in range(stacks[0]):
+        for t in range(stacks[1]):
+            want = reference_product(x[s], y[t])
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got[s, t] - want)) <= 1e-13 * max(1.0, scale)
 
 
 def test_split_difference_of_squares():

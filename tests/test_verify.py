@@ -23,6 +23,7 @@ from oracles import (
     reference_build_mesh,
     reference_conformality_residual,
     reference_tension_residual,
+    reference_weierstrass_residuals,
     reference_write_csv,
     reference_write_obj,
 )
@@ -66,6 +67,45 @@ def test_weierstrass_residuals_on_constants():
 
     cone2, _ = weierstrass_residuals(heisenberg(), (mk(1.0), mk(1.0), mk(1.0)))
     assert cone2 == pytest.approx(1.0)
+
+
+def _solved_frame(example_id, order):
+    doc = corpus.build_problem_dict(example_id, order=order)
+    problem = problemfile.problem_from_dict(doc)
+    return problem, solve_bjorling(problem).frame_data
+
+
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_weierstrass_matches_full_product_reference(example_id, order):
+    problem, psi = _solved_frame(example_id, order)
+    got = weierstrass_residuals(problem.group, psi)
+    want = reference_weierstrass_residuals(problem.group, psi)
+    scale = max(1.0, max(comp.maxabs() for comp in psi)) ** 2
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * scale
+
+
+# psi2 vanishes identically on the two vertical planes, so these are the
+# examples with a psi2 coefficient to perturb.
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize(
+    "example_id",
+    [
+        "heisenberg_helicoid",
+        "heisenberg_saddle",
+        "desitter_diagonal_plane",
+        "h2xr_horizontal_plane",
+    ],
+)
+def test_weierstrass_flags_one_perturbed_psi2_coefficient(example_id, order):
+    problem, psi = _solved_frame(example_id, order)
+    assert weierstrass_residuals(problem.group, psi)[1] <= problem.tolerances.series
+    table = np.stack([psi[1].re.coeffs, psi[1].im.coeffs])
+    table[np.unravel_index(np.argmax(np.abs(table)), table.shape)] *= 1.0 + 1e-6
+    center, mode = psi[1].center, psi[1].mode
+    probe = (psi[0], KSeries(BiSeries(table[0], center), BiSeries(table[1], center), mode), psi[2])
+    assert weierstrass_residuals(problem.group, probe)[1] > problem.tolerances.series
 
 
 # ---------------------------------------------------------------------------
