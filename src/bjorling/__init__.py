@@ -1,9 +1,9 @@
 """Minimal surfaces in Lorentzian 3-dimensional Lie groups.
 
 Curve-and-normal (Bjorling) data is marched through a first-order frame
-PDE system as a truncated power series, then integrated to a coordinate
-immersion with a per-group recipe and certified by independent residual
-checks.
+PDE system as a truncated power series, then the coordinate immersion is
+marched the same way through the group's frame matrix and certified by
+independent residual checks.
 """
 
 from .config import CurveClass, GridSpec, ProblemKind, Tolerances
@@ -39,7 +39,6 @@ from .series import (
     BiSeries,
     KSeries,
     USeries,
-    antiderivative_from_partials,
     ode_taylor,
     para_cr_residual,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "Tolerances",
     "USeries",
     "UnsupportedRecipe",
-    "antiderivative_from_partials",
     "boundary_residuals",
     "by_name",
     "ck_march",

@@ -22,7 +22,7 @@ class DomainError(BjorlingError):
 
 
 class NonIntegrable(BjorlingError):
-    """Cross-derivative compatibility failed while rebuilding a potential."""
+    """The rebuilt immersion's u-derivative disagrees with its frame data."""
 
 
 class CausalMismatch(BjorlingError):
@@ -38,7 +38,7 @@ class ConstraintDrift(BjorlingError):
 
 
 class UnsupportedRecipe(BjorlingError):
-    """No closed integration recipe is known for this group."""
+    """No immersion can be rebuilt: no frame matrix, or an entry with no series."""
 
 
 class DegenerateFrame(BjorlingError):

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import ExpressionError
-from .series import USeries
+from .errors import ExpressionError, UnsupportedRecipe
+from .series import BiSeries, USeries
 
 _FUNCS = ("exp", "sin", "cos", "sinh", "cosh")
 
@@ -76,9 +76,12 @@ def _eval_node(node, env, text):
 def evaluate_series(text: str, env: dict):
     """Evaluate an expression over an environment of jets, arrays and numbers.
 
-    Returns a USeries when any variable in the environment is one, an
-    array when one is a numpy array, otherwise a float.  A value, entry or
-    coefficient that is not finite raises ExpressionError.
+    Returns a series (USeries or BiSeries) when any variable in the
+    environment is one, an array when one is a numpy array, otherwise a
+    float.  A value, entry or coefficient that is not finite raises
+    ExpressionError.  Over bivariate series only polynomials expand (no
+    functions, series quotients or negative powers); anything else raises
+    UnsupportedRecipe.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -91,12 +94,14 @@ def evaluate_series(text: str, env: dict):
         raise ExpressionError(f"division by zero in {text!r}") from None
     except OverflowError:
         raise ExpressionError(f"overflow in {text!r}") from None
+    except TypeError:  # a bivariate series has no exp, sin, ..., quotient or inverse
+        raise UnsupportedRecipe(f"{text!r} has no series expansion in the coordinates") from None
     except ValueError:
         # An infinite argument of math.sin or math.cos, or a jet division by
         # a non-finite jet (scipy refuses those).
         raise ExpressionError(f"non-finite value in {text!r}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
-    if not np.all(np.isfinite(out.coeffs if isinstance(out, USeries) else out)):
+    if not np.all(np.isfinite(out.coeffs if isinstance(out, (USeries, BiSeries)) else out)):
         raise ExpressionError(f"non-finite value in {text!r}")
     return out
 

@@ -75,17 +75,20 @@ def _apply(nest, w):
 
 def _inverse(m):
     # Adjugate over determinant; works for floats, arrays and jets alike.
-    adj = [
-        [
-            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        adj = [
+            [
+                m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)
+            ]
+            for i in range(3)
         ]
-        for i in range(3)
-    ]
-    det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
     if isinstance(det, float) and det == 0.0:
         raise NotInvertible("frame matrix is singular")
+    if not np.all(np.isfinite(getattr(det, "coeffs", det))):
+        raise NotInvertible("frame matrix determinant is not finite")
     return tuple(tuple(a / det for a in row) for row in adj)
 
 
@@ -99,7 +102,8 @@ class GroupModel:
     ``USeries`` jets, so the same two functions give the point and grid
     matrices, the metric and Christoffel symbols on whole grids, and the
     jet maps along a curve.  ``chart_guard(x)`` must work elementwise on a
-    (3, ...) stack too.
+    (3, ...) stack too.  ``frame_exprs`` keeps a generic group's declared
+    frame strings (None for the built-ins) for its solution file.
     """
 
     def __init__(
@@ -109,8 +113,8 @@ class GroupModel:
         frame=None,
         coframe=None,
         chart_guard=None,
-        recipe: str | None = None,
         description: str = "",
+        frame_exprs=None,
     ):
         self.name = name
         self.C = np.asarray(structure_constants, dtype=float)
@@ -118,8 +122,8 @@ class GroupModel:
         self.frame = frame
         self.coframe = coframe
         self._chart_guard = chart_guard or (lambda x: True)
-        self.recipe = recipe
         self.description = description
+        self.frame_exprs = frame_exprs
 
     # chart ---------------------------------------------------------------
 
@@ -132,7 +136,7 @@ class GroupModel:
         """True when every point of x (one point, or a (3, ...) stack) is inside."""
         return bool(np.all(self.chart_mask(x)))
 
-    def _require_frame(self) -> None:
+    def require_frame(self) -> None:
         if self.frame is None:
             raise UnsupportedRecipe(f"group {self.name} has no frame matrix")
 
@@ -145,7 +149,7 @@ class GroupModel:
         if not mask.all():
             bad = x.reshape(3, -1)[:, np.argmin(mask.ravel())]
             raise DomainError(f"point {bad.tolist()} outside the {self.name} chart")
-        self._require_frame()
+        self.require_frame()
         return _stack(self.frame(x), mask.shape), _stack(self.coframe(x), mask.shape)
 
     def metric(self, x) -> np.ndarray:
@@ -191,12 +195,12 @@ class GroupModel:
 
     def frame_jet_from_coords(self, curve, w):
         """Apply A^{-1}(curve(u)) to a coordinate-component jet triple."""
-        self._require_frame()
+        self.require_frame()
         return _apply(self.coframe(curve), w)
 
     def coords_jet_from_frame(self, curve, w):
         """Apply A(curve(u)) to a frame-component jet triple."""
-        self._require_frame()
+        self.require_frame()
         return _apply(self.frame(curve), w)
 
     def __repr__(self) -> str:
@@ -221,7 +225,6 @@ def heisenberg() -> GroupModel:
         C,
         frame=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-x[1] / 2.0, x[0] / 2.0, 1.0)),
         coframe=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (x[1] / 2.0, -x[0] / 2.0, 1.0)),
-        recipe="heisenberg",
         description="Lorentzian Heisenberg group (entire chart)",
     )
 
@@ -246,7 +249,6 @@ def de_sitter() -> GroupModel:
         frame=lambda x: scaled(x[2]),
         coframe=lambda x: scaled(1.0 / x[2]),
         chart_guard=lambda x: x[2] > 0.0,
-        recipe="desitter",
         description="de Sitter space, halfspace chart x3 > 0",
     )
 
@@ -269,7 +271,6 @@ def h2xr() -> GroupModel:
         frame=lambda x: scaled(x[1]),
         coframe=lambda x: scaled(1.0 / x[1]),
         chart_guard=lambda x: x[1] > 0.0,
-        recipe="h2xr",
         description="hyperbolic plane x a timelike line, chart x2 > 0",
     )
 
@@ -284,14 +285,16 @@ def generic_group(
 
     ``frame_exprs`` is a 3x3 nest of expression strings in x1, x2, x3
     (columns are the frame fields).  The entries are evaluated on whatever
-    the coordinates are (floats, numpy arrays, jets), and the coframe is
-    their adjugate inverse.  Without it only the frame-level residual
-    machinery is available.  Reconstruction of a surface is never
-    available for generic groups: there is no closed integration recipe.
+    the coordinates are (floats, numpy arrays, jets, bivariate series), and
+    the coframe is their adjugate inverse.  Without it only the frame-level
+    residual machinery is available.  The immersion is rebuilt from
+    bivariate series of the coordinates, so there an entry must be a
+    polynomial: numbers, x1..x3, +, -, *, integer powers >= 0 and division
+    by a number; any other (``exp(x1)``, ``1/x3``) raises UnsupportedRecipe.
     """
     from .expressions import evaluate_series  # local import, avoids a cycle
 
-    frame = coframe = None
+    frame = coframe = rows = None
     if frame_exprs is not None:
         rows = [list(r) for r in frame_exprs]
         entries = [e for r in rows for e in r]
@@ -311,8 +314,8 @@ def generic_group(
         frame=frame,
         coframe=coframe,
         chart_guard=chart_guard,
-        recipe=None,
-        description="user-supplied structure constants (residual checks only)",
+        description="user-supplied structure constants",
+        frame_exprs=rows,
     )
 
 

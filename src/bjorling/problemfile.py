@@ -228,9 +228,12 @@ def load_problem(
 
 
 def solution_payload(sol: BjorlingSolution) -> dict:
+    group = sol.group  # a generic group is restated as its problem file declared it
+    generic = {"structure_constants": group.C.tolist(), "frame_matrix": group.frame_exprs}
     return {
         "schema_version": 1,
-        "group": sol.group.name,
+        "group": group.name,
+        **(generic if group.frame_exprs is not None else {}),
         "mode": sol.kind.value,
         "order": sol.order,
         "center_u": sol.center,
@@ -279,9 +282,9 @@ class StoredSolution:
                 for tab in doc["surface"]
             )
             kind = ProblemKind.from_string(doc["mode"])
-            group = by_name(doc["group"])
+            group = _resolve_group(doc)
             report = doc.get("report", {})
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, SchemaError) as exc:
             raise SchemaError(f"{path}: malformed solution file ({exc})") from None
         return StoredSolution(group, kind, surface, grid, report)
 

@@ -24,9 +24,9 @@ import numpy as np
 from numpy.polynomial.polynomial import polyvander
 from scipy.linalg import solve_triangular
 
-from .errors import BranchError, DegenerateSqrt, DomainError, NonIntegrable, NotInvertible
+from .errors import BranchError, DegenerateSqrt, DomainError, NotInvertible
 from .scalars import KScalar, Mode
-from .slices import cauchy_slice, lower_toeplitz, sqrt_columns
+from .slices import lower_toeplitz, sqrt_columns
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +170,7 @@ class USeries:
             raise TypeError("series powers must have integer exponents")
         if exponent < 0:
             return (1.0 / self) ** (-exponent)
-        out = USeries.constant(1.0, self.order, self.center)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, exponent, USeries.constant(1.0, self.order, self.center))
 
     def deriv(self) -> "USeries":
         if self.order == 0:
@@ -243,6 +235,17 @@ class USeries:
 
     def __repr__(self) -> str:
         return f"USeries(order={self.order}, center={self.center:g})"
+
+
+def _power(base, exponent: int, one):
+    # base ** exponent for an integer exponent >= 0, by repeated squaring.
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        base = base * base
+        exponent >>= 1
+    return out
 
 
 def _udiv(a: USeries, b: USeries) -> USeries:
@@ -384,6 +387,16 @@ class BiSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            return BiSeries(self.coeffs / float(other), self.center)
+        return NotImplemented
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        return _power(self, exponent, BiSeries.constant(1.0, self.order, self.center))
+
     def du(self) -> "BiSeries":
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
@@ -397,23 +410,6 @@ class BiSeries:
         n = self.order
         k = np.arange(1, n + 1)[None, :]
         return BiSeries((self.coeffs[:, 1:] * k)[:n, :], self.center)
-
-    def exp(self) -> "BiSeries":
-        """exp of the series, exact to the truncation order.
-
-        E = exp(h) solves E_v = h_v E, so column L+1 of E is the v-degree-L
-        slice of h_v E (``slices.cauchy_slice``) divided by L+1; column 0 is
-        the univariate exp of column 0 of h.  O(order^4) flops, like the march.
-        """
-        n = self.order
-        e = np.zeros((1, n + 1, n + 1))
-        e[0, :, 0] = USeries(self.coeffs[:, 0], self.center).exp().coeffs
-        hv = np.zeros_like(e)
-        hv[0, :, :n] = self.coeffs[:, 1:] * np.arange(1, n + 1)
-        for level in range(n):
-            rows = n - level
-            e[0, :rows, level + 1] = cauchy_slice(hv, e, level, rows)[0, 0] / (level + 1)
-        return BiSeries(e[0], self.center)
 
     def _weighted_powers(self, u) -> np.ndarray:
         # Row i of T C, T the power table of u - center: contracting its last
@@ -438,33 +434,6 @@ class BiSeries:
 
     def __repr__(self) -> str:
         return f"BiSeries(order={self.order}, center={self.center:g})"
-
-
-def antiderivative_from_partials(fu: BiSeries, fv: BiSeries, rtol: float = 1e-9) -> BiSeries:
-    """The potential F with dF/du = fu, dF/dv = fv and F(center, 0) = 0.
-
-    Requires the cross derivatives to agree: dv(fu) == du(fv) within
-    ``rtol * max(1, largest input coefficient)``.  A violation means the
-    data was not closed (a solver bug, or a non-minimal frame field), so it
-    raises NonIntegrable instead of silently integrating one path.
-    """
-    _check_centers(fu, fv)
-    n = min(fu.order, fv.order)
-    fu = fu.truncated(n)
-    fv = fv.truncated(n)
-    scale = max(1.0, fu.maxabs(), fv.maxabs())
-    if n >= 1:
-        mismatch = (fu.dv() - fv.du()).maxabs()
-        if mismatch > rtol * scale:
-            raise NonIntegrable(
-                f"cross-derivative mismatch {mismatch:.3e} exceeds "
-                f"{rtol * scale:.3e}"
-            )
-    out = np.zeros((n + 2, n + 2))
-    m = np.arange(1, n + 2)[:, None]
-    out[1:, : n + 1] = fu.coeffs / m
-    out[0, 1:] = fv.coeffs[0, :] / np.arange(1, n + 2)
-    return BiSeries(out, fu.center)
 
 
 # ---------------------------------------------------------------------------

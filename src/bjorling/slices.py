@@ -3,7 +3,8 @@
 A table is indexed [u-degree, v-degree]; a stack adds a leading axis, and
 algebra-valued data is a (re, unit) pair of tables.  The kernels build
 one v-degree slice of a product at a time, which is what order-by-order
-recurrences in v need: the frame march and the series square root
+recurrences in v need: the frame march, the rebuild of the immersion and
+the series square root
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13;
 Jorba & Zou, Exp. Math. 14, 2005).
 """
@@ -23,21 +24,32 @@ def lower_toeplitz(c: np.ndarray) -> np.ndarray:
 def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
     """The v-degree ``level`` slice of every product x[i] * y[k].
 
-    ``x`` and ``y`` are (p, R, C) and (q, R, C) stacks.  The slice is the
-    Cauchy sum over j of the u-convolutions of column j of x[i] with column
-    level - j of y[k], kept to ``rows`` u-coefficients: one matrix product
-    of the stacked columns, then anti-diagonal sums.  Shape (p, q, rows).
+    ``x`` and ``y`` are (p, R, C) and (q, R, C) stacks; the slice keeps
+    ``rows`` u-coefficients.  Shape (p, q, rows).
     """
-    xs = x[:, :rows, : level + 1]
-    ys = y[:, :rows, level::-1]
-    p, q = xs.shape[0], ys.shape[0]
-    outer = xs.reshape(p * rows, level + 1) @ ys.reshape(q * rows, level + 1).T
+    return matvec_slice(x[:, None], y[:, None], level, rows).transpose(1, 0, 2)
+
+
+def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
+    """The v-degree ``level`` slice of every matrix-vector product a . y[k].
+
+    ``a`` is a (p, q, R, C) matrix of tables and ``y`` an (r, q, R, C) stack
+    of vectors; entry [k, i] is the slice of sum_j a[i, j] * y[k, j], kept
+    to ``rows`` u-coefficients.  That is a Cauchy sum over the v-degrees of
+    u-convolutions: one matrix product contracting j and the v-degree
+    together, then anti-diagonal sums.  Shape (r, p, rows).
+    """
+    p, q = a.shape[:2]
+    r = y.shape[0]
+    xs = a[:, :, :rows, : level + 1].transpose(0, 2, 1, 3).reshape(p * rows, q * (level + 1))
+    ys = y[:, :, :rows, level::-1].transpose(1, 3, 0, 2).reshape(q * (level + 1), r * rows)
+    outer = (xs @ ys).reshape(p, rows, r, rows).transpose(2, 0, 1, 3)
     # Re-reading rows padded to width 2*rows with width 2*rows - 1 shifts
     # row t right by t, so entry (t, t') lands in column t + t'.
-    pad = np.zeros((p, q, rows, 2 * rows))
-    pad[..., :rows] = outer.reshape(p, rows, q, rows).transpose(0, 2, 1, 3)
-    skew = pad.reshape(p, q, 2 * rows * rows)[..., : rows * (2 * rows - 1)]
-    return skew.reshape(p, q, rows, 2 * rows - 1).sum(axis=2)[..., :rows]
+    pad = np.zeros((r, p, rows, 2 * rows))
+    pad[..., :rows] = outer
+    skew = pad.reshape(r, p, 2 * rows * rows)[..., : rows * (2 * rows - 1)]
+    return skew.reshape(r, p, rows, 2 * rows - 1).sum(axis=2)[..., :rows]
 
 
 def column_divider(col: np.ndarray, s: float):

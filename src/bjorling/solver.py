@@ -2,13 +2,12 @@
 
 Pipeline: validate the data, classify the curve's causal character, build
 the initial frame-field jet on v = 0, march the frame system order by
-order in v, then integrate the group's closed reconstruction recipe to get
-the immersion as a real series triple.  Verification lives in `verify`.
+order in v, then march the immersion in v through the group's frame matrix
+to get it as a real series triple.  Verification lives in `verify`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +17,13 @@ from .errors import (
     CausalMismatch,
     CharacteristicData,
     ConstraintDrift,
+    NonIntegrable,
     ProblemValidationError,
-    UnsupportedRecipe,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
 from .scalars import KScalar, Mode
-from .series import BiSeries, KSeries, USeries, antiderivative_from_partials
-from .slices import cauchy_slice, column_divider, sqrt_columns
+from .series import BiSeries, KSeries, USeries
+from .slices import cauchy_slice, column_divider, matvec_slice, sqrt_columns
 
 
 @dataclass(frozen=True)
@@ -277,50 +276,52 @@ def ck_march_cone_lift(
     return _frame_series(x, first0.center, mode)
 
 
-def _real_integral(tangent: KSeries, compat_rtol: float) -> BiSeries:
-    # The real potential behind a tangent component: f_u = 2 re and
-    # f_v = 2 unit_square * im.
-    s = tangent.mode.unit_square
-    return antiderivative_from_partials(2.0 * tangent.re, (2.0 * s) * tangent.im, compat_rtol)
-
-
 def reconstruct_surface(
     group: GroupModel,
     frame_data,
-    base,
+    curve,
     mode: Mode,
     compat_rtol: float = 1e-9,
 ):
-    """Integrate the group's staged recipe to coordinate series.
+    """March the immersion f in v through the group's frame matrix A.
 
-    Each stage is one exact antidifferentiation of the coordinate tangent
-    components; the frame matrix entries that appear are rebuilt from the
-    already-integrated coordinates, which is what makes the staging exact
-    rather than an integral equation.
+    The frame data psi are the frame components of d f / dz, so
+    f_u = A(f) r and f_v = A(f) w with r = 2 Re psi and w = 2 s Im psi, s the
+    unit's square.  Column 0 of f is the curve jet; column L+1 is the
+    v-degree-L slice of A(f) w (``slices.matvec_slice``) divided by L+1.
+    The entries of A are polynomials in the coordinates, so that slice needs
+    only columns <= L of f.  The same slices of A(f) r give f_u: if it differs
+    from the u-derivative of the marched f by more than ``compat_rtol`` times
+    max(1, scale), the frame data were not integrable (NonIntegrable).  A
+    frame entry without a series expansion raises UnsupportedRecipe.
     """
-    p1, p2, p3 = frame_data
-    b1, b2, b3 = (float(x) for x in base)
-    if group.recipe == "heisenberg":
-        f1 = _real_integral(p1, compat_rtol) + b1
-        f2 = _real_integral(p2, compat_rtol) + b2
-        third_tangent = p2 * (0.5 * f1) - p1 * (0.5 * f2) + p3
-        f3 = _real_integral(third_tangent, compat_rtol) + b3
-        return f1, f2, f3
-    if group.recipe == "desitter":
-        growth = _real_integral(p3, compat_rtol)
-        f3 = growth.exp() * b3
-        f1 = _real_integral(p1 * f3, compat_rtol) + b1
-        f2 = _real_integral(p2 * f3, compat_rtol) + b2
-        return f1, f2, f3
-    if group.recipe == "h2xr":
-        growth = _real_integral(p2, compat_rtol)
-        f2 = growth.exp() * b2
-        f1 = _real_integral(p1 * f2, compat_rtol) + b1
-        f3 = _real_integral(p3, compat_rtol) + b3
-        return f1, f2, f3
-    raise UnsupportedRecipe(
-        f"no closed reconstruction recipe for group {group.name!r}"
-    )
+    group.require_frame()
+    n = frame_data[0].order
+    s = mode.unit_square
+    surface = tuple(BiSeries.from_univariate_u(c, n + 1) for c in curve)
+    w_r = np.array([[(2.0 * s) * p.im.coeffs for p in frame_data],
+                    [2.0 * p.re.coeffs for p in frame_data]])
+    a = np.zeros((3, 3, n + 2, n + 2))  # A(f); a number entry is a constant table
+    fu = np.zeros((3, n + 1, n + 1))
+    for level in range(n + 1):
+        rows = n + 1 - level
+        for i, row in enumerate(group.frame(surface)):
+            for j, entry in enumerate(row):
+                if isinstance(entry, BiSeries):
+                    a[i, j] = entry.coeffs
+                else:
+                    a[i, j, 0, 0] = entry
+        fv, fu[:, :rows, level] = matvec_slice(a, w_r, level, rows)
+        for f, column in zip(surface, fv / (level + 1)):
+            f.coeffs[:rows, level + 1] = column
+    du = np.array([f.du().coeffs for f in surface])
+    mismatch = float(np.max(np.abs(du - fu)))
+    bound = compat_rtol * max(1.0, float(np.max(np.abs(du))), float(np.max(np.abs(fu))))
+    if mismatch > bound:
+        raise NonIntegrable(
+            f"f_u differs from A(f) * 2 Re(psi) by {mismatch:.3e}, above {bound:.3e}"
+        )
+    return surface
 
 
 @dataclass
@@ -350,7 +351,6 @@ class BjorlingSolution:
     grid: GridSpec
     report: object = None  # verify.ResidualReport; typed loosely to avoid a cycle
     strip: StripInfo | None = None
-    solve_seconds: float = 0.0
 
     @property
     def mode(self) -> Mode:
@@ -375,17 +375,13 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
     Deterministic: identical inputs give bit-identical coefficient tables.
     Raises CharacteristicData for lightlike curves, CausalMismatch when the
     curve's character does not match the declared kind, UnsupportedRecipe
-    for groups without a reconstruction recipe, and propagates
-    NonIntegrable / ConstraintDrift as internal-consistency failures.
+    for a group without a frame matrix or with a frame entry that has no
+    series expansion, and propagates NonIntegrable / ConstraintDrift as
+    internal-consistency failures.
     """
     from . import verify  # deferred to keep module import light
 
-    t0 = time.perf_counter()
     problem.validate()
-    if problem.group.recipe is None:
-        raise UnsupportedRecipe(
-            f"group {problem.group.name!r} supports residual checks only"
-        )
     observed = classify_curve(
         problem.group,
         problem.curve,
@@ -417,7 +413,7 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
     surface = reconstruct_surface(
         problem.group,
         frame_data,
-        problem.base_point(),
+        problem.curve,
         problem.mode,
         compat_rtol=problem.tolerances.compat,
     )
@@ -446,5 +442,4 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
         grid=problem.grid,
         report=report,
         strip=strip,
-        solve_seconds=time.perf_counter() - t0,
     )

@@ -166,19 +166,6 @@ def split_cosh_parts(order: int) -> tuple[np.ndarray, np.ndarray]:
     return table_from_dict(re, order), table_from_dict(im, order)
 
 
-def reference_exp(a: BiSeries) -> BiSeries:
-    """exp of a bivariate series: the constant term peeled off and the
-    nilpotent rest summed by Horner with full products; (a - a0)^k has
-    total degree >= k, so order + 1 terms suffice."""
-    n = a.order
-    a0 = a.coeffs[0, 0]
-    h = a - a0
-    out = BiSeries.constant(1.0 / math.factorial(n), n, a.center)
-    for k in range(n - 1, -1, -1):
-        out = out * h + 1.0 / math.factorial(k)
-    return out * math.exp(a0)
-
-
 # ---------------------------------------------------------------------------
 # full-product march references
 

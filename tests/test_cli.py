@@ -114,18 +114,71 @@ def test_causal_mismatch_exits_2(workdir, capsys):
     assert main(["solve", str(path)]) == 2
 
 
-def test_generic_group_exits_2(workdir, capsys):
+def _generic_plane(workdir, frame_matrix=None):
+    # The vertical plane with the Heisenberg group declared generic.
     from bjorling.groups import heisenberg
 
     doc = corpus.build_problem_dict("heisenberg_vertical_plane")
     doc["group"] = "generic"
     doc["structure_constants"] = heisenberg().C.tolist()
-    doc["frame_matrix"] = [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]]
+    if frame_matrix is not None:
+        doc["frame_matrix"] = frame_matrix
     path = workdir / "generic.json"
     path.write_text(json.dumps(doc))
-    code = main(["solve", str(path)])
+    return path
+
+
+_HEISENBERG_FRAME = [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]]
+
+
+def test_generic_group_exits_2(workdir, capsys):
+    # Without a frame matrix there is no immersion to rebuild.
+    code = main(["solve", str(_generic_plane(workdir))])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "residual checks only" in capsys.readouterr().err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rejected:") and "no frame matrix" in lines[0]
+
+
+def test_generic_frame_entry_without_series_exits_2(workdir, capsys):
+    frame = [["exp(x1)", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]]
+    code = main(["solve", str(_generic_plane(workdir, frame))])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rejected:") and "'exp(x1)'" in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_generic_heisenberg_solves_like_the_builtin(workdir, capsys):
+    from bjorling.problemfile import StoredSolution
+
+    assert main(["solve", str(_generic_plane(workdir, _HEISENBERG_FRAME)), "--out", "gen"]) == 0
+    assert main(["solve", str(_write_problem(workdir / "plane.json")), "--out", "builtin"]) == 0
+    generic = StoredSolution.load(workdir / "gen" / "generic.solution.json")
+    builtin = StoredSolution.load(workdir / "builtin" / "plane.solution.json")
+    assert generic.group.name == "generic" and generic.group.frame_exprs == _HEISENBERG_FRAME
+    scale = max(1.0, max(f.maxabs() for f in builtin.surface))
+    for f, g in zip(generic.surface, builtin.surface):
+        assert (f - g).maxabs() <= 1e-11 * scale
+
+
+def test_generic_solve_mesh_matches_export_mesh(workdir, capsys):
+    path = _generic_plane(workdir, _HEISENBERG_FRAME)
+    assert main(["solve", str(path), "--mesh", "csv", "--out", "."]) == 0
+    code = main(["export-mesh", "generic.solution.json", "--format", "csv", "--out", "exported.csv"])
+    assert code == 0
+    assert (workdir / "generic.surface.csv").read_bytes() == (workdir / "exported.csv").read_bytes()
+
+
+def test_builtin_solution_file_keeps_its_keys(workdir, capsys):
+    assert main(["solve", str(_write_problem(workdir / "plane.json")), "--out", "."]) == 0
+    doc = json.loads((workdir / "plane.solution.json").read_text())
+    assert set(doc) == {
+        "schema_version", "group", "mode", "order", "center_u", "base_point",
+        "grid", "frame_data", "surface", "report",
+    }
+    assert doc["schema_version"] == 1
 
 
 def test_strict_tolerance_exits_3(workdir, capsys):
@@ -262,6 +315,12 @@ def _generic(**entries):
             None,
             "non-finite value in '1e400'",
             id="frame-matrix-inf",
+        ),
+        pytest.param(
+            _generic(frame_matrix=[["1e200", "0", "0"], ["0", "1e200", "0"], ["0", "0", "1"]]),
+            None,
+            "frame matrix determinant is not finite",
+            id="frame-determinant-overflow",
         ),
         pytest.param(
             {"beta": [{"coeffs": ["one", 0.0]}] + _PLANE_BETA[1:]},

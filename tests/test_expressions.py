@@ -5,7 +5,7 @@ import pytest
 
 from bjorling.errors import ExpressionError
 from bjorling.expressions import evaluate_jet, evaluate_series
-from bjorling.series import USeries
+from bjorling.series import BiSeries, USeries
 
 
 def test_polynomial_with_parameters():
@@ -52,6 +52,16 @@ def test_constant_expression_becomes_constant_jet():
 
 def test_pointwise_environment():
     assert evaluate_series("x1*x2 - x3", {"x1": 2.0, "x2": 3.0, "x3": 1.0}) == 5.0
+
+
+def test_bivariate_environment_gives_a_bivariate_series():
+    x = [BiSeries(np.random.default_rng(k).uniform(-1.0, 1.0, (6, 6)), 0.5) for k in range(3)]
+    got = evaluate_series("x1**2/2 - 3*x2 + x3", {"x1": x[0], "x2": x[1], "x3": x[2]})
+    want = x[0] * x[0] * 0.5 - 3.0 * x[1] + x[2]
+    assert isinstance(got, BiSeries) and (got - want).maxabs() <= 1e-14
+    x[0].coeffs[2, 1] = 1e308
+    with pytest.raises(ExpressionError, match="non-finite"):
+        evaluate_series("x1 * 10", {"x1": x[0]})
 
 
 def test_unknown_name_rejected():

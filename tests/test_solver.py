@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from bjorling.errors import (
     CharacteristicData,
     ConstraintDrift,
     DegenerateSqrt,
+    NonIntegrable,
     ProblemValidationError,
     UnsupportedRecipe,
 )
-from bjorling.groups import de_sitter, generic_group, h2xr, heisenberg
+from bjorling.groups import de_sitter, generic_group, h2xr, heisenberg, lorentz_cross, lorentz_dot
 from bjorling.scalars import KScalar, Mode
-from bjorling.series import BiSeries, KSeries, USeries, antiderivative_from_partials
+from bjorling.series import BiSeries, KSeries, USeries
 from bjorling.solver import (
     BjorlingProblem,
     ck_march,
@@ -27,7 +29,7 @@ from bjorling.solver import (
     reconstruct_surface,
     solve_bjorling,
 )
-from oracles import reference_ck_march, reference_cone_lift, reference_exp
+from oracles import reference_ck_march, reference_cone_lift
 
 P = Mode.PARACOMPLEX
 
@@ -220,10 +222,119 @@ def test_march_desitter_is_v_independent():
 
 
 def test_reconstruct_requires_recipe():
+    # Without a frame matrix there is nothing to march the immersion through.
     gen = generic_group(heisenberg().C)
     p = KSeries.constant(KScalar(1.0, 0.0, P), 4, 0.0)
-    with pytest.raises(UnsupportedRecipe):
-        reconstruct_surface(gen, (p, p, p), np.zeros(3), P)
+    curve = tuple(USeries.variable(5) for _ in range(3))
+    with pytest.raises(UnsupportedRecipe, match="no frame matrix"):
+        reconstruct_surface(gen, (p, p, p), curve, P)
+
+
+_GENERIC_FRAMES = {
+    "heisenberg": [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]],
+    "desitter": [["x3", "0", "0"], ["0", "x3", "0"], ["0", "0", "x3"]],
+    "h2xr": [["x2", "0", "0"], ["0", "x2", "0"], ["0", "0", "1"]],
+}
+
+
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_builtin_declared_generic_rebuilds_the_same_surface(example_id, order):
+    # The same structure constants and frame strings as a generic group: the
+    # coframe becomes an adjugate inverse and the frame an expression.
+    prob = _problem(example_id, order=order)
+    gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES[prob.group.name])
+    gprob = dataclasses.replace(prob, group=gen)
+    want, got = solve_bjorling(prob), solve_bjorling(gprob)
+    assert not got.report.failures(gprob.tolerances)
+    scale = max(1.0, max(f.maxabs() for f in want.surface))
+    for f, g in zip(got.surface, want.surface):
+        assert (f - g).maxabs() <= 1e-11 * scale
+
+
+# Per kind: the index of the curve's leading velocity direction and the
+# fixed axis crossed with the velocity to make the unit field.
+_L3_CASES = {
+    ProblemKind.TIMELIKE_CURVE: (2, (1.0, 0.0, 0.0)),
+    ProblemKind.SPACELIKE_CURVE: (0, (0.0, 0.0, 1.0)),
+    ProblemKind.SPACELIKE_SURFACE: (0, (0.0, 1.0, 0.0)),
+}
+
+
+def _l3_problem(kind, seed, order=12, u0=0.1):
+    # Minkowski space L3 as a generic group (flat: C = 0, A = I) with a
+    # seeded cubic curve and V the normalized cross of its velocity with
+    # the kind's axis.
+    lead, axis = _L3_CASES[kind]
+    coeffs = np.random.default_rng(seed).uniform(-0.1, 0.1, (3, 4))
+    coeffs[lead, 1] = 2.0
+    # One order more than the solve needs, so V, made from the velocity, has
+    # the order + 1 of a problem file's field.
+    curve = tuple(USeries(np.pad(c, (0, order + 3 - c.size)), u0) for c in coeffs)
+    velocity = tuple(b.deriv() for b in curve)
+    cross = lorentz_cross(velocity, axis)
+    length = (kind.normal_square * lorentz_dot(cross, cross)).sqrt()
+    identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    flat = generic_group(np.zeros((3, 3, 3)), frame_exprs=identity)
+    return BjorlingProblem(
+        group=flat,
+        curve=curve,
+        normal_field=tuple(w / length for w in cross),
+        kind=kind,
+        order=order,
+        grid=GridSpec(u0 - 0.3, u0 + 0.3, -0.15, 0.15, 9, 5),
+    )
+
+
+def _bjorling_formula(prob, sign):
+    # Re{beta(z) + sign * unit * int_{u0}^{z} V x beta'(w) dw}, composed in
+    # KSeries arithmetic at the surface's order.
+    n = prob.order + 1
+    z = KSeries.variable_z(n, prob.center, prob.mode) - prob.center
+    unit = KScalar(0.0, 1.0, prob.mode)
+
+    def compose(jet):
+        out = KSeries.constant(KScalar(jet.coeffs[n], 0.0, prob.mode), n, prob.center)
+        for c in jet.coeffs[n - 1 :: -1]:
+            out = out * z + float(c)
+        return out
+
+    integrand = lorentz_cross(prob.normal_field, prob.curve_velocity())
+    out = []
+    for b, g in zip(prob.curve, integrand):
+        primitive = USeries(np.append(0.0, g.coeffs / np.arange(1, g.order + 2)), prob.center)
+        out.append((compose(b) + (sign * compose(primitive)) * unit).re)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+def test_l3_rebuild_matches_the_bjorling_formula(kind, seed):
+    prob = _l3_problem(kind, seed)
+    sol = solve_bjorling(prob)
+    assert not sol.report.failures(prob.tolerances)
+    us, vs = prob.grid.us(), prob.grid.vs()
+    got = np.array([f.eval_grid(us, vs) for f in sol.surface])
+    want, opposite = (
+        np.array([f.eval_grid(us, vs) for f in _bjorling_formula(prob, sign)])
+        for sign in (prob.kind.tangent_sign, -prob.kind.tangent_sign)
+    )
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - opposite)) > 1e-2
+
+
+def test_perturbed_frame_data_is_not_integrable():
+    # The march reads only Im psi; the compat gate checks Re psi against it.
+    prob = _problem("heisenberg_vertical_plane")
+    frame = ck_march(prob.group, initial_data(prob)[1], prob.mode, prob.order)
+    reconstruct_surface(prob.group, frame, prob.curve, prob.mode)
+    re = frame[0].re.coeffs.copy()
+    m, k = np.unravel_index(np.argmax(np.abs(re[:, 1:])), re[:, 1:].shape)
+    re[m, k + 1] *= 1.0 + 1e-6
+    bad = (KSeries(BiSeries(re, prob.center), frame[0].im, prob.mode),) + frame[1:]
+    with pytest.raises(NonIntegrable):
+        reconstruct_surface(prob.group, bad, prob.curve, prob.mode)
 
 
 def test_reconstructed_boundary_is_the_curve():
@@ -276,18 +387,13 @@ def test_frame_data_closes_through_coordinates():
 
 def test_reconstruction_closes_the_loop_coefficientwise():
     # dz of the reconstructed coordinates equals the frame data pushed
-    # through the frame matrix entries along the surface, as series
+    # through the frame matrix entries along the surface, as series:
+    # dz f = A(f) psi
     for ex in corpus.EXAMPLE_IDS:
         prob = _problem(ex)
         sol = solve_bjorling(prob)
-        p1, p2, p3 = sol.frame_data
-        f1, f2, f3 = sol.surface
-        if prob.group.recipe == "heisenberg":
-            tangent = (p1, p2, p2 * (0.5 * f1) - p1 * (0.5 * f2) + p3)
-        elif prob.group.recipe == "desitter":
-            tangent = (p1 * f3, p2 * f3, p3 * f3)
-        else:
-            tangent = (p1 * f2, p2 * f2, p3)
+        frame = prob.group.frame(sol.surface)
+        tangent = [sum(row[j] * sol.frame_data[j] for j in range(3)) for row in frame]
         for f, want in zip(sol.surface, tangent):
             got = KSeries.from_real(f, prob.mode).dz()
             assert (got - want.truncated(got.order)).maxabs() <= 1e-8, ex
@@ -340,21 +446,29 @@ def test_base_point_outside_chart_rejected():
 
 
 def test_generic_group_cannot_reconstruct():
-    doc = {
-        "schema_version": 1,
-        "group": "generic",
-        "structure_constants": heisenberg().C.tolist(),
-        "frame_matrix": [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]],
-        "mode": "timelike",
-        "u0": 0.0,
-        "order": 6,
-        "beta": ["cosh(u)", "1", "-cosh(u)/2 + sinh(u)"],
-        "V": ["0", "1", "0"],
-        "grid": {"u_min": -1, "u_max": 1, "v_min": -0.5, "v_max": 0.5, "nu": 9, "nv": 5},
-    }
-    prob = problemfile.problem_from_dict(doc)
-    with pytest.raises(UnsupportedRecipe):
-        solve_bjorling(prob)
+    # No frame matrix, or a frame entry equal to 1 along the curve that has
+    # no polynomial series expansion in the coordinates.
+    for entry in (None, "exp(x1 - x1)", "x3/x3", "x3**-1 * x3"):
+        doc = {
+            "schema_version": 1,
+            "group": "generic",
+            "structure_constants": heisenberg().C.tolist(),
+            "frame_matrix": [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]],
+            "mode": "timelike",
+            "u0": 0.0,
+            "order": 6,
+            "beta": ["cosh(u)", "1", "-cosh(u)/2 + sinh(u)"],
+            "V": ["0", "1", "0"],
+            "grid": {"u_min": -1, "u_max": 1, "v_min": -0.5, "v_max": 0.5, "nu": 9, "nv": 5},
+        }
+        if entry is None:
+            del doc["frame_matrix"]
+        else:
+            doc["frame_matrix"][0][0] = entry
+        prob = problemfile.problem_from_dict(doc)
+        match = "no frame matrix" if entry is None else re.escape(repr(entry))
+        with pytest.raises(UnsupportedRecipe, match=match):
+            solve_bjorling(prob)
 
 
 def _random_column_data(rng, count, mode, order, lead=None):
@@ -590,21 +704,6 @@ def test_hermitian_sign_matches_curve_character():
         assert sol.report.herm_sign_consistent
         assert math.copysign(1.0, sol.report.herm_sign_max) == want
         assert math.copysign(1.0, sol.report.herm_sign_min) == want
-
-
-@pytest.mark.parametrize(
-    "example_id", ["desitter_vertical_plane", "desitter_diagonal_plane", "h2xr_horizontal_plane"]
-)
-def test_exp_of_growth_series_matches_horner_reference(example_id):
-    # The series the de Sitter (psi_3) and H2xR (psi_2) rebuilds exponentiate.
-    prob = _problem(example_id, order=30)
-    frame = ck_march(prob.group, initial_data(prob)[1], prob.mode, prob.order)
-    part = frame[2] if prob.group.recipe == "desitter" else frame[1]
-    growth = antiderivative_from_partials(2.0 * part.re, (2.0 * prob.mode.unit_square) * part.im)
-    for order in (0, 1, 8, 20, 30):
-        h = growth.truncated(order)
-        want = reference_exp(h)
-        assert (h.exp() - want).maxabs() <= 1e-12 * max(1.0, want.maxabs())
 
 
 def test_field_jet_one_order_short_is_caught_in_the_initial_data():
