@@ -73,7 +73,15 @@ def _eval_node(node, env, text):
     raise ExpressionError(f"unsupported syntax in {text!r}")
 
 
-def evaluate_series(text: str, env: dict):
+def parse_expression(text: str) -> ast.Expression:
+    """The syntax tree of an expression, for evaluating it many times."""
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+
+
+def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
     """Evaluate an expression over an environment of jets, arrays and numbers.
 
     Returns a series (USeries or BiSeries) when any variable in the
@@ -81,12 +89,11 @@ def evaluate_series(text: str, env: dict):
     float.  A value, entry or coefficient that is not finite raises
     ExpressionError.  Over bivariate series only polynomials expand (no
     functions, series quotients or negative powers); anything else raises
-    UnsupportedRecipe.
+    UnsupportedRecipe.  ``tree`` is ``parse_expression(text)`` when the
+    caller has parsed the text already.
     """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    if tree is None:
+        tree = parse_expression(text)
     try:
         with np.errstate(all="ignore"):
             out = _eval_node(tree, env, text)

@@ -284,15 +284,16 @@ def generic_group(
     """Group given by raw structure constants, optionally with a frame matrix.
 
     ``frame_exprs`` is a 3x3 nest of expression strings in x1, x2, x3
-    (columns are the frame fields).  The entries are evaluated on whatever
-    the coordinates are (floats, numpy arrays, jets, bivariate series), and
-    the coframe is their adjugate inverse.  Without it only the frame-level
-    residual machinery is available.  The immersion is rebuilt from
-    bivariate series of the coordinates, so there an entry must be a
-    polynomial: numbers, x1..x3, +, -, *, integer powers >= 0 and division
-    by a number; any other (``exp(x1)``, ``1/x3``) raises UnsupportedRecipe.
+    (columns are the frame fields).  The entries are parsed once, here, and
+    evaluated on whatever the coordinates are (floats, numpy arrays, jets,
+    bivariate series); the coframe is their adjugate inverse.  Without it
+    only the frame-level residual machinery is available.  The immersion is
+    rebuilt from bivariate series of the coordinates, so there an entry must
+    be a polynomial: numbers, x1..x3, +, -, *, integer powers >= 0 and
+    division by a number; any other (``exp(x1)``, ``1/x3``) raises
+    UnsupportedRecipe.
     """
-    from .expressions import evaluate_series  # local import, avoids a cycle
+    from .expressions import evaluate_series, parse_expression  # local import, avoids a cycle
 
     frame = coframe = rows = None
     if frame_exprs is not None:
@@ -300,10 +301,11 @@ def generic_group(
         entries = [e for r in rows for e in r]
         if [len(r) for r in rows] != [3, 3, 3] or not all(isinstance(e, str) for e in entries):
             raise ValueError("frame matrix must be a 3x3 nest of expression strings")
+        parsed = [[(e, parse_expression(e)) for e in row] for row in rows]
 
         def frame(x):
             env = {"x1": x[0], "x2": x[1], "x3": x[2]}
-            return tuple(tuple(evaluate_series(e, env) for e in row) for row in rows)
+            return tuple(tuple(evaluate_series(e, env, tree) for e, tree in row) for row in parsed)
 
         def coframe(x):
             return _inverse(frame(x))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,7 @@ def _grid(**sizes):
 
 _NOT_INT = "order must be an integer"
 _RANGE = "order must be between 2 and 48"
+_GRID_RANGE = "grid {} must be between 2 and 513"
 _PLANE_BETA = ["cosh(u)", "c", "-(c/2)*cosh(u) + sinh(u)"]
 
 
@@ -263,9 +265,11 @@ def _generic(**entries):
         pytest.param({}, "twelve", _NOT_INT, id="cli-order-text"),
         pytest.param({}, "49", _RANGE, id="cli-order-above-cap"),
         pytest.param(_grid(nu=2.7), None, "grid nu must be an integer", id="nu-fractional"),
-        pytest.param(_grid(nu=1), None, "grid nu must be at least 2", id="nu-below-2"),
+        pytest.param(_grid(nu=1), None, _GRID_RANGE.format("nu"), id="nu-below-2"),
         pytest.param(_grid(nv=8.5), None, "grid nv must be an integer", id="nv-fractional"),
-        pytest.param(_grid(nv=0), None, "grid nv must be at least 2", id="nv-below-2"),
+        pytest.param(_grid(nv=0), None, _GRID_RANGE.format("nv"), id="nv-below-2"),
+        pytest.param(_grid(nu=514), None, _GRID_RANGE.format("nu"), id="nu-above-cap"),
+        pytest.param(_grid(nv=514), None, _GRID_RANGE.format("nv"), id="nv-above-cap"),
         pytest.param(
             {"params": {"c": float("nan")}}, None, "param c must be a finite number", id="param-nan"
         ),
@@ -418,10 +422,11 @@ def test_order_at_the_cap_is_accepted(workdir):
 @pytest.mark.parametrize(
     "size, message",
     [
-        pytest.param(-1, "grid nu must be at least 2, got -1", id="negative"),
+        pytest.param(-1, "grid nu must be between 2 and 513, got -1", id="negative"),
         pytest.param(2.7, "grid nu must be an integer, got 2.7", id="fractional"),
-        pytest.param(0, "grid nu must be at least 2, got 0", id="zero"),
-        pytest.param(1, "grid nu must be at least 2, got 1", id="one"),
+        pytest.param(0, "grid nu must be between 2 and 513, got 0", id="zero"),
+        pytest.param(1, "grid nu must be between 2 and 513, got 1", id="one"),
+        pytest.param(514, "grid nu must be between 2 and 513, got 514", id="above-cap"),
     ],
 )
 def test_export_mesh_rejects_bad_solution_grid_size(workdir, capsys, size, message):
@@ -462,3 +467,22 @@ def test_solve_mesh_matches_export_mesh(workdir, capsys, fmt):
     assert code == 0
     written = (workdir / f"plane.surface.{fmt}").read_bytes()
     assert written == (workdir / f"exported.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_export_mesh_refuses_a_non_finite_surface(workdir, capsys, fmt):
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--out", "."]) == 0
+    doc = json.loads((workdir / "plane.solution.json").read_text())
+    doc["grid"].update(u_min=-1e30, u_max=1e30, nu=5, nv=3)
+    (workdir / "far.solution.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["export-mesh", "far.solution.json", "--format", fmt, "--out", f"far.{fmt}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: surface is not finite at grid point (u, v) = (-1e+30, ")
+    assert not (workdir / f"far.{fmt}").exists()

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import re
@@ -250,6 +251,20 @@ def test_builtin_declared_generic_rebuilds_the_same_surface(example_id, order):
     scale = max(1.0, max(f.maxabs() for f in want.surface))
     for f, g in zip(got.surface, want.surface):
         assert (f - g).maxabs() <= 1e-11 * scale
+
+
+def test_generic_frame_entries_are_parsed_once(monkeypatch):
+    # The nine entries are parsed when the group is made, not on each of the
+    # hundreds of frame evaluations a solve makes.
+    prob = _problem("heisenberg_vertical_plane", order=30)
+    calls = []
+    parse = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda *args, **kw: calls.append(args) or parse(*args, **kw))
+    gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES["heisenberg"])
+    assert len(calls) == 9
+    solution = solve_bjorling(dataclasses.replace(prob, group=gen))
+    assert not solution.report.failures(prob.tolerances)
+    assert len(calls) == 9
 
 
 # Per kind: the index of the curve's leading velocity direction and the

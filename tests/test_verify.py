@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,7 +323,8 @@ def _assert_mesh_matches_reference(stored):
     vertices, uv, residual, faces, clipped = reference_build_mesh(stored)
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.uv, uv)
-    assert mesh.faces == faces
+    assert mesh.faces.shape == (len(faces), 4)
+    assert np.array_equal(mesh.faces, np.reshape(faces, (-1, 4)))
     assert mesh.clipped == clipped
     scale = max(1.0, float(np.max(np.abs(vertices), initial=0.0)) ** 2)
     assert mesh.residual.shape == residual.shape
@@ -365,6 +367,46 @@ def test_clipped_mesh_matches_per_point_reference():
     _assert_mesh_matches_reference(stored)
 
 
+def _significant_digits(token: str) -> str:
+    return token.lower().lstrip("-").split("e")[0].replace(".", "").strip("0")
+
+
+def _assert_same_numbers(got: str, want: str) -> None:
+    # The reference writes %.17g and the writers shortest round-trip text:
+    # the same lines, prefixes and header, and every number reads back to
+    # the same double with the digits of repr.  Only in [1e-5, 1e-4), where
+    # repr switches to an exponent and the writers do not, is a token longer
+    # than repr, by at most the two characters of "0.0000x" against "x.e-05".
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert len(got_lines) == len(want_lines)
+    for got_line, want_line in zip(got_lines, want_lines):
+        got_tokens, want_tokens = re.split("[ ,]", got_line), re.split("[ ,]", want_line)
+        assert len(got_tokens) == len(want_tokens), (got_line, want_line)
+        for token, reference in zip(got_tokens, want_tokens):
+            try:
+                value = float(reference)
+            except ValueError:  # a line prefix, a header name or the empty line
+                assert token == reference
+                continue
+            assert float(token) == value and np.signbit(float(token)) == np.signbit(value)
+            shortest = repr(value)
+            assert _significant_digits(token) == _significant_digits(shortest), (token, shortest)
+            assert len(token) <= len(shortest) + 2 * (1e-5 <= abs(value) < 1e-4), (token, shortest)
+
+
+def _edge_meshes():
+    values = np.array(
+        [[-0.0, 1e16, 5e-324], [1.0, -2.5e-310, 3.502247957735549e-05], [0.1, 1e-7, -1e300]]
+    )
+    uv = np.array([[0.0, -0.0], [1e16, 1.0], [-3.5e-05, 5e-324]])
+    no_faces = np.zeros((0, 4), dtype=int)
+    return [
+        problemfile.SurfaceMesh(values, uv, values[:, 0].copy(), np.array([[0, 1, 2, 1]]), 0),
+        problemfile.SurfaceMesh(values, uv, values[:, 1].copy(), no_faces, 0),
+        problemfile.SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0), no_faces, 9),
+    ]
+
+
 def test_mesh_writers_match_line_by_line_reference(tmp_path):
     sol = _solved("heisenberg_vertical_plane")
     full = problemfile.build_mesh(sol)
@@ -383,14 +425,31 @@ def test_mesh_writers_match_line_by_line_reference(tmp_path):
         )
     )
     assert clipped.clipped > 0
-    for mesh in (full, clipped):
+    for mesh in [full, clipped, *_edge_meshes()]:
         for write, reference in (
             (problemfile.write_obj, reference_write_obj),
             (problemfile.write_csv, reference_write_csv),
         ):
             write(mesh, tmp_path / "got")
             reference(mesh, tmp_path / "want")
-            assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+            _assert_same_numbers((tmp_path / "got").read_text(), (tmp_path / "want").read_text())
+
+
+def test_mesh_writers_use_shortest_round_trip_text(tmp_path):
+    with_faces, no_faces, empty = _edge_meshes()
+    problemfile.write_obj(with_faces, tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_text().splitlines() == [
+        "v -0.0 1e16 5e-324",
+        "v 1.0 -2.5e-310 0.00003502247957735549",
+        "v 0.1 1e-7 -1e300",
+        "f 1 2 3 2",
+    ]
+    problemfile.write_obj(no_faces, tmp_path / "n.obj")
+    assert (tmp_path / "n.obj").read_text().count("\n") == 3
+    problemfile.write_obj(empty, tmp_path / "e.obj")
+    assert (tmp_path / "e.obj").read_text() == "\n"
+    problemfile.write_csv(empty, tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_text() == "u,v,x1,x2,x3,residual\n"
 
 
 # ---------------------------------------------------------------------------
