@@ -45,7 +45,6 @@ from .series import (
 from .solver import (
     BjorlingProblem,
     BjorlingSolution,
-    StripInfo,
     ck_march,
     ck_march_cone_lift,
     classify_curve,
@@ -92,7 +91,6 @@ __all__ = [
     "ProblemValidationError",
     "ResidualReport",
     "SchemaError",
-    "StripInfo",
     "Tolerances",
     "USeries",
     "UnsupportedRecipe",

@@ -199,7 +199,8 @@ class GroupModel:
         return _apply(self.coframe(curve), w)
 
     def coords_jet_from_frame(self, curve, w):
-        """Apply A(curve(u)) to a frame-component jet triple."""
+        """Apply A(curve) to a frame-component triple: jets along a curve,
+        or series on a surface (the rebuild's f_v gate)."""
         self.require_frame()
         return _apply(self.frame(curve), w)
 

@@ -242,10 +242,7 @@ def solution_payload(sol: BjorlingSolution) -> dict:
         "center_u": sol.center,
         "base_point": sol.base.tolist(),
         "grid": asdict(sol.grid),
-        "frame_data": [
-            {"re": comp.re.coeffs.tolist(), "im": comp.im.coeffs.tolist()}
-            for comp in sol.frame_data
-        ],
+        "frame_data": [{"re": re.tolist(), "im": im.tolist()} for re, im in zip(*sol.frame_data)],
         "surface": [f.coeffs.tolist() for f in sol.surface],
         "report": sol.report.as_flat_dict(),
     }

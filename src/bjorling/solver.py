@@ -4,6 +4,11 @@ Pipeline: validate the data, classify the curve's causal character, build
 the initial frame-field jet on v = 0, march the frame system order by
 order in v, then march the immersion in v through the group's frame matrix
 to get it as a real series triple.  Verification lives in `verify`.
+
+The frame data psi = (psi1, psi2, psi3) are one float array of shape
+(2, 3, n+1, n+1) from the initial data to the solution file: ``[0, c]``
+is the real and ``[1, c]`` the unit coefficient table of psi_{c+1}, so
+its (6, n+1, n+1) reshape is the stack the march computes on.
 """
 
 from __future__ import annotations
@@ -133,31 +138,21 @@ def classify_curve(
     return CurveClass.MIXED
 
 
-def initial_data(problem: BjorlingProblem):
-    """Initial tangent jets on v = 0.
+def initial_data(problem: BjorlingProblem) -> np.ndarray:
+    """Frame data on v = 0, as the march's (2, 3, n+1, n+1) stack.
 
-    Returns (tangent_coords, frame_data0): the coordinate components of
-    d f / dz restricted to the curve and the same vector in frame
-    components.  Both are series triples with no v-dependence yet.
+    Column 0 holds psi = (frame velocity + unit * tangent_sign * V x
+    velocity) / 2 along the curve; every other entry is zero.
     """
     n = problem.order
-    mode = problem.mode
-    sign = problem.kind.tangent_sign
-    vel_coords = problem.curve_velocity()
-    vel = problem.group.frame_jet_from_coords(problem.curve, vel_coords)
+    vel = problem.frame_velocity()
     cross = lorentz_cross(problem.normal_field, vel)
-    cross_coords = problem.group.coords_jet_from_frame(problem.curve, cross)
-
-    def embed(re_jet, im_jet):
-        return KSeries(
-            BiSeries.from_univariate_u(0.5 * re_jet, n),
-            BiSeries.from_univariate_u((0.5 * sign) * im_jet, n),
-            mode,
-        )
-
-    frame0 = tuple(embed(vel[i], cross[i]) for i in range(3))
-    tangent0 = tuple(embed(vel_coords[i], cross_coords[i]) for i in range(3))
-    return tangent0, frame0
+    frame = np.zeros((2, 3, n + 1, n + 1))
+    for part, jets, factor in ((0, vel, 0.5), (1, cross, 0.5 * problem.kind.tangent_sign)):
+        for c, jet in enumerate(jets):
+            k = min(n, jet.order)
+            frame[part, c, : k + 1, 0] = factor * jet.coeffs[: k + 1]
+    return frame
 
 
 def cone_series(frame_data) -> KSeries:
@@ -166,21 +161,12 @@ def cone_series(frame_data) -> KSeries:
     return p1 * p1 + p2 * p2 - p3 * p3
 
 
-def _frame_stack(frame_data, order: int) -> np.ndarray:
-    # (6, n+1, n+1): real tables of psi_1..3, then their unit tables; only
-    # column 0 (v = 0) comes from the data.
-    x = np.zeros((6, order + 1, order + 1))
-    for c, comp in enumerate(frame_data):
-        k = min(order, comp.order)
-        x[c, : k + 1, 0] = comp.re.coeffs[: k + 1, 0]
-        x[c + 3, : k + 1, 0] = comp.im.coeffs[: k + 1, 0]
+def _column_zero(frame0: np.ndarray, comps) -> np.ndarray:
+    # (6, n+1, n+1) march stack holding only column 0 of components `comps`.
+    x = np.zeros((6,) + frame0.shape[2:])
+    rows = [part * 3 + c for part in (0, 1) for c in comps]
+    x[rows, :, 0] = frame0.reshape(x.shape)[rows, :, 0]
     return x
-
-
-def _frame_series(x: np.ndarray, center: float, mode: Mode):
-    return tuple(
-        KSeries(BiSeries(x[c], center), BiSeries(x[c + 3], center), mode) for c in range(3)
-    )
 
 
 def _cone_slice(p: np.ndarray, s: float) -> np.ndarray:
@@ -205,13 +191,14 @@ def _march_step(gamma, s: float, x: np.ndarray, level: int, p: np.ndarray, comps
 
 def ck_march(
     group: GroupModel,
-    frame_data0,
+    frame0: np.ndarray,
     mode: Mode,
-    order: int,
     cone_tol: float | None = None,
-):
+) -> np.ndarray:
     """March the frame system order by order in v.
 
+    ``frame0`` is a (2, 3, n+1, n+1) frame-data stack; only its column 0
+    (v = 0) is read, and the result is the stack with every column filled.
     The system d psi_c / dzbar + G_c = 0 rearranges, using the definition
     of dzbar, into psi_v = unit * (psi_u + 2 G); the v-degree (L+1) slice
     of each component then follows from slices <= L because G is
@@ -224,7 +211,8 @@ def ck_march(
     initial data itself.
     """
     s = mode.unit_square
-    x = _frame_stack(frame_data0, order)
+    order = frame0.shape[-1] - 1
+    x = _column_zero(frame0, (0, 1, 2))
     for level in range(order + 1):
         p = cauchy_slice(x, x, level, order + 1 - level)
         drift = float(np.max(np.abs(_cone_slice(p, s))))
@@ -236,28 +224,25 @@ def ck_march(
             )
         if level < order:
             _march_step(group.gamma, s, x, level, p, (0, 1, 2))
-    return _frame_series(x, frame_data0[0].center, mode)
+    return x.reshape(frame0.shape)
 
 
-def ck_march_cone_lift(
-    group: GroupModel,
-    first0: KSeries,
-    second0: KSeries,
-    mode: Mode,
-    order: int,
-):
+def ck_march_cone_lift(group: GroupModel, frame0: np.ndarray, mode: Mode) -> np.ndarray:
     """March only the first two frame equations, lifting the third component
     as the series square root of psi1^2 + psi2^2.
 
-    This is the harness for checking that the lifted component then
-    satisfies the third equation on its own.  The lift extends psi3 by one
-    v-column per level, with the march's slices: column L solves
+    Reads column 0 of psi1 and psi2 from the frame-data stack ``frame0``
+    (its third component is ignored) and returns the filled stack.  This is
+    the harness for checking that the lifted component then satisfies the
+    third equation on its own.  The lift extends psi3 by one v-column per
+    level, with the march's slices: column L solves
     2 psi3_0 psi3_L = (psi1^2 + psi2^2 - psi3^2)_L with psi3_L still zero.
     The lift needs an invertible branch at the center, otherwise
     DegenerateSqrt.
     """
     s = mode.unit_square
-    x = _frame_stack((first0, second0), order)
+    order = frame0.shape[-1] - 1
+    x = _column_zero(frame0, (0, 1))
     for level in range(order + 1):
         lift = _cone_slice(cauchy_slice(x, x, level, order + 1 - level), s)
         if level == 0:
@@ -273,34 +258,43 @@ def ck_march_cone_lift(
         if level < order:
             p = cauchy_slice(x, x, level, order - level)
             _march_step(group.gamma, s, x, level, p, (0, 1))
-    return _frame_series(x, first0.center, mode)
+    return x.reshape(frame0.shape)
+
+
+def _integrability_gate(name: str, got: np.ndarray, want: np.ndarray, rtol: float) -> None:
+    mismatch = float(np.max(np.abs(got - want)))
+    bound = rtol * max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
+    if mismatch > bound:
+        raise NonIntegrable(f"{name} by {mismatch:.3e}, above {bound:.3e}")
 
 
 def reconstruct_surface(
     group: GroupModel,
-    frame_data,
+    frame: np.ndarray,
     curve,
     mode: Mode,
     compat_rtol: float = 1e-9,
 ):
     """March the immersion f in v through the group's frame matrix A.
 
-    The frame data psi are the frame components of d f / dz, so
-    f_u = A(f) r and f_v = A(f) w with r = 2 Re psi and w = 2 s Im psi, s the
-    unit's square.  Column 0 of f is the curve jet; column L+1 is the
-    v-degree-L slice of A(f) w (``slices.matvec_slice``) divided by L+1.
-    The entries of A are polynomials in the coordinates, so that slice needs
-    only columns <= L of f.  The same slices of A(f) r give f_u: if it differs
-    from the u-derivative of the marched f by more than ``compat_rtol`` times
-    max(1, scale), the frame data were not integrable (NonIntegrable).  A
-    frame entry without a series expansion raises UnsupportedRecipe.
+    The frame data psi (a (2, 3, n+1, n+1) stack) are the frame components
+    of d f / dz, so f_u = A(f) r and f_v = A(f) w with r = 2 Re psi and
+    w = 2 s Im psi, s the unit's square.  Column 0 of f is the curve jet;
+    column L+1 is the v-degree-L slice of A(f) w (``slices.matvec_slice``)
+    divided by L+1.  The entries of A are polynomials in the coordinates,
+    so that slice needs only columns <= L of f.  Two gates then check the
+    finished f, each against ``compat_rtol`` times max(1, scale): the same
+    slices of A(f) r against the u-derivative of f, and A(f) w, made once
+    from whole-series products on the finished f, against its
+    v-derivative.  A mismatch means the frame data were not integrable, or
+    the march did not solve f_v = A(f) w (NonIntegrable).  A frame entry
+    without a series expansion raises UnsupportedRecipe.
     """
     group.require_frame()
-    n = frame_data[0].order
+    n = frame.shape[-1] - 1
     s = mode.unit_square
     surface = tuple(BiSeries.from_univariate_u(c, n + 1) for c in curve)
-    w_r = np.array([[(2.0 * s) * p.im.coeffs for p in frame_data],
-                    [2.0 * p.re.coeffs for p in frame_data]])
+    w_r = np.stack([(2.0 * s) * frame[1], 2.0 * frame[0]])
     a = np.zeros((3, 3, n + 2, n + 2))  # A(f); a number entry is a constant table
     fu = np.zeros((3, n + 1, n + 1))
     for level in range(n + 1):
@@ -315,23 +309,12 @@ def reconstruct_surface(
         for f, column in zip(surface, fv / (level + 1)):
             f.coeffs[:rows, level + 1] = column
     du = np.array([f.du().coeffs for f in surface])
-    mismatch = float(np.max(np.abs(du - fu)))
-    bound = compat_rtol * max(1.0, float(np.max(np.abs(du))), float(np.max(np.abs(fu))))
-    if mismatch > bound:
-        raise NonIntegrable(
-            f"f_u differs from A(f) * 2 Re(psi) by {mismatch:.3e}, above {bound:.3e}"
-        )
+    _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du, fu, compat_rtol)
+    w = tuple(BiSeries(table, surface[0].center) for table in w_r[0])
+    aw = np.array([b.coeffs for b in group.coords_jet_from_frame(surface, w)])
+    dv = np.array([f.dv().coeffs for f in surface])
+    _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv, aw, compat_rtol)
     return surface
-
-
-@dataclass
-class StripInfo:
-    """Validated parameter strip: the v-range that passed all grid checks."""
-
-    v_min: float
-    v_max: float
-    halvings: int
-    valid: bool
 
 
 @dataclass
@@ -345,12 +328,10 @@ class BjorlingSolution:
     base: np.ndarray
     curve: tuple
     normal_field: tuple
-    initial_tangent: tuple
-    frame_data: tuple
+    frame_data: np.ndarray  # (2, 3, order+1, order+1): [0, c] re, [1, c] unit of psi_{c+1}
     surface: tuple
     grid: GridSpec
     report: object = None  # verify.ResidualReport; typed loosely to avoid a cycle
-    strip: StripInfo | None = None
 
     @property
     def mode(self) -> Mode:
@@ -358,9 +339,6 @@ class BjorlingSolution:
 
     def surface_point(self, u, v) -> np.ndarray:
         return evaluate_surface(self.surface, u, v)
-
-    def surface_evaluator(self):
-        return self.surface_point
 
 
 def evaluate_surface(surface, u, v) -> np.ndarray:
@@ -400,14 +378,13 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
             f"needs a {problem.kind.curve_class.value} curve"
         )
 
-    tangent0, frame0 = initial_data(problem)
+    frame0 = initial_data(problem)
     # ck_march checks the cone of the initial data (its level 0) and of every level.
-    scale = max(1.0, max(c.maxabs() for c in frame0) ** 2)
+    scale = max(1.0, float(np.max(np.abs(frame0))) ** 2)
     frame_data = ck_march(
         problem.group,
         frame0,
         problem.mode,
-        problem.order,
         cone_tol=problem.tolerances.cone * scale,
     )
     surface = reconstruct_surface(
@@ -418,7 +395,7 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
         compat_rtol=problem.tolerances.compat,
     )
 
-    report, strip = verify.build_report(
+    report = verify.build_report(
         problem.group,
         problem.kind,
         frame_data,
@@ -436,10 +413,8 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
         base=problem.base_point(),
         curve=problem.curve,
         normal_field=problem.normal_field,
-        initial_tangent=tangent0,
         frame_data=frame_data,
         surface=surface,
         grid=problem.grid,
         report=report,
-        strip=strip,
     )

@@ -14,12 +14,14 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyvander
 
 from .config import GridSpec, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import BiSeries, KSeries, pair_products
-from .solver import StripInfo, evaluate_surface
+from .scalars import Mode
+from .series import pair_products
+from .solver import evaluate_surface
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
 MAX_HALVINGS = 6
@@ -83,42 +85,45 @@ class ResidualReport:
         return not self.failures(tol)
 
 
-def weierstrass_residuals(group: GroupModel, frame_data) -> tuple[float, float]:
+def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> tuple[float, float]:
     """Coefficient-level residuals of the representation conditions.
 
     Returns (cone, pde): the largest coefficients of psi1^2 + psi2^2 - psi3^2
     and of d psi_c / dzbar + G_c, G_c = sum gamma[a,b,c] conj(psi_a) psi_b,
-    read from the truncated products of all pairs of the six (re, unit) tables
-    made in one batch by ``series.pair_products``, not by the march's slice
-    kernel: the certificate stays independent of the code that made the data.
+    for a (2, 3, n+1, n+1) frame-data stack.  The products come from all
+    pairs of its six (re, unit) tables, made in one batch by
+    ``series.pair_products``, not by the march's slice kernel: the
+    certificate stays independent of the code that made the data.
     """
-    s = frame_data[0].mode.unit_square
-    n = min(comp.order for comp in frame_data)
-    parts = [comp.re for comp in frame_data] + [comp.im for comp in frame_data]
-    x = np.stack([b.truncated(n).coeffs for b in parts])
+    s = mode.unit_square
+    n = frame.shape[-1] - 1
+    x = frame.reshape(6, n + 1, n + 1)
     p = pair_products(x, x).reshape(2, 3, 2, 3, n + 1, n + 1)
     # (re, unit) parts of psi_a psi_b and of conj(psi_a) psi_b, indexed [a, b].
     square = np.stack([p[0, :, 0] + s * p[1, :, 1], p[0, :, 1] + p[1, :, 0]])
     mixed = np.stack([p[0, :, 0] - s * p[1, :, 1], p[0, :, 1] - p[1, :, 0]])
     cone = float(np.max(np.abs(np.einsum("a,raamk->rmk", SIGNATURE, square))))
-    quad = np.tensordot(group.gamma, mixed, axes=([0, 1], [1, 2]))
-    pde = 0.0
-    for c, comp in enumerate(frame_data):
-        g = (BiSeries(quad[c, r], comp.center).truncated(comp.order - 1) for r in range(2))
-        pde = max(pde, (comp.dzbar() + KSeries(*g, comp.mode)).maxabs())
-    return cone, pde
+    quad = np.tensordot(group.gamma, mixed, axes=([0, 1], [1, 2])).swapaxes(0, 1)
+    # d/du and d/dv of every table, truncated to order n - 1.
+    deg = np.arange(1.0, n + 1)
+    du = frame[..., 1:, :n] * deg[:, None]
+    dv = frame[..., :n, 1:] * deg
+    dzbar = 0.5 * np.stack([du[0] - dv[1], du[1] - s * dv[0]])
+    resid = dzbar + quad[..., :n, :n]
+    kept = np.add.outer(np.arange(n), np.arange(n)) < n
+    return cone, float(np.max(np.abs(np.where(kept, resid, 0.0))))
 
 
-def hermitian_sign_profile(frame_data, us, vs) -> tuple[float, float]:
-    """Grid range of |psi1|^2 + |psi2|^2 - |psi3|^2 (indefinite moduli)."""
-    total = None
-    signs = (1.0, 1.0, -1.0)
-    s = frame_data[0].mode.unit_square
-    for eps, comp in zip(signs, frame_data):
-        re = comp.re.eval_grid(us, vs)
-        im = comp.im.eval_grid(us, vs)
-        term = eps * (re * re - s * (im * im))
-        total = term if total is None else total + term
+def hermitian_sign_profile(
+    frame: np.ndarray, mode: Mode, center: float, us, vs
+) -> tuple[float, float]:
+    """Grid range of |psi1|^2 + |psi2|^2 - |psi3|^2 (indefinite moduli) for
+    a frame-data stack about ``center``."""
+    n = frame.shape[-1] - 1
+    tu = polyvander(np.asarray(us, dtype=float) - center, n)
+    vals = tu @ frame @ polyvander(np.asarray(vs, dtype=float), n).T
+    terms = vals[0] * vals[0] - mode.unit_square * (vals[1] * vals[1])
+    total = terms[0] + terms[1] - terms[2]
     return float(total.min()), float(total.max())
 
 
@@ -251,13 +256,13 @@ def graph_identity_residual(surface, relation, us, vs) -> float:
 def build_report(
     group: GroupModel,
     kind: ProblemKind,
-    frame_data,
+    frame: np.ndarray,
     surface,
     curve,
     normal_field,
     grid: GridSpec,
     tol: Tolerances,
-) -> tuple[ResidualReport, StripInfo]:
+) -> ResidualReport:
     """Assemble the full residual report, shrinking the v-strip dyadically
     until the grid-level residuals pass (or the strip bottoms out).
 
@@ -265,7 +270,7 @@ def build_report(
     once.  The report is complete even when no strip validates; in that
     case the smallest strip's values are reported with strip_valid False.
     """
-    cone, pde = weierstrass_residuals(group, frame_data)
+    cone, pde = weierstrass_residuals(group, frame, kind.mode)
     report_grid = grid.coarse()
     us = report_grid.us()
     curve_res, normal_res, flipped = boundary_residuals(
@@ -291,18 +296,16 @@ def build_report(
         if conf_try <= tol.conformality and minim_try <= tol.minimality:
             chosen = attempted
             break
-    if chosen is None and attempted is None:
-        # Even the thinnest strip leaves the chart.
-        strip = StripInfo(0.0, 0.0, MAX_HALVINGS, False)
-        sign_lo, sign_hi = hermitian_sign_profile(
-            frame_data, us, np.array([0.0])
-        )
+    if attempted is None:
+        # Even the thinnest strip leaves the chart; halvings is MAX_HALVINGS.
+        v_min = v_max = 0.0
+        sign_vs = np.array([0.0])
     else:
         sub, conf, minim, halvings = chosen if chosen is not None else attempted
-        strip = StripInfo(sub.v_min, sub.v_max, halvings, chosen is not None)
-        sign_lo, sign_hi = hermitian_sign_profile(frame_data, us, sub.vs())
+        v_min, v_max, sign_vs = sub.v_min, sub.v_max, sub.vs()
+    sign_lo, sign_hi = hermitian_sign_profile(frame, kind.mode, curve[0].center, us, sign_vs)
 
-    report = ResidualReport(
+    return ResidualReport(
         cone_residual=cone,
         pde_residual=pde,
         boundary_curve_residual=curve_res,
@@ -313,13 +316,12 @@ def build_report(
         herm_sign_min=sign_lo,
         herm_sign_max=sign_hi,
         herm_sign_consistent=(sign_lo > 0.0) == (sign_hi > 0.0),
-        strip_v_min=strip.v_min,
-        strip_v_max=strip.v_max,
-        strip_halvings=strip.halvings,
-        strip_valid=strip.valid,
+        strip_v_min=v_min,
+        strip_v_max=v_max,
+        strip_halvings=halvings,
+        strip_valid=chosen is not None,
         grid_desc=(
             f"u in [{grid.u_min:g}, {grid.u_max:g}] x v in "
-            f"[{strip.v_min:g}, {strip.v_max:g}], {report_grid.nu}x{report_grid.nv}"
+            f"[{v_min:g}, {v_max:g}], {report_grid.nu}x{report_grid.nv}"
         ),
     )
-    return report, strip

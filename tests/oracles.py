@@ -119,6 +119,20 @@ def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(degree < rows, full[:rows, :cols], 0.0)
 
 
+def frame_stack(components) -> np.ndarray:
+    """The library's (2, 3, n+1, n+1) frame-data stack of a KSeries triple:
+    [0, c] is the real and [1, c] the unit table of component c."""
+    return np.array([[comp.re.coeffs for comp in components],
+                     [comp.im.coeffs for comp in components]])
+
+
+def frame_series(frame: np.ndarray, center: float, mode: Mode):
+    """The KSeries triple of a frame-data stack (inverse of ``frame_stack``)."""
+    return tuple(
+        KSeries(BiSeries(re, center), BiSeries(im, center), mode) for re, im in zip(*frame)
+    )
+
+
 def _reference_kmul(x, y, s):
     # (re, unit) tables of the product of two algebra-valued tables.
     return (

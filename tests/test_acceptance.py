@@ -29,7 +29,7 @@ from bjorling.verify import (
     graph_identity_residual,
     tension_residual,
 )
-from oracles import split_cosh_parts
+from oracles import frame_series, frame_stack, split_cosh_parts
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -64,7 +64,7 @@ def test_criterion_01_heisenberg_vertical_plane():
         KSeries(BiSeries.zeros(n), BiSeries.zeros(n), P),
         KSeries(0.5 * (ev * cu), 0.5 * (ev * su), P),
     )
-    for got, want in zip(sol.frame_data, closed_form):
+    for got, want in zip(frame_series(sol.frame_data, prob.center, P), closed_form):
         assert (got - want).maxabs() <= 1e-10
 
     assert elapsed < 1.0, f"solve took {elapsed:.2f}s"
@@ -104,9 +104,7 @@ def test_criterion_03_heisenberg_saddle_graph_identity():
 def test_criterion_04_desitter_examples():
     for ex in ("desitter_vertical_plane", "desitter_diagonal_plane"):
         prob, sol = _solve(ex)
-        for comp in sol.frame_data:
-            assert np.max(np.abs(comp.re.coeffs[:, 1:])) <= 1e-10
-            assert np.max(np.abs(comp.im.coeffs[:, 1:])) <= 1e-10
+        assert np.max(np.abs(sol.frame_data[..., 1:])) <= 1e-10
         ref = corpus.reference_surface(ex)
         dev = compare_to_reference(sol.surface, ref, prob.grid.us(), prob.grid.vs())
         assert dev <= 1e-8
@@ -157,7 +155,8 @@ def test_criterion_06_cone_lift_lemma_suite():
         for mode in (P, C):
             for _ in range(50):
                 p1, p2 = random_pair(mode)
-                q1, q2, q3 = ck_march_cone_lift(group, p1, p2, mode, order)
+                lifted = ck_march_cone_lift(group, frame_stack((p1, p2, p1)), mode)
+                q1, q2, q3 = frame_series(lifted, 0.0, mode)
                 quad = group.pde_quadratic((q1, q2, q3))
                 eq12 = max(
                     (q1.dzbar() + quad[0].truncated(order - 1)).maxabs(),
@@ -166,7 +165,7 @@ def test_criterion_06_cone_lift_lemma_suite():
                 assert eq12 <= 1e-10  # equations 1-2 hold by construction
                 eq3 = (q3.dzbar() + quad[2].truncated(order - 1)).maxabs()
                 worst_eq3 = max(worst_eq3, eq3)
-                marched = ck_march(group, (q1, q2, q3), mode, order)
+                marched = frame_series(ck_march(group, lifted, mode), 0.0, mode)
                 worst_cone = max(worst_cone, cone_series(marched).maxabs())
     assert worst_eq3 <= 1e-9
     assert worst_cone <= 1e-9
@@ -203,9 +202,9 @@ def test_criterion_08_independent_minimality_certificate():
     for ex in corpus.EXAMPLE_IDS:
         prob, sol = _solve(ex)
         us = prob.grid.coarse(9, 5).us()
-        vs = np.linspace(sol.strip.v_min, sol.strip.v_max, 5)
+        vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, 5)
         res = tension_residual(
-            sol.group, sol.surface_evaluator(), prob.kind.sigma, us, vs, step=1e-3
+            sol.group, sol.surface_point, prob.kind.sigma, us, vs, step=1e-3
         )
         assert res <= 1e-4, (ex, res)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bjorling import corpus
+from bjorling import corpus, solver
 from bjorling.cli import main
 
 
@@ -180,6 +180,27 @@ def test_builtin_solution_file_keeps_its_keys(workdir, capsys):
         "grid", "frame_data", "surface", "report",
     }
     assert doc["schema_version"] == 1
+
+
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_rebuild_off_its_v_equation_exits_3(workdir, capsys, monkeypatch, example_id):
+    # Scale each new v-column of f by 1 + 1e-7 (the A(f) w half of the
+    # rebuild's slices): f then misses f_v = A(f) w, and a gate must raise
+    # NonIntegrable, which the CLI reports as a consistency failure.
+    real = solver.matvec_slice
+
+    def scaled(a, y, level, rows):
+        out = real(a, y, level, rows)
+        out[0] *= 1.0 + 1e-7
+        return out
+
+    monkeypatch.setattr(solver, "matvec_slice", scaled)
+    path = workdir / "p.json"
+    path.write_text(json.dumps(corpus.build_problem_dict(example_id)))
+    assert main(["solve", str(path), "--out", "."]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solver consistency failure: f_")
+    assert not (workdir / "p.solution.json").exists()
 
 
 def test_strict_tolerance_exits_3(workdir, capsys):

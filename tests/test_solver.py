@@ -30,7 +30,7 @@ from bjorling.solver import (
     reconstruct_surface,
     solve_bjorling,
 )
-from oracles import reference_ck_march, reference_cone_lift
+from oracles import frame_series, frame_stack, reference_ck_march, reference_cone_lift
 
 P = Mode.PARACOMPLEX
 
@@ -42,8 +42,8 @@ def _problem(example_id, params=None, order=12, **tweaks):
     return problemfile.problem_from_dict(doc)
 
 
-def _univariate_row(series: KSeries):
-    return series.re.coeffs[:, 0], series.im.coeffs[:, 0]
+def _series(prob, frame):
+    return frame_series(frame, prob.center, prob.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_classify_mixed():
 
 def test_initial_data_vertical_plane():
     prob = _problem("heisenberg_vertical_plane")  # c = 1
-    _, frame0 = initial_data(prob)
+    frame0 = initial_data(prob)
     n = prob.order
     su = USeries.variable(n + 1).sinh()
     cu = USeries.variable(n + 1).cosh()
@@ -98,8 +98,7 @@ def test_initial_data_vertical_plane():
         (USeries.constant(0, n), USeries.constant(0, n)),
         (0.5 * cu, 0.5 * su),
     ]
-    for comp, (wre, wim) in zip(frame0, want):
-        re, im = _univariate_row(comp)
+    for re, im, (wre, wim) in zip(*frame0[..., 0], want):
         assert np.max(np.abs(re - wre.coeffs[: n + 1])) <= 1e-14
         assert np.max(np.abs(im - wim.coeffs[: n + 1])) <= 1e-14
 
@@ -107,7 +106,7 @@ def test_initial_data_vertical_plane():
 def test_initial_data_helicoid():
     prob = _problem("heisenberg_helicoid")  # c = -1, rho0 = 1
     c = -1.0
-    _, frame0 = initial_data(prob)
+    frame0 = initial_data(prob)
     rho = prob.curve[0]
     rho_d = rho.deriv()
     n = prob.order
@@ -116,8 +115,7 @@ def test_initial_data_helicoid():
         (USeries.constant(0, n), 0.5 * rho),
         (USeries.constant(0, n), -0.25 * (rho * rho - 2.0 * c)),
     ]
-    for comp, (wre, wim) in zip(frame0, want):
-        re, im = _univariate_row(comp)
+    for re, im, (wre, wim) in zip(*frame0[..., 0], want):
         k = min(re.size, wre.coeffs.size)
         assert np.max(np.abs(re[:k] - wre.coeffs[:k])) <= 1e-13
         k = min(im.size, wim.coeffs.size)
@@ -128,8 +126,7 @@ def test_initial_data_saddle():
     prob = _problem("heisenberg_saddle")  # c = 1, Q0 = 0.5
     c, q0 = 1.0, 0.5
     qp0 = math.sqrt(16 * c * c * q0 * q0 - c * c)
-    _, frame0 = initial_data(prob)
-    vals = [comp.eval(0.0, 0.0) for comp in frame0]
+    vals = [comp.eval(0.0, 0.0) for comp in _series(prob, initial_data(prob))]
     assert vals[0].re == pytest.approx(2 * c) and vals[0].im == pytest.approx(0.0)
     assert vals[1].re == pytest.approx(0.0) and vals[1].im == pytest.approx(-2 * qp0)
     assert vals[2].re == pytest.approx(-8 * c * q0) and vals[2].im == pytest.approx(0.0)
@@ -137,9 +134,8 @@ def test_initial_data_saddle():
 
 def test_initial_data_h2xr_plane():
     prob = _problem("h2xr_horizontal_plane")
-    _, frame0 = initial_data(prob)
     u0 = math.pi / 2
-    vals = [comp.eval(u0, 0.0) for comp in frame0]
+    vals = [comp.eval(u0, 0.0) for comp in _series(prob, initial_data(prob))]
     # at the center: (-(sin u + i cos u)/(2 sin u), (cos u - i sin u)/(2 sin u), 0)
     assert vals[0].re == pytest.approx(-0.5) and vals[0].im == pytest.approx(0.0, abs=1e-15)
     assert vals[1].re == pytest.approx(0.0, abs=1e-15) and vals[1].im == pytest.approx(-0.5)
@@ -147,23 +143,59 @@ def test_initial_data_h2xr_plane():
 
 
 def test_initial_tangent_coordinates_saddle():
-    # coordinate tangent of the saddle data: (2c, -2Q'(0) j, -4cQ(0) - 4cuQ'(0) j)
+    # coordinate tangent d f / dz = 0.5 (f_u, f_v) of the solved saddle on
+    # v = 0: (2c, -2Q'(0) j, -4cQ(0) - 4cuQ'(0) j)
     prob = _problem("heisenberg_saddle")
     c, q0 = 1.0, 0.5
     qp0 = math.sqrt(16 * c * c * q0 * q0 - c * c)
-    tangent0, _ = initial_data(prob)
-    val = tangent0[2].eval(0.0, 0.0)
-    assert val.re == pytest.approx(-4 * c * q0)
-    assert val.im == pytest.approx(0.0)
-    du_val = tangent0[2].du().eval(0.0, 0.0)
-    assert du_val.im == pytest.approx(-4 * c * qp0)
+    sol = solve_bjorling(prob)
+    re = [0.5 * f.du() for f in sol.surface]
+    im = [0.5 * f.dv() for f in sol.surface]
+    want = ((2 * c, 0.0), (0.0, -2 * qp0), (-4 * c * q0, 0.0))
+    for r, i, (wre, wim) in zip(re, im, want):
+        assert r.eval(0.0, 0.0) == pytest.approx(wre, abs=1e-12)
+        assert i.eval(0.0, 0.0) == pytest.approx(wim, abs=1e-12)
+    assert im[2].du().eval(0.0, 0.0) == pytest.approx(-4 * c * qp0)
+    assert re[2].du().eval(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_frame_data_stack_layout():
+    # One (2, 3, n+1, n+1) array from the initial data to the solution file:
+    # [0, c] is the real and [1, c] the unit table of psi_{c+1}.
+    prob = _problem("heisenberg_vertical_plane")  # c = 1
+    n = prob.order
+    frame0 = initial_data(prob)
+    assert frame0.shape == (2, 3, n + 1, n + 1) and frame0.dtype == np.float64
+    assert not frame0[..., 1:].any()  # only v = 0 comes from the data
+    vel = prob.frame_velocity()
+    cross = lorentz_cross(prob.normal_field, vel)
+    half_sign = 0.5 * prob.kind.tangent_sign
+    for c in range(3):
+        assert np.array_equal(frame0[0, c, :, 0], 0.5 * vel[c].coeffs[: n + 1])
+        assert np.array_equal(frame0[1, c, :, 0], half_sign * cross[c].coeffs[: n + 1])
+
+    sol = solve_bjorling(prob)
+    assert sol.frame_data.shape == frame0.shape
+    assert np.array_equal(sol.frame_data[..., 0], frame0[..., 0])
+    # psi1 = 0.5 e^v (sinh u + j cosh u): its real table is the sinh half
+    ev = BiSeries.from_univariate_v(USeries.variable(n, 0.0).exp(), n)
+    su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
+    cu = BiSeries.from_univariate_u(USeries.variable(n).cosh(), n)
+    assert np.max(np.abs(sol.frame_data[0, 0] - (0.5 * (ev * su)).coeffs)) <= 1e-12
+    assert np.max(np.abs(sol.frame_data[1, 0] - (0.5 * (ev * cu)).coeffs)) <= 1e-12
+    assert not sol.frame_data[:, 1].any()
+
+    payload = problemfile.solution_payload(sol)["frame_data"]
+    assert len(payload) == 3
+    for c, entry in enumerate(payload):
+        assert np.array_equal(np.array(entry["re"]), sol.frame_data[0, c])
+        assert np.array_equal(np.array(entry["im"]), sol.frame_data[1, c])
 
 
 def test_initial_data_cone_condition():
     for ex in corpus.EXAMPLE_IDS:
         prob = _problem(ex)
-        _, frame0 = initial_data(prob)
-        assert cone_series(frame0).maxabs() <= 1e-11
+        assert cone_series(_series(prob, initial_data(prob))).maxabs() <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +204,7 @@ def test_initial_data_cone_condition():
 
 def test_march_vertical_plane_matches_exponential_solution():
     prob = _problem("heisenberg_vertical_plane")
-    _, frame0 = initial_data(prob)
-    marched = ck_march(prob.group, frame0, P, prob.order)
+    marched = _series(prob, ck_march(prob.group, initial_data(prob), P))
     n = prob.order
     ev = BiSeries.from_univariate_v(USeries.variable(n, 0.0).exp(), n)
     su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
@@ -192,8 +223,7 @@ def test_march_saddle_matches_profile_solution():
     c, q0 = 1.0, 0.5
     from bjorling.series import ode_taylor
 
-    _, frame0 = initial_data(prob)
-    marched = ck_march(prob.group, frame0, P, prob.order)
+    marched = _series(prob, ck_march(prob.group, initial_data(prob), P))
     n = prob.order
     q = ode_taylor(lambda w: (16 * c * c * (w * w) - c * c).sqrt(), q0, n + 1)
     qd = q.deriv()
@@ -211,11 +241,8 @@ def test_march_saddle_matches_profile_solution():
 def test_march_desitter_is_v_independent():
     for ex in ("desitter_vertical_plane", "desitter_diagonal_plane"):
         prob = _problem(ex)
-        _, frame0 = initial_data(prob)
-        marched = ck_march(prob.group, frame0, P, prob.order)
-        for comp in marched:
-            assert np.max(np.abs(comp.re.coeffs[:, 1:])) <= 1e-12
-            assert np.max(np.abs(comp.im.coeffs[:, 1:])) <= 1e-12
+        marched = ck_march(prob.group, initial_data(prob), P)
+        assert np.max(np.abs(marched[..., 1:])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +255,7 @@ def test_reconstruct_requires_recipe():
     p = KSeries.constant(KScalar(1.0, 0.0, P), 4, 0.0)
     curve = tuple(USeries.variable(5) for _ in range(3))
     with pytest.raises(UnsupportedRecipe, match="no frame matrix"):
-        reconstruct_surface(gen, (p, p, p), curve, P)
+        reconstruct_surface(gen, frame_stack((p, p, p)), curve, P)
 
 
 _GENERIC_FRAMES = {
@@ -342,13 +369,12 @@ def test_l3_rebuild_matches_the_bjorling_formula(kind, seed):
 def test_perturbed_frame_data_is_not_integrable():
     # The march reads only Im psi; the compat gate checks Re psi against it.
     prob = _problem("heisenberg_vertical_plane")
-    frame = ck_march(prob.group, initial_data(prob)[1], prob.mode, prob.order)
+    frame = ck_march(prob.group, initial_data(prob), prob.mode)
     reconstruct_surface(prob.group, frame, prob.curve, prob.mode)
-    re = frame[0].re.coeffs.copy()
-    m, k = np.unravel_index(np.argmax(np.abs(re[:, 1:])), re[:, 1:].shape)
-    re[m, k + 1] *= 1.0 + 1e-6
-    bad = (KSeries(BiSeries(re, prob.center), frame[0].im, prob.mode),) + frame[1:]
-    with pytest.raises(NonIntegrable):
+    bad = frame.copy()
+    re = bad[0, 0, :, 1:]  # a view: the v > 0 columns of Re psi1
+    re[np.unravel_index(np.argmax(np.abs(re)), re.shape)] *= 1.0 + 1e-6
+    with pytest.raises(NonIntegrable, match="f_u"):
         reconstruct_surface(prob.group, bad, prob.curve, prob.mode)
 
 
@@ -384,6 +410,7 @@ def test_frame_data_closes_through_coordinates():
     # curve, reproduces the marched frame data on the boundary row
     prob = _problem("heisenberg_vertical_plane")
     sol = solve_bjorling(prob)
+    psi = _series(prob, sol.frame_data)
     us = np.linspace(-0.6, 0.6, 7)
     for u in us:
         x = sol.surface_point(u, 0.0)
@@ -395,7 +422,7 @@ def test_frame_data_closes_through_coordinates():
         frame_re = ainv @ tangent_re
         frame_im = ainv @ tangent_im
         for c in range(3):
-            val = sol.frame_data[c].eval(u, 0.0)
+            val = psi[c].eval(u, 0.0)
             assert val.re == pytest.approx(frame_re[c], abs=1e-9)
             assert val.im == pytest.approx(frame_im[c], abs=1e-9)
 
@@ -408,7 +435,8 @@ def test_reconstruction_closes_the_loop_coefficientwise():
         prob = _problem(ex)
         sol = solve_bjorling(prob)
         frame = prob.group.frame(sol.surface)
-        tangent = [sum(row[j] * sol.frame_data[j] for j in range(3)) for row in frame]
+        psi = _series(prob, sol.frame_data)
+        tangent = [sum(row[j] * psi[j] for j in range(3)) for row in frame]
         for f, want in zip(sol.surface, tangent):
             got = KSeries.from_real(f, prob.mode).dz()
             assert (got - want.truncated(got.order)).maxabs() <= 1e-8, ex
@@ -511,16 +539,17 @@ def _march_cases():
 def test_march_matches_full_product_reference(source, case, order):
     if source == "corpus":
         prob = _problem(case, order=order)
-        group, mode = prob.group, prob.mode
-        _, frame0 = initial_data(prob)
+        group, mode, center = prob.group, prob.mode, prob.center
+        frame0 = initial_data(prob)
     else:
         seed, mode = case
         rng = np.random.default_rng(seed)
         table = rng.uniform(-1.0, 1.0, (3, 3, 3))
         group = generic_group(table - table.transpose(1, 0, 2))
-        frame0 = _random_column_data(rng, 3, mode, order)
-    want = reference_ck_march(group, frame0, mode, order)
-    got = ck_march(group, frame0, mode, order)
+        center = 0.0
+        frame0 = frame_stack(_random_column_data(rng, 3, mode, order))
+    want = reference_ck_march(group, frame_series(frame0, center, mode), mode, order)
+    got = frame_series(ck_march(group, frame0, mode), center, mode)
     scale = max(w.maxabs() for w in want)
     for g, w in zip(got, want):
         assert (g - w).maxabs() <= 1e-11 * max(1.0, scale)
@@ -542,7 +571,8 @@ def test_cone_lift_matches_full_product_reference(group, mode):
         except DegenerateSqrt:
             continue
         want = reference_cone_lift(group, p1, p2, mode, order)
-        got = ck_march_cone_lift(group, p1, p2, mode, order)
+        # the lift reads psi1 and psi2 only; the third slot is ignored
+        got = frame_series(ck_march_cone_lift(group, frame_stack((p1, p2, p1)), mode), 0.0, mode)
         scale = max(w.maxabs() for w in want)
         for g, w in zip(got, want):
             assert (g - w).maxabs() <= 1e-11 * max(1.0, scale)
@@ -563,12 +593,9 @@ def test_generic_march_agrees_with_builtin():
         order=base.order,
         grid=base.grid,
     )
-    _, f0a = initial_data(base)
-    _, f0b = initial_data(gprob)
-    ma = ck_march(base.group, f0a, P, base.order)
-    mb = ck_march(gen, f0b, P, base.order)
-    for x, y in zip(ma, mb):
-        assert (x - y).maxabs() <= 1e-11
+    ma = ck_march(base.group, initial_data(base), P)
+    mb = ck_march(gen, initial_data(gprob), P)
+    assert np.max(np.abs(ma - mb)) <= 1e-11
 
 
 def test_solve_is_deterministic():
@@ -578,9 +605,7 @@ def test_solve_is_deterministic():
     s2 = solve_bjorling(prob2)
     for a, b in zip(s1.surface, s2.surface):
         assert np.array_equal(a.coeffs, b.coeffs)
-    for a, b in zip(s1.frame_data, s2.frame_data):
-        assert np.array_equal(a.re.coeffs, b.re.coeffs)
-        assert np.array_equal(a.im.coeffs, b.im.coeffs)
+    assert np.array_equal(s1.frame_data, s2.frame_data)
     assert s1.report.as_flat_dict() == s2.report.as_flat_dict()
 
 
@@ -632,7 +657,7 @@ def test_fresh_timelike_problem_without_closed_form():
     assert r.strip_valid
     assert r.minimality_residual <= 1e-4
     # the frame data genuinely depends on v here
-    assert max(np.max(np.abs(c.re.coeffs[:, 1:])) for c in sol.frame_data) > 1e-3
+    assert np.max(np.abs(sol.frame_data[0, :, :, 1:])) > 1e-3
 
 
 def test_fresh_spacelike_surface_without_closed_form():
@@ -686,7 +711,7 @@ def test_parameter_sweep_matches_references(example_id, params):
     from bjorling.verify import compare_to_reference
 
     us = np.linspace(prob.grid.u_min, prob.grid.u_max, 9)
-    vs = np.linspace(sol.strip.v_min, sol.strip.v_max, 7)
+    vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, 7)
     assert compare_to_reference(sol.surface, ref, us, vs) <= 1e-8
 
 

@@ -21,6 +21,8 @@ from bjorling.verify import (
 )
 from oracles import (
     exact_christoffels,
+    frame_series,
+    frame_stack,
     reference_build_mesh,
     reference_conformality_residual,
     reference_tension_residual,
@@ -54,7 +56,7 @@ def test_weierstrass_residuals_on_exponential_solution():
         KSeries(BiSeries.zeros(n), BiSeries.zeros(n), P),
         KSeries(0.5 * (ev * cu), 0.5 * (ev * su), P),
     )
-    cone, pde = weierstrass_residuals(heisenberg(), psi)
+    cone, pde = weierstrass_residuals(heisenberg(), frame_stack(psi), P)
     assert cone <= 1e-12
     assert pde <= 1e-12
 
@@ -62,11 +64,11 @@ def test_weierstrass_residuals_on_exponential_solution():
 def test_weierstrass_residuals_on_constants():
     n = 6
     mk = lambda r: KSeries.constant(KScalar(r, 0.0, P), n, 0.0)
-    cone, pde = weierstrass_residuals(heisenberg(), (mk(1.0), mk(0.0), mk(1.0)))
+    cone, pde = weierstrass_residuals(heisenberg(), frame_stack((mk(1.0), mk(0.0), mk(1.0))), P)
     assert cone == 0.0
     assert pde == pytest.approx(1.0)  # second equation picks up Re(conj(p3) p1)
 
-    cone2, _ = weierstrass_residuals(heisenberg(), (mk(1.0), mk(1.0), mk(1.0)))
+    cone2, _ = weierstrass_residuals(heisenberg(), frame_stack((mk(1.0), mk(1.0), mk(1.0))), P)
     assert cone2 == pytest.approx(1.0)
 
 
@@ -79,10 +81,11 @@ def _solved_frame(example_id, order):
 @pytest.mark.parametrize("order", [12, 30])
 @pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
 def test_weierstrass_matches_full_product_reference(example_id, order):
-    problem, psi = _solved_frame(example_id, order)
-    got = weierstrass_residuals(problem.group, psi)
+    problem, frame = _solved_frame(example_id, order)
+    got = weierstrass_residuals(problem.group, frame, problem.mode)
+    psi = frame_series(frame, problem.center, problem.mode)
     want = reference_weierstrass_residuals(problem.group, psi)
-    scale = max(1.0, max(comp.maxabs() for comp in psi)) ** 2
+    scale = max(1.0, float(np.max(np.abs(frame)))) ** 2
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * scale
 
@@ -100,13 +103,13 @@ def test_weierstrass_matches_full_product_reference(example_id, order):
     ],
 )
 def test_weierstrass_flags_one_perturbed_psi2_coefficient(example_id, order):
-    problem, psi = _solved_frame(example_id, order)
-    assert weierstrass_residuals(problem.group, psi)[1] <= problem.tolerances.series
-    table = np.stack([psi[1].re.coeffs, psi[1].im.coeffs])
+    problem, frame = _solved_frame(example_id, order)
+    tol = problem.tolerances.series
+    assert weierstrass_residuals(problem.group, frame, problem.mode)[1] <= tol
+    probe = frame.copy()
+    table = probe[:, 1]  # a view: the (re, unit) tables of psi2
     table[np.unravel_index(np.argmax(np.abs(table)), table.shape)] *= 1.0 + 1e-6
-    center, mode = psi[1].center, psi[1].mode
-    probe = (psi[0], KSeries(BiSeries(table[0], center), BiSeries(table[1], center), mode), psi[2])
-    assert weierstrass_residuals(problem.group, probe)[1] > problem.tolerances.series
+    assert weierstrass_residuals(problem.group, probe, problem.mode)[1] > tol
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def test_grid_code_matches_per_point_reference(example_id):
     prob = _problem(example_id)
     sol = solve_bjorling(prob)
     us = prob.grid.coarse().us()
-    vs = np.linspace(sol.strip.v_min, sol.strip.v_max, prob.grid.coarse().nv)
+    vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, prob.grid.coarse().nv)
     sigma = prob.kind.sigma
 
     conf = conformality_residual(sol.group, sol.surface, sigma, us, vs)
@@ -344,8 +347,8 @@ def test_grid_code_matches_per_point_reference(example_id):
     scale = max(1.0, max(float(np.max(np.abs(f.eval_grid(us, vs)))) for f in sol.surface) ** 2)
     assert abs(conf - want) <= 1e-12 * scale
 
-    tension = tension_residual(sol.group, sol.surface_evaluator(), sigma, us, vs)
-    want = reference_tension_residual(sol.group, sol.surface_evaluator(), sigma, us, vs)
+    tension = tension_residual(sol.group, sol.surface_point, sigma, us, vs)
+    want = reference_tension_residual(sol.group, sol.surface_point, sigma, us, vs)
     assert abs(tension - want) <= 1e-8
 
     stored = problemfile.StoredSolution(sol.group, sol.kind, sol.surface, prob.grid, {})
@@ -489,7 +492,8 @@ def test_lifted_third_component_satisfies_its_equation():
         for mode in (Mode.PARACOMPLEX, Mode.COMPLEX):
             for _ in range(5):
                 p1, p2 = random_jet(mode)
-                q1, q2, q3 = ck_march_cone_lift(grp, p1, p2, mode, order)
+                lifted = ck_march_cone_lift(grp, frame_stack((p1, p2, p1)), mode)
+                q1, q2, q3 = frame_series(lifted, 0.0, mode)
                 quad = grp.pde_quadratic((q1, q2, q3))
                 eq12 = max(
                     (q1.dzbar() + quad[0].truncated(order - 1)).maxabs(),
