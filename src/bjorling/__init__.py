@@ -6,15 +6,13 @@ marched the same way through the group's frame matrix and certified by
 independent residual checks.
 """
 
-from .config import CurveClass, GridSpec, ProblemKind, Tolerances
+from .config import CurveClass, GridSpec, Mode, ProblemKind, Tolerances
 from .errors import (
     BjorlingError,
-    BranchError,
     CausalMismatch,
     CharacteristicData,
     ConstraintDrift,
     DegenerateFrame,
-    DegenerateSqrt,
     DomainError,
     ExpressionError,
     NonIntegrable,
@@ -34,21 +32,12 @@ from .groups import (
     lorentz_cross,
     lorentz_dot,
 )
-from .scalars import KScalar, Mode, kconst, kunit
-from .series import (
-    BiSeries,
-    KSeries,
-    USeries,
-    ode_taylor,
-    para_cr_residual,
-)
+from .series import BiSeries, USeries, ode_taylor
 from .solver import (
     BjorlingProblem,
     BjorlingSolution,
     ck_march,
-    ck_march_cone_lift,
     classify_curve,
-    cone_series,
     initial_data,
     reconstruct_surface,
     solve_bjorling,
@@ -71,19 +60,15 @@ __all__ = [
     "BjorlingError",
     "BjorlingProblem",
     "BjorlingSolution",
-    "BranchError",
     "CausalMismatch",
     "CharacteristicData",
     "ConstraintDrift",
     "CurveClass",
     "DegenerateFrame",
-    "DegenerateSqrt",
     "DomainError",
     "ExpressionError",
     "GridSpec",
     "GroupModel",
-    "KScalar",
-    "KSeries",
     "Mode",
     "NonIntegrable",
     "NotInvertible",
@@ -97,10 +82,8 @@ __all__ = [
     "boundary_residuals",
     "by_name",
     "ck_march",
-    "ck_march_cone_lift",
     "classify_curve",
     "compare_to_reference",
-    "cone_series",
     "conformality_residual",
     "connection_from_structure",
     "de_sitter",
@@ -110,12 +93,9 @@ __all__ = [
     "heisenberg",
     "hermitian_sign_profile",
     "initial_data",
-    "kconst",
-    "kunit",
     "lorentz_cross",
     "lorentz_dot",
     "ode_taylor",
-    "para_cr_residual",
     "reconstruct_surface",
     "solve_bjorling",
     "tension_residual",

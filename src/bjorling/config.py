@@ -1,4 +1,5 @@
-"""Shared vocabulary: problem kinds, curve classes, grids, tolerances."""
+"""Shared vocabulary: algebra modes, problem kinds, curve classes, grids,
+tolerances."""
 
 from __future__ import annotations
 
@@ -7,7 +8,18 @@ from enum import Enum
 
 import numpy as np
 
-from .scalars import Mode
+
+class Mode(Enum):
+    """The coefficient algebra: values ``a + unit*b`` with the unit squaring
+    to -1 (complex) or +1 (paracomplex, also called split-complex)."""
+
+    COMPLEX = "complex"
+    PARACOMPLEX = "paracomplex"
+
+    @property
+    def unit_square(self) -> float:
+        """Square of the imaginary unit: -1 complex, +1 paracomplex."""
+        return 1.0 if self is Mode.PARACOMPLEX else -1.0
 
 
 class CurveClass(Enum):
@@ -96,12 +108,6 @@ class GridSpec:
 
     def scaled_v(self, factor: float) -> "GridSpec":
         return replace(self, v_min=self.v_min * factor, v_max=self.v_max * factor)
-
-    def validate(self) -> None:
-        if not (self.u_min < self.u_max and self.v_min < self.v_max):
-            raise ValueError("grid ranges must be increasing")
-        if self.nu < 2 or self.nv < 2:
-            raise ValueError("grid needs at least 2 samples per direction")
 
 
 @dataclass(frozen=True)

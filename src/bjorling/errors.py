@@ -9,14 +9,6 @@ class NotInvertible(BjorlingError):
     """Attempted inversion of zero or of a zero divisor."""
 
 
-class BranchError(BjorlingError):
-    """Square-root branch value does not square to the constant term."""
-
-
-class DegenerateSqrt(BjorlingError):
-    """Square-root branch value is not invertible in the algebra."""
-
-
 class DomainError(BjorlingError):
     """Point outside a group chart, or a generator left its analytic domain."""
 

@@ -213,6 +213,8 @@ def problem_from_dict(
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
 

@@ -1,15 +1,14 @@
 """Truncated power series used throughout the solver.
 
-Three layers:
+Two layers:
 
 * ``USeries``: univariate real jets in t = u - center, used for curve and
   field data along the initial curve.
 * ``BiSeries``: bivariate real series with a dense triangular coefficient
   table, c[m, n] multiplying ``(u - center)^m * v^n`` for ``m + n <= order``.
   Truncation is by total degree, which is the shape the order-by-order
-  marching recurrence produces naturally.
-* ``KSeries``: a pair of BiSeries forming one complex- or split-complex-
-  valued function, with the mode-dependent d/dz and d/dzbar operators.
+  marching recurrence produces naturally.  Algebra-valued data is a
+  (re, unit) pair of such tables.
 
 Everything is immutable in practice: operations return new objects and
 never mutate their inputs.
@@ -24,9 +23,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyvander
 from scipy.linalg import solve_triangular
 
-from .errors import BranchError, DegenerateSqrt, DomainError, NotInvertible
-from .scalars import KScalar, Mode
-from .slices import lower_toeplitz, sqrt_columns
+from .errors import DomainError, NotInvertible
+from .slices import lower_toeplitz
 
 
 @lru_cache(maxsize=None)
@@ -434,179 +432,3 @@ class BiSeries:
 
     def __repr__(self) -> str:
         return f"BiSeries(order={self.order}, center={self.center:g})"
-
-
-# ---------------------------------------------------------------------------
-# algebra-valued series
-
-
-class KSeries:
-    """Complex- or split-complex-valued bivariate series (a pair of tables)."""
-
-    __slots__ = ("re", "im", "mode")
-
-    def __init__(self, re: BiSeries, im: BiSeries, mode: Mode):
-        if re.center != im.center or re.order != im.order:
-            raise ValueError("real and unit parts must share center and order")
-        self.re = re
-        self.im = im
-        self.mode = mode
-
-    @property
-    def order(self) -> int:
-        return self.re.order
-
-    @property
-    def center(self) -> float:
-        return self.re.center
-
-    @staticmethod
-    def from_real(b: BiSeries, mode: Mode) -> "KSeries":
-        return KSeries(b, BiSeries.zeros(b.order, b.center), mode)
-
-    @staticmethod
-    def constant(value: KScalar, order: int, center: float = 0.0) -> "KSeries":
-        return KSeries(
-            BiSeries.constant(value.re, order, center),
-            BiSeries.constant(value.im, order, center),
-            value.mode,
-        )
-
-    @staticmethod
-    def variable_z(order: int, center: float, mode: Mode) -> "KSeries":
-        """The coordinate z = u + unit*v itself."""
-        return KSeries(
-            BiSeries.variable_u(order, center),
-            BiSeries.variable_v(order, center),
-            mode,
-        )
-
-    def _check(self, other: "KSeries") -> None:
-        if other.mode is not self.mode:
-            raise ValueError(
-                f"mode mismatch: {self.mode.value} vs {other.mode.value}"
-            )
-
-    def truncated(self, order: int) -> "KSeries":
-        return KSeries(self.re.truncated(order), self.im.truncated(order), self.mode)
-
-    def __add__(self, other):
-        if isinstance(other, KSeries):
-            self._check(other)
-            return KSeries(self.re + other.re, self.im + other.im, self.mode)
-        if isinstance(other, (int, float, BiSeries)):
-            return KSeries(self.re + other, self.im + 0.0 * self.im, self.mode)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return KSeries(-self.re, -self.im, self.mode)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, BiSeries)):
-            return KSeries(self.re * other, self.im * other, self.mode)
-        if isinstance(other, (KSeries, KScalar)):
-            self._check(other)
-            s = self.mode.unit_square
-            re = self.re * other.re + s * (self.im * other.im)
-            im = self.re * other.im + self.im * other.re
-            return KSeries(re, im, self.mode)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "KSeries":
-        return KSeries(self.re, -self.im, self.mode)
-
-    def du(self) -> "KSeries":
-        return KSeries(self.re.du(), self.im.du(), self.mode)
-
-    def dv(self) -> "KSeries":
-        return KSeries(self.re.dv(), self.im.dv(), self.mode)
-
-    def dz(self) -> "KSeries":
-        """Holomorphic derivative for the mode's coordinate z = u + unit*v."""
-        s = self.mode.unit_square
-        a_v, b_v = self.re.dv(), self.im.dv()
-        return KSeries(0.5 * (self.re.du() + b_v), 0.5 * (self.im.du() + s * a_v), self.mode)
-
-    def dzbar(self) -> "KSeries":
-        """Conjugate derivative; vanishing characterizes analyticity."""
-        s = self.mode.unit_square
-        a_v, b_v = self.re.dv(), self.im.dv()
-        return KSeries(0.5 * (self.re.du() - b_v), 0.5 * (self.im.du() - s * a_v), self.mode)
-
-    def sqrt(self, branch: KScalar) -> "KSeries":
-        """Series square root with the stated value at the center.
-
-        The branch must satisfy branch^2 == constant term (BranchError
-        otherwise) and must be invertible (DegenerateSqrt otherwise).  The
-        root is solved one v-slice at a time (``sqrt_columns``), after its
-        column 0 is solved the same way along u.  ``sqrt_condition``
-        estimates how much rounding that can amplify.
-        """
-        if branch.mode is not self.mode:
-            raise ValueError("branch mode mismatch")
-        a = np.stack([self.re.coeffs, self.im.coeffs])
-        b2 = branch * branch
-        scale = max(1.0, abs(a[0, 0, 0]), abs(a[1, 0, 0]))
-        if max(abs(b2.re - a[0, 0, 0]), abs(b2.im - a[1, 0, 0])) > 1e-10 * scale:
-            raise BranchError(
-                f"branch {branch} squares to {b2}, constant term is "
-                f"({a[0, 0, 0]:g}, {a[1, 0, 0]:g})"
-            )
-        if not (2.0 * branch).is_invertible():
-            raise DegenerateSqrt(f"branch {branch} is not invertible")
-        s = self.mode.unit_square
-        r = np.zeros_like(a)
-        r[:, 0, 0] = branch.re, branch.im
-        sqrt_columns(a[:, :, :1].transpose(0, 2, 1), r[:, :, :1].transpose(0, 2, 1), s)
-        sqrt_columns(a, r, s)
-        return KSeries(BiSeries(r[0], self.center), BiSeries(r[1], self.center), self.mode)
-
-    def sqrt_condition(self, branch: KScalar) -> float:
-        """Rounding amplification estimate for ``self.sqrt(branch)``.
-
-        Each degree of the root divides by 2 * branch, which can magnify an
-        error by sqrt(|self|) / branch.min_gain() -- at unit scale
-        1 / min(|p0|, |q0|) in split coordinates -- compounded over the order.
-        """
-        gain = branch.min_gain()
-        return math.inf if gain == 0.0 else (math.sqrt(self.maxabs()) / gain) ** self.order
-
-    def eval(self, u: float, v: float) -> KScalar:
-        return KScalar(self.re.eval(u, v), self.im.eval(u, v), self.mode)
-
-    def maxabs(self) -> float:
-        return max(self.re.maxabs(), self.im.maxabs())
-
-    def __repr__(self) -> str:
-        return (
-            f"KSeries(order={self.order}, center={self.center:g}, "
-            f"mode={self.mode.value})"
-        )
-
-
-def para_cr_residual(f: KSeries) -> float:
-    """Largest coefficient violating the split-complex analyticity equations.
-
-    Computed twice, once from the component equations a_u = b_v, a_v = b_u
-    and once as the largest coefficient of 2*dzbar(f); the two must agree
-    to working precision.
-    """
-    if f.mode is not Mode.PARACOMPLEX:
-        raise ValueError("the split Cauchy-Riemann check is paracomplex-only")
-    a_u, b_u = f.re.du(), f.im.du()
-    a_v, b_v = f.re.dv(), f.im.dv()
-    res_parts = max((a_u - b_v).maxabs(), (a_v - b_u).maxabs())
-    g = f.dzbar()
-    res_dzbar = max((2.0 * g.re).maxabs(), (2.0 * g.im).maxabs())
-    assert abs(res_parts - res_dzbar) <= 1e-14 * max(1.0, res_parts)
-    return res_parts

@@ -3,8 +3,7 @@
 A table is indexed [u-degree, v-degree]; a stack adds a leading axis, and
 algebra-valued data is a (re, unit) pair of tables.  The kernels build
 one v-degree slice of a product at a time, which is what order-by-order
-recurrences in v need: the frame march, the rebuild of the immersion and
-the series square root
+recurrences in v need: the frame march and the rebuild of the immersion
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13;
 Jorba & Zou, Exp. Math. 14, 2005).
 """
@@ -12,7 +11,6 @@ Jorba & Zou, Exp. Math. 14, 2005).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 def lower_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -50,40 +48,3 @@ def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndar
     pad[..., :rows] = outer
     skew = pad.reshape(r, p, 2 * rows * rows)[..., : rows * (2 * rows - 1)]
     return skew.reshape(r, p, rows, 2 * rows - 1).sum(axis=2)[..., :rows]
-
-
-def column_divider(col: np.ndarray, s: float):
-    """Division by a (re, unit) column of u-coefficients, shape (2, R).
-
-    With w*w = s, the unit's square, the product acts componentwise on
-    re + w*unit and re - w*unit (split coordinates, or z and conj(z)), as
-    two triangular Toeplitz matrices inverted once by forward substitution.
-    Returns a function from a (2, rows) numerator, rows <= R, to the quotient.
-    """
-    w = np.sqrt(complex(s))
-    eye = np.eye(col.shape[1])
-    diag = (col[0] + w * col[1], col[0] - w * col[1])
-    inv = np.stack([solve_triangular(lower_toeplitz(d), eye, lower=True) for d in diag])
-
-    def divide(rhs: np.ndarray) -> np.ndarray:
-        rows = rhs.shape[1]
-        diag = np.stack([rhs[0] + w * rhs[1], rhs[0] - w * rhs[1]])
-        plus, minus = np.einsum("kij,kj->ki", inv[:, :rows, :rows], diag)
-        return np.stack([(0.5 * (plus + minus)).real, (0.5 * (plus - minus) / w).real])
-
-    return divide
-
-
-def sqrt_columns(a: np.ndarray, r: np.ndarray, s: float) -> None:
-    """Fill columns 1.. of r in place so that r * r = a, given column 0 of r.
-
-    ``a`` and ``r`` are (2, R, C) (re, unit) stacks; column L keeps
-    min(R, C - L) rows and solves 2 r_0 r_L = a_L - sum_{0<j<L} r_j r_{L-j}.
-    """
-    divide = column_divider(2.0 * r[:, :, 0], s)
-    rows_max, cols = a.shape[1:]
-    for level in range(1, cols):
-        rows = min(rows_max, cols - level)
-        p = cauchy_slice(r, r, level, rows)  # column `level` of r is still zero
-        square = np.stack([p[0, 0] + s * p[1, 1], 2.0 * p[0, 1]])
-        r[:, :rows, level] = divide(a[:, :rows, level] - square)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CurveClass, GridSpec, ProblemKind, Tolerances
+from .config import CurveClass, GridSpec, Mode, ProblemKind, Tolerances
 from .errors import (
     CausalMismatch,
     CharacteristicData,
@@ -26,9 +26,8 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .scalars import KScalar, Mode
-from .series import BiSeries, KSeries, USeries
-from .slices import cauchy_slice, column_divider, matvec_slice, sqrt_columns
+from .series import BiSeries, USeries
+from .slices import cauchy_slice, matvec_slice
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,11 @@ class BjorlingProblem:
         """Check the stated invariants; raises ProblemValidationError."""
         if self.order < 2:
             raise ProblemValidationError("truncation order must be at least 2")
-        self.grid.validate()
+        g = self.grid
+        if not (g.u_min < g.u_max and g.v_min < g.v_max):
+            raise ProblemValidationError("grid ranges must be increasing")
+        if g.nu < 2 or g.nv < 2:
+            raise ProblemValidationError("grid needs at least 2 samples per direction")
         centers = {c.center for c in self.curve} | {
             w.center for w in self.normal_field
         }
@@ -155,17 +158,10 @@ def initial_data(problem: BjorlingProblem) -> np.ndarray:
     return frame
 
 
-def cone_series(frame_data) -> KSeries:
-    """The quadratic cone combination psi1^2 + psi2^2 - psi3^2."""
-    p1, p2, p3 = frame_data
-    return p1 * p1 + p2 * p2 - p3 * p3
-
-
-def _column_zero(frame0: np.ndarray, comps) -> np.ndarray:
-    # (6, n+1, n+1) march stack holding only column 0 of components `comps`.
+def _column_zero(frame0: np.ndarray) -> np.ndarray:
+    # (6, n+1, n+1) march stack holding only column 0 of the frame data.
     x = np.zeros((6,) + frame0.shape[2:])
-    rows = [part * 3 + c for part in (0, 1) for c in comps]
-    x[rows, :, 0] = frame0.reshape(x.shape)[rows, :, 0]
+    x[:, :, 0] = frame0.reshape(x.shape)[:, :, 0]
     return x
 
 
@@ -175,18 +171,18 @@ def _cone_slice(p: np.ndarray, s: float) -> np.ndarray:
     return np.stack([SIGNATURE @ (square[:3] + s * square[3:]), 2.0 * SIGNATURE @ cross])
 
 
-def _march_step(gamma, s: float, x: np.ndarray, level: int, p: np.ndarray, comps) -> None:
-    # Column level+1 of components `comps` from psi_v = unit * (psi_u + 2 G),
-    # with the (re, unit) slices of G_c = sum gamma[a,b,c] conj(psi_a) psi_b.
+def _march_step(gamma, s: float, x: np.ndarray, level: int, p: np.ndarray) -> None:
+    # Column level+1 from psi_v = unit * (psi_u + 2 G), with the (re, unit)
+    # slices of G_c = sum gamma[a,b,c] conj(psi_a) psi_b.
     rows = x.shape[1] - 1 - level
     p = p[..., :rows]
     conj_products = np.stack([p[:3, :3] - s * p[3:, 3:], p[:3, 3:] - p[3:, :3]])
     quad = np.einsum("abc,kabm->kcm", gamma, conj_products)
     deg = np.arange(1.0, rows + 1)
     rhs = deg * x[:, 1 : rows + 1, level].reshape(2, 3, rows) + 2.0 * quad
-    for c in comps:  # unit * (a + unit b) = s b + unit a
-        x[c, :rows, level + 1] = s * rhs[1, c] / (level + 1)
-        x[c + 3, :rows, level + 1] = rhs[0, c] / (level + 1)
+    # unit * (a + unit b) = s b + unit a
+    x[:3, :rows, level + 1] = s * rhs[1] / (level + 1)
+    x[3:, :rows, level + 1] = rhs[0] / (level + 1)
 
 
 def ck_march(
@@ -212,7 +208,7 @@ def ck_march(
     """
     s = mode.unit_square
     order = frame0.shape[-1] - 1
-    x = _column_zero(frame0, (0, 1, 2))
+    x = _column_zero(frame0)
     for level in range(order + 1):
         p = cauchy_slice(x, x, level, order + 1 - level)
         drift = float(np.max(np.abs(_cone_slice(p, s))))
@@ -223,41 +219,7 @@ def ck_march(
                 f"(tolerance {cone_tol:.3e})"
             )
         if level < order:
-            _march_step(group.gamma, s, x, level, p, (0, 1, 2))
-    return x.reshape(frame0.shape)
-
-
-def ck_march_cone_lift(group: GroupModel, frame0: np.ndarray, mode: Mode) -> np.ndarray:
-    """March only the first two frame equations, lifting the third component
-    as the series square root of psi1^2 + psi2^2.
-
-    Reads column 0 of psi1 and psi2 from the frame-data stack ``frame0``
-    (its third component is ignored) and returns the filled stack.  This is
-    the harness for checking that the lifted component then satisfies the
-    third equation on its own.  The lift extends psi3 by one v-column per
-    level, with the march's slices: column L solves
-    2 psi3_0 psi3_L = (psi1^2 + psi2^2 - psi3^2)_L with psi3_L still zero.
-    The lift needs an invertible branch at the center, otherwise
-    DegenerateSqrt.
-    """
-    s = mode.unit_square
-    order = frame0.shape[-1] - 1
-    x = _column_zero(frame0, (0, 1))
-    for level in range(order + 1):
-        lift = _cone_slice(cauchy_slice(x, x, level, order + 1 - level), s)
-        if level == 0:
-            # Column 0 is the root of a function of u alone: a one-row table.
-            branch = KScalar(lift[0, 0], lift[1, 0], mode).sqrt()
-            root = np.zeros((2, 1, order + 1))
-            root[:, 0, 0] = branch.re, branch.im
-            sqrt_columns(lift[:, None, :], root, s)
-            x[[2, 5], :, 0] = root[:, 0]
-            divide = column_divider(2.0 * root[:, 0], s)
-        else:
-            x[[2, 5], : order + 1 - level, level] = divide(lift)
-        if level < order:
-            p = cauchy_slice(x, x, level, order - level)
-            _march_step(group.gamma, s, x, level, p, (0, 1))
+            _march_step(group.gamma, s, x, level, p)
     return x.reshape(frame0.shape)
 
 

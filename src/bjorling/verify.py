@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyvander
 
-from .config import GridSpec, ProblemKind, Tolerances
+from .config import GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .scalars import Mode
 from .series import pair_products
 from .solver import evaluate_surface
 
@@ -165,7 +164,7 @@ def conformality_residual(
 
 
 def boundary_residuals(
-    group: GroupModel, surface, curve, normal_field, kind: ProblemKind, us
+    group: GroupModel, surface, curve, normal_field, us
 ) -> tuple[float, float, bool]:
     """Deviation of the solved surface from its prescribed boundary data.
 
@@ -273,9 +272,7 @@ def build_report(
     cone, pde = weierstrass_residuals(group, frame, kind.mode)
     report_grid = grid.coarse()
     us = report_grid.us()
-    curve_res, normal_res, flipped = boundary_residuals(
-        group, surface, curve, normal_field, kind, us
-    )
+    curve_res, normal_res, flipped = boundary_residuals(group, surface, curve, normal_field, us)
 
     surface_fn = functools.partial(evaluate_surface, surface)
     conf = float("inf")

@@ -6,9 +6,11 @@ factorial formulas, brute-force dictionary polynomial products, table
 products by one Kronecker-substituted 1-D convolution, the
 coefficient-level certificate with every product made that way, the
 frame march as a literal transcription of the PDE with full series
-products at every level, the series exp as a Horner sum of full products,
-the grid certificates and the mesh as loops over single grid points, and
-the mesh files written one line at a time.
+products at every level, the series square root and the cone lift
+matched degree by degree against full products, the grid certificates
+and the mesh as loops over single grid points, and the mesh files
+written one line at a time.  Series references are written in the
+closed-form algebra of ``kalgebra``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
+from bjorling.config import Mode
 from bjorling.groups import lorentz_dot
-from bjorling.scalars import KScalar, Mode
-from bjorling.series import BiSeries, KSeries
+from bjorling.series import BiSeries
+from kalgebra import KScalar, KSeries
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +146,8 @@ def _reference_kmul(x, y, s):
 
 def reference_weierstrass_residuals(group, frame_data) -> tuple[float, float]:
     """(cone, pde) of ``verify.weierstrass_residuals``, transcribed from
-    ``solver.cone_series`` and ``GroupModel.pde_quadratic`` with every table
-    product made by ``reference_product``, one product at a time."""
+    ``kalgebra.cone_series`` and ``GroupModel.pde_quadratic`` with every
+    table product made by ``reference_product``, one product at a time."""
     s = frame_data[0].mode.unit_square
     psi = [(comp.re.coeffs, comp.im.coeffs) for comp in frame_data]
     squares = [_reference_kmul(p, p, s) for p in psi]

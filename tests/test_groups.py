@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bjorling.config import Mode
 from bjorling.errors import DomainError
 from bjorling.groups import (
     SIGNATURE,
@@ -15,8 +16,8 @@ from bjorling.groups import (
     lorentz_cross,
     lorentz_dot,
 )
-from bjorling.scalars import KScalar, Mode
 from bjorling.series import USeries
+from kalgebra import KScalar
 from oracles import exact_christoffels
 
 E1 = np.array([1.0, 0.0, 0.0])

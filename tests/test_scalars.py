@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bjorling.errors import DegenerateSqrt, NotInvertible
-from bjorling.scalars import KScalar, Mode, kconst, kunit
+from bjorling.config import Mode
+from bjorling.errors import NotInvertible
+from kalgebra import KScalar, kconst, kunit
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -77,9 +78,9 @@ def test_sqrt_paracomplex_and_failure():
     z = KScalar(2, 1, P)
     r = z.sqrt()
     assert close(r * r, z, 1e-14)
-    with pytest.raises(DegenerateSqrt):
+    with pytest.raises(ValueError, match="no invertible"):
         KScalar(1, 1, P).sqrt()  # zero divisor
-    with pytest.raises(DegenerateSqrt):
+    with pytest.raises(ValueError, match="no invertible"):
         KScalar(-1, 0, P).sqrt()  # negative split components
 
 
