@@ -65,7 +65,11 @@ def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _stack(nest, shape) -> np.ndarray:
     # A 3x3 nest of floats and arrays as one (3, 3, *shape) array.
-    return np.array([[np.broadcast_to(e, shape) for e in row] for row in nest], dtype=float)
+    out = np.empty((3, 3) + shape)
+    for i, row in enumerate(nest):
+        for j, entry in enumerate(row):
+            out[i, j] = entry
+    return out
 
 
 def _apply(nest, w):
@@ -168,12 +172,15 @@ class GroupModel:
         x = np.asarray(x, dtype=float)
         h = step if step is not None else 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=0))
         shift = np.eye(3).reshape((3, 3) + (1,) * (x.ndim - 1)) * h
+        # One metric evaluation on x and its six shifts, stacked on axis 1:
+        # [:, :, 0] at x, [:, :, 1 + l] at x + h e_l, [:, :, 4 + l] at x - h e_l.
+        gs = self.metric(np.stack([x, *(x + shift), *(x - shift)], axis=1))
         # dg[l, i, j] = d_l g_ij
-        dg = np.stack([self.metric(x + e) - self.metric(x - e) for e in shift]) / (2.0 * h)
+        dg = np.moveaxis(gs[:, :, 1:4] - gs[:, :, 4:], 2, 0) / (2.0 * h)
         rest = tuple(range(3, dg.ndim))
         # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
         t = dg + np.transpose(dg, (1, 0, 2) + rest) - np.transpose(dg, (1, 2, 0) + rest)
-        g = np.moveaxis(self.metric(x), (0, 1), (-2, -1))
+        g = np.moveaxis(gs[:, :, 0], (0, 1), (-2, -1))
         ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
         return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t)
 

@@ -63,6 +63,43 @@ def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(_triangle_mask(n1 - 1), out, 0.0)
 
 
+def table_stack(series) -> np.ndarray:
+    """Coefficient tables of a sequence of BiSeries as one (k, n+1, n+1)
+    stack, zero-padded to the highest order."""
+    n1 = max(f.coeffs.shape[0] for f in series)
+    out = np.zeros((len(series), n1, n1))
+    for table, f in zip(out, series):
+        m = f.coeffs.shape[0]
+        table[:m, :m] = f.coeffs
+    return out
+
+
+def _weighted_powers(tables: np.ndarray, center: float, u: np.ndarray) -> np.ndarray:
+    # Rows of T C for every table C of a (..., n+1, n+1) stack, T the power
+    # table of u - center: shape (..., *u.shape, n+1).  Contracting the last
+    # axis with the powers of v gives the values.
+    n = tables.shape[-1] - 1
+    lead = tables.shape[:-2] + (1,) * max(u.ndim - 1, 0)
+    return polyvander(u - center, n) @ tables.reshape(lead + tables.shape[-2:])
+
+
+def grid_values(tables: np.ndarray, center: float, us, vs) -> np.ndarray:
+    """Values of a (..., n+1, n+1) stack of tables about (center, 0) on the
+    tensor grid us x vs, shape (..., len(us), len(vs)): one matmul chain
+    T_u C T_v^T for the whole stack."""
+    rows = _weighted_powers(tables, center, np.asarray(us, dtype=float))
+    return rows @ polyvander(np.asarray(vs, dtype=float), tables.shape[-1] - 1).T
+
+
+def point_values(tables: np.ndarray, center: float, u, v) -> np.ndarray:
+    """Values of a (..., n+1, n+1) stack of tables at the points (u, v), which
+    are broadcast together: shape (..., *common shape)."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    rows = _weighted_powers(tables, center, u)
+    out = np.einsum("...k,...k->...", rows, polyvander(v, tables.shape[-1] - 1))
+    return out.reshape(tables.shape[:-2] + u.shape)[()]
+
+
 def _check_centers(a, b) -> None:
     if a.center != b.center:
         raise ValueError(f"center mismatch: {a.center} vs {b.center}")
@@ -409,23 +446,15 @@ class BiSeries:
         k = np.arange(1, n + 1)[None, :]
         return BiSeries((self.coeffs[:, 1:] * k)[:n, :], self.center)
 
-    def _weighted_powers(self, u) -> np.ndarray:
-        # Row i of T C, T the power table of u - center: contracting its last
-        # axis with the powers of v gives the values.
-        t = np.asarray(u, dtype=float) - self.center
-        return polyvander(t, self.order) @ self.coeffs
-
     def eval(self, u, v):
         """Value at (u, v).  u and v may be numpy arrays; they are broadcast
         together and the result has their common shape (a scalar for
         scalar arguments).  ``eval_grid`` is the tensor-grid form."""
-        vp = polyvander(np.asarray(v, dtype=float), self.order)
-        out = np.einsum("...k,...k->...", self._weighted_powers(u), vp)
-        return out.reshape(np.broadcast_shapes(np.shape(u), np.shape(v)))[()]
+        return point_values(self.coeffs, self.center, u, v)
 
     def eval_grid(self, us, vs) -> np.ndarray:
         """Values on the tensor grid, shape (len(us), len(vs))."""
-        return self._weighted_powers(us) @ polyvander(np.asarray(vs, dtype=float), self.order).T
+        return grid_values(self.coeffs, self.center, us, vs)
 
     def maxabs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))

@@ -26,7 +26,7 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import BiSeries, USeries
+from .series import BiSeries, USeries, point_values, table_stack
 from .slices import cauchy_slice, matvec_slice
 
 
@@ -306,7 +306,7 @@ class BjorlingSolution:
 def evaluate_surface(surface, u, v) -> np.ndarray:
     """Coordinates of a series triple at (u, v), shape (3, *np.shape(u));
     u and v may be arrays of one shape."""
-    return np.array([f.eval(u, v) for f in surface])
+    return point_values(table_stack(surface), surface[0].center, u, v)
 
 
 def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:

@@ -14,12 +14,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyvander
 
 from .config import GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import pair_products
+from .series import grid_values, pair_products, table_stack
 from .solver import evaluate_surface
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
@@ -118,21 +117,23 @@ def hermitian_sign_profile(
 ) -> tuple[float, float]:
     """Grid range of |psi1|^2 + |psi2|^2 - |psi3|^2 (indefinite moduli) for
     a frame-data stack about ``center``."""
-    n = frame.shape[-1] - 1
-    tu = polyvander(np.asarray(us, dtype=float) - center, n)
-    vals = tu @ frame @ polyvander(np.asarray(vs, dtype=float), n).T
+    vals = grid_values(frame, center, us, vs)
     terms = vals[0] * vals[0] - mode.unit_square * (vals[1] * vals[1])
     total = terms[0] + terms[1] - terms[2]
     return float(total.min()), float(total.max())
 
 
-def surface_grids(surface, us, vs):
+def surface_grids(surface, us, vs) -> np.ndarray:
     """Points and tangents f_u, f_v of a series triple on the tensor grid
-    us x vs: three (3, len(us), len(vs)) stacks."""
-    return tuple(
-        np.array([f.eval_grid(us, vs) for f in fs])
-        for fs in (surface, [f.du() for f in surface], [f.dv() for f in surface])
-    )
+    us x vs: one (3, 3, len(us), len(vs)) array, [0] the points, [1] f_u and
+    [2] f_v, evaluated as one stack of nine tables."""
+    f = table_stack(surface)
+    deg = np.arange(1.0, f.shape[-1])
+    tables = np.zeros((3,) + f.shape)
+    tables[0] = f
+    tables[1, :, :-1] = f[:, 1:] * deg[:, None]
+    tables[2, :, :, :-1] = f[:, :, 1:] * deg
+    return grid_values(tables, surface[0].center, us, vs)
 
 
 def frame_components(group: GroupModel, x, *vectors):
@@ -180,7 +181,7 @@ def boundary_residuals(
         curve_res = max(curve_res, float(np.max(np.abs(row[:k] - b.coeffs[:k]))))
 
     us = np.asarray(us, dtype=float)
-    x, fu, fv = (grid[..., 0] for grid in surface_grids(surface, us, [0.0]))
+    x, fu, fv = surface_grids(surface, us, [0.0])[..., 0]
     normal = np.array(lorentz_cross(*frame_components(group, x, fu, fv)))
     norm2 = lorentz_dot(normal, normal)
     degenerate = np.abs(norm2) <= 1e-12 * np.maximum(1.0, np.sum(normal * normal, axis=0))
@@ -207,16 +208,15 @@ def tension_residual(
     independent of the series machinery except (optionally) point
     evaluation.
 
-    The whole us x vs grid is done at once: ``surface_fn(u, v)`` is called
-    five times, with arrays u, v of shape (len(us), len(vs)), and must
-    return the coordinates as one array of shape (3, *u.shape).
+    The whole us x vs grid and its four shifts by ``step`` are done at once:
+    ``surface_fn(u, v)`` is called once, with arrays u, v of shape
+    (5, len(us), len(vs)), and must return the coordinates as one array of
+    shape (3, *u.shape).
     """
     u, v = np.meshgrid(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), indexing="ij")
     h = step
-    f0, fpu, fmu, fpv, fmv = (
-        np.asarray(surface_fn(a, b), dtype=float)
-        for a, b in ((u, v), (u + h, v), (u - h, v), (u, v + h), (u, v - h))
-    )
+    values = surface_fn(np.stack([u, u + h, u - h, u, u]), np.stack([v, v, v, v + h, v - h]))
+    f0, fpu, fmu, fpv, fmv = np.asarray(values, dtype=float).swapaxes(0, 1)
     f_u = (fpu - fmu) / (2.0 * h)
     f_v = (fpv - fmv) / (2.0 * h)
     f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
@@ -241,14 +241,13 @@ def compare_to_reference(surface, reference_fn, us, vs) -> float:
     (len(us), len(vs)), and returns the three coordinates on them.
     """
     u, v = np.meshgrid(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), indexing="ij")
-    here = np.array([f.eval_grid(us, vs) for f in surface])
+    here = grid_values(table_stack(surface), surface[0].center, us, vs)
     return float(np.max(np.abs(here - np.asarray(reference_fn(u, v), dtype=float))))
 
 
 def graph_identity_residual(surface, relation, us, vs) -> float:
     """Grid max of |relation(x1, x2, x3)| along the surface."""
-    grids = [f.eval_grid(us, vs) for f in surface]
-    vals = relation(grids[0], grids[1], grids[2])
+    vals = relation(*grid_values(table_stack(surface), surface[0].center, us, vs))
     return float(np.max(np.abs(vals)))
 
 

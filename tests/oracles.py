@@ -6,10 +6,10 @@ factorial formulas, brute-force dictionary polynomial products, table
 products by one Kronecker-substituted 1-D convolution, the
 coefficient-level certificate with every product made that way, the
 frame march as a literal transcription of the PDE with full series
-products at every level, the series square root and the cone lift
-matched degree by degree against full products, the grid certificates
-and the mesh as loops over single grid points, and the mesh files
-written one line at a time.  Series references are written in the
+products at every level, the series square root matched degree by degree
+against full products, the cone lift's root grown one v-column per level
+against full products, the grid certificates and the mesh as loops over
+single grid points, and the mesh files written one line at a time.  Series references are written in the
 closed-form algebra of ``kalgebra``.
 """
 
@@ -256,8 +256,14 @@ def reference_sqrt(a: KSeries, branch: KScalar) -> KSeries:
 
 
 def reference_cone_lift(group, first0: KSeries, second0: KSeries, mode: Mode, order: int):
-    """March equations 1-2 with full products, taking psi3 as a full square
-    root of psi1^2 + psi2^2 at every level."""
+    """March equations 1-2 with full products, growing psi3 = r, the square
+    root of a = psi1^2 + psi2^2, by one v-column per level.
+
+    Column 0 of r is the u-jet root of column 0 of a.  Once columns < L of r
+    are known, the v-degree L part of r^2 = a is linear in column L, c(u):
+    2 r(u, 0) c = (a - r^2)[:, L], with r^2 a full product while its column
+    L is still zero.  Both are solved by forward substitution in u.
+    """
     n = order
     center = first0.center
     parts = _column_zero_tables((first0, second0), n)
@@ -265,17 +271,39 @@ def reference_cone_lift(group, first0: KSeries, second0: KSeries, mode: Mode, or
     def wrap(pair):
         return KSeries(BiSeries(pair[0], center), BiSeries(pair[1], center), mode)
 
-    p1, p2 = wrap(parts[0]), wrap(parts[1])
-    branch = (p1 * p1 + p2 * p2).eval(center, 0.0).sqrt()
-
-    def lifted():
+    def square_sum():
         p1, p2 = wrap(parts[0]), wrap(parts[1])
-        return p1, p2, reference_sqrt(p1 * p1 + p2 * p2, branch)
+        return p1 * p1 + p2 * p2
+
+    def entry(series, m, k):
+        return KScalar(series.re.coeffs[m, k], series.im.coeffs[m, k], mode)
+
+    a = square_sum()
+    root = [entry(a, 0, 0).sqrt()]
+    inv2 = (2.0 * root[0]).inverse()
+    for m in range(1, n + 1):
+        acc = entry(a, m, 0)
+        for i in range(1, m):
+            acc = acc - root[i] * root[m - i]
+        root.append(inv2 * acc)
+    third = (np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)))
+    third[0][:, 0] = [z.re for z in root]
+    third[1][:, 0] = [z.im for z in root]
 
     for level in range(n):
-        current = lifted()
-        _march_level(group, parts, current, level, n)
-    return lifted()
+        _march_level(group, parts, (wrap(parts[0]), wrap(parts[1]), wrap(third)), level, n)
+        col = level + 1
+        r = wrap(third)
+        rest = square_sum() - r * r
+        column = []
+        for m in range(n + 1 - col):
+            acc = entry(rest, m, col)
+            for i in range(1, m + 1):
+                acc = acc - 2.0 * root[i] * column[m - i]
+            column.append(inv2 * acc)
+        third[0][: n + 1 - col, col] = [z.re for z in column]
+        third[1][: n + 1 - col, col] = [z.im for z in column]
+    return wrap(parts[0]), wrap(parts[1]), wrap(third)
 
 
 # ---------------------------------------------------------------------------

@@ -312,8 +312,17 @@ def test_christoffels_symmetric_in_lower_indices():
 
 
 def test_christoffels_domain_guard():
+    # Each point is inside the halfspace; only a shifted point x - h e3
+    # leaves it (the default step is 1e-5 here).
+    model = de_sitter()
+    inside = np.array([0.0, 0.0, 5e-6])
+    assert model.in_chart(inside)
     with pytest.raises(DomainError):
-        de_sitter().christoffels([0.0, 0.0, 1e-7], step=1e-3)
+        model.christoffels([0.0, 0.0, 1e-7], step=1e-3)
+    with pytest.raises(DomainError):
+        model.christoffels(inside)
+    with pytest.raises(DomainError):
+        model.christoffels(np.stack([np.ones(3), inside], axis=1))
 
 
 # ---------------------------------------------------------------------------

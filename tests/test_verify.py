@@ -7,7 +7,7 @@ import pytest
 from bjorling import corpus, problemfile
 from bjorling.config import GridSpec, Mode, ProblemKind
 from bjorling.errors import DomainError
-from bjorling.groups import de_sitter, h2xr, heisenberg
+from bjorling.groups import GroupModel, de_sitter, h2xr, heisenberg
 from bjorling.series import BiSeries, USeries
 from bjorling.solver import solve_bjorling
 from bjorling.verify import (
@@ -24,7 +24,6 @@ from oracles import (
     frame_series,
     frame_stack,
     reference_build_mesh,
-    reference_cone_lift,
     reference_conformality_residual,
     reference_tension_residual,
     reference_weierstrass_residuals,
@@ -354,6 +353,26 @@ def test_grid_code_matches_per_point_reference(example_id):
     _assert_mesh_matches_reference(stored)
 
 
+def test_certificates_make_few_frame_matrix_calls(monkeypatch):
+    # The boundary check makes one call; each strip attempt makes one for
+    # the conformality defect, one for the Christoffel symbols (the points
+    # and all six shifts at once) and one for the tension's metric.
+    calls = []
+    raw = GroupModel.frame_matrix
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return raw(self, x)
+
+    monkeypatch.setattr(GroupModel, "frame_matrix", counted)
+    for example_id in corpus.EXAMPLE_IDS:
+        prob = _problem(example_id)
+        calls.clear()
+        report = solve_bjorling(prob).report
+        attempts = report.strip_halvings + 1
+        assert 1 <= len(calls) <= 1 + 3 * attempts, (example_id, calls)
+
+
 def test_clipped_mesh_matches_per_point_reference():
     # x2 = v + 0.5 leaves the halfplane chart for v <= -0.5
     n = 6
@@ -452,51 +471,3 @@ def test_mesh_writers_use_shortest_round_trip_text(tmp_path):
     assert (tmp_path / "e.obj").read_text() == "\n"
     problemfile.write_csv(empty, tmp_path / "e.csv")
     assert (tmp_path / "e.csv").read_text() == "u,v,x1,x2,x3,residual\n"
-
-
-# ---------------------------------------------------------------------------
-# the cone-lift lemma
-
-
-def test_lifted_third_component_satisfies_its_equation():
-    rng = np.random.default_rng(99)
-    order = 8
-
-    def random_jet(mode):
-        while True:
-            def jet():
-                c = np.zeros(4)
-                c[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 0.9)
-                c[1:] = rng.uniform(-0.2, 0.2, 3)
-                return c
-
-            p = [
-                KSeries(
-                    BiSeries.from_univariate_u(USeries(jet()), order),
-                    BiSeries.from_univariate_u(USeries(jet()), order),
-                    mode,
-                )
-                for _ in range(2)
-            ]
-            s0 = (p[0] * p[0] + p[1] * p[1]).eval(0.0, 0.0)
-            if abs(s0.sq_mod()) < 0.05:
-                continue
-            try:
-                s0.sqrt()
-            except Exception:
-                continue
-            return p
-
-    for grp in (heisenberg(), de_sitter(), h2xr()):
-        for mode in (Mode.PARACOMPLEX, Mode.COMPLEX):
-            for _ in range(5):
-                p1, p2 = random_jet(mode)
-                q1, q2, q3 = reference_cone_lift(grp, p1, p2, mode, order)
-                quad = grp.pde_quadratic((q1, q2, q3))
-                eq12 = max(
-                    (q1.dzbar() + quad[0].truncated(order - 1)).maxabs(),
-                    (q2.dzbar() + quad[1].truncated(order - 1)).maxabs(),
-                )
-                eq3 = (q3.dzbar() + quad[2].truncated(order - 1)).maxabs()
-                assert eq12 <= 1e-10
-                assert eq3 <= 1e-9
