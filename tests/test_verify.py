@@ -9,7 +9,7 @@ from bjorling.config import GridSpec, Mode, ProblemKind
 from bjorling.errors import DomainError
 from bjorling.groups import GroupModel, de_sitter, h2xr, heisenberg
 from bjorling.series import BiSeries, USeries
-from bjorling.solver import solve_bjorling
+from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     boundary_residuals,
     compare_to_reference,
@@ -18,12 +18,13 @@ from bjorling.verify import (
     tension_residual,
     weierstrass_residuals,
 )
-from kalgebra import KScalar, KSeries
+from kalgebra import KScalar, KSeries, cone_series
 from oracles import (
     exact_christoffels,
     frame_series,
     frame_stack,
     reference_build_mesh,
+    reference_cone_lift,
     reference_conformality_residual,
     reference_tension_residual,
     reference_weierstrass_residuals,
@@ -471,3 +472,56 @@ def test_mesh_writers_use_shortest_round_trip_text(tmp_path):
     assert (tmp_path / "e.obj").read_text() == "\n"
     problemfile.write_csv(empty, tmp_path / "e.csv")
     assert (tmp_path / "e.csv").read_text() == "u,v,x1,x2,x3,residual\n"
+
+
+# ---------------------------------------------------------------------------
+# the cone-lift lemma
+
+
+def test_lifted_third_component_satisfies_its_equation():
+    # Wider jet ranges than criterion 06 (c0 in +-[0.4, 0.9], higher
+    # coefficients +-0.2), with the same bounds.
+    rng = np.random.default_rng(99)
+    order = 8
+
+    def random_jet(mode):
+        while True:
+            def jet():
+                c = np.zeros(4)
+                c[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 0.9)
+                c[1:] = rng.uniform(-0.2, 0.2, 3)
+                return c
+
+            p = [
+                KSeries(
+                    BiSeries.from_univariate_u(USeries(jet()), order),
+                    BiSeries.from_univariate_u(USeries(jet()), order),
+                    mode,
+                )
+                for _ in range(2)
+            ]
+            s0 = (p[0] * p[0] + p[1] * p[1]).eval(0.0, 0.0)
+            if abs(s0.sq_mod()) < 0.05:
+                continue
+            try:
+                s0.sqrt()
+            except Exception:
+                continue
+            return p
+
+    for grp in (heisenberg(), de_sitter(), h2xr()):
+        for mode in (Mode.PARACOMPLEX, Mode.COMPLEX):
+            for _ in range(5):
+                p1, p2 = random_jet(mode)
+                q1, q2, q3 = reference_cone_lift(grp, p1, p2, mode, order)
+                quad = grp.pde_quadratic((q1, q2, q3))
+                eq12 = max(
+                    (q1.dzbar() + quad[0].truncated(order - 1)).maxabs(),
+                    (q2.dzbar() + quad[1].truncated(order - 1)).maxabs(),
+                )
+                eq3 = (q3.dzbar() + quad[2].truncated(order - 1)).maxabs()
+                assert eq12 <= 1e-10
+                assert eq3 <= 1e-9
+                lifted = frame_stack((q1, q2, q3))
+                marched = frame_series(ck_march(grp, lifted, mode), 0.0, mode)
+                assert cone_series(marched).maxabs() <= 1e-9
