@@ -6,7 +6,10 @@ Usage:
 
 Each row reports the coefficient-level residuals (cone, first-order
 system), the grid-level certificates (conformality, tension), and the
-deviation from the example's independent closed-form reference.
+deviation from the example's independent closed-form reference.  An
+example whose solve raises gets a FAILED row with the error's message, and
+the table goes on.  Exits 1 if any example fails or misses the gate
+(passes, and deviation <= 1e-7).
 """
 
 import argparse
@@ -17,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bjorling import corpus, problemfile
+from bjorling.errors import BjorlingError
 from bjorling.solver import solve_bjorling
 from bjorling.verify import compare_to_reference
 
@@ -35,9 +39,14 @@ def main() -> int:
     failures = 0
     for example_id in corpus.EXAMPLE_IDS:
         doc = corpus.build_problem_dict(example_id, order=args.order)
-        problem = problemfile.problem_from_dict(doc)
-        t0 = time.perf_counter()
-        sol = solve_bjorling(problem)
+        try:
+            problem = problemfile.problem_from_dict(doc)
+            t0 = time.perf_counter()
+            sol = solve_bjorling(problem)
+        except BjorlingError as exc:
+            failures += 1
+            print(f"{example_id:28s} FAILED {exc}")
+            continue
         ms = 1e3 * (time.perf_counter() - t0)
         ref = corpus.reference_surface(example_id)
         dev = compare_to_reference(sol.surface, ref, problem.grid.us(), problem.grid.vs())

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .series import USeries, ode_taylor
 
@@ -49,7 +48,10 @@ class _Example:
 
 def _ivp_profile(rhs, y0: float, half_width: float):
     """Profile y(t) of y' = rhs(y) on [-half_width, half_width], from the
-    integrator's dense output; t may be a numpy array."""
+    integrator's dense output; t may be a numpy array.  scipy is imported
+    here, so only the closed-form references load it."""
+    from scipy.integrate import solve_ivp
+
     span = 1.12 * half_width + 1e-6
     fwd, bwd = (
         solve_ivp(

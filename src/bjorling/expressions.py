@@ -105,7 +105,7 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
         raise UnsupportedRecipe(f"{text!r} has no series expansion in the coordinates") from None
     except ValueError:
         # An infinite argument of math.sin or math.cos, or a jet division by
-        # a non-finite jet (scipy refuses those).
+        # a non-finite jet.  A non-finite numerator reaches the check below.
         raise ExpressionError(f"non-finite value in {text!r}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
     if not np.all(np.isfinite(out.coeffs if isinstance(out, (USeries, BiSeries)) else out)):

@@ -21,10 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyvander
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NotInvertible
-from .slices import lower_toeplitz
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +108,12 @@ def _check_centers(a, b) -> None:
 
 
 class USeries:
-    """Taylor jet of one real-analytic function of u about ``center``."""
+    """Taylor jet of one real-analytic function of u about ``center``.
+
+    Quotients, square roots and exp, sin, cos, sinh, cosh are forward
+    Taylor recurrences: coefficient k follows from the coefficients below
+    it (Griewank & Walther, Evaluating Derivatives, ch. 13).
+    """
 
     __slots__ = ("coeffs", "center")
 
@@ -228,38 +231,32 @@ class USeries:
             r[k] = acc / (2.0 * r[0])
         return USeries(r, self.center)
 
-    def _shifted_taylor(self, derivs) -> "USeries":
-        # Evaluate sum_k derivs[k]/k! * (self - a0)^k by Horner.
+    def _paired(self, fn, gn, sign: float) -> tuple["USeries", "USeries"]:
+        # F(a), G(a) for F' = G, G' = sign F (F = fn, G = gn): match
+        # (F o a)' = (G o a) a' and (G o a)' = sign (F o a) a' degree by degree.
         n = self.order
-        h = self - float(self.coeffs[0])
-        out = USeries.constant(derivs[n] / math.factorial(n), n, self.center)
-        for k in range(n - 1, -1, -1):
-            out = out * h + derivs[k] / math.factorial(k)
-        return out
+        da = self.coeffs[1:] * np.arange(1, n + 1)  # da[j] is coefficient j of a'
+        f, g = np.zeros(n + 1), np.zeros(n + 1)
+        f[0], g[0] = fn(self.coeffs[0]), gn(self.coeffs[0])
+        for k in range(1, n + 1):
+            f[k] = np.dot(da[k - 1 :: -1], g[:k]) / k
+            g[k] = sign * np.dot(da[k - 1 :: -1], f[:k]) / k
+        return USeries(f, self.center), USeries(g, self.center)
 
     def exp(self) -> "USeries":
-        e0 = math.exp(self.coeffs[0])
-        return self._shifted_taylor([e0] * (self.order + 1))
+        return self._paired(math.exp, math.exp, 1.0)[0]
 
     def sin(self) -> "USeries":
-        a0 = self.coeffs[0]
-        cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
-        return self._shifted_taylor([cyc[k % 4] for k in range(self.order + 1)])
+        return self._paired(math.sin, math.cos, -1.0)[0]
 
     def cos(self) -> "USeries":
-        a0 = self.coeffs[0]
-        cyc = [math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)]
-        return self._shifted_taylor([cyc[k % 4] for k in range(self.order + 1)])
+        return self._paired(math.sin, math.cos, -1.0)[1]
 
     def sinh(self) -> "USeries":
-        a0 = self.coeffs[0]
-        pair = [math.sinh(a0), math.cosh(a0)]
-        return self._shifted_taylor([pair[k % 2] for k in range(self.order + 1)])
+        return self._paired(math.sinh, math.cosh, 1.0)[0]
 
     def cosh(self) -> "USeries":
-        a0 = self.coeffs[0]
-        pair = [math.cosh(a0), math.sinh(a0)]
-        return self._shifted_taylor([pair[k % 2] for k in range(self.order + 1)])
+        return self._paired(math.sinh, math.cosh, 1.0)[1]
 
     def eval(self, x):
         t = np.asarray(x, dtype=float) - self.center
@@ -288,7 +285,12 @@ def _udiv(a: USeries, b: USeries) -> USeries:
     n = min(a.order, b.order)
     if abs(b.coeffs[0]) <= 1e-300:
         raise NotInvertible("division by a jet with zero constant term")
-    q = solve_triangular(lower_toeplitz(b.coeffs[: n + 1]), a.coeffs[: n + 1], lower=True)
+    if not np.all(np.isfinite(b.coeffs[: n + 1])):  # an infinite b_0 would give q = 0
+        raise ValueError("division by a non-finite jet")
+    # a = b q degree by degree: q_k = (a_k - sum_{j<k} b_{k-j} q_j) / b_0.
+    q = np.zeros(n + 1)
+    for k in range(n + 1):
+        q[k] = (a.coeffs[k] - np.dot(b.coeffs[k:0:-1], q[:k])) / b.coeffs[0]
     return USeries(q, a.center)
 
 

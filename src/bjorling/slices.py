@@ -13,12 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    """T[m, t] = c[m - t] for t <= m, else 0: truncated multiplication by c."""
-    lag = np.subtract.outer(np.arange(len(c)), np.arange(len(c)))
-    return np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
-
-
 def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
     """The v-degree ``level`` slice of every product x[i] * y[k].
 

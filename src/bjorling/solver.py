@@ -14,6 +14,7 @@ its (6, n+1, n+1) reshape is the stack the march computes on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class BjorlingProblem:
     def curve_velocity(self) -> tuple[USeries, USeries, USeries]:
         return tuple(c.deriv() for c in self.curve)
 
+    @cached_property
     def frame_velocity(self) -> tuple[USeries, USeries, USeries]:
+        """Frame components of the curve's velocity, converted once per problem."""
         return self.group.frame_jet_from_coords(self.curve, self.curve_velocity())
 
     def validate(self) -> None:
@@ -91,7 +94,7 @@ class BjorlingProblem:
                 f"invariant g(V, V) = {want:+g} violated: largest deviation "
                 f"{vdotv.maxabs():.3e}"
             )
-        vel = self.frame_velocity()
+        vel = self.frame_velocity
         ortho = lorentz_dot(vel, self.normal_field)
         scale = max(1.0, max(w.maxabs() for w in vel), max(w.maxabs() for w in self.normal_field))
         if ortho.maxabs() > 1e-9 * scale * scale:
@@ -101,26 +104,19 @@ class BjorlingProblem:
             )
 
 
-def classify_curve(
-    group: GroupModel,
-    curve,
-    u_lo: float,
-    u_hi: float,
-    samples: int = 33,
-    causal_rtol: float = 1e-10,
-) -> CurveClass:
-    """Causal character of the curve from the sign of g(curve', curve').
+def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
+    """Causal character of the problem's curve from the sign of g(curve', curve').
 
-    The velocity is converted to frame components first, then the squared
-    speed is sampled across [u_lo, u_hi].  Any numerically null sample
-    makes the curve lightlike (characteristic data); a strict sign change
-    without a null sample is reported as mixed.  ProblemValidationError is
-    raised when a sample of the squared speed, or of the squared coordinate
+    The squared speed of the frame velocity is sampled across the grid's
+    u-range.  Any sample within the causal tolerance of zero makes the
+    curve lightlike (characteristic data); a strict sign change without a
+    null sample is reported as mixed.  ProblemValidationError is raised
+    when a sample of the squared speed, or of the squared coordinate
     velocity, overflows.
     """
-    vel = tuple(c.deriv() for c in curve)
-    frame_vel = group.frame_jet_from_coords(curve, vel)
-    speed2 = lorentz_dot(frame_vel, frame_vel)
+    vel = problem.curve_velocity()
+    speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
+    u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
     us = np.linspace(u_lo, u_hi, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = speed2.eval(us)
@@ -132,7 +128,7 @@ def classify_curve(
             f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"
         )
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.any(np.abs(vals) <= causal_rtol * scale):
+    if np.any(np.abs(vals) <= problem.tolerances.causal * scale):
         return CurveClass.LIGHTLIKE
     if np.all(vals > 0.0):
         return CurveClass.SPACELIKE
@@ -148,7 +144,7 @@ def initial_data(problem: BjorlingProblem) -> np.ndarray:
     velocity) / 2 along the curve; every other entry is zero.
     """
     n = problem.order
-    vel = problem.frame_velocity()
+    vel = problem.frame_velocity
     cross = lorentz_cross(problem.normal_field, vel)
     frame = np.zeros((2, 3, n + 1, n + 1))
     for part, jets, factor in ((0, vel, 0.5), (1, cross, 0.5 * problem.kind.tangent_sign)):
@@ -322,13 +318,7 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
     from . import verify  # deferred to keep module import light
 
     problem.validate()
-    observed = classify_curve(
-        problem.group,
-        problem.curve,
-        problem.grid.u_min,
-        problem.grid.u_max,
-        causal_rtol=problem.tolerances.causal,
-    )
+    observed = classify_curve(problem)
     if observed is CurveClass.LIGHTLIKE:
         raise CharacteristicData(
             "characteristic (lightlike) initial curve: the Cauchy problem "

@@ -2,7 +2,9 @@
 
 Everything here is deliberately built from a different path than the
 library: symbolic Christoffel symbols via sympy, series coefficients from
-factorial formulas, brute-force dictionary polynomial products, table
+factorial formulas, the generators of a polynomial argument in exact
+rational arithmetic and by the Horner composition the library once used,
+brute-force dictionary polynomial products, table
 products by one Kronecker-substituted 1-D convolution, the
 coefficient-level certificate with every product made that way, the
 frame march as a literal transcription of the PDE with full series
@@ -84,6 +86,62 @@ def univariate_coeffs(fn_name: str, center: float, order: int) -> np.ndarray:
             raise KeyError(fn_name)
         c[k] = d / math.factorial(k)
     return c
+
+
+# f(a0 + h) = f_even(a0) E(h) + f_odd(a0) O(h), with E, O the even and odd
+# parts of the Taylor series of exp (sign 1) or of cos + sin (sign -1).
+_ADDITION_RULES = {
+    "exp": (1, sp.exp, sp.exp),
+    "sinh": (1, sp.sinh, sp.cosh),
+    "cosh": (1, sp.cosh, sp.sinh),
+    "sin": (-1, sp.sin, sp.cos),
+    "cos": (-1, sp.cos, lambda a0: -sp.sin(a0)),
+}
+
+
+@lru_cache(maxsize=None)
+def composite_coeffs(fn_name: str, poly: tuple, center: str, order: int) -> np.ndarray:
+    """Taylor coefficients of fn(p(u)) about the center, in exact rational
+    arithmetic: p has the rational coefficients ``poly`` (strings, degree
+    0 first), h = p(center + t) - p(center) has no constant term, so the
+    series of fn(p(center) + h) is a finite sum of powers of h."""
+    t = sp.symbols("t")
+    c = sp.Rational(center)
+    p = sp.Poly(sum(sp.Rational(k) * (c + t) ** i for i, k in enumerate(poly)), t)
+    a0 = p.coeff_monomial(1)
+    h = p - a0
+    sign, f_even, f_odd = _ADDITION_RULES[fn_name]
+    parts = [sp.Poly(0, t), sp.Poly(0, t)]
+    power = sp.Poly(1, t)
+    for j in range(order + 1):
+        parts[j % 2] += power * sp.Rational(sign ** (j // 2), math.factorial(j))
+        power = sp.Poly(
+            {m: v for m, v in (power * h).as_dict().items() if m[0] <= order}, t, domain="QQ"
+        )
+    even, odd = sp.N(f_even(a0), 40), sp.N(f_odd(a0), 40)
+    return np.array(
+        [float(even * parts[0].coeff_monomial(t**k) + odd * parts[1].coeff_monomial(t**k))
+         for k in range(order + 1)]
+    )
+
+
+def horner_composition(a, fn_name: str):
+    """fn(a) for a USeries a as sum_k fn^(k)(a0)/k! (a - a0)^k, by Horner
+    through one series product per degree (the generators' former path)."""
+    a0, n = float(a.coeffs[0]), a.order
+    cycle = {
+        "exp": [math.exp(a0)],
+        "sinh": [math.sinh(a0), math.cosh(a0)],
+        "cosh": [math.cosh(a0), math.sinh(a0)],
+        "sin": [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)],
+        "cos": [math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)],
+    }[fn_name]
+    derivs = [cycle[k % len(cycle)] for k in range(n + 1)]
+    h = a - a0
+    out = type(a).constant(derivs[n] / math.factorial(n), n, a.center)
+    for k in range(n - 1, -1, -1):
+        out = out * h + derivs[k] / math.factorial(k)
+    return out
 
 
 def brute_mul_2d(a: dict, b: dict, order: int) -> dict:

@@ -1,12 +1,19 @@
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import bjorling
 from bjorling import corpus, solver
 from bjorling.cli import main
+from bjorling.config import ProblemKind
+from bjorling.errors import ConstraintDrift
 
 
 @pytest.fixture()
@@ -405,6 +412,12 @@ def _generic(**entries):
             id="expression-division-by-inf",
         ),
         pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["1/(1e300*1e300 + u)"] + _PLANE_BETA[2:]},
+            None,
+            "non-finite value in '1/(1e300*1e300 + u)'",
+            id="expression-division-by-inf-constant-term",
+        ),
+        pytest.param(
             {"beta": [_cosh_list(13)] + _PLANE_BETA[1:]},
             None,
             "beta[0]: coefficient list has 13 values, order 12 needs 14",
@@ -521,3 +534,62 @@ def test_export_mesh_refuses_a_non_finite_surface(workdir, capsys, fmt):
     assert len(lines) == 1
     assert lines[0].startswith("error: surface is not finite at grid point (u, v) = (-1e+30, ")
     assert not (workdir / f"far.{fmt}").exists()
+
+
+def test_divisor_with_zero_constant_term_exits_1(workdir, capsys):
+    path = _write_problem(workdir / "pole.problem.json", beta=["cosh(u)", "c", "1/sin(u)"])
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "division by a jet with zero constant term" in lines[0]
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from bjorling import cli
+for argv in (
+    ["examples", "heisenberg_helicoid"],
+    ["solve", "heisenberg_helicoid.problem.json", "--out", "."],
+    ["export-mesh", "heisenberg_helicoid.solution.json", "--format", "obj", "--out", "h.obj"],
+):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_examples_solve_and_export_mesh_load_no_scipy(tmp_path):
+    # scipy serves only the closed-form references, never the CLI path.
+    src = str(Path(bjorling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == []
+    assert (tmp_path / "h.obj").exists()
+
+
+def _run_corpus_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_corpus_reports_a_failing_example_and_goes_on(monkeypatch, capsys):
+    script = _run_corpus_script()
+    raw = script.solve_bjorling
+
+    def drifting(problem):
+        if problem.kind is ProblemKind.SPACELIKE_CURVE and problem.group.name == "heisenberg":
+            raise ConstraintDrift("cone constraint violated at march level 18")
+        return raw(problem)
+
+    monkeypatch.setattr(script, "solve_bjorling", drifting)
+    monkeypatch.setattr(sys, "argv", ["run_corpus.py"])
+    assert script.main() == 1
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    assert len(rows) == len(corpus.EXAMPLE_IDS)
+    failed = [row for row in rows if " FAILED " in row]
+    assert failed == [f"{'heisenberg_helicoid':28s} FAILED cone constraint violated at march level 18"]

@@ -10,7 +10,14 @@ from bjorling.config import Mode
 from bjorling.errors import DomainError
 from bjorling.series import BiSeries, USeries, ode_taylor, pair_products
 from kalgebra import KScalar, KSeries, para_cr_residual
-from oracles import reference_product, reference_sqrt, split_cosh_parts, univariate_coeffs
+from oracles import (
+    composite_coeffs,
+    horner_composition,
+    reference_product,
+    reference_sqrt,
+    split_cosh_parts,
+    univariate_coeffs,
+)
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -26,6 +33,47 @@ def test_useries_generators_match_factorial_formulas():
             jet = getattr(USeries.variable(9, center), name)()
             want = univariate_coeffs(name, center, 9)
             assert np.allclose(jet.coeffs, want, rtol=0, atol=1e-14)
+
+
+_GENERATORS = ("exp", "sin", "cos", "sinh", "cosh")
+
+
+def _composite_argument(order, center):
+    # a(u) = 0.3 + 0.7 u + 0.2 u^2 as a jet about the center
+    u = USeries.variable(order, center)
+    return 0.3 + 0.7 * u + 0.2 * (u * u)
+
+
+@pytest.mark.parametrize("center", ["0", "0.7"])
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_useries_generators_of_a_composite_argument_match_sympy(name, center):
+    jet = getattr(_composite_argument(12, float(center)), name)()
+    want = composite_coeffs(name, ("0.3", "0.7", "0.2"), center, 12)
+    np.testing.assert_allclose(jet.coeffs, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("order", [30, 48])
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_useries_generators_match_the_horner_composition(name, order):
+    for center in (0.0, 0.7):
+        a = _composite_argument(order, center)
+        want = horner_composition(a, name).coeffs
+        np.testing.assert_allclose(getattr(a, name)().coeffs, want, rtol=1e-12, atol=1e-15)
+
+
+def test_useries_division_matches_a_triangular_toeplitz_solve():
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(4)
+    for order in range(1, 49):
+        a = rng.uniform(-1.0, 1.0, order + 1)
+        b = rng.uniform(-0.5, 0.5, order + 1)
+        b[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        lag = np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
+        toeplitz = np.where(lag >= 0, b[np.maximum(lag, 0)], 0.0)
+        want = solve_triangular(toeplitz, a, lower=True)
+        got = (USeries(a, 0.3) / USeries(b, 0.3)).coeffs
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_useries_division_and_sqrt():

@@ -47,26 +47,33 @@ def _series(prob, frame):
 # classification
 
 
+def _curve_only(group, curve):
+    # classify_curve reads the group, the curve, the grid's u-range (the
+    # default [-1, 1]) and the causal tolerance; the field is a placeholder.
+    zero, one = USeries.constant(0.0, curve[0].order), USeries.constant(1.0, curve[0].order)
+    return BjorlingProblem(group, curve, (zero, one, zero), ProblemKind.TIMELIKE_CURVE)
+
+
 def test_classify_vertical_plane_curve_timelike():
     prob = _problem("heisenberg_vertical_plane")
-    assert classify_curve(prob.group, prob.curve, -1.0, 1.0) is CurveClass.TIMELIKE
+    assert classify_curve(prob) is CurveClass.TIMELIKE
 
 
 def test_classify_helicoid_curve_spacelike():
     prob = _problem("heisenberg_helicoid")
-    assert classify_curve(prob.group, prob.curve, -0.3, 0.3) is CurveClass.SPACELIKE
+    assert classify_curve(prob) is CurveClass.SPACELIKE
 
 
 def test_classify_desitter_curve_spacelike():
     prob = _problem("desitter_vertical_plane")
-    assert classify_curve(prob.group, prob.curve, -0.75, 0.75) is CurveClass.SPACELIKE
+    assert classify_curve(prob) is CurveClass.SPACELIKE
 
 
 def test_classify_lightlike():
     group = heisenberg()
     n = 9
     curve = (USeries.variable(n), USeries.constant(0.0, n), USeries.variable(n))
-    assert classify_curve(group, curve, -1.0, 1.0) is CurveClass.LIGHTLIKE
+    assert classify_curve(_curve_only(group, curve)) is CurveClass.LIGHTLIKE
 
 
 def test_classify_mixed():
@@ -76,7 +83,7 @@ def test_classify_mixed():
     # use beta = (u, 0, u^2) so speed^2 = 1 - 4u^2 changes sign on [-1, 1]
     u = USeries.variable(n)
     curve = (u, USeries.constant(0.0, n), u * u)
-    got = classify_curve(group, curve, -1.0, 1.0, samples=16)
+    got = classify_curve(_curve_only(group, curve), samples=16)
     assert got in (CurveClass.MIXED, CurveClass.LIGHTLIKE)
 
 
@@ -164,7 +171,7 @@ def test_frame_data_stack_layout():
     frame0 = initial_data(prob)
     assert frame0.shape == (2, 3, n + 1, n + 1) and frame0.dtype == np.float64
     assert not frame0[..., 1:].any()  # only v = 0 comes from the data
-    vel = prob.frame_velocity()
+    vel = prob.frame_velocity
     cross = lorentz_cross(prob.normal_field, vel)
     half_sign = 0.5 * prob.kind.tangent_sign
     for c in range(3):
@@ -390,7 +397,7 @@ def test_boundary_v_derivative_sign_convention():
     for ex in ("heisenberg_vertical_plane", "heisenberg_helicoid", "h2xr_horizontal_plane"):
         prob = _problem(ex)
         sol = solve_bjorling(prob)
-        vel = prob.frame_velocity()
+        vel = prob.frame_velocity
         from bjorling.groups import lorentz_cross
 
         cross = lorentz_cross(prob.normal_field, vel)

@@ -374,6 +374,22 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
         assert 1 <= len(calls) <= 1 + 3 * attempts, (example_id, calls)
 
 
+def test_solve_converts_the_frame_velocity_once(monkeypatch):
+    # validate, classify_curve and initial_data all read one conversion.
+    calls = []
+    raw = GroupModel.frame_jet_from_coords
+
+    def counted(self, curve, w):
+        calls.append(len(w))
+        return raw(self, curve, w)
+
+    monkeypatch.setattr(GroupModel, "frame_jet_from_coords", counted)
+    for example_id in corpus.EXAMPLE_IDS:
+        calls.clear()
+        solve_bjorling(_problem(example_id))
+        assert len(calls) == 1, (example_id, calls)
+
+
 def test_clipped_mesh_matches_per_point_reference():
     # x2 = v + 0.5 leaves the halfplane chart for v <= -0.5
     n = 6
