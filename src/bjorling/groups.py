@@ -205,12 +205,6 @@ class GroupModel:
         self.require_frame()
         return _apply(self.coframe(curve), w)
 
-    def coords_jet_from_frame(self, curve, w):
-        """Apply A(curve) to a frame-component triple: jets along a curve,
-        or series on a surface (the rebuild's f_v gate)."""
-        self.require_frame()
-        return _apply(self.frame(curve), w)
-
     def __repr__(self) -> str:
         return f"GroupModel({self.name!r})"
 

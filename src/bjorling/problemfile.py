@@ -16,7 +16,7 @@ import numpy as np
 import orjson
 
 from .config import GridSpec, ProblemKind, Tolerances
-from .errors import SchemaError
+from .errors import NotInvertible, SchemaError
 from .expressions import evaluate_jet
 from .groups import GroupModel, by_name, generic_group
 from .series import BiSeries, USeries
@@ -54,7 +54,10 @@ MAX_GRID_SIDE = 513
 
 def _jet_entry(entry, order: int, center: float, params: dict, label: str) -> USeries:
     if isinstance(entry, str):
-        return evaluate_jet(entry, order, center, params)
+        try:
+            return evaluate_jet(entry, order, center, params)
+        except NotInvertible as exc:
+            raise SchemaError(f"{label}: {exc}") from None
     if isinstance(entry, dict) and set(entry) == {"coeffs"}:
         raw = entry["coeffs"]
         if not isinstance(raw, list) or not raw:
@@ -345,12 +348,24 @@ def build_mesh(solution) -> SurfaceMesh:
 
 def _lines(prefix: bytes, table: np.ndarray, sep: bytes) -> bytes:
     # One line per row of a 2-D table: the prefix, then the row's numbers in
-    # shortest round-trip form joined by sep.  orjson writes the whole table
-    # as one JSON array, whose "],[" and "," are turned into that layout.
-    if not len(table):
+    # shortest round-trip form joined by sep (one byte).  orjson writes the
+    # table as one flat JSON array; in place, its commas become sep, every
+    # cols-th one and the closing bracket a newline, and the prefix then
+    # goes before each line.
+    rows, cols = table.shape
+    if not rows:
         return b""
-    text = orjson.dumps(np.ascontiguousarray(table), option=orjson.OPT_SERIALIZE_NUMPY)
-    return prefix + text[2:-2].replace(b"],[", b"\n" + prefix).replace(b",", sep) + b"\n"
+    flat = np.ascontiguousarray(table).ravel()
+    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    view = np.frombuffer(text, dtype=np.uint8)
+    commas = np.flatnonzero(view == ord(","))
+    view[commas] = ord(sep)
+    view[commas[cols - 1 :: cols]] = ord("\n")
+    view[-1] = ord("\n")
+    del view, commas  # the comma index is nearly half the text's size: free it first
+    if prefix:
+        return prefix + text[1:-1].replace(b"\n", b"\n" + prefix) + b"\n"
+    return bytes(memoryview(text)[1:])
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:

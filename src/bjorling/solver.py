@@ -27,7 +27,7 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import BiSeries, USeries, point_values, table_stack
+from .series import BiSeries, USeries, pair_products, point_values, table_stack
 from .slices import cauchy_slice, matvec_slice
 
 
@@ -161,24 +161,26 @@ def _column_zero(frame0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cone_slice(p: np.ndarray, s: float) -> np.ndarray:
-    # (re, unit) slice of psi1^2 + psi2^2 - psi3^2 from the pair slices p.
-    square, cross = np.einsum("iim->im", p), np.einsum("iim->im", p[:3, 3:])
-    return np.stack([SIGNATURE @ (square[:3] + s * square[3:]), 2.0 * SIGNATURE @ cross])
-
-
-def _march_step(gamma, s: float, x: np.ndarray, level: int, p: np.ndarray) -> None:
-    # Column level+1 from psi_v = unit * (psi_u + 2 G), with the (re, unit)
-    # slices of G_c = sum gamma[a,b,c] conj(psi_a) psi_b.
-    rows = x.shape[1] - 1 - level
-    p = p[..., :rows]
-    conj_products = np.stack([p[:3, :3] - s * p[3:, 3:], p[:3, 3:] - p[3:, :3]])
-    quad = np.einsum("abc,kabm->kcm", gamma, conj_products)
-    deg = np.arange(1.0, rows + 1)
-    rhs = deg * x[:, 1 : rows + 1, level].reshape(2, 3, rows) + 2.0 * quad
-    # unit * (a + unit b) = s b + unit a
-    x[:3, :rows, level + 1] = s * rhs[1] / (level + 1)
-    x[3:, :rows, level + 1] = rhs[0] / (level + 1)
+def _march_maps(gamma: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    # parts = conj_map @ (pair slices p[a', b'], a', b' < 6 the re then unit
+    # tables of psi1..3, flattened): rows [k, a, b] (18) are the (re, unit)
+    # slices of conj(psi_a) psi_b and rows 18, 19 the (re, unit) slice of
+    # psi1^2 + psi2^2 - psi3^2.  gamma_map @ parts[:18] is the (re, unit)
+    # stack of G_c = sum gamma[a,b,c] conj(psi_a) psi_b.
+    conj_map = np.zeros((20, 6, 6))
+    row = np.arange(9)
+    a, b = np.divmod(row, 3)
+    conj_map[row, a, b] = 1.0
+    conj_map[row, a + 3, b + 3] = -s
+    conj_map[row + 9, a, b + 3] = 1.0
+    conj_map[row + 9, a + 3, b] = -1.0
+    c = np.arange(3)
+    conj_map[18, c, c] = SIGNATURE
+    conj_map[18, c + 3, c + 3] = s * SIGNATURE
+    conj_map[19, c, c + 3] = 2.0 * SIGNATURE
+    gamma_map = np.zeros((2, 3, 2, 9))
+    gamma_map[0, :, 0] = gamma_map[1, :, 1] = gamma.reshape(9, 3).T
+    return conj_map.reshape(20, 36), gamma_map.reshape(6, 18)
 
 
 def ck_march(
@@ -195,19 +197,23 @@ def ck_march(
     of dzbar, into psi_v = unit * (psi_u + 2 G); the v-degree (L+1) slice
     of each component then follows from slices <= L because G is
     quadratic.  Each level builds only the v-degree-L slice of every
-    conj(psi_a) psi_b (one Cauchy slice, ``slices.cauchy_slice``), so the
-    march costs O(order^4) flops in O(order) array operations.  The same
-    slices give the cone combination level by level; with the built-in
-    connection tables it is preserved to roundoff.  The first level whose
+    product of two of the six (re, unit) tables (one Cauchy slice,
+    ``slices.cauchy_slice``); one fixed matrix takes those 36 slices to the
+    slices of every conj(psi_a) psi_b and of the cone combination, and a
+    second one takes the former to G.  The march thus costs O(order^4)
+    flops in O(order) array operations.  With the built-in connection
+    tables the cone is preserved to roundoff.  The first level whose
     cone slice exceeds ``cone_tol`` raises ConstraintDrift; level 0 is the
     initial data itself.
     """
     s = mode.unit_square
     order = frame0.shape[-1] - 1
+    conj_map, gamma_map = _march_maps(group.gamma, s)
+    deg = np.arange(1.0, order + 1)
     x = _column_zero(frame0)
     for level in range(order + 1):
-        p = cauchy_slice(x, x, level, order + 1 - level)
-        drift = float(np.max(np.abs(_cone_slice(p, s))))
+        parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level).reshape(36, -1)
+        drift = float(np.max(np.abs(parts[18:])))
         if cone_tol is not None and drift > cone_tol:
             where = "in the initial data" if level == 0 else f"at march level {level}"
             raise ConstraintDrift(
@@ -215,7 +221,12 @@ def ck_march(
                 f"(tolerance {cone_tol:.3e})"
             )
         if level < order:
-            _march_step(group.gamma, s, x, level, p)
+            # Column level+1 from psi_v = unit * (psi_u + 2 G), and
+            # unit * (a + unit b) = s b + unit a.
+            rows = order - level
+            rhs = deg[:rows] * x[:, 1 : rows + 1, level] + 2.0 * (gamma_map @ parts[:18, :rows])
+            x[:3, :rows, level + 1] = s * rhs[3:] / (level + 1)
+            x[3:, :rows, level + 1] = rhs[:3] / (level + 1)
     return x.reshape(frame0.shape)
 
 
@@ -243,10 +254,11 @@ def reconstruct_surface(
     so that slice needs only columns <= L of f.  Two gates then check the
     finished f, each against ``compat_rtol`` times max(1, scale): the same
     slices of A(f) r against the u-derivative of f, and A(f) w, made once
-    from whole-series products on the finished f, against its
-    v-derivative.  A mismatch means the frame data were not integrable, or
-    the march did not solve f_v = A(f) w (NonIntegrable).  A frame entry
-    without a series expansion raises UnsupportedRecipe.
+    from whole-series products on the finished f (one ``pair_products``
+    batch), against its v-derivative.  A mismatch means the frame data were
+    not integrable, or the march did not solve f_v = A(f) w
+    (NonIntegrable).  A frame entry without a series expansion raises
+    UnsupportedRecipe.
     """
     group.require_frame()
     n = frame.shape[-1] - 1
@@ -268,11 +280,27 @@ def reconstruct_surface(
             f.coeffs[:rows, level + 1] = column
     du = np.array([f.du().coeffs for f in surface])
     _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du, fu, compat_rtol)
-    w = tuple(BiSeries(table, surface[0].center) for table in w_r[0])
-    aw = np.array([b.coeffs for b in group.coords_jet_from_frame(surface, w)])
     dv = np.array([f.dv().coeffs for f in surface])
+    aw = _frame_times(group, surface, w_r[0])
     _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv, aw, compat_rtol)
     return surface
+
+
+def _frame_times(group: GroupModel, surface, w: np.ndarray) -> np.ndarray:
+    # A(f) w for a series triple f and a (3, n+1, n+1) stack w, from
+    # whole-series products: every distinct series entry of A(f) times
+    # every w_j in one pair_products batch, truncated to the order of w.
+    n1 = w.shape[-1]
+    rows = group.frame(surface)
+    series = list({id(e): e for row in rows for e in row if isinstance(e, BiSeries)}.values())
+    slot = {id(e): k for k, e in enumerate(series)}
+    tables = np.array([e.coeffs[:n1, :n1] for e in series]).reshape(-1, n1, n1)
+    products = pair_products(tables, w)
+    out = np.zeros_like(w)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[i] += products[slot[id(e)], j] if isinstance(e, BiSeries) else e * w[j]
+    return out
 
 
 @dataclass

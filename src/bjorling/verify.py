@@ -90,8 +90,10 @@ def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> t
     and of d psi_c / dzbar + G_c, G_c = sum gamma[a,b,c] conj(psi_a) psi_b,
     for a (2, 3, n+1, n+1) frame-data stack.  The products come from all
     pairs of its six (re, unit) tables, made in one batch by
-    ``series.pair_products``, not by the march's slice kernel: the
-    certificate stays independent of the code that made the data.
+    ``series.pair_products``, not by the march's slice kernel, and this
+    function forms conj(psi_a) psi_b, the cone and G from them itself, not
+    through the march's maps: the certificate stays independent of the
+    code that made the data.
     """
     s = mode.unit_square
     n = frame.shape[-1] - 1

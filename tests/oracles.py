@@ -5,10 +5,12 @@ library: symbolic Christoffel symbols via sympy, series coefficients from
 factorial formulas, the generators of a polynomial argument in exact
 rational arithmetic and by the Horner composition the library once used,
 brute-force dictionary polynomial products, table
-products by one Kronecker-substituted 1-D convolution, the
-coefficient-level certificate with every product made that way, the
-frame march as a literal transcription of the PDE with full series
-products at every level, the series square root matched degree by degree
+products by one Kronecker-substituted 1-D convolution and by shift-and-add
+over every pair of degrees, the coefficient-level certificate with every
+product made that way, the frame march as a literal transcription of the
+PDE with full series products at every level and as the earlier slice
+march (Cauchy slices, a cone slice and an einsum per level), the series
+square root matched degree by degree
 against full products, the cone lift's root grown one v-column per level
 against full products, the grid certificates and the mesh as loops over
 single grid points, and the mesh files written one line at a time.  Series references are written in the
@@ -24,8 +26,9 @@ import numpy as np
 import sympy as sp
 
 from bjorling.config import Mode
-from bjorling.groups import lorentz_dot
+from bjorling.groups import SIGNATURE, lorentz_dot
 from bjorling.series import BiSeries
+from bjorling.slices import cauchy_slice
 from kalgebra import KScalar, KSeries
 
 
@@ -180,6 +183,28 @@ def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(degree < rows, full[:rows, :cols], 0.0)
 
 
+def coords_from_frame(group, curve, w):
+    """A(curve) applied to a frame-component triple of jets, entry by
+    entry: coordinate component i is the sum of frame(curve)[i][j] w[j]."""
+    return tuple(row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in group.frame(curve))
+
+
+def naive_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every truncated product x[s] * y[t] of two stacks of triangular
+    tables, by explicit loops over the degrees i + j <= n of y: each adds
+    y[t, i, j] times x shifted by (i, j), so entry (m, k) collects the terms
+    i <= m, j <= k.  Only the square of x that lands on degrees <= n is
+    added, and the sum is then cut back to the triangle."""
+    p, q, n1 = x.shape[0], y.shape[0], x.shape[1]
+    out = np.zeros((p, q, n1, n1))
+    for i in range(n1):
+        for j in range(n1 - i):
+            d = n1 - i - j
+            out[:, :, i : i + d, j : j + d] += x[:, None, :d, :d] * y[None, :, i, j, None, None]
+    degree = np.add.outer(np.arange(n1), np.arange(n1))
+    return np.where(degree < n1, out, 0.0)
+
+
 def frame_stack(components) -> np.ndarray:
     """The library's (2, 3, n+1, n+1) frame-data stack of a KSeries triple:
     [0, c] is the real and [1, c] the unit table of component c."""
@@ -287,6 +312,35 @@ def reference_ck_march(group, frame_data0, mode: Mode, order: int):
     for level in range(n):
         _march_level(group, parts, tuple(wrap(p) for p in parts), level, n)
     return tuple(wrap(p) for p in parts)
+
+
+def slice_ck_march(group, frame0: np.ndarray, mode: Mode) -> tuple[np.ndarray, list]:
+    """The frame march as it was written before its two fixed maps: per
+    level, the Cauchy slices of all 36 products, the cone slice from their
+    diagonals and an einsum of gamma with the conj(psi_a) psi_b slices.
+    Returns the marched (2, 3, n+1, n+1) stack and the cone drift of every
+    level."""
+    s = mode.unit_square
+    order = frame0.shape[-1] - 1
+    x = np.zeros((6, order + 1, order + 1))
+    x[:, :, 0] = frame0.reshape(x.shape)[:, :, 0]
+    drifts = []
+    for level in range(order + 1):
+        p = cauchy_slice(x, x, level, order + 1 - level)
+        square, cross = np.einsum("iim->im", p), np.einsum("iim->im", p[:3, 3:])
+        cone = np.stack([SIGNATURE @ (square[:3] + s * square[3:]), 2.0 * SIGNATURE @ cross])
+        drifts.append(float(np.max(np.abs(cone))))
+        if level == order:
+            break
+        rows = order - level
+        p = p[..., :rows]
+        conj_products = np.stack([p[:3, :3] - s * p[3:, 3:], p[:3, 3:] - p[3:, :3]])
+        quad = np.einsum("abc,kabm->kcm", group.gamma, conj_products)
+        deg = np.arange(1.0, rows + 1)
+        rhs = deg * x[:, 1 : rows + 1, level].reshape(2, 3, rows) + 2.0 * quad
+        x[:3, :rows, level + 1] = s * rhs[1] / (level + 1)
+        x[3:, :rows, level + 1] = rhs[0] / (level + 1)
+    return x.reshape(frame0.shape), drifts
 
 
 def reference_sqrt(a: KSeries, branch: KScalar) -> KSeries:

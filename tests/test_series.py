@@ -13,6 +13,7 @@ from kalgebra import KScalar, KSeries, para_cr_residual
 from oracles import (
     composite_coeffs,
     horner_composition,
+    naive_products,
     reference_product,
     reference_sqrt,
     split_cosh_parts,
@@ -141,6 +142,22 @@ def test_pair_products_match_reference(order, stacks):
             want = reference_product(x[s], y[t])
             scale = float(np.max(np.abs(want)))
             assert np.max(np.abs(got[s, t] - want)) <= 1e-13 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("stacks", [(1, 1), (2, 3), (6, 6)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_pair_products_match_naive_product_at_every_order(stacks):
+    # Orders 0 to 48 cover every band edge of the banded kernel.
+    rng = np.random.default_rng(10 * stacks[0] + stacks[1])
+    for order in range(49):
+        degree = np.add.outer(np.arange(order + 1), np.arange(order + 1))
+        shapes = [(k, order + 1, order + 1) for k in stacks]
+        x, y = (rng.uniform(-1.0, 1.0, shape) * (degree <= order) for shape in shapes)
+        got = pair_products(x, y)
+        want = naive_products(x, y)
+        assert got.shape == want.shape
+        assert np.all(got[..., degree > order] == 0.0), order
+        scale = np.max(np.abs(want), axis=(2, 3))
+        assert np.all(np.max(np.abs(got - want), axis=(2, 3)) <= 1e-13 * scale), order
 
 
 def test_split_difference_of_squares():

@@ -27,7 +27,13 @@ from bjorling.solver import (
     solve_bjorling,
 )
 from kalgebra import KScalar, KSeries, cone_series
-from oracles import frame_series, frame_stack, reference_ck_march
+from oracles import (
+    coords_from_frame,
+    frame_series,
+    frame_stack,
+    reference_ck_march,
+    slice_ck_march,
+)
 
 P = Mode.PARACOMPLEX
 
@@ -401,7 +407,7 @@ def test_boundary_v_derivative_sign_convention():
         from bjorling.groups import lorentz_cross
 
         cross = lorentz_cross(prob.normal_field, vel)
-        cross_coords = prob.group.coords_jet_from_frame(prob.curve, cross)
+        cross_coords = coords_from_frame(prob.group, prob.curve, cross)
         sign = prob.kind.fv_sign
         for f, w in zip(sol.surface, cross_coords):
             fv_row = f.dv().coeffs[:, 0]
@@ -570,6 +576,38 @@ def test_march_matches_full_product_reference(source, case, order):
     scale = max(w.maxabs() for w in want)
     for g, w in zip(got, want):
         assert (g - w).maxabs() <= 1e-11 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_march_matches_the_slice_transcription(example_id, order):
+    # The two fixed maps add the same two terms per conj(psi_a) psi_b slice,
+    # and the built-in tables put at most two exact (+-1/2, +-1) weights on
+    # each G_c: the march is the earlier per-level step bit for bit.
+    prob = _problem(example_id, order=order)
+    frame0 = initial_data(prob)
+    want, _ = slice_ck_march(prob.group, frame0, prob.mode)
+    assert np.array_equal(ck_march(prob.group, frame0, prob.mode), want)
+
+
+@pytest.mark.parametrize("mode", [Mode.PARACOMPLEX, Mode.COMPLEX], ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_march_stops_where_the_slice_transcription_drifts(seed, mode):
+    # Random connection tables do not keep the cone, so its drift grows
+    # level by level; the march must stop at the first level the
+    # transcription puts over the tolerance.
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    group = generic_group(table - table.transpose(1, 0, 2))
+    frame0 = frame_stack(_random_column_data(rng, 3, mode, 12))
+    want, drifts = slice_ck_march(group, frame0, mode)
+    got = ck_march(group, frame0, mode)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for level in range(1, len(drifts)):
+        tol = 0.5 * (max(drifts[:level]) + drifts[level])
+        if drifts[level] > max(drifts[:level]) * (1.0 + 1e-9):
+            with pytest.raises(ConstraintDrift, match=f"at march level {level} "):
+                ck_march(group, frame0, mode, cone_tol=tol)
 
 
 def test_generic_march_agrees_with_builtin():

@@ -490,6 +490,16 @@ def test_mesh_writers_use_shortest_round_trip_text(tmp_path):
     assert (tmp_path / "e.csv").read_text() == "u,v,x1,x2,x3,residual\n"
 
 
+def test_line_writer_lays_out_empty_and_one_column_tables():
+    lines = problemfile._lines
+    assert lines(b"v ", np.zeros((0, 3)), b" ") == b""
+    assert lines(b"", np.zeros((0, 1)), b",") == b""
+    assert lines(b"r ", np.array([[1.5], [-0.0], [1e-7]]), b" ") == b"r 1.5\nr -0.0\nr 1e-7\n"
+    assert lines(b"", np.array([[3], [10]]), b",") == b"3\n10\n"
+    assert lines(b"f ", np.array([[1, 2, 3, 4]]), b" ") == b"f 1 2 3 4\n"
+    assert lines(b"", np.array([[0.5, -2.0], [1e16, 5e-324]]), b",") == b"0.5,-2.0\n1e16,5e-324\n"
+
+
 # ---------------------------------------------------------------------------
 # the cone-lift lemma
 
