@@ -47,7 +47,6 @@ from .verify import (
     boundary_residuals,
     compare_to_reference,
     conformality_residual,
-    graph_identity_residual,
     hermitian_sign_profile,
     tension_residual,
     weierstrass_residuals,
@@ -88,7 +87,6 @@ __all__ = [
     "connection_from_structure",
     "de_sitter",
     "generic_group",
-    "graph_identity_residual",
     "h2xr",
     "heisenberg",
     "hermitian_sign_profile",

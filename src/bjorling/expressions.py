@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ExpressionError, UnsupportedRecipe
-from .series import BiSeries, USeries
+from .series import USeries
 
 _FUNCS = ("exp", "sin", "cos", "sinh", "cosh")
 
@@ -84,13 +84,14 @@ def parse_expression(text: str) -> ast.Expression:
 def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
     """Evaluate an expression over an environment of jets, arrays and numbers.
 
-    Returns a series (USeries or BiSeries) when any variable in the
-    environment is one, an array when one is a numpy array, otherwise a
-    float.  A value, entry or coefficient that is not finite raises
-    ExpressionError.  Over bivariate series only polynomials expand (no
-    functions, series quotients or negative powers); anything else raises
-    UnsupportedRecipe.  ``tree`` is ``parse_expression(text)`` when the
-    caller has parsed the text already.
+    Returns a series (USeries or BiSeries) or a ``slices.TapeNode`` when
+    any variable in the environment is one, an array when one is a numpy
+    array, otherwise a float.  A value, entry, coefficient or tape weight
+    that is not finite raises ExpressionError.  Over bivariate series and
+    tape nodes only polynomials expand (no functions, quotients by a
+    variable or negative powers); anything else raises UnsupportedRecipe.
+    ``tree`` is ``parse_expression(text)`` when the caller has parsed the
+    text already.
     """
     if tree is None:
         tree = parse_expression(text)
@@ -101,14 +102,14 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
         raise ExpressionError(f"division by zero in {text!r}") from None
     except OverflowError:
         raise ExpressionError(f"overflow in {text!r}") from None
-    except TypeError:  # a bivariate series has no exp, sin, ..., quotient or inverse
+    except TypeError:  # a BiSeries or tape node has no exp, sin, ..., quotient or inverse
         raise UnsupportedRecipe(f"{text!r} has no series expansion in the coordinates") from None
     except ValueError:
         # An infinite argument of math.sin or math.cos, or a jet division by
         # a non-finite jet.  A non-finite numerator reaches the check below.
         raise ExpressionError(f"non-finite value in {text!r}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
-    if not np.all(np.isfinite(out.coeffs if isinstance(out, (USeries, BiSeries)) else out)):
+    if not np.all(np.isfinite(getattr(out, "coeffs", out))):
         raise ExpressionError(f"non-finite value in {text!r}")
     return out
 

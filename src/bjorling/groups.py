@@ -122,7 +122,7 @@ class GroupModel:
     ):
         self.name = name
         self.C = np.asarray(structure_constants, dtype=float)
-        self.L, self.gamma = connection_from_structure(self.C)
+        self.gamma = connection_from_structure(self.C)[1]
         self.frame = frame
         self.coframe = coframe
         self._chart_guard = chart_guard or (lambda x: True)

@@ -299,8 +299,9 @@ def _power(base, exponent: int, one):
     while exponent:
         if exponent & 1:
             out = out * base
-        base = base * base
         exponent >>= 1
+        if exponent:
+            base = base * base
     return out
 
 
@@ -358,45 +359,9 @@ class BiSeries:
         return self.coeffs.shape[0] - 1
 
     @staticmethod
-    def zeros(order: int, center: float = 0.0) -> "BiSeries":
-        return BiSeries(np.zeros((order + 1, order + 1)), center)
-
-    @staticmethod
     def constant(value: float, order: int, center: float = 0.0) -> "BiSeries":
         c = np.zeros((order + 1, order + 1))
         c[0, 0] = value
-        return BiSeries(c, center)
-
-    @staticmethod
-    def variable_u(order: int, center: float = 0.0) -> "BiSeries":
-        c = np.zeros((order + 1, order + 1))
-        c[0, 0] = center
-        if order >= 1:
-            c[1, 0] = 1.0
-        return BiSeries(c, center)
-
-    @staticmethod
-    def variable_v(order: int, center: float = 0.0) -> "BiSeries":
-        c = np.zeros((order + 1, order + 1))
-        if order >= 1:
-            c[0, 1] = 1.0
-        return BiSeries(c, center)
-
-    @staticmethod
-    def from_univariate_u(jet: USeries, order: int) -> "BiSeries":
-        c = np.zeros((order + 1, order + 1))
-        k = min(order, jet.order)
-        c[: k + 1, 0] = jet.coeffs[: k + 1]
-        return BiSeries(c, jet.center)
-
-    @staticmethod
-    def from_univariate_v(jet: USeries, order: int, center: float = 0.0) -> "BiSeries":
-        # A pure function of v; the jet must be expanded about v = 0.
-        if jet.center != 0.0:
-            raise ValueError("v-jets must be centered at 0")
-        c = np.zeros((order + 1, order + 1))
-        k = min(order, jet.order)
-        c[0, : k + 1] = jet.coeffs[: k + 1]
         return BiSeries(c, center)
 
     def truncated(self, order: int) -> "BiSeries":

@@ -5,12 +5,26 @@ algebra-valued data is a (re, unit) pair of tables.  The kernels build
 one v-degree slice of a product at a time, which is what order-by-order
 recurrences in v need: the frame march and the rebuild of the immersion
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13;
-Jorba & Zou, Exp. Math. 14, 2005).
+Jorba & Zou, Exp. Math. 14, 2005).  ``FrameTape`` records a frame matrix
+once so that the rebuild can fill its entries one v-column per level.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .series import _power
+
+
+def _antidiagonal_sums(outer: np.ndarray) -> np.ndarray:
+    # [..., c] = sum of outer[..., t, t'] over t + t' = c < rows.  Re-reading
+    # rows padded to width 2*rows with width 2*rows - 1 shifts row t right
+    # by t, so entry (t, t') lands in column t + t'.
+    lead, rows = outer.shape[:-2], outer.shape[-1]
+    pad = np.zeros(lead + (rows, 2 * rows))
+    pad[..., :rows] = outer
+    skew = pad.reshape(lead + (2 * rows * rows,))[..., : rows * (2 * rows - 1)]
+    return skew.reshape(lead + (rows, 2 * rows - 1)).sum(axis=-2)[..., :rows]
 
 
 def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
@@ -35,10 +49,137 @@ def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndar
     r = y.shape[0]
     xs = a[:, :, :rows, : level + 1].transpose(0, 2, 1, 3).reshape(p * rows, q * (level + 1))
     ys = y[:, :, :rows, level::-1].transpose(1, 3, 0, 2).reshape(q * (level + 1), r * rows)
-    outer = (xs @ ys).reshape(p, rows, r, rows).transpose(2, 0, 1, 3)
-    # Re-reading rows padded to width 2*rows with width 2*rows - 1 shifts
-    # row t right by t, so entry (t, t') lands in column t + t'.
-    pad = np.zeros((r, p, rows, 2 * rows))
-    pad[..., :rows] = outer
-    skew = pad.reshape(r, p, 2 * rows * rows)[..., : rows * (2 * rows - 1)]
-    return skew.reshape(r, p, rows, 2 * rows - 1).sum(axis=2)[..., :rows]
+    return _antidiagonal_sums((xs @ ys).reshape(p, rows, r, rows).transpose(2, 0, 1, 3))
+
+
+def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
+    """The v-degree ``level`` slice of every product x[k] * y[k] of two
+    (p, R, C) stacks, kept to ``rows`` u-coefficients.  Shape (p, rows)."""
+    outer = x[:, :rows, : level + 1] @ y[:, :rows, level::-1].transpose(0, 2, 1)
+    return _antidiagonal_sums(outer)
+
+
+class TapeNode:
+    """One value recorded on a ``FrameTape``: sum_k terms[k] * base_k.
+
+    Sums, differences, scalings and divisions by a number stay affine in
+    the tape's bases; a product of two nodes adds a base, and an integer
+    power k >= 1 is k - 1 products, by repeated squaring.  A quotient by a
+    node, a negative power or exp, sin, ... of a node has no expansion here
+    and raises TypeError.
+    """
+
+    __slots__ = ("tape", "terms")
+
+    def __init__(self, tape: "FrameTape", terms: dict):
+        self.tape = tape
+        self.terms = terms  # {base index: weight}
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The node's weights (finite for a finite frame entry)."""
+        return np.array(list(self.terms.values()))
+
+    def __add__(self, other):
+        if isinstance(other, (int, float)):
+            other = {0: float(other)}
+        elif isinstance(other, TapeNode) and other.tape is self.tape:
+            other = other.terms
+        else:
+            return NotImplemented
+        terms = dict(self.terms)
+        for k, w in other.items():
+            terms[k] = terms.get(k, 0.0) + w
+        return TapeNode(self.tape, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, (int, float, TapeNode)) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return TapeNode(self.tape, {k: w * other for k, w in self.terms.items()})
+        if not (isinstance(other, TapeNode) and other.tape is self.tape):
+            return NotImplemented
+        return self.tape.product(self.terms, other.terms)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return TapeNode(self.tape, {k: w / other for k, w in self.terms.items()})
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        if exponent == 0:
+            return TapeNode(self.tape, {0: 1.0})
+        return _power(self, exponent - 1, self)
+
+
+def _weights(forms, size: int) -> np.ndarray:
+    # One row per {base index: weight} map.
+    out = np.zeros((len(forms), size))
+    for row, terms in zip(out, forms):
+        for k, w in terms.items():
+            row[k] = w
+    return out
+
+
+class FrameTape:
+    """A frame matrix A(x) recorded once, then filled one v-column per level.
+
+    ``frame`` is called once on three tape variables, so built-in lambdas
+    and a generic group's parsed expressions give one node list.  Its bases
+    are the constant 1 (index 0), the coordinates x1..x3 (1-3) and one per
+    product of two nodes, in recording order; every entry of A is an affine
+    form in them.  ``tables[k]`` is base k's coefficient table of the
+    given shape, and ``tables[1:4]`` are the coordinate tables, whose
+    columns the caller fills: ``column(L, rows)`` reads columns <= L of
+    them.  The products
+    are grouped by depth (a product's depth is one more than its deepest
+    operand's); a level fills, depth by depth, the operands' column L by
+    one fixed matrix and the products' by one ``product_slice``, then
+    column L of A by one more fixed matrix.  A frame entry with no
+    polynomial expansion raises TypeError while the tape is recorded.
+    """
+
+    def __init__(self, frame, shape: tuple[int, int]):
+        self.products = []  # (left terms, right terms) of bases 4, 5, ...
+        rows = frame(tuple(TapeNode(self, {k: 1.0}) for k in (1, 2, 3)))
+        forms = [e.terms if isinstance(e, TapeNode) else {0: float(e)} for row in rows for e in row]
+        size = 4 + len(self.products)
+        self.tables = np.zeros((size, *shape))
+        self.tables[0, 0, 0] = 1.0
+        self.outputs = _weights(forms, size)
+        depth = [0, 0, 0, 0]
+        for left, right in self.products:
+            depth.append(1 + max(depth[k] for k in (*left, *right)))
+        self._stages = []
+        for d in range(1, max(depth) + 1):
+            bases = [k for k in range(4, size) if depth[k] == d]
+            operands = [self.products[k - 4][side] for side in (0, 1) for k in bases]
+            stack = np.zeros((len(operands), *shape))
+            self._stages.append((bases, _weights(operands, size), stack))
+
+    def product(self, left: dict, right: dict) -> TapeNode:
+        self.products.append((left, right))
+        return TapeNode(self, {3 + len(self.products): 1.0})
+
+    def column(self, level: int, rows: int) -> np.ndarray:
+        """Column ``level`` of every node, kept to ``rows`` u-coefficients;
+        returns that of A, shape (3, 3, rows)."""
+        col = self.tables[:, :rows, level]
+        for bases, weights, stack in self._stages:
+            stack[:, :rows, level] = weights @ col
+            half = len(bases)
+            col[bases] = product_slice(stack[:half], stack[half:], level, rows)
+        return (self.outputs @ col).reshape(3, 3, rows)

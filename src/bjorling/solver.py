@@ -28,7 +28,7 @@ from .errors import (
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
 from .series import BiSeries, USeries, pair_products, point_values, table_stack
-from .slices import cauchy_slice, matvec_slice
+from .slices import FrameTape, cauchy_slice, matvec_slice
 
 
 @dataclass(frozen=True)
@@ -107,34 +107,73 @@ class BjorlingProblem:
 def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     """Causal character of the problem's curve from the sign of g(curve', curve').
 
-    The squared speed of the frame velocity is sampled across the grid's
-    u-range.  Any sample within the causal tolerance of zero makes the
-    curve lightlike (characteristic data); a strict sign change without a
-    null sample is reported as mixed.  ProblemValidationError is raised
-    when a sample of the squared speed, or of the squared coordinate
-    velocity, overflows.
+    The squared speed g = w1^2 + w2^2 - w3^2 of the frame velocity w is
+    sampled across the grid's u-range, next to a rounding bound made from
+    the sizes of its terms: w_a sums the terms A^{-1}_aj(curve) curve'_j,
+    whose magnitudes T_a bound its rounding by d_a = gamma T_a, with gamma
+    = 4 (order + 1) eps for the jet products and the evaluation; g's
+    rounding is then at most sum_a d_a (2 |w_a| + d_a) + gamma sum_a w_a^2.
+    A sample whose |g| is within that bound, where the bound exceeds the
+    causal band, leaves the sign undecided and raises
+    ProblemValidationError naming the rounding (large coordinates whose
+    frame components cancel).  Otherwise a sample within the causal band,
+    the tolerance times max(1, sum_a w_a^2), makes the curve lightlike
+    (characteristic data); a strict sign change without a null sample is
+    reported as mixed.  ProblemValidationError is raised too when a
+    sample of the squared speed, its rounding bound or the squared
+    coordinate velocity overflows.
     """
-    vel = problem.curve_velocity()
     speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
+    coframe = [e for row in problem.group.coframe(problem.curve) for e in row]
     u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
     us = np.linspace(u_lo, u_hi, samples)
+    gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = speed2.eval(us)
+        values = _sample_jets(
+            [speed2, *problem.frame_velocity, *problem.curve_velocity(), *coframe],
+            problem.center,
+            us,
+        )
+        vals, w, v = values[0], values[1:4], values[4:7]
+        terms = np.abs(values[7:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
+        d = gamma * terms.sum(axis=1)
+        rounding = np.sum(d * (2.0 * np.abs(w) + d) + gamma * w * w, axis=0)
+        band = problem.tolerances.causal * np.maximum(1.0, np.sum(w * w, axis=0))
         # The frame components cancel terms as large as the coordinate
         # velocity; once their squares overflow, only rounding is left.
-        finite = np.all(np.isfinite(vals + sum(w.eval(us) ** 2 for w in vel)))
+        finite = np.all(np.isfinite(vals + rounding + np.sum(v * v, axis=0)))
     if not finite:
         raise ProblemValidationError(
             f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"
         )
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.any(np.abs(vals) <= problem.tolerances.causal * scale):
+    undecided = (np.abs(vals) <= rounding) & (rounding > band)
+    if np.any(undecided):
+        k = int(np.argmax(undecided))
+        raise ProblemValidationError(
+            f"squared speed of the initial curve is lost to rounding at u = {us[k]:g}: "
+            f"|g(curve', curve')| = {abs(vals[k]):.3e} is within its rounding bound "
+            f"{rounding[k]:.3e} from terms of size {np.max(terms[..., k]):.3e}"
+        )
+    if np.any(np.abs(vals) <= band):
         return CurveClass.LIGHTLIKE
     if np.all(vals > 0.0):
         return CurveClass.SPACELIKE
     if np.all(vals < 0.0):
         return CurveClass.TIMELIKE
     return CurveClass.MIXED
+
+
+def _sample_jets(jets, center: float, us: np.ndarray) -> np.ndarray:
+    # Values of USeries about the center, or of numbers, at the points us,
+    # in one matmul: shape (len(jets), len(us)).
+    n1 = max(j.coeffs.size for j in jets if isinstance(j, USeries))
+    coeffs = np.zeros((len(jets), n1))
+    for row, j in zip(coeffs, jets):
+        if isinstance(j, USeries):
+            row[: j.coeffs.size] = j.coeffs
+        else:
+            row[0] = j
+    return coeffs @ np.vander(us - center, n1, increasing=True).T
 
 
 def initial_data(problem: BjorlingProblem) -> np.ndarray:
@@ -250,37 +289,37 @@ def reconstruct_surface(
     of d f / dz, so f_u = A(f) r and f_v = A(f) w with r = 2 Re psi and
     w = 2 s Im psi, s the unit's square.  Column 0 of f is the curve jet;
     column L+1 is the v-degree-L slice of A(f) w (``slices.matvec_slice``)
-    divided by L+1.  The entries of A are polynomials in the coordinates,
-    so that slice needs only columns <= L of f.  Two gates then check the
-    finished f, each against ``compat_rtol`` times max(1, scale): the same
-    slices of A(f) r against the u-derivative of f, and A(f) w, made once
-    from whole-series products on the finished f (one ``pair_products``
-    batch), against its v-derivative.  A mismatch means the frame data were
-    not integrable, or the march did not solve f_v = A(f) w
-    (NonIntegrable).  A frame entry without a series expansion raises
-    UnsupportedRecipe.
+    divided by L+1.  A is recorded once as a ``slices.FrameTape`` whose
+    coordinate tables are f, and each level fills column L of every tape
+    node and so of A(f), which needs only columns <= L of f.  Two gates
+    then check the finished f, each against ``compat_rtol`` times max(1,
+    scale): the same slices of A(f) r against the u-derivative of f, and
+    A(f) w, made once from ``group.frame`` on the finished f and
+    whole-series products (one ``pair_products`` batch), off the tape,
+    against its v-derivative.  A mismatch means the frame data were not
+    integrable, or the march did not solve f_v = A(f) w (NonIntegrable).
+    A frame entry with no polynomial expansion raises UnsupportedRecipe.
     """
     group.require_frame()
     n = frame.shape[-1] - 1
     s = mode.unit_square
-    surface = tuple(BiSeries.from_univariate_u(c, n + 1) for c in curve)
+    tape = FrameTape(group.frame, (n + 2, n + 2))
+    f = tape.tables[1:4]
+    for table, jet in zip(f, curve):
+        k = min(n + 1, jet.order)
+        table[: k + 1, 0] = jet.coeffs[: k + 1]
     w_r = np.stack([(2.0 * s) * frame[1], 2.0 * frame[0]])
-    a = np.zeros((3, 3, n + 2, n + 2))  # A(f); a number entry is a constant table
+    a = np.zeros((3, 3, n + 1, n + 1))  # A(f), filled one column per level
     fu = np.zeros((3, n + 1, n + 1))
     for level in range(n + 1):
         rows = n + 1 - level
-        for i, row in enumerate(group.frame(surface)):
-            for j, entry in enumerate(row):
-                if isinstance(entry, BiSeries):
-                    a[i, j] = entry.coeffs
-                else:
-                    a[i, j, 0, 0] = entry
+        a[:, :, :rows, level] = tape.column(level, rows)
         fv, fu[:, :rows, level] = matvec_slice(a, w_r, level, rows)
-        for f, column in zip(surface, fv / (level + 1)):
-            f.coeffs[:rows, level + 1] = column
-    du = np.array([f.du().coeffs for f in surface])
+        f[:, :rows, level + 1] = fv / (level + 1)
+    surface = tuple(BiSeries(table, curve[0].center) for table in f)
+    du = np.array([g.du().coeffs for g in surface])
     _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du, fu, compat_rtol)
-    dv = np.array([f.dv().coeffs for f in surface])
+    dv = np.array([g.dv().coeffs for g in surface])
     aw = _frame_times(group, surface, w_r[0])
     _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv, aw, compat_rtol)
     return surface

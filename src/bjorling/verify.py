@@ -247,12 +247,6 @@ def compare_to_reference(surface, reference_fn, us, vs) -> float:
     return float(np.max(np.abs(here - np.asarray(reference_fn(u, v), dtype=float))))
 
 
-def graph_identity_residual(surface, relation, us, vs) -> float:
-    """Grid max of |relation(x1, x2, x3)| along the surface."""
-    vals = relation(*grid_values(table_stack(surface), surface[0].center, us, vs))
-    return float(np.max(np.abs(vals)))
-
-
 def build_report(
     group: GroupModel,
     kind: ProblemKind,

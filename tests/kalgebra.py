@@ -9,6 +9,11 @@ called split-complex or Lorentz numbers).  The split-complex plane
 contains zero divisors ``a +- unit*a``, so inversion and square roots
 carry explicit guards instead of relying on exceptions from float
 division.
+
+It also holds the real-series constructors and the grid check that only
+the tests use (the library builds its tables directly): the zero series,
+the coordinates u and v, univariate jets as functions of u or of v, and
+``graph_identity_residual``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from dataclasses import dataclass
 
 from bjorling.config import Mode
 from bjorling.errors import NotInvertible
-from bjorling.series import BiSeries
+import numpy as np
+
+from bjorling.series import BiSeries, USeries, grid_values, table_stack
 
 # Relative band used to decide "this squared modulus is numerically zero".
 ZERO_DIVISOR_RTOL = 1e-12
@@ -190,7 +197,7 @@ class KSeries:
 
     @staticmethod
     def from_real(b: BiSeries, mode: Mode) -> "KSeries":
-        return KSeries(b, BiSeries.zeros(b.order, b.center), mode)
+        return KSeries(b, zero_series(b.order, b.center), mode)
 
     @staticmethod
     def constant(value: KScalar, order: int, center: float = 0.0) -> "KSeries":
@@ -204,8 +211,8 @@ class KSeries:
     def variable_z(order: int, center: float, mode: Mode) -> "KSeries":
         """The coordinate z = u + unit*v itself."""
         return KSeries(
-            BiSeries.variable_u(order, center),
-            BiSeries.variable_v(order, center),
+            variable_u(order, center),
+            variable_v(order, center),
             mode,
         )
 
@@ -306,3 +313,50 @@ def cone_series(frame_data) -> KSeries:
     """The quadratic cone combination psi1^2 + psi2^2 - psi3^2."""
     p1, p2, p3 = frame_data
     return p1 * p1 + p2 * p2 - p3 * p3
+
+
+# ---------------------------------------------------------------------------
+# real series and grid checks for the tests
+
+
+def zero_series(order: int, center: float = 0.0) -> BiSeries:
+    return BiSeries(np.zeros((order + 1, order + 1)), center)
+
+
+def variable_u(order: int, center: float = 0.0) -> BiSeries:
+    """The function u itself: constant term is the center."""
+    c = np.zeros((order + 1, order + 1))
+    c[0, 0] = center
+    if order >= 1:
+        c[1, 0] = 1.0
+    return BiSeries(c, center)
+
+
+def variable_v(order: int, center: float = 0.0) -> BiSeries:
+    c = np.zeros((order + 1, order + 1))
+    if order >= 1:
+        c[0, 1] = 1.0
+    return BiSeries(c, center)
+
+
+def from_univariate_u(jet: USeries, order: int) -> BiSeries:
+    c = np.zeros((order + 1, order + 1))
+    k = min(order, jet.order)
+    c[: k + 1, 0] = jet.coeffs[: k + 1]
+    return BiSeries(c, jet.center)
+
+
+def from_univariate_v(jet: USeries, order: int, center: float = 0.0) -> BiSeries:
+    """A pure function of v; the jet must be expanded about v = 0."""
+    if jet.center != 0.0:
+        raise ValueError("v-jets must be centered at 0")
+    c = np.zeros((order + 1, order + 1))
+    k = min(order, jet.order)
+    c[0, : k + 1] = jet.coeffs[: k + 1]
+    return BiSeries(c, center)
+
+
+def graph_identity_residual(surface, relation, us, vs) -> float:
+    """Grid max of |relation(x1, x2, x3)| along a series triple."""
+    vals = relation(*grid_values(table_stack(surface), surface[0].center, us, vs))
+    return float(np.max(np.abs(vals)))

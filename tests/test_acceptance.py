@@ -21,10 +21,19 @@ from bjorling.series import BiSeries, USeries
 from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     compare_to_reference,
-    graph_identity_residual,
     tension_residual,
 )
-from kalgebra import KScalar, KSeries, cone_series, para_cr_residual
+from kalgebra import (
+    KScalar,
+    KSeries,
+    cone_series,
+    from_univariate_u,
+    from_univariate_v,
+    graph_identity_residual,
+    para_cr_residual,
+    variable_u,
+    zero_series,
+)
 from oracles import frame_series, frame_stack, reference_cone_lift, split_cosh_parts
 
 P = Mode.PARACOMPLEX
@@ -52,12 +61,12 @@ def test_criterion_01_heisenberg_vertical_plane():
     assert dev <= 1e-8
 
     n = prob.order
-    ev = BiSeries.from_univariate_v(USeries.variable(n, 0.0).exp(), n)
-    su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
-    cu = BiSeries.from_univariate_u(USeries.variable(n).cosh(), n)
+    ev = from_univariate_v(USeries.variable(n, 0.0).exp(), n)
+    su = from_univariate_u(USeries.variable(n).sinh(), n)
+    cu = from_univariate_u(USeries.variable(n).cosh(), n)
     closed_form = (
         KSeries(0.5 * (ev * su), 0.5 * (ev * cu), P),
-        KSeries(BiSeries.zeros(n), BiSeries.zeros(n), P),
+        KSeries(zero_series(n), zero_series(n), P),
         KSeries(0.5 * (ev * cu), 0.5 * (ev * su), P),
     )
     for got, want in zip(frame_series(sol.frame_data, prob.center, P), closed_form):
@@ -131,8 +140,8 @@ def test_criterion_06_cone_lift_lemma_suite():
 
             pair = [
                 KSeries(
-                    BiSeries.from_univariate_u(USeries(jet()), order),
-                    BiSeries.from_univariate_u(USeries(jet()), order),
+                    from_univariate_u(USeries(jet()), order),
+                    from_univariate_u(USeries(jet()), order),
                     mode,
                 )
                 for _ in range(2)
@@ -312,7 +321,7 @@ def test_criterion_10_algebra_suite():
     re, im = split_cosh_parts(8)
     split_cosh = KSeries(BiSeries(re), BiSeries(im), P)
     assert para_cr_residual(split_cosh) <= 1e-14
-    non_analytic = KSeries(BiSeries.variable_u(6), BiSeries.zeros(6), P)
+    non_analytic = KSeries(variable_u(6), zero_series(6), P)
     assert para_cr_residual(non_analytic) == pytest.approx(1.0)
     assert 2.0 * non_analytic.dzbar().maxabs() == pytest.approx(1.0)
     _report(10, "ring axioms, split isomorphism, inverses, split CR")

@@ -459,6 +459,17 @@ def test_overflowing_curve_speed_is_rejected_as_overflow(workdir, capsys):
     assert "characteristic" not in lines[0]
 
 
+@pytest.mark.parametrize("c", [1e20, 1e100, 1e150])
+def test_speed_lost_to_rounding_is_rejected_naming_the_rounding(workdir, capsys, c):
+    # The frame velocity cancels coordinate terms of size c; below the
+    # rounding bound of those terms the sign of g(beta', beta') is unknown.
+    path = _write_problem(workdir / "big.problem.json", params={"c": c})
+    assert main(["solve", str(path)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "lost to rounding" in lines[0]
+    assert "characteristic" not in lines[0]
+
+
 def test_order_at_the_cap_is_accepted(workdir):
     from bjorling.problemfile import MAX_ORDER, problem_from_dict
 

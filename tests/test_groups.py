@@ -118,8 +118,9 @@ def test_h2xr_connection_table():
     expected = {(0, 1, 0): -1.0, (0, 0, 1): 1.0}
     for idx in np.ndindex(3, 3, 3):
         assert model.gamma[idx] == expected.get(idx, 0.0)
-    assert model.L[0, 1, 0] == -2.0
-    assert model.L[0, 0, 1] == 2.0
+    koszul = connection_from_structure(model.C)[0]
+    assert koszul[0, 1, 0] == -2.0
+    assert koszul[0, 0, 1] == 2.0
 
 
 def test_connection_rejects_non_antisymmetric():

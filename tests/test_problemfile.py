@@ -6,8 +6,8 @@ import pytest
 from bjorling import corpus, problemfile
 from bjorling.config import GridSpec, ProblemKind
 from bjorling.errors import SchemaError
-from bjorling.series import BiSeries
 from bjorling.solver import solve_bjorling
+from kalgebra import variable_u, variable_v, zero_series
 
 
 def _doc(**overrides):
@@ -195,9 +195,9 @@ def test_mesh_clips_points_outside_chart():
     n = 6
     center = 0.0
     surface = (
-        BiSeries.variable_u(n, center),
-        BiSeries.variable_v(n, center) + 0.5,
-        BiSeries.zeros(n, center),
+        variable_u(n, center),
+        variable_v(n, center) + 0.5,
+        zero_series(n, center),
     )
     stored = problemfile.StoredSolution(
         group=__import__("bjorling.groups", fromlist=["h2xr"]).h2xr(),

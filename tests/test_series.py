@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from bjorling.config import Mode
 from bjorling.errors import DomainError
 from bjorling.series import BiSeries, USeries, ode_taylor, pair_products
-from kalgebra import KScalar, KSeries, para_cr_residual
+from kalgebra import (
+    KScalar,
+    KSeries,
+    from_univariate_u,
+    para_cr_residual,
+    variable_u,
+    variable_v,
+    zero_series,
+)
 from oracles import (
     composite_coeffs,
     horner_composition,
@@ -121,8 +129,8 @@ def test_ode_taylor_saddle_profile_slope():
 
 def test_product_of_u_and_v():
     n = 3
-    a = BiSeries.variable_u(n)
-    b = BiSeries.variable_v(n)
+    a = variable_u(n)
+    b = variable_v(n)
     prod = a * b
     want = np.zeros((4, 4))
     want[1, 1] = 1.0
@@ -162,8 +170,8 @@ def test_pair_products_match_naive_product_at_every_order(stacks):
 
 def test_split_difference_of_squares():
     n = 3
-    one_plus = KSeries(BiSeries.constant(1.0, n), BiSeries.variable_u(n), P)
-    one_minus = KSeries(BiSeries.constant(1.0, n), -BiSeries.variable_u(n), P)
+    one_plus = KSeries(BiSeries.constant(1.0, n), variable_u(n), P)
+    one_minus = KSeries(BiSeries.constant(1.0, n), -variable_u(n), P)
     prod = one_plus * one_minus
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
@@ -174,8 +182,8 @@ def test_split_difference_of_squares():
 
 def test_complex_sum_of_squares():
     n = 3
-    one_plus = KSeries(BiSeries.constant(1.0, n), BiSeries.variable_u(n), C)
-    one_minus = KSeries(BiSeries.constant(1.0, n), -BiSeries.variable_u(n), C)
+    one_plus = KSeries(BiSeries.constant(1.0, n), variable_u(n), C)
+    one_minus = KSeries(BiSeries.constant(1.0, n), -variable_u(n), C)
     prod = one_plus * one_minus
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
@@ -185,7 +193,7 @@ def test_complex_sum_of_squares():
 
 def test_center_mismatch_rejected():
     with pytest.raises(ValueError, match="center"):
-        BiSeries.variable_u(3, 0.0) * BiSeries.variable_u(3, 1.0)
+        variable_u(3, 0.0) * variable_u(3, 1.0)
 
 
 def test_mode_mismatch_rejected():
@@ -206,13 +214,13 @@ def test_dzbar_annihilates_z_paracomplex():
 
 
 def test_dzbar_of_conjugate_variable():
-    zbar = KSeries(BiSeries.variable_u(4), -BiSeries.variable_v(4), P)
+    zbar = KSeries(variable_u(4), -variable_v(4), P)
     d = zbar.dzbar()
     assert (d - 1.0).maxabs() == 0.0
 
 
 def test_du_of_u_squared_v():
-    f = BiSeries.variable_u(4) * BiSeries.variable_u(4) * BiSeries.variable_v(4)
+    f = variable_u(4) * variable_u(4) * variable_v(4)
     g = f.du()
     want = np.zeros((4, 4))
     want[1, 1] = 2.0
@@ -236,7 +244,7 @@ def test_para_cr_zero_for_powers_of_z():
 
 
 def test_para_cr_detects_non_analytic():
-    f = KSeries(BiSeries.variable_u(4), BiSeries.zeros(4), P)
+    f = KSeries(variable_u(4), zero_series(4), P)
     assert para_cr_residual(f) == pytest.approx(1.0)
 
 
@@ -285,7 +293,7 @@ def test_biseries_division_by_a_number_only():
 
 
 def test_sqrt_of_perfect_square():
-    one_plus_u = KSeries(BiSeries.constant(1.0, 4) + BiSeries.variable_u(4), BiSeries.zeros(4), P)
+    one_plus_u = KSeries(BiSeries.constant(1.0, 4) + variable_u(4), zero_series(4), P)
     sq = one_plus_u * one_plus_u
     r = reference_sqrt(sq, KScalar(1.0, 0.0, P))
     assert (r - one_plus_u).maxabs() <= 1e-14
@@ -294,8 +302,8 @@ def test_sqrt_of_perfect_square():
 def test_sqrt_split_hyperbolic_target():
     # square cosh(u) + j sinh(u), then recover it from the branch at 0
     n = 6
-    cu = BiSeries.from_univariate_u(USeries.variable(n).cosh(), n)
-    su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
+    cu = from_univariate_u(USeries.variable(n).cosh(), n)
+    su = from_univariate_u(USeries.variable(n).sinh(), n)
     target = KSeries(cu, su, P)
     sq = target * target
     r = reference_sqrt(sq, KScalar(1.0, 0.0, P))

@@ -16,8 +16,16 @@ from bjorling.errors import (
     ProblemValidationError,
     UnsupportedRecipe,
 )
-from bjorling.groups import generic_group, h2xr, heisenberg, lorentz_cross, lorentz_dot
+from bjorling.groups import (
+    de_sitter,
+    generic_group,
+    h2xr,
+    heisenberg,
+    lorentz_cross,
+    lorentz_dot,
+)
 from bjorling.series import BiSeries, USeries
+from bjorling.slices import FrameTape, TapeNode
 from bjorling.solver import (
     BjorlingProblem,
     ck_march,
@@ -26,7 +34,15 @@ from bjorling.solver import (
     reconstruct_surface,
     solve_bjorling,
 )
-from kalgebra import KScalar, KSeries, cone_series
+from bjorling.verify import compare_to_reference
+from kalgebra import (
+    KScalar,
+    KSeries,
+    cone_series,
+    from_univariate_u,
+    from_univariate_v,
+    zero_series,
+)
 from oracles import (
     coords_from_frame,
     frame_series,
@@ -73,6 +89,14 @@ def test_classify_helicoid_curve_spacelike():
 def test_classify_desitter_curve_spacelike():
     prob = _problem("desitter_vertical_plane")
     assert classify_curve(prob) is CurveClass.SPACELIKE
+
+
+@pytest.mark.parametrize("c", [1e6, 1e12])
+def test_classify_timelike_through_large_cancelling_terms(c):
+    # The frame velocity cancels terms of size c, yet g = -1 stays far
+    # above the rounding bound of those terms.
+    prob = _problem("heisenberg_vertical_plane", params={"c": c})
+    assert classify_curve(prob) is CurveClass.TIMELIKE
 
 
 def test_classify_lightlike():
@@ -188,9 +212,9 @@ def test_frame_data_stack_layout():
     assert sol.frame_data.shape == frame0.shape
     assert np.array_equal(sol.frame_data[..., 0], frame0[..., 0])
     # psi1 = 0.5 e^v (sinh u + j cosh u): its real table is the sinh half
-    ev = BiSeries.from_univariate_v(USeries.variable(n, 0.0).exp(), n)
-    su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
-    cu = BiSeries.from_univariate_u(USeries.variable(n).cosh(), n)
+    ev = from_univariate_v(USeries.variable(n, 0.0).exp(), n)
+    su = from_univariate_u(USeries.variable(n).sinh(), n)
+    cu = from_univariate_u(USeries.variable(n).cosh(), n)
     assert np.max(np.abs(sol.frame_data[0, 0] - (0.5 * (ev * su)).coeffs)) <= 1e-12
     assert np.max(np.abs(sol.frame_data[1, 0] - (0.5 * (ev * cu)).coeffs)) <= 1e-12
     assert not sol.frame_data[:, 1].any()
@@ -216,12 +240,12 @@ def test_march_vertical_plane_matches_exponential_solution():
     prob = _problem("heisenberg_vertical_plane")
     marched = _series(prob, ck_march(prob.group, initial_data(prob), P))
     n = prob.order
-    ev = BiSeries.from_univariate_v(USeries.variable(n, 0.0).exp(), n)
-    su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
-    cu = BiSeries.from_univariate_u(USeries.variable(n).cosh(), n)
+    ev = from_univariate_v(USeries.variable(n, 0.0).exp(), n)
+    su = from_univariate_u(USeries.variable(n).sinh(), n)
+    cu = from_univariate_u(USeries.variable(n).cosh(), n)
     want = (
         KSeries(0.5 * (ev * su), 0.5 * (ev * cu), P),
-        KSeries(BiSeries.zeros(n), BiSeries.zeros(n), P),
+        KSeries(zero_series(n), zero_series(n), P),
         KSeries(0.5 * (ev * cu), 0.5 * (ev * su), P),
     )
     for got, target in zip(marched, want):
@@ -237,11 +261,11 @@ def test_march_saddle_matches_profile_solution():
     n = prob.order
     q = ode_taylor(lambda w: (16 * c * c * (w * w) - c * c).sqrt(), q0, n + 1)
     qd = q.deriv()
-    zero = BiSeries.zeros(n)
+    zero = zero_series(n)
     want = (
         KSeries(BiSeries.constant(2 * c, n), zero, P),
-        KSeries(zero, BiSeries.from_univariate_v(-2.0 * qd, n), P),
-        KSeries(BiSeries.from_univariate_v(-8.0 * c * q, n), zero, P),
+        KSeries(zero, from_univariate_v(-2.0 * qd, n), P),
+        KSeries(from_univariate_v(-8.0 * c * q, n), zero, P),
     )
     for got, target in zip(marched, want):
         # coefficients reach ~40 here; allow a few ulps of that scale
@@ -302,6 +326,112 @@ def test_generic_frame_entries_are_parsed_once(monkeypatch):
     solution = solve_bjorling(dataclasses.replace(prob, group=gen))
     assert not solution.report.failures(prob.tolerances)
     assert len(calls) == 9
+
+
+# Heisenberg in the chart y = phi(x) = (x1, x2, x3 + x1^2 x2): the built-in
+# frame pushed forward by phi, whose entries need products on the tape.
+_QUADRATIC_CHART = [
+    ["1", "0", "0"],
+    ["0", "1", "0"],
+    ["2*x1*x2 - x2/2", "x1**2 + x1/2", "1"],
+]
+
+_TAPE_GROUPS = {
+    "heisenberg": heisenberg,
+    "desitter": de_sitter,
+    "h2xr": h2xr,
+    "heisenberg-generic": lambda: generic_group(
+        heisenberg().C, frame_exprs=_GENERIC_FRAMES["heisenberg"]
+    ),
+    "quadratic-chart": lambda: generic_group(heisenberg().C, frame_exprs=_QUADRATIC_CHART),
+    # Products of products: x1*x2*x3 and x1**3 reach depth 2 on the tape.
+    "cubic": lambda: generic_group(
+        heisenberg().C,
+        frame_exprs=[["1", "0", "0"], ["0", "1", "0"], ["1 + x1*x2*x3 - x2/2", "x1**3 + x1/2", "1"]],
+    ),
+}
+_TAPE_PRODUCTS = {"quadratic-chart": 2, "cubic": 4}  # x1*x1, (2*x1)*x2; and two of each cube
+
+
+@pytest.mark.parametrize("name", list(_TAPE_GROUPS))
+def test_tape_columns_match_the_frame_on_the_partly_built_series(name):
+    # Column L of every tape node equals column L of the same value made
+    # from whole series on f cut to its columns <= L: A's entries by
+    # group.frame itself, the product bases by replaying the tape's products
+    # as BiSeries products.  Entries affine in the coordinates agree bit for
+    # bit; products agree up to the kernels' summation order.
+    group = _TAPE_GROUPS[name]()
+    n = 10
+    keep = np.add.outer(np.arange(n + 2), np.arange(n + 2)) <= n + 1
+    f = np.where(keep, np.random.default_rng(7).uniform(-1.0, 1.0, (3, n + 2, n + 2)), 0.0)
+    tape = FrameTape(group.frame, f.shape[1:])
+    tape.tables[1:4] = f
+    affine = ~tape.outputs[:, 4:].any(axis=1)  # no weight on a product base
+    assert len(tape.products) == _TAPE_PRODUCTS.get(name, 0)
+    for level in range(n + 1):
+        rows = n + 1 - level
+        column = tape.column(level, rows).reshape(9, rows)
+        partial = tuple(BiSeries(np.where(np.arange(n + 2) <= level, t, 0.0)) for t in f)
+        bases = [BiSeries.constant(1.0, n + 1), *partial]
+        for left, right in tape.products:
+            bases.append(_replay(left, bases) * _replay(right, bases))
+        for k, base in enumerate(bases):
+            want = base.coeffs[:rows, level]
+            assert np.allclose(tape.tables[k, :rows, level], want, rtol=0.0, atol=1e-13), (k, level)
+        entries = [e for row in group.frame(partial) for e in row]
+        for got, entry, exact in zip(column, entries, affine):
+            want = (entry if isinstance(entry, BiSeries) else BiSeries.constant(entry, n + 1)).coeffs
+            if exact:
+                assert np.array_equal(got, want[:rows, level]), level
+            else:
+                assert np.allclose(got, want[:rows, level], rtol=0.0, atol=1e-13), level
+
+
+def _replay(terms, bases):
+    return sum((w * bases[k] for k, w in terms.items()), 0.0 * bases[0])
+
+
+def _quadratic_chart_problem(example_id, order):
+    # The corpus problem with the curve pushed through phi; the field is in
+    # frame components, which phi leaves as they are.
+    prob = _problem(example_id, order=order)
+    b1, b2, b3 = prob.curve
+    group = generic_group(prob.group.C, frame_exprs=_QUADRATIC_CHART)
+    return dataclasses.replace(prob, group=group, curve=(b1, b2, b3 + b1 * b1 * b2))
+
+
+@pytest.mark.parametrize("order", [30, 44])
+@pytest.mark.parametrize(
+    "example_id", ["heisenberg_vertical_plane", "heisenberg_helicoid", "heisenberg_saddle"]
+)
+def test_quadratic_chart_matches_the_closed_form_through_the_chart(example_id, order):
+    prob = _quadratic_chart_problem(example_id, order)
+    sol = solve_bjorling(prob)
+    assert sol.report.passes(prob.tolerances), sol.report.failures(prob.tolerances)
+    ref = corpus.reference_surface(example_id)
+
+    def phi_ref(u, v):
+        x1, x2, x3 = ref(u, v)
+        return x1, x2, x3 + x1 * x1 * x2
+
+    dev = compare_to_reference(sol.surface, phi_ref, prob.grid.us(), prob.grid.vs())
+    assert dev <= 1e-7
+
+
+@pytest.mark.parametrize("order", [4, 12, 30, 44])
+@pytest.mark.parametrize("name", ["heisenberg", "quadratic-chart"])
+def test_rebuild_evaluates_the_frame_twice(name, order):
+    # Once on the tape variables, once on the finished surface for the f_v
+    # gate, whatever the order.
+    prob = _problem("heisenberg_helicoid", order=order)
+    if name == "quadratic-chart":
+        prob = _quadratic_chart_problem("heisenberg_helicoid", order)
+    frame = ck_march(prob.group, initial_data(prob), prob.mode)
+    group, calls = prob.group, []
+    raw = group.frame
+    group.frame = lambda x: calls.append(type(x[0])) or raw(x)
+    reconstruct_surface(group, frame, prob.curve, prob.mode)
+    assert calls == [TapeNode, BiSeries]
 
 
 # Per kind: the index of the curve's leading velocity direction and the
@@ -544,7 +674,7 @@ def test_generic_group_cannot_reconstruct():
 def _random_column_data(rng, count, mode, order):
     # Frame data on v = 0 only: random u-jets.
     def jet():
-        return BiSeries.from_univariate_u(USeries(rng.uniform(-0.3, 0.3, order + 1)), order)
+        return from_univariate_u(USeries(rng.uniform(-0.3, 0.3, order + 1)), order)
 
     return tuple(KSeries(jet(), jet(), mode) for _ in range(count))
 

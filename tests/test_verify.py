@@ -14,11 +14,20 @@ from bjorling.verify import (
     boundary_residuals,
     compare_to_reference,
     conformality_residual,
-    graph_identity_residual,
     tension_residual,
     weierstrass_residuals,
 )
-from kalgebra import KScalar, KSeries, cone_series
+from kalgebra import (
+    KScalar,
+    KSeries,
+    cone_series,
+    from_univariate_u,
+    from_univariate_v,
+    graph_identity_residual,
+    variable_u,
+    variable_v,
+    zero_series,
+)
 from oracles import (
     exact_christoffels,
     frame_series,
@@ -49,12 +58,12 @@ def _solved(example_id, params=None):
 
 def test_weierstrass_residuals_on_exponential_solution():
     n = 12
-    ev = BiSeries.from_univariate_v(USeries.variable(n, 0.0).exp(), n)
-    su = BiSeries.from_univariate_u(USeries.variable(n).sinh(), n)
-    cu = BiSeries.from_univariate_u(USeries.variable(n).cosh(), n)
+    ev = from_univariate_v(USeries.variable(n, 0.0).exp(), n)
+    su = from_univariate_u(USeries.variable(n).sinh(), n)
+    cu = from_univariate_u(USeries.variable(n).cosh(), n)
     psi = (
         KSeries(0.5 * (ev * su), 0.5 * (ev * cu), P),
-        KSeries(BiSeries.zeros(n), BiSeries.zeros(n), P),
+        KSeries(zero_series(n), zero_series(n), P),
         KSeries(0.5 * (ev * cu), 0.5 * (ev * su), P),
     )
     cone, pde = weierstrass_residuals(heisenberg(), frame_stack(psi), P)
@@ -138,9 +147,9 @@ def test_conformality_detects_anisotropic_scaling():
     center = 0.0
     # f(u, v) = (u, 2v + 3, 0) in the halfplane chart x2 > 0
     f = (
-        BiSeries.variable_u(n, center),
-        2.0 * BiSeries.variable_v(n, center) + 3.0,
-        BiSeries.zeros(n, center),
+        variable_u(n, center),
+        2.0 * variable_v(n, center) + 3.0,
+        zero_series(n, center),
     )
     res = conformality_residual(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
     assert res > 0.1
@@ -149,9 +158,9 @@ def test_conformality_detects_anisotropic_scaling():
 def test_conformality_raises_outside_chart():
     n = 6
     f = (
-        BiSeries.variable_u(n),
-        BiSeries.variable_v(n),  # x2 = v crosses zero
-        BiSeries.zeros(n),
+        variable_u(n),
+        variable_v(n),  # x2 = v crosses zero
+        zero_series(n),
     )
     with pytest.raises(DomainError):
         conformality_residual(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
@@ -202,9 +211,9 @@ def test_degenerate_normal_raises():
     n = 5
     # f_u and f_v are parallel everywhere, so the normal vanishes
     surface = (
-        BiSeries.variable_u(n) + BiSeries.variable_v(n),
+        variable_u(n) + variable_v(n),
         BiSeries.constant(1.0, n),
-        BiSeries.zeros(n),
+        zero_series(n),
     )
     curve = tuple(USeries.constant(0.0, n + 1) for _ in range(3))
     field = (USeries.constant(0.0, n + 1), USeries.constant(0.0, n + 1), USeries.constant(1.0, n + 1))
@@ -394,9 +403,9 @@ def test_clipped_mesh_matches_per_point_reference():
     # x2 = v + 0.5 leaves the halfplane chart for v <= -0.5
     n = 6
     surface = (
-        BiSeries.variable_u(n) + 0.3 * BiSeries.variable_v(n) * BiSeries.variable_u(n),
-        BiSeries.variable_v(n) + 0.5,
-        BiSeries.variable_u(n) * BiSeries.variable_u(n),
+        variable_u(n) + 0.3 * variable_v(n) * variable_u(n),
+        variable_v(n) + 0.5,
+        variable_u(n) * variable_u(n),
     )
     stored = problemfile.StoredSolution(
         h2xr(), ProblemKind.SPACELIKE_SURFACE, surface, GridSpec(-0.5, 0.5, -1.0, 1.0, 7, 13), {}
@@ -454,9 +463,9 @@ def test_mesh_writers_match_line_by_line_reference(tmp_path):
             h2xr(),
             ProblemKind.SPACELIKE_SURFACE,
             (
-                BiSeries.variable_u(n) + 0.3 * BiSeries.variable_v(n) * BiSeries.variable_u(n),
-                BiSeries.variable_v(n) + 0.5,
-                BiSeries.variable_u(n) * BiSeries.variable_u(n),
+                variable_u(n) + 0.3 * variable_v(n) * variable_u(n),
+                variable_v(n) + 0.5,
+                variable_u(n) * variable_u(n),
             ),
             GridSpec(-0.5, 0.5, -1.0, 1.0, 7, 13),
             {},
@@ -520,8 +529,8 @@ def test_lifted_third_component_satisfies_its_equation():
 
             p = [
                 KSeries(
-                    BiSeries.from_univariate_u(USeries(jet()), order),
-                    BiSeries.from_univariate_u(USeries(jet()), order),
+                    from_univariate_u(USeries(jet()), order),
+                    from_univariate_u(USeries(jet()), order),
                     mode,
                 )
                 for _ in range(2)
