@@ -72,11 +72,6 @@ def _stack(nest, shape) -> np.ndarray:
     return out
 
 
-def _apply(nest, w):
-    # A 3x3 nest of entries applied to a component triple (any entry types).
-    return tuple(row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in nest)
-
-
 def _inverse(m):
     # Adjugate over determinant; works for floats, arrays and jets alike.
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -161,13 +156,14 @@ class GroupModel:
         _, ainv = self.frame_matrix(x)
         return np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
 
-    def christoffels(self, x, step=None) -> np.ndarray:
+    def christoffels(self, x, step=None) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate Christoffel symbols by central differences of the metric.
 
-        Returns Gamma[k, i, j, ...], symmetric in (i, j), at a point or on a
-        (3, ...) stack of points; the default step is 1e-5 * max(1, |x|_inf)
-        per point.  Used only as the independent, coordinate-level
-        certificate; nothing in the solver depends on it.
+        Returns (Gamma, g): Gamma[k, i, j, ...], symmetric in (i, j), and the
+        metric g[i, j, ...] at x, which the differences evaluate anyway, at a
+        point or on a (3, ...) stack of points; the default step is 1e-5 *
+        max(1, |x|_inf) per point.  Used only as the independent,
+        coordinate-level certificate; nothing in the solver depends on it.
         """
         x = np.asarray(x, dtype=float)
         h = step if step is not None else 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=0))
@@ -180,9 +176,9 @@ class GroupModel:
         rest = tuple(range(3, dg.ndim))
         # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
         t = dg + np.transpose(dg, (1, 0, 2) + rest) - np.transpose(dg, (1, 2, 0) + rest)
-        g = np.moveaxis(gs[:, :, 0], (0, 1), (-2, -1))
-        ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
-        return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t)
+        g = gs[:, :, 0]
+        ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t), g
 
     # PDE -----------------------------------------------------------------
 
@@ -197,13 +193,6 @@ class GroupModel:
         for a, b, c in zip(*np.nonzero(self.gamma)):
             out[c] = out[c] + self.gamma[a, b, c] * (frame_data[a].conj() * frame_data[b])
         return tuple(out)
-
-    # jets along a curve ----------------------------------------------------
-
-    def frame_jet_from_coords(self, curve, w):
-        """Apply A^{-1}(curve(u)) to a coordinate-component jet triple."""
-        self.require_frame()
-        return _apply(self.coframe(curve), w)
 
     def __repr__(self) -> str:
         return f"GroupModel({self.name!r})"

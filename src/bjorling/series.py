@@ -1,6 +1,8 @@
 """Truncated power series used throughout the solver.
 
-Two layers:
+``Ring`` derives differences, negation, reflected operands and integer
+powers from a type's own sum and product; ``ArraySeries`` adds the
+coefficient-array storage, sums, scalings and truncation.  On top:
 
 * ``USeries``: univariate real jets in t = u - center, used for curve and
   field data along the initial curve.
@@ -9,6 +11,8 @@ Two layers:
   Truncation is by total degree, which is the shape the order-by-order
   marching recurrence produces naturally.  Algebra-valued data is a
   (re, unit) pair of such tables.
+* ``slices.TapeNode``, a value recorded on the rebuild's frame tape, is a
+  ``Ring`` too.
 
 Everything is immutable in practice: operations return new objects and
 never mutate their inputs.
@@ -122,16 +126,138 @@ def point_values(tables: np.ndarray, center: float, u, v) -> np.ndarray:
     return out.reshape(tables.shape[:-2] + u.shape)[()]
 
 
-def _check_centers(a, b) -> None:
-    if a.center != b.center:
-        raise ValueError(f"center mismatch: {a.center} vs {b.center}")
+def evaluate_surface(surface, u, v) -> np.ndarray:
+    """Coordinates of a series triple at (u, v), shape (3, *np.shape(u));
+    u and v may be arrays of one shape."""
+    return point_values(table_stack(surface), surface[0].center, u, v)
+
+
+def dv_tables(tables: np.ndarray) -> np.ndarray:
+    """d/dv of every table of a (..., n+1, n+1) stack, truncated to order
+    n - 1: shape (..., n, n).  ``du_tables`` is d/du."""
+    n = tables.shape[-1] - 1
+    return tables[..., :n, 1:] * np.arange(1.0, n + 1)
+
+
+def du_tables(tables: np.ndarray) -> np.ndarray:
+    return dv_tables(tables.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+# ---------------------------------------------------------------------------
+# the shared ring operations
+
+
+class Ring:
+    """Operators derived from a type's own ``+``, ``*`` and ``one()``.
+
+    A subclass defines ``__add__`` and ``__mul__`` for its own type and for
+    numbers, and ``one()``, the constant 1 of its kind; differences,
+    negation, reflected operands and integer powers k >= 0 follow from
+    those.  A power k >= 1 is x times x ** (k - 1) by repeated squaring, so
+    it makes at most k - 1 products and never one with the constant 1.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        if exponent == 0:
+            return self.one()
+        out, base, exponent = self, self, exponent - 1
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return out
+
+
+class ArraySeries(Ring):
+    """A truncated series stored as one coefficient array about ``center``,
+    with one axis per variable indexed by its degree.
+
+    Sums pair two series of one type and center at the lower order, or add
+    a number to the constant term; numbers scale and divide.  Subclasses
+    add their product.
+    """
+
+    __slots__ = ("coeffs", "center")
+    NDIM: int  # axes of ``coeffs``, one per variable
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[0] - 1
+
+    @classmethod
+    def constant(cls, value: float, order: int, center: float = 0.0):
+        c = np.zeros((order + 1,) * cls.NDIM)
+        c[(0,) * cls.NDIM] = value
+        return cls(c, center)
+
+    def one(self):
+        return self.constant(1.0, self.order, self.center)
+
+    def truncated(self, order: int):
+        if order >= self.order:
+            return self
+        return type(self)(self.coeffs[(slice(order + 1),) * self.NDIM], self.center)
+
+    def _pair(self, other):
+        # Both coefficient arrays at the lower of the two orders.
+        if self.center != other.center:
+            raise ValueError(f"center mismatch: {self.center} vs {other.center}")
+        n = min(self.order, other.order)
+        return self.truncated(n).coeffs, other.truncated(n).coeffs
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            a, b = self._pair(other)
+            return type(self)(a + b, self.center)
+        if isinstance(other, (int, float)):
+            c = np.zeros_like(self.coeffs)
+            c[(0,) * self.NDIM] = float(other)
+            return type(self)(self.coeffs + c, self.center)
+        return NotImplemented
+
+    def _scaled(self, factor):
+        if not isinstance(factor, (int, float)):
+            return NotImplemented
+        return type(self)(self.coeffs * float(factor), self.center)
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return type(self)(self.coeffs / float(other), self.center)
+
+    def maxabs(self) -> float:
+        return float(np.max(np.abs(self.coeffs)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order}, center={self.center:g})"
 
 
 # ---------------------------------------------------------------------------
 # univariate jets
 
 
-class USeries:
+class USeries(ArraySeries):
     """Taylor jet of one real-analytic function of u about ``center``.
 
     Quotients, square roots and exp, sin, cos, sinh, cosh are forward
@@ -139,7 +265,8 @@ class USeries:
     it (Griewank & Walther, Evaluating Derivatives, ch. 13).
     """
 
-    __slots__ = ("coeffs", "center")
+    __slots__ = ()
+    NDIM = 1
 
     def __init__(self, coeffs, center: float = 0.0):
         c = np.array(coeffs, dtype=float)
@@ -147,16 +274,6 @@ class USeries:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
         self.coeffs = c
         self.center = float(center)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    @staticmethod
-    def constant(value: float, order: int, center: float = 0.0) -> "USeries":
-        c = np.zeros(order + 1)
-        c[0] = value
-        return USeries(c, center)
 
     @staticmethod
     def variable(order: int, center: float = 0.0) -> "USeries":
@@ -167,72 +284,35 @@ class USeries:
             c[1] = 1.0
         return USeries(c, center)
 
-    def truncated(self, order: int) -> "USeries":
-        if order >= self.order:
-            return self
-        return USeries(self.coeffs[: order + 1], self.center)
-
-    def _pair(self, other):
-        if isinstance(other, USeries):
-            _check_centers(self, other)
-            n = min(self.order, other.order)
-            return self.coeffs[: n + 1], other.coeffs[: n + 1]
-        if isinstance(other, (int, float)):
-            c = np.zeros_like(self.coeffs)
-            c[0] = float(other)
-            return self.coeffs, c
-        return None, None
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return USeries(a + b, self.center)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return USeries(a - b, self.center)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return USeries(-self.coeffs, self.center)
-
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return USeries(self.coeffs * float(other), self.center)
         if isinstance(other, USeries):
-            _check_centers(self, other)
-            n = min(self.order, other.order)
-            full = np.convolve(self.coeffs[: n + 1], other.coeffs[: n + 1])
-            return USeries(full[: n + 1], self.center)
-        return NotImplemented
-
-    __rmul__ = __mul__
+            a, b = self._pair(other)
+            return USeries(np.convolve(a, b)[: a.size], self.center)
+        return self._scaled(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return USeries(self.coeffs / float(other), self.center)
-        if isinstance(other, USeries):
-            return _udiv(self, other)
-        return NotImplemented
+        if not isinstance(other, USeries):
+            return super().__truediv__(other)
+        a, b = self._pair(other)
+        if abs(b[0]) <= 1e-300:
+            raise NotInvertible("division by a jet with zero constant term")
+        if not np.all(np.isfinite(b)):  # an infinite b_0 would give q = 0
+            raise ValueError("division by a non-finite jet")
+        # a = b q degree by degree: q_k = (a_k - sum_{j<k} b_{k-j} q_j) / b_0.
+        q = np.zeros(a.size)
+        for k in range(a.size):
+            q[k] = (a[k] - np.dot(b[k:0:-1], q[:k])) / b[0]
+        return USeries(q, self.center)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return _udiv(USeries.constant(float(other), self.order, self.center), self)
+            return self.constant(float(other), self.order, self.center) / self
         return NotImplemented
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("series powers must have integer exponents")
-        if exponent < 0:
-            return (1.0 / self) ** (-exponent)
-        return _power(self, exponent, USeries.constant(1.0, self.order, self.center))
+        if isinstance(exponent, int) and exponent < 0:
+            return (1.0 / self) ** -exponent
+        return super().__pow__(exponent)
 
     def deriv(self) -> "USeries":
         if self.order == 0:
@@ -286,38 +366,6 @@ class USeries:
         t = np.asarray(x, dtype=float) - self.center
         return np.polynomial.polynomial.polyval(t, self.coeffs)
 
-    def maxabs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"USeries(order={self.order}, center={self.center:g})"
-
-
-def _power(base, exponent: int, one):
-    # base ** exponent for an integer exponent >= 0, by repeated squaring.
-    out = one
-    while exponent:
-        if exponent & 1:
-            out = out * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return out
-
-
-def _udiv(a: USeries, b: USeries) -> USeries:
-    _check_centers(a, b)
-    n = min(a.order, b.order)
-    if abs(b.coeffs[0]) <= 1e-300:
-        raise NotInvertible("division by a jet with zero constant term")
-    if not np.all(np.isfinite(b.coeffs[: n + 1])):  # an infinite b_0 would give q = 0
-        raise ValueError("division by a non-finite jet")
-    # a = b q degree by degree: q_k = (a_k - sum_{j<k} b_{k-j} q_j) / b_0.
-    q = np.zeros(n + 1)
-    for k in range(n + 1):
-        q[k] = (a.coeffs[k] - np.dot(b.coeffs[k:0:-1], q[:k])) / b.coeffs[0]
-    return USeries(q, a.center)
-
 
 def ode_taylor(rhs, y0: float, order: int, center: float = 0.0) -> USeries:
     """Taylor coefficients of the solution of ``y' = rhs(y)``.
@@ -341,10 +389,11 @@ def ode_taylor(rhs, y0: float, order: int, center: float = 0.0) -> USeries:
 # bivariate series
 
 
-class BiSeries:
+class BiSeries(ArraySeries):
     """Dense triangular table of a real function of (u, v) near (center, 0)."""
 
-    __slots__ = ("coeffs", "center")
+    __slots__ = ()
+    NDIM = 2
 
     def __init__(self, coeffs, center: float = 0.0):
         c = np.array(coeffs, dtype=float)
@@ -354,88 +403,17 @@ class BiSeries:
         self.coeffs = c
         self.center = float(center)
 
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @staticmethod
-    def constant(value: float, order: int, center: float = 0.0) -> "BiSeries":
-        c = np.zeros((order + 1, order + 1))
-        c[0, 0] = value
-        return BiSeries(c, center)
-
-    def truncated(self, order: int) -> "BiSeries":
-        if order >= self.order:
-            return self
-        return BiSeries(self.coeffs[: order + 1, : order + 1], self.center)
-
-    def _pair(self, other):
-        if isinstance(other, BiSeries):
-            _check_centers(self, other)
-            n = min(self.order, other.order)
-            return (
-                self.truncated(n).coeffs,
-                other.truncated(n).coeffs,
-            )
-        if isinstance(other, (int, float)):
-            c = np.zeros_like(self.coeffs)
-            c[0, 0] = float(other)
-            return self.coeffs, c
-        return None, None
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return BiSeries(a + b, self.center)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return BiSeries(a - b, self.center)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return BiSeries(-self.coeffs, self.center)
-
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return BiSeries(self.coeffs * float(other), self.center)
         if isinstance(other, BiSeries):
             a, b = self._pair(other)
             return BiSeries(pair_products(a[None], b[None])[0, 0], self.center)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return BiSeries(self.coeffs / float(other), self.center)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        return _power(self, exponent, BiSeries.constant(1.0, self.order, self.center))
+        return self._scaled(other)
 
     def du(self) -> "BiSeries":
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        n = self.order
-        k = np.arange(1, n + 1)[:, None]
-        return BiSeries((self.coeffs[1:, :] * k)[:, :n], self.center)
+        return BiSeries(du_tables(self.coeffs), self.center)
 
     def dv(self) -> "BiSeries":
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        n = self.order
-        k = np.arange(1, n + 1)[None, :]
-        return BiSeries((self.coeffs[:, 1:] * k)[:n, :], self.center)
+        return BiSeries(dv_tables(self.coeffs), self.center)
 
     def eval(self, u, v):
         """Value at (u, v).  u and v may be numpy arrays; they are broadcast
@@ -446,9 +424,3 @@ class BiSeries:
     def eval_grid(self, us, vs) -> np.ndarray:
         """Values on the tensor grid, shape (len(us), len(vs))."""
         return grid_values(self.coeffs, self.center, us, vs)
-
-    def maxabs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"BiSeries(order={self.order}, center={self.center:g})"

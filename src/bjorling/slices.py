@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import _power
+from .series import Ring
 
 
 def _antidiagonal_sums(outer: np.ndarray) -> np.ndarray:
@@ -59,14 +59,14 @@ def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.nda
     return _antidiagonal_sums(outer)
 
 
-class TapeNode:
+class TapeNode(Ring):
     """One value recorded on a ``FrameTape``: sum_k terms[k] * base_k.
 
     Sums, differences, scalings and divisions by a number stay affine in
     the tape's bases; a product of two nodes adds a base, and an integer
-    power k >= 1 is k - 1 products, by repeated squaring.  A quotient by a
-    node, a negative power or exp, sin, ... of a node has no expansion here
-    and raises TypeError.
+    power k >= 1 is at most k - 1 products (``series.Ring``).  A quotient
+    by a node, a negative power or exp, sin, ... of a node has no
+    expansion here and raises TypeError.
     """
 
     __slots__ = ("tape", "terms")
@@ -80,6 +80,9 @@ class TapeNode:
         """The node's weights (finite for a finite frame entry)."""
         return np.array(list(self.terms.values()))
 
+    def one(self) -> "TapeNode":
+        return TapeNode(self.tape, {0: 1.0})
+
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = {0: float(other)}
@@ -92,17 +95,6 @@ class TapeNode:
             terms[k] = terms.get(k, 0.0) + w
         return TapeNode(self.tape, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, (int, float, TapeNode)) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return TapeNode(self.tape, {k: w * other for k, w in self.terms.items()})
@@ -110,19 +102,10 @@ class TapeNode:
             return NotImplemented
         return self.tape.product(self.terms, other.terms)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
             return NotImplemented
         return TapeNode(self.tape, {k: w / other for k, w in self.terms.items()})
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        if exponent == 0:
-            return TapeNode(self.tape, {0: 1.0})
-        return _power(self, exponent - 1, self)
 
 
 def _weights(forms, size: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import verify
 from .config import CurveClass, GridSpec, Mode, ProblemKind, Tolerances
 from .errors import (
     CausalMismatch,
@@ -27,7 +28,7 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import BiSeries, USeries, pair_products, point_values, table_stack
+from .series import BiSeries, USeries, du_tables, dv_tables, evaluate_surface, pair_products
 from .slices import FrameTape, cauchy_slice, matvec_slice
 
 
@@ -63,9 +64,17 @@ class BjorlingProblem:
         return tuple(c.deriv() for c in self.curve)
 
     @cached_property
+    def coframe_jets(self) -> tuple:
+        """A^{-1} along the curve, a 3x3 nest of jets and numbers, evaluated
+        once per problem."""
+        self.group.require_frame()
+        return self.group.coframe(self.curve)
+
+    @cached_property
     def frame_velocity(self) -> tuple[USeries, USeries, USeries]:
         """Frame components of the curve's velocity, converted once per problem."""
-        return self.group.frame_jet_from_coords(self.curve, self.curve_velocity())
+        w = self.curve_velocity()
+        return tuple(row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in self.coframe_jets)
 
     def validate(self) -> None:
         """Check the stated invariants; raises ProblemValidationError."""
@@ -124,7 +133,7 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     coordinate velocity overflows.
     """
     speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
-    coframe = [e for row in problem.group.coframe(problem.curve) for e in row]
+    coframe = [e for row in problem.coframe_jets for e in row]
     u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
     us = np.linspace(u_lo, u_hi, samples)
     gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
@@ -316,12 +325,10 @@ def reconstruct_surface(
         a[:, :, :rows, level] = tape.column(level, rows)
         fv, fu[:, :rows, level] = matvec_slice(a, w_r, level, rows)
         f[:, :rows, level + 1] = fv / (level + 1)
+    _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du_tables(f), fu, compat_rtol)
     surface = tuple(BiSeries(table, curve[0].center) for table in f)
-    du = np.array([g.du().coeffs for g in surface])
-    _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du, fu, compat_rtol)
-    dv = np.array([g.dv().coeffs for g in surface])
     aw = _frame_times(group, surface, w_r[0])
-    _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv, aw, compat_rtol)
+    _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv_tables(f), aw, compat_rtol)
     return surface
 
 
@@ -356,7 +363,7 @@ class BjorlingSolution:
     frame_data: np.ndarray  # (2, 3, order+1, order+1): [0, c] re, [1, c] unit of psi_{c+1}
     surface: tuple
     grid: GridSpec
-    report: object = None  # verify.ResidualReport; typed loosely to avoid a cycle
+    report: verify.ResidualReport
 
     @property
     def mode(self) -> Mode:
@@ -364,12 +371,6 @@ class BjorlingSolution:
 
     def surface_point(self, u, v) -> np.ndarray:
         return evaluate_surface(self.surface, u, v)
-
-
-def evaluate_surface(surface, u, v) -> np.ndarray:
-    """Coordinates of a series triple at (u, v), shape (3, *np.shape(u));
-    u and v may be arrays of one shape."""
-    return point_values(table_stack(surface), surface[0].center, u, v)
 
 
 def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
@@ -382,8 +383,6 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
     series expansion, and propagates NonIntegrable / ConstraintDrift as
     internal-consistency failures.
     """
-    from . import verify  # deferred to keep module import light
-
     problem.validate()
     observed = classify_curve(problem)
     if observed is CurveClass.LIGHTLIKE:

@@ -18,8 +18,7 @@ import numpy as np
 from .config import GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import grid_values, pair_products, table_stack
-from .solver import evaluate_surface
+from .series import du_tables, dv_tables, evaluate_surface, grid_values, pair_products, table_stack
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
 MAX_HALVINGS = 6
@@ -104,10 +103,7 @@ def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> t
     mixed = np.stack([p[0, :, 0] - s * p[1, :, 1], p[0, :, 1] - p[1, :, 0]])
     cone = float(np.max(np.abs(np.einsum("a,raamk->rmk", SIGNATURE, square))))
     quad = np.tensordot(group.gamma, mixed, axes=([0, 1], [1, 2])).swapaxes(0, 1)
-    # d/du and d/dv of every table, truncated to order n - 1.
-    deg = np.arange(1.0, n + 1)
-    du = frame[..., 1:, :n] * deg[:, None]
-    dv = frame[..., :n, 1:] * deg
+    du, dv = du_tables(frame), dv_tables(frame)
     dzbar = 0.5 * np.stack([du[0] - dv[1], du[1] - s * dv[0]])
     resid = dzbar + quad[..., :n, :n]
     kept = np.add.outer(np.arange(n), np.arange(n)) < n
@@ -130,11 +126,10 @@ def surface_grids(surface, us, vs) -> np.ndarray:
     us x vs: one (3, 3, len(us), len(vs)) array, [0] the points, [1] f_u and
     [2] f_v, evaluated as one stack of nine tables."""
     f = table_stack(surface)
-    deg = np.arange(1.0, f.shape[-1])
     tables = np.zeros((3,) + f.shape)
     tables[0] = f
-    tables[1, :, :-1] = f[:, 1:] * deg[:, None]
-    tables[2, :, :, :-1] = f[:, :, 1:] * deg
+    tables[1, :, :-1, :-1] = du_tables(f)
+    tables[2, :, :-1, :-1] = dv_tables(f)
     return grid_values(tables, surface[0].center, us, vs)
 
 
@@ -223,12 +218,11 @@ def tension_residual(
     f_v = (fpv - fmv) / (2.0 * h)
     f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
     f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
-    gam = group.christoffels(f0)
+    gam, g = group.christoffels(f0)
     quad = np.einsum("kij...,i...,j...->k...", gam, f_u, f_u) - sigma * np.einsum(
         "kij...,i...,j...->k...", gam, f_v, f_v
     )
     resid = f_uu - sigma * f_vv + quad
-    g = group.metric(f0)
     conf = 0.5 * (
         np.abs(np.einsum("i...,ij...,j...->...", f_u, g, f_u))
         + np.abs(np.einsum("i...,ij...,j...->...", f_v, g, f_v))

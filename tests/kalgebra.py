@@ -13,7 +13,8 @@ division.
 It also holds the real-series constructors and the grid check that only
 the tests use (the library builds its tables directly): the zero series,
 the coordinates u and v, univariate jets as functions of u or of v, and
-``graph_identity_residual``.
+``graph_identity_residual``; and ``frame_jet_from_coords``, the coframe
+applied to coordinate jets along a curve.
 """
 
 from __future__ import annotations
@@ -360,3 +361,8 @@ def graph_identity_residual(surface, relation, us, vs) -> float:
     """Grid max of |relation(x1, x2, x3)| along a series triple."""
     vals = relation(*grid_values(table_stack(surface), surface[0].center, us, vs))
     return float(np.max(np.abs(vals)))
+
+
+def frame_jet_from_coords(group, curve, w):
+    """Apply A^{-1}(curve(u)) to a coordinate-component jet triple."""
+    return tuple(row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in group.coframe(curve))

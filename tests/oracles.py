@@ -460,7 +460,7 @@ def reference_tension_residual(group, surface_fn, sigma, us, vs, step=1e-3) -> f
             f_v = (fpv - fmv) / (2.0 * h)
             f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
             f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
-            gam = group.christoffels(f0)
+            gam = group.christoffels(f0)[0]
             quad = np.einsum("kij,i,j->k", gam, f_u, f_u) - sigma * np.einsum(
                 "kij,i,j->k", gam, f_v, f_v
             )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bjorling.config import Mode
 from bjorling.errors import DomainError
 from bjorling.series import BiSeries, USeries, ode_taylor, pair_products
+from bjorling.slices import FrameTape, TapeNode
 from kalgebra import (
     KScalar,
     KSeries,
@@ -286,6 +287,39 @@ def test_biseries_division_by_a_number_only():
     for bad in (lambda: 1.0 / a, lambda: a / a, lambda: a**-1, lambda: a**0.5):
         with pytest.raises(TypeError):
             bad()
+
+
+@pytest.mark.parametrize("kind", [USeries, BiSeries, TapeNode])
+def test_derived_ring_operators(kind):
+    # Differences, negation, reflected operands and powers come from each
+    # type's own + and *; they must equal the explicit coefficient arithmetic.
+    if kind is TapeNode:
+        # x ** k is x times x ** (k - 1) by repeated squaring, never 1 * x:
+        # k - 1 products up to k = 4, and x * (x*x)*(x*x) for k = 5.
+        for k, count in enumerate([0, 0, 1, 2, 3, 3]):
+            tape = FrameTape(lambda x: ((x[0] ** k, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 3))
+            assert len(tape.products) == count and (tape.outputs[0, 0] == 1.0) == (k == 0), k
+            assert all(0 not in terms for pair in tape.products for terms in pair), k
+        # The affine operators record no product and give the explicit weights.
+        rows = lambda x: ((-x[0], 3 - x[1], x[2] / 2), (x[0] - x[1], 2 * x[2], 1), (0, 0, 1))
+        tape = FrameTape(rows, (3, 3))
+        want = [[0, -1, 0, 0], [3, 0, -1, 0], [0, 0, 0, 0.5], [0, 1, -1, 0], [0, 0, 0, 2]]
+        assert tape.products == [] and np.array_equal(tape.outputs[:5], want)
+        return
+    d, rng = kind.NDIM, np.random.default_rng(11)
+    a, b = kind(rng.uniform(-1.0, 1.0, (8,) * d), 0.25), kind(rng.uniform(-1.0, 1.0, (6,) * d), 0.25)
+    c, one = b.coeffs, kind.constant(1.0, 5).coeffs
+    cut = a.coeffs[(slice(6),) * d] * (np.add.outer(np.arange(6), np.arange(6)) <= 5 if d == 2 else 1)
+    if d == 1:
+        times = lambda x, y: np.convolve(x, y)[:6]
+    else:
+        times = lambda x, y: pair_products(x[None], y[None])[0, 0]
+    c2 = times(c, c)
+    cases = [(a - b, cut - c), (b - 3, c - 3 * one), (3 - b, 3 * one - c), (-b, -c), (2 * b, 2 * c)]
+    powers = [one, c, c2, times(c, c2), times(c2, c2), times(c, times(c2, c2))]
+    cases += zip([b**k for k in range(6)], powers)
+    for got, want in cases:
+        assert type(got) is kind and got.center == 0.25 and np.array_equal(got.coeffs, want)
 
 
 # ---------------------------------------------------------------------------

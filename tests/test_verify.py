@@ -1,9 +1,13 @@
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bjorling
 from bjorling import corpus, problemfile
 from bjorling.config import GridSpec, Mode, ProblemKind
 from bjorling.errors import DomainError
@@ -365,8 +369,8 @@ def test_grid_code_matches_per_point_reference(example_id):
 
 def test_certificates_make_few_frame_matrix_calls(monkeypatch):
     # The boundary check makes one call; each strip attempt makes one for
-    # the conformality defect, one for the Christoffel symbols (the points
-    # and all six shifts at once) and one for the tension's metric.
+    # the conformality defect and one for the Christoffel symbols (the
+    # points and all six shifts at once), which also give the metric.
     calls = []
     raw = GroupModel.frame_matrix
 
@@ -380,23 +384,32 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
         calls.clear()
         report = solve_bjorling(prob).report
         attempts = report.strip_halvings + 1
-        assert 1 <= len(calls) <= 1 + 3 * attempts, (example_id, calls)
+        assert 1 <= len(calls) <= 1 + 2 * attempts, (example_id, calls)
 
 
-def test_solve_converts_the_frame_velocity_once(monkeypatch):
-    # validate, classify_curve and initial_data all read one conversion.
-    calls = []
-    raw = GroupModel.frame_jet_from_coords
-
-    def counted(self, curve, w):
-        calls.append(len(w))
-        return raw(self, curve, w)
-
-    monkeypatch.setattr(GroupModel, "frame_jet_from_coords", counted)
+def test_solve_converts_the_frame_velocity_once():
+    # validate, classify_curve and initial_data all read one evaluation of
+    # the coframe along the curve; the certificates' grid calls are not jets.
     for example_id in corpus.EXAMPLE_IDS:
-        calls.clear()
-        solve_bjorling(_problem(example_id))
-        assert len(calls) == 1, (example_id, calls)
+        prob, calls = _problem(example_id), []
+        raw = prob.group.coframe
+        prob.group.coframe = lambda x: calls.append(type(x[0])) or raw(x)
+        solve_bjorling(prob)
+        assert calls.count(USeries) == 1, (example_id, calls)
+
+
+def test_verify_imports_without_the_solver():
+    # The certificates stand apart from the code that made the data: verify,
+    # loaded without the package's own imports, loads no solver.
+    path = str(Path(bjorling.__file__).parent)
+    script = f"""import sys, types
+sys.modules['bjorling'] = pkg = types.ModuleType('bjorling')
+pkg.__path__ = [{path!r}]
+import bjorling.verify
+print(sorted(m for m in sys.modules if m.startswith('bjorling.')))"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    loaded = run.stdout
+    assert "'bjorling.verify'" in loaded and "'bjorling.solver'" not in loaded, loaded
 
 
 def test_clipped_mesh_matches_per_point_reference():
