@@ -117,17 +117,21 @@ def _cmd_solve(args) -> int:
         return 3
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(path)
     solution_path = out_dir / f"{stem}.solution.json"
     report_path = out_dir / f"{stem}.report.json"
-    problemfile.write_solution(solution, solution_path)
-    problemfile.write_report(solution, report_path)
     written = [solution_path, report_path]
-    if args.mesh:
-        mesh_path = out_dir / f"{stem}.surface.{args.mesh}"
-        _export_mesh(solution, args.mesh, mesh_path)
-        written.append(mesh_path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        problemfile.write_solution(solution, solution_path)
+        problemfile.write_report(solution, report_path)
+        if args.mesh:
+            mesh_path = out_dir / f"{stem}.surface.{args.mesh}"
+            _export_mesh(solution, args.mesh, mesh_path)
+            written.append(mesh_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     report = solution.report
     for key, val in sorted(report.as_flat_dict().items()):
@@ -156,11 +160,15 @@ def _cmd_examples(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem_path = out_dir / f"{args.name}.problem.json"
     reference_path = out_dir / f"{args.name}.reference.json"
-    problem_path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
-    reference_path.write_text(json.dumps(stub, indent=1), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        problem_path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        reference_path.write_text(json.dumps(stub, indent=1), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {problem_path}")
     print(f"wrote {reference_path}")
     return 0
@@ -173,7 +181,11 @@ def _cmd_export_mesh(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    mesh = _export_mesh(stored, args.format, out)
+    try:
+        mesh = _export_mesh(stored, args.format, out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {out} ({mesh.vertices.shape[0]} vertices, {len(mesh.faces)} faces)")
     return 0
 

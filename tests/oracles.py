@@ -8,11 +8,12 @@ brute-force dictionary polynomial products, table
 products by one Kronecker-substituted 1-D convolution and by shift-and-add
 over every pair of degrees, the coefficient-level certificate with every
 product made that way, the frame march as a literal transcription of the
-PDE with full series products at every level and as the earlier slice
+PDE that makes each level's column of every product as a sum of
+u-convolutions of columns, and as the earlier slice
 march (Cauchy slices, a cone slice and an einsum per level), the series
 square root matched degree by degree
 against full products, the cone lift's root grown one v-column per level
-against full products, the grid certificates and the mesh as loops over
+from those column products, the grid certificates and the mesh as loops over
 single grid points, and the mesh files written one line at a time.  Series references are written in the
 closed-form algebra of ``kalgebra``.
 """
@@ -267,14 +268,7 @@ def split_cosh_parts(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# full-product march references
-
-
-def _times_unit(x: KSeries) -> KSeries:
-    # Multiply by the mode's imaginary unit.
-    if x.mode is Mode.PARACOMPLEX:
-        return KSeries(x.im, x.re, x.mode)
-    return KSeries(-1.0 * x.im, x.re, x.mode)
+# march references made from column products
 
 
 def _column_zero_tables(components, n):
@@ -289,19 +283,52 @@ def _column_zero_tables(components, n):
     return parts
 
 
-def _march_level(group, parts, current, level, n):
-    # Write column level+1 of each part from the full quadratic G.
-    quad = group.pde_quadratic(current)
-    denom = float(level + 1)
+def _laid_columns(pairs, col, rows):
+    """The (re, unit) tables of algebra-valued series, each cut to its
+    columns <= col and rows < rows, with the columns laid end to end
+    2 rows - 1 slots apart.  One u-convolution of two layouts then holds,
+    in slot block col, the sum over k <= col of column k of one table
+    times column col - k of the other, apart from every other column's sums."""
+    tables = np.array([t[:rows, : col + 1].T for pair in pairs for t in pair])
+    out = np.zeros(tables.shape[:2] + (2 * rows - 1,))
+    out[:, :, :rows] = tables
+    return out.reshape(len(pairs), 2, -1)
+
+
+def _column_kproduct(x, y, s, col, rows):
+    # (re, unit) column col of the product of two laid-out algebra-valued tables.
+    start = col * (2 * rows - 1)
+
+    def column(p, q):
+        return np.convolve(p, q)[start : start + rows]
+
+    return column(x[0], y[0]) + s * column(x[1], y[1]), column(x[0], y[1]) + column(x[1], y[0])
+
+
+def _march_level(group, parts, current, level, n, s):
+    # Write column level+1 of each part: unit * (d/du psi_c + 2 G_c) in
+    # column level, divided by level+1, with column level of
+    # G_c = sum gamma[a, b, c] conj(psi_a) psi_b made from the columns <= level.
+    rows = n - level  # entries (m, level) with m + level <= n - 1
+    laid = _laid_columns(current, level, rows)
+    deg = np.arange(1.0, rows + 1)
     for c, (re, im) in enumerate(parts):
-        rhs = _times_unit(current[c].du() + 2.0 * quad[c])
-        rows = n - level  # entries (m, level) with m + level <= n - 1
-        re[:rows, level + 1] = rhs.re.coeffs[:rows, level] / denom
-        im[:rows, level + 1] = rhs.im.coeffs[:rows, level] / denom
+        q_re, q_im = np.zeros(rows), np.zeros(rows)
+        for a, b in zip(*np.nonzero(group.gamma[:, :, c])):
+            conj = (laid[a, 0], -laid[a, 1])
+            p_re, p_im = _column_kproduct(conj, laid[b], s, level, rows)
+            q_re = q_re + group.gamma[a, b, c] * p_re
+            q_im = q_im + group.gamma[a, b, c] * p_im
+        rhs_re = deg * current[c][0][1 : rows + 1, level] + 2.0 * q_re
+        rhs_im = deg * current[c][1][1 : rows + 1, level] + 2.0 * q_im
+        # unit * (re + unit im) = s im + unit re
+        re[:rows, level + 1] = s * rhs_im / (level + 1)
+        im[:rows, level + 1] = rhs_re / (level + 1)
 
 
 def reference_ck_march(group, frame_data0, mode: Mode, order: int):
-    """The frame march with the whole quadratic G rebuilt at every level."""
+    """The frame march with column level of the quadratic G made from the
+    columns <= level at every level, by u-convolutions."""
     n = order
     center = frame_data0[0].center
     parts = _column_zero_tables(frame_data0, n)
@@ -310,7 +337,7 @@ def reference_ck_march(group, frame_data0, mode: Mode, order: int):
         return KSeries(BiSeries(pair[0], center), BiSeries(pair[1], center), mode)
 
     for level in range(n):
-        _march_level(group, parts, tuple(wrap(p) for p in parts), level, n)
+        _march_level(group, parts, parts, level, n, mode.unit_square)
     return tuple(wrap(p) for p in parts)
 
 
@@ -368,48 +395,47 @@ def reference_sqrt(a: KSeries, branch: KScalar) -> KSeries:
 
 
 def reference_cone_lift(group, first0: KSeries, second0: KSeries, mode: Mode, order: int):
-    """March equations 1-2 with full products, growing psi3 = r, the square
+    """March equations 1-2 column by column, growing psi3 = r, the square
     root of a = psi1^2 + psi2^2, by one v-column per level.
 
     Column 0 of r is the u-jet root of column 0 of a.  Once columns < L of r
     are known, the v-degree L part of r^2 = a is linear in column L, c(u):
-    2 r(u, 0) c = (a - r^2)[:, L], with r^2 a full product while its column
-    L is still zero.  Both are solved by forward substitution in u.
+    2 r(u, 0) c = (a - r^2)[:, L], with column L of r^2 taken while it is
+    still zero there.  Both are solved by forward substitution in u.
     """
     n = order
+    s = mode.unit_square
     center = first0.center
     parts = _column_zero_tables((first0, second0), n)
+    third = (np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)))
 
     def wrap(pair):
         return KSeries(BiSeries(pair[0], center), BiSeries(pair[1], center), mode)
 
-    def square_sum():
-        p1, p2 = wrap(parts[0]), wrap(parts[1])
-        return p1 * p1 + p2 * p2
+    def rest(col):
+        # Column col of psi1^2 + psi2^2 - r^2, one KScalar per u-degree.
+        rows = n + 1 - col
+        (a_re, a_im), (b_re, b_im), (r_re, r_im) = (
+            _column_kproduct(p, p, s, col, rows) for p in _laid_columns((*parts, third), col, rows)
+        )
+        return [KScalar(x, y, mode) for x, y in zip(a_re + b_re - r_re, a_im + b_im - r_im)]
 
-    def entry(series, m, k):
-        return KScalar(series.re.coeffs[m, k], series.im.coeffs[m, k], mode)
-
-    a = square_sum()
-    root = [entry(a, 0, 0).sqrt()]
+    a = rest(0)
+    root = [a[0].sqrt()]
     inv2 = (2.0 * root[0]).inverse()
     for m in range(1, n + 1):
-        acc = entry(a, m, 0)
+        acc = a[m]
         for i in range(1, m):
             acc = acc - root[i] * root[m - i]
         root.append(inv2 * acc)
-    third = (np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)))
     third[0][:, 0] = [z.re for z in root]
     third[1][:, 0] = [z.im for z in root]
 
     for level in range(n):
-        _march_level(group, parts, (wrap(parts[0]), wrap(parts[1]), wrap(third)), level, n)
+        _march_level(group, parts, (*parts, third), level, n, s)
         col = level + 1
-        r = wrap(third)
-        rest = square_sum() - r * r
         column = []
-        for m in range(n + 1 - col):
-            acc = entry(rest, m, col)
+        for m, acc in enumerate(rest(col)):
             for i in range(1, m + 1):
                 acc = acc - 2.0 * root[i] * column[m - i]
             column.append(inv2 * acc)

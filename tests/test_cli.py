@@ -503,6 +503,67 @@ def test_export_mesh_rejects_bad_solution_grid_size(workdir, capsys, size, messa
     assert not (workdir / "bad.obj").exists()
 
 
+def _one_line_error(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        pytest.param(
+            lambda d: dict(d, surface=d["surface"][:2]),
+            "surface must be a list of three",
+            id="two-tables",
+        ),
+        pytest.param(
+            lambda d: dict(d, surface=d["surface"] + d["surface"][:1]),
+            "surface must be a list of three",
+            id="four-tables",
+        ),
+        pytest.param(lambda d: [d], "solution document must be a JSON object", id="list"),
+    ],
+)
+def test_export_mesh_rejects_a_malformed_solution_document(workdir, capsys, spoil, message):
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--out", "."]) == 0
+    doc = json.loads((workdir / "plane.solution.json").read_text())
+    (workdir / "bad.solution.json").write_text(json.dumps(spoil(doc)))
+    capsys.readouterr()
+    code = main(["export-mesh", "bad.solution.json", "--format", "csv", "--out", "bad.csv"])
+    assert code == 1
+    line = _one_line_error(capsys)
+    assert "malformed solution file" in line and message in line
+    assert not (workdir / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "examples"])
+def test_out_naming_a_file_is_a_one_line_error(workdir, capsys, command):
+    path = _write_problem(workdir / "heisenberg_vertical_plane.problem.json")
+    (workdir / "taken").write_text("")
+    target = str(path) if command == "solve" else "heisenberg_vertical_plane"
+    assert main([command, target, "--out", "taken"]) == 1
+    assert "File exists" in _one_line_error(capsys)
+
+
+def test_solve_mesh_path_that_is_a_directory_is_a_one_line_error(workdir, capsys):
+    path = _write_problem(workdir / "plane.problem.json")
+    (workdir / "out" / "plane.surface.obj").mkdir(parents=True)
+    assert main(["solve", str(path), "--mesh", "obj", "--out", "out"]) == 1
+    assert "Is a directory" in _one_line_error(capsys)
+
+
+def test_export_mesh_out_naming_a_directory_is_a_one_line_error(workdir, capsys):
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--out", "."]) == 0
+    (workdir / "meshes").mkdir()
+    capsys.readouterr()
+    code = main(["export-mesh", "plane.solution.json", "--format", "csv", "--out", "meshes"])
+    assert code == 1
+    assert "Is a directory" in _one_line_error(capsys)
+
+
 def test_helicoid_profile_is_refused_above_its_order(workdir, capsys):
     assert main(["examples", "heisenberg_helicoid"]) == 0
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ from bjorling import corpus, problemfile
 from bjorling.config import GridSpec, ProblemKind
 from bjorling.errors import SchemaError
 from bjorling.solver import solve_bjorling
+from bjorling.verify import surface_grids
 from kalgebra import variable_u, variable_v, zero_series
+from oracles import _point_defect
 
 
 def _doc(**overrides):
@@ -148,6 +151,81 @@ def test_solution_round_trip(stored_solution):
         assert np.array_equal(a.coeffs, b.coeffs)
     assert stored.report["schema_version"] == 1
     assert stored.kind is sol.kind
+
+
+def test_solution_file_has_one_key_per_line(stored_solution, tmp_path):
+    sol, _ = stored_solution
+    path = tmp_path / "plane.solution.json"
+    problemfile.write_solution(sol, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "{" and lines[-1] == "}"
+    payload = problemfile.solution_payload(sol)
+    keys = []
+    for line in lines[1:-1]:
+        entry = json.loads("{" + line.removesuffix(",") + "}")
+        assert len(entry) == 1
+        keys.extend(entry)
+    assert keys == list(payload)
+    # Values, key order and the text of every number are those of the
+    # indented layout; only whitespace differs.
+    assert json.dumps(json.loads(path.read_text())) == json.dumps(
+        json.loads(json.dumps(payload, indent=1))
+    )
+    stored = problemfile.StoredSolution.load(path)
+    for a, b in zip(sol.surface, stored.surface):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def test_non_finite_report_round_trips(stored_solution, tmp_path):
+    sol, _ = stored_solution
+    inf = float("inf")
+    # A report with no validated strip holds infinite grid residuals.
+    report = dataclasses.replace(
+        sol.report, conformality_residual=inf, minimality_residual=inf, strip_valid=False
+    )
+    path = tmp_path / "nostrip.solution.json"
+    problemfile.write_solution(dataclasses.replace(sol, report=report), path)
+    text = path.read_text()
+    assert '"conformality_residual": Infinity' in text
+    stored = problemfile.StoredSolution.load(path)
+    assert stored.report == report.as_flat_dict()
+    assert stored.report["minimality_residual"] == inf
+
+
+def test_indented_solution_file_still_loads(stored_solution, tmp_path):
+    sol, _ = stored_solution
+    path = tmp_path / "indented.solution.json"
+    path.write_text(json.dumps(problemfile.solution_payload(sol), indent=1))
+    stored = problemfile.StoredSolution.load(path)
+    for a, b in zip(sol.surface, stored.surface):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert stored.report == sol.report.as_flat_dict()
+    assert stored.grid == sol.grid and stored.kind is sol.kind
+
+
+def test_unclipped_mesh_is_a_reshape_of_the_grid(stored_solution):
+    _, stored = stored_solution
+    mesh = problemfile.build_mesh(stored)
+    us, vs = stored.grid.us(), stored.grid.vs()
+    nu, nv = len(us), len(vs)
+    quads = [
+        (i * nv + j, (i + 1) * nv + j, (i + 1) * nv + j + 1, i * nv + j + 1)
+        for i in range(nu - 1)
+        for j in range(nv - 1)
+    ]
+    assert np.array_equal(mesh.faces, np.array(quads))
+    u, v = np.meshgrid(us, vs, indexing="ij")
+    assert np.array_equal(mesh.uv, np.column_stack([u.ravel(), v.ravel()]))
+    x, fu, fv = surface_grids(stored.surface, us, vs)
+    assert np.array_equal(mesh.vertices, x.reshape(3, -1).T)
+    sigma = stored.kind.sigma
+    want = [
+        _point_defect(stored.group, x[:, i, j], fu[:, i, j], fv[:, i, j], sigma)
+        for i in range(nu)
+        for j in range(nv)
+    ]
+    assert np.array_equal(mesh.residual, want)
+    assert mesh.clipped == 0
 
 
 def test_mesh_counts_full_grid(stored_solution):
