@@ -120,16 +120,20 @@ def _cmd_solve(args) -> int:
     stem = _stem(path)
     solution_path = out_dir / f"{stem}.solution.json"
     report_path = out_dir / f"{stem}.report.json"
-    written = [solution_path, report_path]
+    written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         problemfile.write_solution(solution, solution_path)
+        written.append(solution_path)
         problemfile.write_report(solution, report_path)
+        written.append(report_path)
         if args.mesh:
             mesh_path = out_dir / f"{stem}.surface.{args.mesh}"
             _export_mesh(solution, args.mesh, mesh_path)
             written.append(mesh_path)
-    except OSError as exc:
+    except (OSError, SchemaError) as exc:
+        for p in written:  # a failed call leaves none of its files
+            p.unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

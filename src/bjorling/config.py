@@ -115,9 +115,9 @@ class Tolerances:
     """Numerical acceptance thresholds.
 
     cone / compat / series are coefficient-level, conformality and
-    minimality are grid-level (the latter is limited by finite differences,
-    not by the series).  causal is the relative band for "this velocity is
-    numerically lightlike".
+    minimality are grid-level: the conformality defect and the tension
+    residual over the conformal factor.  causal is the relative band for
+    "this velocity is numerically lightlike".
     """
 
     cone: float = 1e-9
@@ -125,8 +125,7 @@ class Tolerances:
     compat: float = 1e-9
     series: float = 1e-8
     conformality: float = 1e-6
-    minimality: float = 1e-4
-    fd_step: float = 1e-3
+    minimality: float = 1e-6
 
     def merged(self, overrides: dict | None) -> "Tolerances":
         if not overrides:

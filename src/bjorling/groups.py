@@ -63,9 +63,9 @@ def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, L / 2.0
 
 
-def _stack(nest, shape) -> np.ndarray:
-    # A 3x3 nest of floats and arrays as one (3, 3, *shape) array.
-    out = np.empty((3, 3) + shape)
+def _stack(nest, shape, dtype=float) -> np.ndarray:
+    # A 3x3 nest of numbers and arrays as one (3, 3, *shape) array.
+    out = np.empty((3, 3) + shape, dtype)
     for i, row in enumerate(nest):
         for j, entry in enumerate(row):
             out[i, j] = entry
@@ -97,12 +97,13 @@ class GroupModel:
     The chart is given by one pair of callables: ``frame(x)`` is the frame
     matrix A (columns are the frame fields in coordinates) and
     ``coframe(x)`` its inverse, each a 3x3 nest of entries for a coordinate
-    triple x.  The parts of x may be floats, numpy arrays of one shape, or
-    ``USeries`` jets, so the same two functions give the point and grid
-    matrices, the metric and Christoffel symbols on whole grids, and the
-    jet maps along a curve.  ``chart_guard(x)`` must work elementwise on a
-    (3, ...) stack too.  ``frame_exprs`` keeps a generic group's declared
-    frame strings (None for the built-ins) for its solution file.
+    triple x.  The parts of x may be floats, numpy arrays of one shape
+    (complex ones for the Christoffel symbols' steps), or ``USeries`` jets,
+    so the same two functions give the point and grid matrices, the metric
+    and Christoffel symbols on whole grids, and the jet maps along a curve.
+    ``chart_guard(x)`` must work elementwise on a (3, ...) stack too.
+    ``frame_exprs`` keeps a generic group's declared frame strings (None
+    for the built-ins) for its solution file.
     """
 
     def __init__(
@@ -139,45 +140,51 @@ class GroupModel:
         if self.frame is None:
             raise UnsupportedRecipe(f"group {self.name} has no frame matrix")
 
-    def frame_matrix(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """A and A^{-1} at a point (3x3 each) or at a (3, ...) stack of
-        points ((3, 3, ...) each).  Raises DomainError if any point is
-        outside the chart."""
-        x = np.asarray(x, dtype=float)
+    def _chart_shape(self, x: np.ndarray) -> tuple:
+        # x.shape[1:], once every point is in the chart and there is a frame.
         mask = self.chart_mask(x)
         if not mask.all():
             bad = x.reshape(3, -1)[:, np.argmin(mask.ravel())]
             raise DomainError(f"point {bad.tolist()} outside the {self.name} chart")
         self.require_frame()
-        return _stack(self.frame(x), mask.shape), _stack(self.coframe(x), mask.shape)
+        return mask.shape
+
+    def frame_matrix(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """A and A^{-1} at a point (3x3 each) or at a (3, ...) stack of
+        points ((3, 3, ...) each).  Raises DomainError if any point is
+        outside the chart."""
+        x = np.asarray(x, dtype=float)
+        shape = self._chart_shape(x)
+        return _stack(self.frame(x), shape), _stack(self.coframe(x), shape)
 
     def metric(self, x) -> np.ndarray:
         """Coordinate metric Ainv^T diag Ainv at a point or a (3, ...) stack."""
         _, ainv = self.frame_matrix(x)
         return np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
 
-    def christoffels(self, x, step=None) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate Christoffel symbols by central differences of the metric.
+    def christoffels(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate Christoffel symbols Gamma[k, i, j, ...] and metric
+        g[i, j, ...] at a point or on a (3, ...) stack of points.
 
-        Returns (Gamma, g): Gamma[k, i, j, ...], symmetric in (i, j), and the
-        metric g[i, j, ...] at x, which the differences evaluate anyway, at a
-        point or on a (3, ...) stack of points; the default step is 1e-5 *
-        max(1, |x|_inf) per point.  Used only as the independent,
-        coordinate-level certificate; nothing in the solver depends on it.
+        d_l Ainv is a complex step (Squire & Trapp, SIAM Rev. 40, 1998): one
+        coframe call on x + i h e_l, l = 1..3, h = 1e-20 max(1, |x|_inf),
+        whose real part is Ainv and whose imaginary part over h is d_l Ainv,
+        both exact in floating point.  Only the chart is read, never the
+        connection table that drives the solver.
         """
         x = np.asarray(x, dtype=float)
-        h = step if step is not None else 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=0))
-        shift = np.eye(3).reshape((3, 3) + (1,) * (x.ndim - 1)) * h
-        # One metric evaluation on x and its six shifts, stacked on axis 1:
-        # [:, :, 0] at x, [:, :, 1 + l] at x + h e_l, [:, :, 4 + l] at x - h e_l.
-        gs = self.metric(np.stack([x, *(x + shift), *(x - shift)], axis=1))
-        # dg[l, i, j] = d_l g_ij
-        dg = np.moveaxis(gs[:, :, 1:4] - gs[:, :, 4:], 2, 0) / (2.0 * h)
-        rest = tuple(range(3, dg.ndim))
+        shape = self._chart_shape(x)
+        h = 1e-20 * np.maximum(1.0, np.max(np.abs(x), axis=0))
+        steps = 1j * h * np.eye(3).reshape((3, 3) + (1,) * len(shape))
+        c = _stack(self.coframe(x[:, None] + steps), (3,) + shape, complex)
+        ainv, dainv = c.real[:, :, 0], c.imag / h  # dainv[a, i, l] = d_l Ainv[a, i]
+        g = np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
+        half = np.einsum("a,ai...,ajl...->ijl...", SIGNATURE, ainv, dainv)
+        dg = half + half.swapaxes(0, 1)  # dg[i, j, l] = d_l g_ij
         # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        t = dg + np.transpose(dg, (1, 0, 2) + rest) - np.transpose(dg, (1, 2, 0) + rest)
-        g = gs[:, :, 0]
-        ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        t = np.einsum("jli...->ijl...", dg) + np.einsum("ilj...->ijl...", dg) - dg
+        a = _stack(self.frame(x), shape)  # g^-1 = A diag A^T, with no inversion
+        ginv = np.einsum("a,ka...,la...->kl...", SIGNATURE, a, a)
         return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t), g
 
     # PDE -----------------------------------------------------------------

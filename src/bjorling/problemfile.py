@@ -166,7 +166,11 @@ def problem_from_dict(
         raise SchemaError(f"unknown tolerance keys: {sorted(unknown_tol)}")
     if tolerance_overrides:
         tol_doc.update(tolerance_overrides)
-    tolerances = Tolerances().merged({k: _finite(v, f"tolerance {k}") for k, v in tol_doc.items()})
+    tol_values = {k: _finite(v, f"tolerance {k}") for k, v in tol_doc.items()}
+    # Schema 1 names the step of the finite-difference tension it once had:
+    # still checked, no longer read.
+    tol_values.pop("fd_step", None)
+    tolerances = Tolerances().merged(tol_values)
 
     try:
         kind = ProblemKind.from_string(doc["mode"])
@@ -292,6 +296,9 @@ class StoredSolution:
             tables = doc["surface"]
             if not isinstance(tables, list) or len(tables) != 3:
                 raise SchemaError("surface must be a list of three coefficient tables")
+            for tab in tables:  # an order-MAX_ORDER solve writes side MAX_ORDER + 2
+                if isinstance(tab, list) and len(tab) > MAX_ORDER + 2:
+                    raise SchemaError(f"surface table side {len(tab)} exceeds {MAX_ORDER + 2}")
             surface = tuple(BiSeries(np.asarray(tab, dtype=float), center) for tab in tables)
             kind = ProblemKind.from_string(doc["mode"])
             group = _resolve_group(doc)

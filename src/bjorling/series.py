@@ -126,12 +126,6 @@ def point_values(tables: np.ndarray, center: float, u, v) -> np.ndarray:
     return out.reshape(tables.shape[:-2] + u.shape)[()]
 
 
-def evaluate_surface(surface, u, v) -> np.ndarray:
-    """Coordinates of a series triple at (u, v), shape (3, *np.shape(u));
-    u and v may be arrays of one shape."""
-    return point_values(table_stack(surface), surface[0].center, u, v)
-
-
 def dv_tables(tables: np.ndarray) -> np.ndarray:
     """d/dv of every table of a (..., n+1, n+1) stack, truncated to order
     n - 1: shape (..., n, n).  ``du_tables`` is d/du."""

@@ -28,7 +28,7 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import BiSeries, USeries, du_tables, dv_tables, evaluate_surface, pair_products
+from .series import BiSeries, USeries, du_tables, dv_tables, pair_products, point_values
 from .slices import FrameTape, cauchy_slice, matvec_slice
 
 
@@ -370,7 +370,9 @@ class BjorlingSolution:
         return self.kind.mode
 
     def surface_point(self, u, v) -> np.ndarray:
-        return evaluate_surface(self.surface, u, v)
+        """Coordinates at (u, v), shape (3, *np.shape(u)); u and v may be
+        arrays of one shape.  The rebuild's three tables are of one order."""
+        return point_values(np.array([f.coeffs for f in self.surface]), self.center, u, v)
 
 
 def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:

@@ -2,15 +2,13 @@
 
 Two unrelated certificates are computed for every surface: the frame-level
 residuals of the first-order system (series coefficients), and a
-coordinate-level tension-field residual that uses only grid evaluations,
-finite differences and numerically differentiated Christoffel symbols.
-Agreement of both is what rules out convention bugs in the connection
-table.
+coordinate-level tension-field residual of the immersion's own series,
+with Christoffel symbols taken from the chart's coframe alone.  Agreement
+of both is what rules out convention bugs in the connection table.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from .config import GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import du_tables, dv_tables, evaluate_surface, grid_values, pair_products, table_stack
+from .series import du_tables, dv_tables, grid_values, pair_products, table_stack
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
 MAX_HALVINGS = 6
@@ -121,15 +119,18 @@ def hermitian_sign_profile(
     return float(total.min()), float(total.max())
 
 
-def surface_grids(surface, us, vs) -> np.ndarray:
+def surface_grids(surface, us, vs, second: bool = False) -> np.ndarray:
     """Points and tangents f_u, f_v of a series triple on the tensor grid
     us x vs: one (3, 3, len(us), len(vs)) array, [0] the points, [1] f_u and
-    [2] f_v, evaluated as one stack of nine tables."""
+    [2] f_v, evaluated as one stack of nine tables.  With ``second`` the
+    stack also holds f_uu and f_vv, as [3] and [4]."""
     f = table_stack(surface)
-    tables = np.zeros((3,) + f.shape)
-    tables[0] = f
-    tables[1, :, :-1, :-1] = du_tables(f)
-    tables[2, :, :-1, :-1] = dv_tables(f)
+    fu, fv = du_tables(f), dv_tables(f)
+    parts = (f, fu, fv) + ((du_tables(fu), dv_tables(fv)) if second else ())
+    tables = np.zeros((len(parts),) + f.shape)
+    for table, part in zip(tables, parts):
+        m = part.shape[-1]
+        table[:, :m, :m] = part
     return grid_values(tables, surface[0].center, us, vs)
 
 
@@ -193,31 +194,18 @@ def boundary_residuals(
     return curve_res, res_minus, True
 
 
-def tension_residual(
-    group: GroupModel, surface_fn, sigma: float, us, vs, step: float = 1e-3
-) -> float:
-    """Coordinate-level minimality certificate by finite differences.
+def tension_residual(group: GroupModel, surface, sigma: float, us, vs) -> float:
+    """Grid max of the coordinate-level minimality certificate of a series
+    triple.
 
     Evaluates R^k = f^k_uu - sigma f^k_vv + Gamma^k_ij (f^i_u f^j_u -
-    sigma f^i_v f^j_v) with all derivatives taken by central differences
-    of ``surface_fn`` and Gamma from numerically differentiated metric
-    coefficients, then normalizes by the conformal factor.  Everything is
-    independent of the series machinery except (optionally) point
-    evaluation.
-
-    The whole us x vs grid and its four shifts by ``step`` are done at once:
-    ``surface_fn(u, v)`` is called once, with arrays u, v of shape
-    (5, len(us), len(vs)), and must return the coordinates as one array of
-    shape (3, *u.shape).
+    sigma f^i_v f^j_v) over the conformal factor, with f and its first and
+    second partials from the series' own derivative tables (one grid
+    evaluation of a five-table stack) and Gamma from
+    ``GroupModel.christoffels``, which reads only the chart.  Leaving the
+    chart raises DomainError.
     """
-    u, v = np.meshgrid(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), indexing="ij")
-    h = step
-    values = surface_fn(np.stack([u, u + h, u - h, u, u]), np.stack([v, v, v, v + h, v - h]))
-    f0, fpu, fmu, fpv, fmv = np.asarray(values, dtype=float).swapaxes(0, 1)
-    f_u = (fpu - fmu) / (2.0 * h)
-    f_v = (fpv - fmv) / (2.0 * h)
-    f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
-    f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
+    f0, f_u, f_v, f_uu, f_vv = surface_grids(surface, us, vs, second=True)
     gam, g = group.christoffels(f0)
     quad = np.einsum("kij...,i...,j...->k...", gam, f_u, f_u) - sigma * np.einsum(
         "kij...,i...,j...->k...", gam, f_v, f_v
@@ -263,7 +251,6 @@ def build_report(
     us = report_grid.us()
     curve_res, normal_res, flipped = boundary_residuals(group, surface, curve, normal_field, us)
 
-    surface_fn = functools.partial(evaluate_surface, surface)
     conf = float("inf")
     minim = float("inf")
     chosen = None
@@ -273,9 +260,7 @@ def build_report(
         vs = sub.vs()
         try:
             conf_try = conformality_residual(group, surface, kind.sigma, us, vs)
-            minim_try = tension_residual(
-                group, surface_fn, kind.sigma, us, vs, step=tol.fd_step
-            )
+            minim_try = tension_residual(group, surface, kind.sigma, us, vs)
         except DomainError:
             continue
         attempted = (sub, conf_try, minim_try, halvings)

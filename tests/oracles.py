@@ -1,7 +1,7 @@
 """Independent oracles for the tests.
 
 Everything here is deliberately built from a different path than the
-library: symbolic Christoffel symbols via sympy, series coefficients from
+library: symbolic metrics and Christoffel symbols via sympy, series coefficients from
 factorial formulas, the generators of a polynomial argument in exact
 rational arithmetic and by the Horner composition the library once used,
 brute-force dictionary polynomial products, table
@@ -14,7 +14,9 @@ march (Cauchy slices, a cone slice and an einsum per level), the series
 square root matched degree by degree
 against full products, the cone lift's root grown one v-column per level
 from those column products, the grid certificates and the mesh as loops over
-single grid points, and the mesh files written one line at a time.  Series references are written in the
+single grid points (the tension twice: with the symbolic Christoffel
+symbols, and by central differences of the surface and the metric), and
+the mesh files written one line at a time.  Series references are written in the
 closed-form algebra of ``kalgebra``.
 """
 
@@ -34,12 +36,8 @@ from kalgebra import KScalar, KSeries
 
 
 @lru_cache(maxsize=None)
-def exact_christoffels(name: str):
-    """Symbolically differentiated Christoffels of one built-in metric.
-
-    Returns a callable mapping a coordinate triple to the (3, 3, 3) table
-    Gamma[k, i, j].
-    """
+def _symbolic_metric(name: str):
+    # The coordinate symbols and the metric of one built-in chart, written out.
     x1, x2, x3 = sp.symbols("x1 x2 x3", real=True)
     if name == "heisenberg":
         g = sp.Matrix(
@@ -55,7 +53,30 @@ def exact_christoffels(name: str):
         g = sp.diag(1 / x2**2, 1 / x2**2, -1)
     else:
         raise KeyError(name)
-    xs = (x1, x2, x3)
+    return (x1, x2, x3), g
+
+
+def _lambdified(xs, table):
+    fn = sp.lambdify(xs, table, "numpy")
+    return lambda x: np.asarray(fn(x[0], x[1], x[2]), dtype=float)
+
+
+@lru_cache(maxsize=None)
+def exact_metric(name: str):
+    """The metric of one built-in chart as a callable: coordinate triple ->
+    (3, 3) table g[i, j]."""
+    xs, g = _symbolic_metric(name)
+    return _lambdified(xs, g.tolist())
+
+
+@lru_cache(maxsize=None)
+def exact_christoffels(name: str):
+    """Symbolically differentiated Christoffels of one built-in metric.
+
+    Returns a callable mapping a coordinate triple to the (3, 3, 3) table
+    Gamma[k, i, j].
+    """
+    xs, g = _symbolic_metric(name)
     ginv = g.inv()
     table = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for k in range(3):
@@ -67,8 +88,7 @@ def exact_christoffels(name: str):
                     for l in range(3)
                 ) / 2
                 table[k][i][j] = sp.simplify(expr)
-    fn = sp.lambdify(xs, table, "numpy")
-    return lambda x: np.asarray(fn(x[0], x[1], x[2]), dtype=float)
+    return _lambdified(xs, table)
 
 
 def univariate_coeffs(fn_name: str, center: float, order: int) -> np.ndarray:
@@ -470,9 +490,50 @@ def reference_conformality_residual(group, surface, sigma, us, vs) -> float:
     return worst
 
 
+def _point_tension(gam, g, f_uu, f_vv, f_u, f_v, sigma) -> float:
+    # |f_uu - sigma f_vv + Gamma(f_u, f_u) - sigma Gamma(f_v, f_v)|_inf over
+    # the conformal factor, at one point.
+    resid = (
+        f_uu
+        - sigma * f_vv
+        + np.einsum("kij,i,j->k", gam, f_u, f_u)
+        - sigma * np.einsum("kij,i,j->k", gam, f_v, f_v)
+    )
+    conf = 0.5 * (abs(f_u @ g @ f_u) + abs(f_v @ g @ f_v))
+    return float(np.max(np.abs(resid))) / max(conf, 1e-12)
+
+
+def exact_tension_residual(name, surface, sigma, us, vs) -> float:
+    """The tension certificate of a BiSeries triple, one grid point at a
+    time: the partials from ``BiSeries.du()`` / ``dv()``, the metric and
+    the Christoffel symbols of the built-in chart ``name`` from sympy."""
+    gam_fn, g_fn = exact_christoffels(name), exact_metric(name)
+    # parts[c] = (f^c, f^c_u, f^c_v, f^c_uu, f^c_vv)
+    parts = [(f, f.du(), f.dv(), f.du().du(), f.dv().dv()) for f in surface]
+    worst = 0.0
+    for u in np.asarray(us, dtype=float):
+        for v in np.asarray(vs, dtype=float):
+            f0, f_u, f_v, f_uu, f_vv = np.array([[p.eval(u, v) for p in c] for c in parts]).T
+            worst = max(worst, _point_tension(gam_fn(f0), g_fn(f0), f_uu, f_vv, f_u, f_v, sigma))
+    return worst
+
+
+def difference_christoffels(group, x, step=None):
+    """Christoffel symbols at one point by central differences of
+    ``group.metric``, step 1e-5 max(1, |x|_inf) by default."""
+    x = np.asarray(x, dtype=float)
+    h = step if step is not None else 1e-5 * max(1.0, float(np.max(np.abs(x))))
+    # dg[l, i, j] = d_l g_ij
+    dg = np.array([group.metric(x + e) - group.metric(x - e) for e in h * np.eye(3)]) / (2.0 * h)
+    # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    t = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(group.metric(x)), t)
+
+
 def reference_tension_residual(group, surface_fn, sigma, us, vs, step=1e-3) -> float:
-    """The finite-difference tension certificate, one grid point at a time
-    with scalar calls of ``surface_fn``."""
+    """The finite-difference tension certificate, one grid point at a time:
+    the partials by central differences of scalar calls of ``surface_fn``,
+    the Christoffel symbols by ``difference_christoffels``."""
     worst = 0.0
     h = step
     for u in np.asarray(us, dtype=float):
@@ -486,14 +547,8 @@ def reference_tension_residual(group, surface_fn, sigma, us, vs, step=1e-3) -> f
             f_v = (fpv - fmv) / (2.0 * h)
             f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
             f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
-            gam = group.christoffels(f0)[0]
-            quad = np.einsum("kij,i,j->k", gam, f_u, f_u) - sigma * np.einsum(
-                "kij,i,j->k", gam, f_v, f_v
-            )
-            resid = f_uu - sigma * f_vv + quad
-            g = group.metric(f0)
-            conf = 0.5 * (abs(f_u @ g @ f_u) + abs(f_v @ g @ f_v))
-            worst = max(worst, float(np.max(np.abs(resid))) / max(conf, 1e-12))
+            gam = difference_christoffels(group, f0)
+            worst = max(worst, _point_tension(gam, group.metric(f0), f_uu, f_vv, f_u, f_v, sigma))
     return worst
 
 

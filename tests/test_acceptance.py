@@ -32,9 +32,16 @@ from kalgebra import (
     graph_identity_residual,
     para_cr_residual,
     variable_u,
+    variable_v,
     zero_series,
 )
-from oracles import frame_series, frame_stack, reference_cone_lift, split_cosh_parts
+from oracles import (
+    frame_series,
+    frame_stack,
+    reference_cone_lift,
+    reference_tension_residual,
+    split_cosh_parts,
+)
 
 P = Mode.PARACOMPLEX
 C = Mode.COMPLEX
@@ -202,18 +209,20 @@ def test_criterion_07_cross_product_identity_suite():
 
 
 def test_criterion_08_independent_minimality_certificate():
-    # (a) every corpus solution passes the coordinate-level certificate
+    # (a) every corpus solution passes the coordinate-level certificate, and
+    # the finite-difference oracle on the same series agrees it is minimal
     groups = {"heisenberg": heisenberg(), "desitter": de_sitter(), "h2xr": h2xr()}
     for ex in corpus.EXAMPLE_IDS:
         prob, sol = _solve(ex)
         us = prob.grid.coarse(9, 5).us()
         vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, 5)
-        res = tension_residual(
-            sol.group, sol.surface_point, prob.kind.sigma, us, vs, step=1e-3
-        )
-        assert res <= 1e-4, (ex, res)
+        res = tension_residual(sol.group, sol.surface, prob.kind.sigma, us, vs)
+        assert res <= 1e-6, (ex, res)
+        fd = reference_tension_residual(sol.group, sol.surface_point, prob.kind.sigma, us, vs)
+        assert fd <= 1e-4, (ex, fd)
 
-    # (b) quadratic decay under step halving on exactly minimal references
+    # (b) the finite-difference oracle decays quadratically under step
+    # halving on exactly minimal references
     shrink_cases = (
         ("heisenberg_helicoid", 1.0, 0.0, 0.25, 0.4),
         ("heisenberg_saddle", 1.0, 0.0, 0.4, 0.15),
@@ -225,26 +234,27 @@ def test_criterion_08_independent_minimality_certificate():
         grp = groups[corpus.example_info(ex).group]
         us = np.linspace(u0 - uh, u0 + uh, 5)
         vs = np.linspace(-vh, vh, 5)
-        r_h = tension_residual(grp, fn, sigma, us, vs, step=4e-3)
-        r_half = tension_residual(grp, fn, sigma, us, vs, step=2e-3)
+        r_h = reference_tension_residual(grp, fn, sigma, us, vs, step=4e-3)
+        r_half = reference_tension_residual(grp, fn, sigma, us, vs, step=2e-3)
         assert r_half <= 0.35 * r_h + 1e-9, (ex, r_h, r_half)
     # the symmetric planes sit at the rounding floor instead
     for ex, sigma in (("heisenberg_vertical_plane", 1.0), ("desitter_vertical_plane", 1.0)):
         ref = corpus.reference_surface(ex)
         fn = lambda u, v: np.array(ref(u, v))
         grp = groups[corpus.example_info(ex).group]
-        res = tension_residual(
+        res = reference_tension_residual(
             grp, fn, sigma, np.linspace(-0.5, 0.5, 5), np.linspace(-0.4, 0.4, 5), step=1e-3
         )
         assert res <= 1e-8
 
-    # (c) a non-minimal probe is loudly non-minimal
-    probe = lambda u, v: np.array([u, 1.0 + 0.0 * u, v + 1.0])
+    # (c) a non-minimal probe, (u, 1, v + 1) under the spacelike operator,
+    # is loudly non-minimal
+    probe = (variable_u(2), zero_series(2) + 1.0, variable_v(2) + 1.0)
     res = tension_residual(
-        de_sitter(), probe, -1.0, np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5), step=1e-3
+        de_sitter(), probe, -1.0, np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5)
     )
     assert res > 0.1
-    _report(8, "tension certificate: corpus <= 1e-4, O(h^2), probe > 0.1")
+    _report(8, "tension certificate: corpus <= 1e-6, oracle O(h^2), probe > 0.1")
 
 
 def test_criterion_09_rejection_behavior(tmp_path, capsys, monkeypatch):

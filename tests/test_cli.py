@@ -333,6 +333,12 @@ def _generic(**entries):
             "tolerance cone must be a finite number",
             id="tolerance-nan",
         ),
+        pytest.param(
+            {"tolerances": {"fd_step": "small"}},
+            None,
+            "tolerance fd_step must be a finite number",
+            id="tolerance-fd-step-text",
+        ),
         pytest.param({"u0": float("-inf")}, None, "u0 must be a finite number", id="u0-inf"),
         pytest.param({"params": [1.0]}, None, "params must be a JSON object", id="params-list"),
         pytest.param({"params": "c"}, None, "params must be a JSON object", id="params-text"),
@@ -470,6 +476,28 @@ def test_speed_lost_to_rounding_is_rejected_naming_the_rounding(workdir, capsys,
     assert "characteristic" not in lines[0]
 
 
+@pytest.mark.parametrize("c", [1e3, 1e6, 1e8])
+def test_large_vertical_plane_passes_its_certificates(workdir, capsys, c):
+    # The plane is solved to the same relative accuracy at every c; the
+    # exact tension certificate sees that, a difference quotient did not.
+    path = _write_problem(workdir / "big.problem.json", params={"c": c})
+    assert main(["solve", str(path), "--order", "12"]) == 0
+    report = json.loads((workdir / "big.report.json").read_text())
+    assert report["minimality_residual"] <= 1e-6
+    assert report["strip_halvings"] == 0
+
+
+@pytest.mark.parametrize("c", [1e9, 1e11])
+def test_metric_too_ill_conditioned_to_invert_is_not_a_traceback(workdir, capsys, c):
+    # At these c the coordinate metric of the Heisenberg chart is singular
+    # to working precision.  The Christoffel symbols take g^-1 from the
+    # frame matrix instead of inverting g, so the solve ends with a report.
+    path = _write_problem(workdir / "big.problem.json", params={"c": c})
+    assert main(["solve", str(path)]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (workdir / "big.report.json").exists()
+
+
 def test_order_at_the_cap_is_accepted(workdir):
     from bjorling.problemfile import MAX_ORDER, problem_from_dict
 
@@ -523,6 +551,16 @@ def _one_line_error(capsys) -> str:
             id="four-tables",
         ),
         pytest.param(lambda d: [d], "solution document must be a JSON object", id="list"),
+        pytest.param(
+            lambda d: dict(d, surface=[[[0.0] * 51] * 51] * 3),
+            "surface table side 51 exceeds 50",
+            id="table-51",
+        ),
+        pytest.param(
+            lambda d: dict(d, surface=[[[0.0] * 600] * 600] * 3),
+            "surface table side 600 exceeds 50",
+            id="table-600",
+        ),
     ],
 )
 def test_export_mesh_rejects_a_malformed_solution_document(workdir, capsys, spoil, message):
@@ -552,6 +590,8 @@ def test_solve_mesh_path_that_is_a_directory_is_a_one_line_error(workdir, capsys
     (workdir / "out" / "plane.surface.obj").mkdir(parents=True)
     assert main(["solve", str(path), "--mesh", "obj", "--out", "out"]) == 1
     assert "Is a directory" in _one_line_error(capsys)
+    # The solution and report it wrote before the mesh are gone again.
+    assert [p.name for p in (workdir / "out").iterdir()] == ["plane.surface.obj"]
 
 
 def test_export_mesh_out_naming_a_directory_is_a_one_line_error(workdir, capsys):

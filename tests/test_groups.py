@@ -18,7 +18,7 @@ from bjorling.groups import (
 )
 from bjorling.series import USeries
 from kalgebra import KScalar, frame_jet_from_coords
-from oracles import coords_from_frame, exact_christoffels
+from oracles import coords_from_frame, difference_christoffels, exact_christoffels
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -270,22 +270,35 @@ def test_pde_quadratic_h2xr_second_equation_balance():
 
 
 def test_christoffels_match_symbolic_oracle():
-    pts = {
-        "heisenberg": [0.7, -0.4, 0.9],
-        "desitter": [0.3, -0.2, 1.3],
-        "h2xr": [0.5, 0.8, -0.1],
-    }
-    for name, x in pts.items():
-        model = by_name(name)
-        exact = exact_christoffels(name)(x)
-        got_h, metric = model.christoffels(x, step=1e-4)
-        assert np.array_equal(metric, model.metric(x))  # slice 0 of the differences, as is
-        got_h2 = model.christoffels(x, step=5e-5)[0]
-        err_h = np.max(np.abs(got_h - exact))
-        err_h2 = np.max(np.abs(got_h2 - exact))
-        assert err_h <= 1e-6
-        # second-order convergence, allowing a rounding floor
-        assert err_h2 <= 0.35 * err_h + 1e-10
+    # Complex-step derivatives are exact: the symbols agree with sympy's to
+    # rounding at coordinates of size up to 10, and the metric is the one
+    # ``metric`` gives.
+    rng = np.random.default_rng(17)
+    inside = {"heisenberg": None, "desitter": 2, "h2xr": 1}
+    for name, positive in inside.items():
+        model, exact = by_name(name), exact_christoffels(name)
+        pts = rng.uniform(-10.0, 10.0, (3, 40))
+        if positive is not None:
+            pts[positive] = np.abs(pts[positive]) + 0.05
+        got, metric = model.christoffels(pts)
+        assert np.array_equal(metric, model.metric(pts))
+        for k in range(pts.shape[1]):
+            want = exact(pts[:, k])
+            err = np.max(np.abs(got[..., k] - want)) / max(1.0, np.max(np.abs(want)))
+            assert err <= 1e-13, (name, pts[:, k], err)
+
+
+def test_christoffels_of_a_parsed_frame_with_functions():
+    # A generic frame's parsed entries (exp, sin, quotients) take the
+    # complex steps too; central differences of its metric agree.
+    model = generic_group(
+        np.zeros((3, 3, 3)),
+        frame_exprs=[["exp(x3)", "0", "0"], ["0", "1/(2 + sin(x1))", "0"], ["x2", "0", "1"]],
+    )
+    x = np.array([0.3, -0.4, 0.2])
+    got, metric = model.christoffels(x)
+    assert np.allclose(metric, model.metric(x), rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(got - difference_christoffels(model, x))) <= 1e-8
 
 
 def test_christoffel_known_desitter_value():
@@ -314,17 +327,17 @@ def test_christoffels_symmetric_in_lower_indices():
 
 
 def test_christoffels_domain_guard():
-    # Each point is inside the halfspace; only a shifted point x - h e3
-    # leaves it (the default step is 1e-5 here).
+    # The guard reads the real points: a point just inside the halfspace has
+    # finite symbols, and a point outside it is refused as frame_matrix
+    # refuses it.
     model = de_sitter()
-    inside = np.array([0.0, 0.0, 5e-6])
-    assert model.in_chart(inside)
-    with pytest.raises(DomainError):
-        model.christoffels([0.0, 0.0, 1e-7], step=1e-3)
-    with pytest.raises(DomainError):
-        model.christoffels(inside)
-    with pytest.raises(DomainError):
-        model.christoffels(np.stack([np.ones(3), inside], axis=1))
+    inside = np.array([0.0, 0.0, 1e-7])
+    assert np.all(np.isfinite(model.christoffels(inside)[0]))
+    for outside in ([0.0, 0.0, 0.0], [0.0, 0.0, -1e-7]):
+        with pytest.raises(DomainError, match="outside the desitter chart"):
+            model.christoffels(outside)
+    with pytest.raises(DomainError, match=r"point \[0.0, 0.0, -1.0\]"):
+        model.christoffels(np.stack([np.ones(3), [0.0, 0.0, -1.0]], axis=1))
 
 
 # ---------------------------------------------------------------------------

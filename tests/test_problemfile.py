@@ -62,6 +62,16 @@ def test_tolerance_override_applies():
     assert prob2.tolerances.conformality == 1e-12
 
 
+def test_schema_1_fd_step_is_checked_and_ignored():
+    # The finite-difference certificate and its step are gone; schema-1
+    # files that name the step still load.
+    prob = problemfile.problem_from_dict(_doc(tolerances={"fd_step": 5e-4}))
+    assert prob.tolerances == problemfile.problem_from_dict(_doc()).tolerances
+    assert not hasattr(prob.tolerances, "fd_step")
+    with pytest.raises(SchemaError, match="tolerance fd_step must be a finite number"):
+        problemfile.problem_from_dict(_doc(tolerances={"fd_step": float("inf")}))
+
+
 def test_order_override_applies():
     prob = problemfile.problem_from_dict(_doc(), order_override=8)
     assert prob.order == 8

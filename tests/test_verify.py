@@ -33,7 +33,7 @@ from kalgebra import (
     zero_series,
 )
 from oracles import (
-    exact_christoffels,
+    exact_tension_residual,
     frame_series,
     frame_stack,
     reference_build_mesh,
@@ -43,6 +43,7 @@ from oracles import (
     reference_weierstrass_residuals,
     reference_write_csv,
     reference_write_obj,
+    univariate_coeffs,
 )
 
 P = Mode.PARACOMPLEX
@@ -229,71 +230,80 @@ def test_degenerate_normal_raises():
 # tension (independent minimality certificate)
 
 
+def _outer(u_coeffs, v_coeffs):
+    # The Taylor series about (0, 0) of a(u) b(v), cut at total degree.
+    return BiSeries(np.outer(u_coeffs, v_coeffs))
+
+
+def _exp_v(order, sign=1.0):
+    # Coefficients of exp(sign v).
+    return univariate_coeffs("exp", 0.0, order) * sign ** np.arange(order + 1)
+
+
 def test_tension_small_on_closed_form_vertical_plane():
-    ref = corpus.reference_surface("heisenberg_vertical_plane")
-    fn = lambda u, v: np.array(ref(u, v))
-    res = tension_residual(
-        heisenberg(), fn, 1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5), step=1e-3
-    )
-    assert res <= 1e-5
+    # (exp(v) cosh(u), c, exp(v) (-(c/2) cosh(u) + sinh(u))), c = 1, from
+    # the factorial formulas, not from the solver.
+    n = 30
+    ch, sh, ev = univariate_coeffs("cosh", 0.0, n), univariate_coeffs("sinh", 0.0, n), _exp_v(n)
+    surface = (_outer(ch, ev), BiSeries.constant(1.0, n), _outer(sh - 0.5 * ch, ev))
+    grid = np.linspace(-0.5, 0.5, 5)
+    assert tension_residual(heisenberg(), surface, 1.0, grid, grid) <= 1e-12
 
 
 def test_tension_small_on_closed_form_desitter():
-    ref = corpus.reference_surface("desitter_vertical_plane")
-    fn = lambda u, v: np.array(ref(u, v))
+    # (exp(-v) sinh(u), c, exp(-v) cosh(u)), c = 1
+    n = 30
+    ch, sh = univariate_coeffs("cosh", 0.0, n), univariate_coeffs("sinh", 0.0, n)
+    surface = (_outer(sh, _exp_v(n, -1.0)), BiSeries.constant(1.0, n), _outer(ch, _exp_v(n, -1.0)))
     res = tension_residual(
-        de_sitter(), fn, 1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.4, 0.4, 5), step=1e-3
+        de_sitter(), surface, 1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.4, 0.4, 5)
     )
-    assert res <= 1e-5
+    assert res <= 1e-12
+    # A surface that is not minimal: the same plane with x1 scaled by 1.1.
+    scaled = (surface[0] * 1.1,) + surface[1:]
+    assert tension_residual(de_sitter(), scaled, 1.0, [0.3], [0.2]) > 1e-2
 
 
 def test_tension_shrinks_quadratically_on_helicoid():
+    # The finite-difference oracle on the closed form is O(h^2).
     ref = corpus.reference_surface("heisenberg_helicoid")
     fn = lambda u, v: np.array(ref(u, v))
     us = np.linspace(-0.25, 0.25, 5)
     vs = np.linspace(-0.4, 0.4, 5)
-    r1 = tension_residual(heisenberg(), fn, 1.0, us, vs, step=4e-3)
-    r2 = tension_residual(heisenberg(), fn, 1.0, us, vs, step=2e-3)
+    r1 = reference_tension_residual(heisenberg(), fn, 1.0, us, vs, step=4e-3)
+    r2 = reference_tension_residual(heisenberg(), fn, 1.0, us, vs, step=2e-3)
     assert r2 <= 0.35 * r1 + 1e-9
+
+
+def _plane_probe():
+    # (u, 1, v + 1): exact as an order-2 series triple.
+    return variable_u(2), zero_series(2) + 1.0, variable_v(2) + 1.0
 
 
 def test_tension_flags_non_minimal_probe():
     # the plane x2 = c parametrized by (u, c, v + 1) in the de Sitter chart
     # is a conformal timelike minimal surface, so the timelike operator is
     # silent on it; under the spacelike operator it is far from minimal
-    probe = lambda u, v: np.array([u, 1.0 + 0.0 * u, v + 1.0])
+    probe = _plane_probe()
     us = np.linspace(-0.3, 0.3, 5)
     vs = np.linspace(-0.3, 0.3, 5)
-    res = tension_residual(de_sitter(), probe, -1.0, us, vs, step=1e-3)
+    res = tension_residual(de_sitter(), probe, -1.0, us, vs)
     assert res > 0.1
-    res_wave = tension_residual(de_sitter(), probe, 1.0, us, vs, step=1e-3)
-    assert res_wave <= 1e-6
+    res_wave = tension_residual(de_sitter(), probe, 1.0, us, vs)
+    assert res_wave <= 1e-12
 
 
 def test_tension_with_exact_christoffel_oracle():
-    # same probe evaluated with the symbolic Christoffels: the finite
-    # difference table is not hiding the effect
-    gam_exact = exact_christoffels("desitter")
-    grp = de_sitter()
-    u, v = 0.1, -0.2
-    h = 1e-3
-    probe = lambda a, b: np.array([a, 1.0, b + 1.0])
-    f0 = probe(u, v)
-    f_u = (probe(u + h, v) - probe(u - h, v)) / (2 * h)
-    f_v = (probe(u, v + h) - probe(u, v - h)) / (2 * h)
-    f_uu = (probe(u + h, v) - 2 * f0 + probe(u - h, v)) / h**2
-    f_vv = (probe(u, v + h) - 2 * f0 + probe(u, v - h)) / h**2
-    gam = gam_exact(f0)
-    sigma = -1.0
-    resid = (
-        f_uu
-        - sigma * f_vv
-        + np.einsum("kij,i,j->k", gam, f_u, f_u)
-        - sigma * np.einsum("kij,i,j->k", gam, f_v, f_v)
-    )
-    g = grp.metric(f0)
-    conf = 0.5 * (abs(f_u @ g @ f_u) + abs(f_v @ g @ f_v))
-    assert np.max(np.abs(resid)) / conf > 0.1
+    # The same probe, one point at a time with the symbolic Christoffel
+    # symbols and metric: the library's figures, to rounding.
+    probe = _plane_probe()
+    us = np.linspace(-0.3, 0.3, 5)
+    vs = np.linspace(-0.3, 0.3, 5)
+    for sigma in (-1.0, 1.0):
+        want = exact_tension_residual("desitter", probe, sigma, us, vs)
+        got = tension_residual(de_sitter(), probe, sigma, us, vs)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+    assert want <= 1e-12 < 0.1 < exact_tension_residual("desitter", probe, -1.0, us, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +369,19 @@ def test_grid_code_matches_per_point_reference(example_id):
     scale = max(1.0, max(float(np.max(np.abs(f.eval_grid(us, vs)))) for f in sol.surface) ** 2)
     assert abs(conf - want) <= 1e-12 * scale
 
-    tension = tension_residual(sol.group, sol.surface_point, sigma, us, vs)
-    want = reference_tension_residual(sol.group, sol.surface_point, sigma, us, vs)
-    assert abs(tension - want) <= 1e-8
+    tension = tension_residual(sol.group, sol.surface, sigma, us, vs)
+    want = exact_tension_residual(sol.group.name, sol.surface, sigma, us, vs)
+    assert abs(tension - want) <= 1e-12 * scale
 
     stored = problemfile.StoredSolution(sol.group, sol.kind, sol.surface, prob.grid, {})
     _assert_mesh_matches_reference(stored)
 
 
 def test_certificates_make_few_frame_matrix_calls(monkeypatch):
-    # The boundary check makes one call; each strip attempt makes one for
-    # the conformality defect and one for the Christoffel symbols (the
-    # points and all six shifts at once), which also give the metric.
+    # The boundary check makes one call and each strip attempt one for the
+    # conformality defect.  The Christoffel symbols of an attempt make no
+    # frame-matrix call but one complex coframe call (the points and their
+    # three steps at once), which also gives the metric.
     calls = []
     raw = GroupModel.frame_matrix
 
@@ -380,11 +391,14 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
 
     monkeypatch.setattr(GroupModel, "frame_matrix", counted)
     for example_id in corpus.EXAMPLE_IDS:
-        prob = _problem(example_id)
+        prob, complex_calls = _problem(example_id), []
+        raw_coframe = prob.group.coframe
+        prob.group.coframe = lambda x: complex_calls.append(np.iscomplexobj(x)) or raw_coframe(x)
         calls.clear()
         report = solve_bjorling(prob).report
         attempts = report.strip_halvings + 1
-        assert 1 <= len(calls) <= 1 + 2 * attempts, (example_id, calls)
+        assert len(calls) == 1 + attempts, (example_id, calls)
+        assert complex_calls.count(True) == attempts, (example_id, complex_calls)
 
 
 def test_solve_converts_the_frame_velocity_once():
