@@ -46,9 +46,8 @@ from .verify import (
     ResidualReport,
     boundary_residuals,
     compare_to_reference,
-    conformality_residual,
+    grid_certificates,
     hermitian_sign_profile,
-    tension_residual,
     weierstrass_residuals,
 )
 
@@ -83,10 +82,10 @@ __all__ = [
     "ck_march",
     "classify_curve",
     "compare_to_reference",
-    "conformality_residual",
     "connection_from_structure",
     "de_sitter",
     "generic_group",
+    "grid_certificates",
     "h2xr",
     "heisenberg",
     "hermitian_sign_profile",
@@ -96,6 +95,5 @@ __all__ = [
     "ode_taylor",
     "reconstruct_surface",
     "solve_bjorling",
-    "tension_residual",
     "weierstrass_residuals",
 ]

@@ -79,6 +79,8 @@ def parse_expression(text: str) -> ast.Expression:
         return ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # MemoryError: the parser's own stack overflowed
+        raise ExpressionError(f"{text!r} is nested too deeply") from None
 
 
 def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
@@ -102,6 +104,8 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
         raise ExpressionError(f"division by zero in {text!r}") from None
     except OverflowError:
         raise ExpressionError(f"overflow in {text!r}") from None
+    except RecursionError:
+        raise ExpressionError(f"{text!r} is nested too deeply") from None
     except TypeError:  # a BiSeries or tape node has no exp, sin, ..., quotient or inverse
         raise UnsupportedRecipe(f"{text!r} has no series expansion in the coordinates") from None
     except ValueError:

@@ -113,7 +113,6 @@ class GroupModel:
         frame=None,
         coframe=None,
         chart_guard=None,
-        description: str = "",
         frame_exprs=None,
     ):
         self.name = name
@@ -122,7 +121,6 @@ class GroupModel:
         self.frame = frame
         self.coframe = coframe
         self._chart_guard = chart_guard or (lambda x: True)
-        self.description = description
         self.frame_exprs = frame_exprs
 
     # chart ---------------------------------------------------------------
@@ -163,8 +161,9 @@ class GroupModel:
         return np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
 
     def christoffels(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate Christoffel symbols Gamma[k, i, j, ...] and metric
-        g[i, j, ...] at a point or on a (3, ...) stack of points.
+        """Coordinate Christoffel symbols Gamma[k, i, j, ...] and the inverse
+        frame matrix Ainv[a, i, ...] at a point or on a (3, ...) stack of
+        points.  Raises DomainError if any point is outside the chart.
 
         d_l Ainv is a complex step (Squire & Trapp, SIAM Rev. 40, 1998): one
         coframe call on x + i h e_l, l = 1..3, h = 1e-20 max(1, |x|_inf),
@@ -178,14 +177,13 @@ class GroupModel:
         steps = 1j * h * np.eye(3).reshape((3, 3) + (1,) * len(shape))
         c = _stack(self.coframe(x[:, None] + steps), (3,) + shape, complex)
         ainv, dainv = c.real[:, :, 0], c.imag / h  # dainv[a, i, l] = d_l Ainv[a, i]
-        g = np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
         half = np.einsum("a,ai...,ajl...->ijl...", SIGNATURE, ainv, dainv)
         dg = half + half.swapaxes(0, 1)  # dg[i, j, l] = d_l g_ij
         # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
         t = np.einsum("jli...->ijl...", dg) + np.einsum("ilj...->ijl...", dg) - dg
         a = _stack(self.frame(x), shape)  # g^-1 = A diag A^T, with no inversion
         ginv = np.einsum("a,ka...,la...->kl...", SIGNATURE, a, a)
-        return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t), g
+        return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t), ainv
 
     # PDE -----------------------------------------------------------------
 
@@ -223,7 +221,6 @@ def heisenberg() -> GroupModel:
         C,
         frame=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-x[1] / 2.0, x[0] / 2.0, 1.0)),
         coframe=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (x[1] / 2.0, -x[0] / 2.0, 1.0)),
-        description="Lorentzian Heisenberg group (entire chart)",
     )
 
 
@@ -247,7 +244,6 @@ def de_sitter() -> GroupModel:
         frame=lambda x: scaled(x[2]),
         coframe=lambda x: scaled(1.0 / x[2]),
         chart_guard=lambda x: x[2] > 0.0,
-        description="de Sitter space, halfspace chart x3 > 0",
     )
 
 
@@ -269,7 +265,6 @@ def h2xr() -> GroupModel:
         frame=lambda x: scaled(x[1]),
         coframe=lambda x: scaled(1.0 / x[1]),
         chart_guard=lambda x: x[1] > 0.0,
-        description="hyperbolic plane x a timelike line, chart x2 > 0",
     )
 
 
@@ -314,7 +309,6 @@ def generic_group(
         frame=frame,
         coframe=coframe,
         chart_guard=chart_guard,
-        description="user-supplied structure constants",
         frame_exprs=rows,
     )
 
@@ -323,9 +317,6 @@ _BUILTINS = {"heisenberg": heisenberg, "desitter": de_sitter, "h2xr": h2xr}
 
 
 def by_name(name: str) -> GroupModel:
-    try:
+    if isinstance(name, str) and name in _BUILTINS:
         return _BUILTINS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown group {name!r}; built-ins are {sorted(_BUILTINS)}"
-        ) from None
+    raise ValueError(f"unknown group {name!r}; built-ins are {sorted(_BUILTINS)}")

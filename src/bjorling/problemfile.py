@@ -21,7 +21,7 @@ from .expressions import evaluate_jet
 from .groups import GroupModel, by_name, generic_group
 from .series import BiSeries, USeries
 from .solver import BjorlingProblem, BjorlingSolution
-from .verify import conformality_defect, surface_grids
+from .verify import conformality_defect, frame_components, surface_grids
 
 _REQUIRED_KEYS = {"group", "mode", "beta", "V", "order", "grid"}
 _OPTIONAL_KEYS = {
@@ -111,6 +111,13 @@ def _finite(value, label: str) -> float:
     return number
 
 
+def _check_schema_version(doc: dict) -> None:
+    # Problem and solution files are schema 1: the key absent or the integer 1.
+    version = doc.get("schema_version", 1)
+    if type(version) is not int or version != 1:
+        raise SchemaError(f"schema_version must be 1, got {version!r}")
+
+
 def _grid_from_dict(grid_doc) -> GridSpec:
     """The ``grid`` entry of a problem or solution file, checked."""
     if not isinstance(grid_doc, dict) or set(grid_doc) != _GRID_KEYS:
@@ -151,6 +158,7 @@ def problem_from_dict(
 ) -> BjorlingProblem:
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be a JSON object")
+    _check_schema_version(doc)
     unknown = set(doc) - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
         raise SchemaError(f"unknown problem keys: {sorted(unknown)}")
@@ -225,6 +233,8 @@ def _read_json(path):
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def load_problem(
@@ -291,6 +301,7 @@ class StoredSolution:
         try:
             if not isinstance(doc, dict):
                 raise SchemaError("solution document must be a JSON object")
+            _check_schema_version(doc)
             grid = _grid_from_dict(doc["grid"])
             center = _finite(doc["center_u"], "center_u")
             tables = doc["surface"]
@@ -339,7 +350,8 @@ def build_mesh(solution) -> SurfaceMesh:
         clipped = int(inside.size - np.count_nonzero(inside))
         # With nothing clipped every array is a reshape of the grid.
         x, fu, fv = grids[:, :, inside] if clipped else grids.reshape(3, 3, -1)
-        residual = conformality_defect(solution.group, x, fu, fv, solution.kind.sigma)
+        ainv = solution.group.frame_matrix(x)[1]
+        residual = conformality_defect(*frame_components(ainv, fu, fv), solution.kind.sigma)
     if not (finite.all() and np.isfinite(residual).all()):
         finite[inside] = np.isfinite(residual)
         i, j = np.argwhere(~finite)[0]

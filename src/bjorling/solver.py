@@ -358,16 +358,10 @@ class BjorlingSolution:
     order: int
     center: float
     base: np.ndarray
-    curve: tuple
-    normal_field: tuple
     frame_data: np.ndarray  # (2, 3, order+1, order+1): [0, c] re, [1, c] unit of psi_{c+1}
     surface: tuple
     grid: GridSpec
     report: verify.ResidualReport
-
-    @property
-    def mode(self) -> Mode:
-        return self.kind.mode
 
     def surface_point(self, u, v) -> np.ndarray:
         """Coordinates at (u, v), shape (3, *np.shape(u)); u and v may be
@@ -431,8 +425,6 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
         order=problem.order,
         center=problem.center,
         base=problem.base_point(),
-        curve=problem.curve,
-        normal_field=problem.normal_field,
         frame_data=frame_data,
         surface=surface,
         grid=problem.grid,

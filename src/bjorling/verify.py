@@ -134,32 +134,25 @@ def surface_grids(surface, us, vs, second: bool = False) -> np.ndarray:
     return grid_values(tables, surface[0].center, us, vs)
 
 
-def frame_components(group: GroupModel, x, *vectors):
-    """Coordinate vectors at the points of a (3, ...) stack, each turned into
-    frame components through the inverse frame matrix there."""
-    _, ainv = group.frame_matrix(x)
+def frame_components(ainv, *vectors):
+    """Coordinate vectors at the points of a stack, each turned into frame
+    components through the inverse frame matrix ``ainv`` there."""
     return tuple(np.einsum("ij...,j...->i...", ainv, w) for w in vectors)
 
 
-def conformality_defect(group: GroupModel, x, fu, fv, sigma: float) -> np.ndarray:
-    """|g(f_u, f_v)| + |g(f_u, f_u) + sigma g(f_v, f_v)| at every point of
-    (3, ...) stacks of points and tangents."""
-    vec_u, vec_v = frame_components(group, x, fu, fv)
+def conformality_defect(vec_u, vec_v, sigma: float) -> np.ndarray:
+    """|g(f_u, f_v)| + |g(f_u, f_u) + sigma g(f_v, f_v)| at every point, from
+    the frame components of the tangents."""
     return np.abs(lorentz_dot(vec_u, vec_v)) + np.abs(
         lorentz_dot(vec_u, vec_u) + sigma * lorentz_dot(vec_v, vec_v)
     )
 
 
-def conformality_residual(
-    group: GroupModel, surface, sigma: float, us, vs
-) -> float:
-    """Grid max of the conformality defect of a series triple.
-
-    Tangent vectors are converted to frame components through the inverse
-    frame matrix at each surface point.  Leaving the chart raises
-    DomainError (callers use that to shrink the strip).
-    """
-    return float(np.max(conformality_defect(group, *surface_grids(surface, us, vs), sigma)))
+def conformality_residual(ainv, grids, sigma: float) -> float:
+    """Grid max of the conformality defect of one grid evaluation:
+    ``grids`` from ``surface_grids``, ``ainv`` the inverse frame matrix at
+    its points."""
+    return float(np.max(conformality_defect(*frame_components(ainv, grids[1], grids[2]), sigma)))
 
 
 def boundary_residuals(
@@ -180,7 +173,7 @@ def boundary_residuals(
 
     us = np.asarray(us, dtype=float)
     x, fu, fv = surface_grids(surface, us, [0.0])[..., 0]
-    normal = np.array(lorentz_cross(*frame_components(group, x, fu, fv)))
+    normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x)[1], fu, fv)))
     norm2 = lorentz_dot(normal, normal)
     degenerate = np.abs(norm2) <= 1e-12 * np.maximum(1.0, np.sum(normal * normal, axis=0))
     if degenerate.any():
@@ -194,28 +187,37 @@ def boundary_residuals(
     return curve_res, res_minus, True
 
 
-def tension_residual(group: GroupModel, surface, sigma: float, us, vs) -> float:
-    """Grid max of the coordinate-level minimality certificate of a series
-    triple.
+def tension_residual(gam, ainv, grids, sigma: float) -> float:
+    """Grid max of the coordinate-level minimality certificate of one grid
+    evaluation.
 
     Evaluates R^k = f^k_uu - sigma f^k_vv + Gamma^k_ij (f^i_u f^j_u -
     sigma f^i_v f^j_v) over the conformal factor, with f and its first and
-    second partials from the series' own derivative tables (one grid
-    evaluation of a five-table stack) and Gamma from
-    ``GroupModel.christoffels``, which reads only the chart.  Leaving the
-    chart raises DomainError.
+    second partials from ``surface_grids(..., second=True)`` (the series'
+    own derivative tables) and Gamma and Ainv from
+    ``GroupModel.christoffels``, which reads only the chart.
     """
-    f0, f_u, f_v, f_uu, f_vv = surface_grids(surface, us, vs, second=True)
-    gam, g = group.christoffels(f0)
+    _, f_u, f_v, f_uu, f_vv = grids
     quad = np.einsum("kij...,i...,j...->k...", gam, f_u, f_u) - sigma * np.einsum(
         "kij...,i...,j...->k...", gam, f_v, f_v
     )
     resid = f_uu - sigma * f_vv + quad
+    g = np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
     conf = 0.5 * (
         np.abs(np.einsum("i...,ij...,j...->...", f_u, g, f_u))
         + np.abs(np.einsum("i...,ij...,j...->...", f_v, g, f_v))
     )
     return float(np.max(np.max(np.abs(resid), axis=0) / np.maximum(conf, 1e-12)))
+
+
+def grid_certificates(group: GroupModel, surface, sigma: float, us, vs) -> tuple[float, float]:
+    """Conformality and tension residuals of a series triple on the grid
+    us x vs, both from one ``surface_grids`` evaluation and one
+    ``christoffels`` call.  Leaving the chart raises DomainError (the
+    report uses that to shrink the strip)."""
+    grids = surface_grids(surface, us, vs, second=True)
+    gam, ainv = group.christoffels(grids[0])
+    return conformality_residual(ainv, grids, sigma), tension_residual(gam, ainv, grids, sigma)
 
 
 def compare_to_reference(surface, reference_fn, us, vs) -> float:
@@ -257,10 +259,8 @@ def build_report(
     attempted = None
     for halvings in range(MAX_HALVINGS + 1):
         sub = report_grid.scaled_v(0.5**halvings)
-        vs = sub.vs()
         try:
-            conf_try = conformality_residual(group, surface, kind.sigma, us, vs)
-            minim_try = tension_residual(group, surface, kind.sigma, us, vs)
+            conf_try, minim_try = grid_certificates(group, surface, kind.sigma, us, sub.vs())
         except DomainError:
             continue
         attempted = (sub, conf_try, minim_try, halvings)

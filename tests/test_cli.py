@@ -441,6 +441,29 @@ def _generic(**entries):
             "V[1]: coefficient list has 12 values, order 12 needs 13",
             id="field-coeffs-short",
         ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["-" * 1000 + "u"] + _PLANE_BETA[2:]},
+            None,
+            "is nested too deeply",
+            id="expression-1000-deep",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["+".join(["u"] * 1000)] + _PLANE_BETA[2:]},
+            None,
+            "is nested too deeply",
+            id="expression-1000-terms",
+        ),
+        pytest.param(
+            {"beta": _PLANE_BETA[:1] + ["-" * 100000 + "u"] + _PLANE_BETA[2:]},
+            None,
+            "is nested too deeply",
+            id="expression-overflows-the-parser",
+        ),
+        pytest.param({"schema_version": 2}, None, "schema_version must be 1, got 2", id="schema-2"),
+        pytest.param({"schema_version": "x"}, None, "schema_version must be 1, got 'x'", id="schema-text"),
+        pytest.param({"schema_version": 1.0}, None, "schema_version must be 1, got 1.0", id="schema-float"),
+        pytest.param({"schema_version": True}, None, "schema_version must be 1, got True", id="schema-bool"),
+        pytest.param({"group": ["heisenberg"]}, None, "unknown group ['heisenberg']", id="group-list"),
     ],
 )
 def test_bad_order_or_grid_size_is_one_line_schema_error(
@@ -454,6 +477,27 @@ def test_bad_order_or_grid_size_is_one_line_schema_error(
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert "Traceback" not in captured.err
+
+
+def test_problem_without_schema_version_is_schema_1(workdir, capsys):
+    doc = corpus.build_problem_dict("heisenberg_vertical_plane")
+    del doc["schema_version"]
+    (workdir / "plain.problem.json").write_text(json.dumps(doc))
+    assert main(["solve", "plain.problem.json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["export-mesh", "--format", "csv", "--out", "m.csv"]],
+    ids=["solve", "export-mesh"],
+)
+def test_json_nested_too_deeply_is_one_line_schema_error(workdir, capsys, argv):
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main([argv[0], str(deep), *argv[1:]]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "JSON nested too deeply" in lines[0]
+    assert not (workdir / "m.csv").exists()
 
 
 def test_overflowing_curve_speed_is_rejected_as_overflow(workdir, capsys):
@@ -560,6 +604,9 @@ def _one_line_error(capsys) -> str:
             lambda d: dict(d, surface=[[[0.0] * 600] * 600] * 3),
             "surface table side 600 exceeds 50",
             id="table-600",
+        ),
+        pytest.param(
+            lambda d: dict(d, schema_version=2), "schema_version must be 1, got 2", id="schema-2"
         ),
     ],
 )

@@ -271,8 +271,8 @@ def test_pde_quadratic_h2xr_second_equation_balance():
 
 def test_christoffels_match_symbolic_oracle():
     # Complex-step derivatives are exact: the symbols agree with sympy's to
-    # rounding at coordinates of size up to 10, and the metric is the one
-    # ``metric`` gives.
+    # rounding at coordinates of size up to 10, and the inverse frame matrix
+    # is the one ``frame_matrix`` gives.
     rng = np.random.default_rng(17)
     inside = {"heisenberg": None, "desitter": 2, "h2xr": 1}
     for name, positive in inside.items():
@@ -280,8 +280,8 @@ def test_christoffels_match_symbolic_oracle():
         pts = rng.uniform(-10.0, 10.0, (3, 40))
         if positive is not None:
             pts[positive] = np.abs(pts[positive]) + 0.05
-        got, metric = model.christoffels(pts)
-        assert np.array_equal(metric, model.metric(pts))
+        got, ainv = model.christoffels(pts)
+        assert np.array_equal(ainv, model.frame_matrix(pts)[1])
         for k in range(pts.shape[1]):
             want = exact(pts[:, k])
             err = np.max(np.abs(got[..., k] - want)) / max(1.0, np.max(np.abs(want)))
@@ -296,8 +296,8 @@ def test_christoffels_of_a_parsed_frame_with_functions():
         frame_exprs=[["exp(x3)", "0", "0"], ["0", "1/(2 + sin(x1))", "0"], ["x2", "0", "1"]],
     )
     x = np.array([0.3, -0.4, 0.2])
-    got, metric = model.christoffels(x)
-    assert np.allclose(metric, model.metric(x), rtol=1e-14, atol=0.0)
+    got, ainv = model.christoffels(x)
+    assert np.allclose(ainv, model.frame_matrix(x)[1], rtol=1e-14, atol=0.0)
     assert np.max(np.abs(got - difference_christoffels(model, x))) <= 1e-8
 
 

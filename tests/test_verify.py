@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bjorling
-from bjorling import corpus, problemfile
+from bjorling import corpus, problemfile, verify
 from bjorling.config import GridSpec, Mode, ProblemKind
 from bjorling.errors import DomainError
 from bjorling.groups import GroupModel, de_sitter, h2xr, heisenberg
@@ -17,8 +17,10 @@ from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     boundary_residuals,
     compare_to_reference,
-    conformality_residual,
-    tension_residual,
+    conformality_defect,
+    frame_components,
+    grid_certificates,
+    surface_grids,
     weierstrass_residuals,
 )
 from kalgebra import (
@@ -135,7 +137,7 @@ def test_conformality_of_vertical_plane():
     sol = _solved("heisenberg_vertical_plane")
     us = np.linspace(-0.5, 0.5, 9)
     vs = np.linspace(-0.5, 0.5, 9)
-    res = conformality_residual(sol.group, sol.surface, 1.0, us, vs)
+    res = grid_certificates(sol.group, sol.surface, 1.0, us, vs)[0]
     assert res <= 1e-9
 
 
@@ -143,7 +145,7 @@ def test_conformality_of_spacelike_plane():
     sol = _solved("h2xr_horizontal_plane")
     us = np.linspace(math.pi / 4, 3 * math.pi / 4, 9)
     vs = np.linspace(-0.5, 0.5, 9)
-    res = conformality_residual(sol.group, sol.surface, -1.0, us, vs)
+    res = grid_certificates(sol.group, sol.surface, -1.0, us, vs)[0]
     assert res <= 1e-9
 
 
@@ -156,7 +158,7 @@ def test_conformality_detects_anisotropic_scaling():
         2.0 * variable_v(n, center) + 3.0,
         zero_series(n, center),
     )
-    res = conformality_residual(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
+    res = grid_certificates(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))[0]
     assert res > 0.1
 
 
@@ -168,7 +170,7 @@ def test_conformality_raises_outside_chart():
         zero_series(n),
     )
     with pytest.raises(DomainError):
-        conformality_residual(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
+        grid_certificates(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def test_tension_small_on_closed_form_vertical_plane():
     ch, sh, ev = univariate_coeffs("cosh", 0.0, n), univariate_coeffs("sinh", 0.0, n), _exp_v(n)
     surface = (_outer(ch, ev), BiSeries.constant(1.0, n), _outer(sh - 0.5 * ch, ev))
     grid = np.linspace(-0.5, 0.5, 5)
-    assert tension_residual(heisenberg(), surface, 1.0, grid, grid) <= 1e-12
+    assert grid_certificates(heisenberg(), surface, 1.0, grid, grid)[1] <= 1e-12
 
 
 def test_tension_small_on_closed_form_desitter():
@@ -255,13 +257,13 @@ def test_tension_small_on_closed_form_desitter():
     n = 30
     ch, sh = univariate_coeffs("cosh", 0.0, n), univariate_coeffs("sinh", 0.0, n)
     surface = (_outer(sh, _exp_v(n, -1.0)), BiSeries.constant(1.0, n), _outer(ch, _exp_v(n, -1.0)))
-    res = tension_residual(
+    res = grid_certificates(
         de_sitter(), surface, 1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.4, 0.4, 5)
-    )
+    )[1]
     assert res <= 1e-12
     # A surface that is not minimal: the same plane with x1 scaled by 1.1.
     scaled = (surface[0] * 1.1,) + surface[1:]
-    assert tension_residual(de_sitter(), scaled, 1.0, [0.3], [0.2]) > 1e-2
+    assert grid_certificates(de_sitter(), scaled, 1.0, [0.3], [0.2])[1] > 1e-2
 
 
 def test_tension_shrinks_quadratically_on_helicoid():
@@ -287,9 +289,9 @@ def test_tension_flags_non_minimal_probe():
     probe = _plane_probe()
     us = np.linspace(-0.3, 0.3, 5)
     vs = np.linspace(-0.3, 0.3, 5)
-    res = tension_residual(de_sitter(), probe, -1.0, us, vs)
+    res = grid_certificates(de_sitter(), probe, -1.0, us, vs)[1]
     assert res > 0.1
-    res_wave = tension_residual(de_sitter(), probe, 1.0, us, vs)
+    res_wave = grid_certificates(de_sitter(), probe, 1.0, us, vs)[1]
     assert res_wave <= 1e-12
 
 
@@ -301,7 +303,7 @@ def test_tension_with_exact_christoffel_oracle():
     vs = np.linspace(-0.3, 0.3, 5)
     for sigma in (-1.0, 1.0):
         want = exact_tension_residual("desitter", probe, sigma, us, vs)
-        got = tension_residual(de_sitter(), probe, sigma, us, vs)
+        got = grid_certificates(de_sitter(), probe, sigma, us, vs)[1]
         assert abs(got - want) <= 1e-12 * max(1.0, want)
     assert want <= 1e-12 < 0.1 < exact_tension_residual("desitter", probe, -1.0, us, vs)
 
@@ -364,40 +366,60 @@ def test_grid_code_matches_per_point_reference(example_id):
     vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, prob.grid.coarse().nv)
     sigma = prob.kind.sigma
 
-    conf = conformality_residual(sol.group, sol.surface, sigma, us, vs)
+    conf, tension = grid_certificates(sol.group, sol.surface, sigma, us, vs)
     want = reference_conformality_residual(sol.group, sol.surface, sigma, us, vs)
     scale = max(1.0, max(float(np.max(np.abs(f.eval_grid(us, vs)))) for f in sol.surface) ** 2)
     assert abs(conf - want) <= 1e-12 * scale
-
-    tension = tension_residual(sol.group, sol.surface, sigma, us, vs)
     want = exact_tension_residual(sol.group.name, sol.surface, sigma, us, vs)
     assert abs(tension - want) <= 1e-12 * scale
 
     stored = problemfile.StoredSolution(sol.group, sol.kind, sol.surface, prob.grid, {})
     _assert_mesh_matches_reference(stored)
 
+    # On the report's own grid the mesh's per-vertex residual is the defect
+    # whose max the report holds, from the report's evaluation and chart call.
+    strip = GridSpec(us[0], us[-1], vs[0], vs[-1], len(us), len(vs))
+    mesh = problemfile.build_mesh(problemfile.StoredSolution(sol.group, sol.kind, sol.surface, strip, {}))
+    grids = surface_grids(sol.surface, us, vs, second=True)
+    ainv = sol.group.christoffels(grids[0])[1]
+    defect = conformality_defect(*frame_components(ainv, grids[1], grids[2]), sigma)
+    assert np.array_equal(mesh.residual, defect.ravel())
+    assert np.max(mesh.residual) == sol.report.conformality_residual
+
 
 def test_certificates_make_few_frame_matrix_calls(monkeypatch):
-    # The boundary check makes one call and each strip attempt one for the
-    # conformality defect.  The Christoffel symbols of an attempt make no
-    # frame-matrix call but one complex coframe call (the points and their
-    # three steps at once), which also gives the metric.
-    calls = []
-    raw = GroupModel.frame_matrix
+    # The boundary check makes the solve's one frame-matrix call.  Each strip
+    # attempt evaluates the surface once and makes one chart call: the
+    # Christoffel symbols, whose one complex coframe call (the points and
+    # their three steps at once) also gives both certificates Ainv.
+    calls = {"frame_matrix": [], "christoffels": [], "surface_grids": []}
 
-    def counted(self, x):
-        calls.append(np.shape(x))
-        return raw(self, x)
+    def counted(owner, name):
+        raw = getattr(owner, name)
 
-    monkeypatch.setattr(GroupModel, "frame_matrix", counted)
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(GroupModel, "frame_matrix")
+    counted(GroupModel, "christoffels")
+    counted(verify, "surface_grids")
     for example_id in corpus.EXAMPLE_IDS:
         prob, complex_calls = _problem(example_id), []
         raw_coframe = prob.group.coframe
         prob.group.coframe = lambda x: complex_calls.append(np.iscomplexobj(x)) or raw_coframe(x)
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         report = solve_bjorling(prob).report
         attempts = report.strip_halvings + 1
-        assert len(calls) == 1 + attempts, (example_id, calls)
+        counts = {name: len(made) for name, made in calls.items()}
+        # surface_grids: the boundary's v = 0 row, then one per attempt.
+        assert counts == {"frame_matrix": 1, "christoffels": attempts, "surface_grids": 1 + attempts}, (
+            example_id,
+            counts,
+        )
         assert complex_calls.count(True) == attempts, (example_id, complex_calls)
 
 
