@@ -11,6 +11,7 @@ solver itself uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +21,9 @@ import numpy as np
 from .series import USeries, ode_taylor
 
 _SQRT2INV = 1.0 / math.sqrt(2.0)
+# Scalar abscissae memoized per profile: more than one grid side
+# (problemfile.MAX_GRID_SIDE = 513) of a per-point sweep.
+_PROFILE_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,11 @@ class _Example:
 
 def _ivp_profile(rhs, y0: float, half_width: float):
     """Profile y(t) of y' = rhs(y) on [-half_width, half_width], from the
-    integrator's dense output; t may be a numpy array.  scipy is imported
-    here, so only the closed-form references load it."""
+    integrator's dense output.  An array t of any shape costs one dense
+    output call per branch (t >= 0 forward, t < 0 backward); a scalar t is
+    memoized, so a per-point sweep reads the dense output once per
+    abscissa.  scipy is imported here, so only the closed-form references
+    load it."""
     from scipy.integrate import solve_ivp
 
     span = 1.12 * half_width + 1e-6
@@ -63,12 +70,22 @@ def _ivp_profile(rhs, y0: float, half_width: float):
     if not (fwd.success and bwd.success):
         raise RuntimeError("reference profile integration failed")
 
-    def profile(t):
-        if t >= 0.0:
-            return float(fwd.sol(t)[0])
-        return float(bwd.sol(t)[0])
+    @functools.lru_cache(maxsize=_PROFILE_CACHE)
+    def scalar(t: float) -> float:
+        return float((fwd if t >= 0.0 else bwd).sol(t)[0])
 
-    return np.vectorize(profile, otypes=[float])
+    def profile(t):
+        if np.ndim(t) == 0:
+            return scalar(float(t))
+        flat = np.asarray(t, dtype=float).ravel()
+        out = np.empty_like(flat)
+        ahead = flat >= 0.0
+        for branch, mask in ((fwd, ahead), (bwd, ~ahead)):
+            if mask.any():  # OdeSolution raises on an empty array
+                out[mask] = branch.sol(flat[mask])[0]
+        return out.reshape(np.shape(t))
+
+    return profile
 
 
 def _helicoid_data(params, order):
@@ -94,11 +111,12 @@ def _ref_helicoid(params, half_width=0.45):
         return math.sqrt(max((0.5 * y * y - c) ** 2 - y * y, 0.0))
 
     rho = _ivp_profile(rhs, rho0, half_width)
-    return lambda u, v: (
-        rho(u) * np.cos(v),
-        rho(u) * np.sin(v),
-        c * v + b,
-    )
+
+    def surface(u, v):
+        r = rho(u)
+        return r * np.cos(v), r * np.sin(v), c * v + b
+
+    return surface
 
 
 def _saddle_data(params, order):
@@ -118,11 +136,12 @@ def _ref_saddle(params, half_width=0.3):
         return math.sqrt(max(16.0 * c * c * q * q - c * c, 0.0))
 
     height = _ivp_profile(rhs, q0, half_width)
-    return lambda u, v: (
-        4.0 * c * u,
-        -4.0 * height(v),
-        -8.0 * c * u * height(v),
-    )
+
+    def surface(u, v):
+        q = height(v)
+        return 4.0 * c * u, -4.0 * q, -8.0 * c * u * q
+
+    return surface
 
 
 # ---------------------------------------------------------------------------

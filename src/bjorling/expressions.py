@@ -26,19 +26,27 @@ _BINOPS = {
 }
 
 
+def _quote(text: str) -> str:
+    """The text for an error message: whole when short, else its first 60
+    characters and its length, so one line stays readable."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def _eval_node(node, env, text):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, env, text)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
             return float(node.value)
-        raise ExpressionError(f"non-numeric constant in {text!r}")
+        raise ExpressionError(f"non-numeric constant in {_quote(text)}")
     if isinstance(node, ast.Name):
         try:
             return env[node.id]
         except KeyError:
             raise ExpressionError(
-                f"unknown name {node.id!r} in {text!r}"
+                f"unknown name {node.id!r} in {_quote(text)}"
             ) from None
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         val = _eval_node(node.operand, env, text)
@@ -53,9 +61,9 @@ def _eval_node(node, env, text):
             base = _eval_node(node.left, env, text)
             expo = _eval_node(node.right, env, text)
             if not isinstance(expo, float) or expo != int(expo):
-                raise ExpressionError(f"powers must be integer literals in {text!r}")
+                raise ExpressionError(f"powers must be integer literals in {_quote(text)}")
             return base ** int(expo)
-        raise ExpressionError(f"operator not allowed in {text!r}")
+        raise ExpressionError(f"operator not allowed in {_quote(text)}")
     if isinstance(node, ast.Call):
         if (
             not isinstance(node.func, ast.Name)
@@ -63,14 +71,14 @@ def _eval_node(node, env, text):
             or len(node.args) != 1
             or node.keywords
         ):
-            raise ExpressionError(f"only {_FUNCS} calls are allowed in {text!r}")
+            raise ExpressionError(f"only {_FUNCS} calls are allowed in {_quote(text)}")
         arg = _eval_node(node.args[0], env, text)
         if isinstance(arg, USeries):
             return getattr(arg, node.func.id)()
         if isinstance(arg, np.ndarray):
             return getattr(np, node.func.id)(arg)
         return getattr(math, node.func.id)(arg)
-    raise ExpressionError(f"unsupported syntax in {text!r}")
+    raise ExpressionError(f"unsupported syntax in {_quote(text)}")
 
 
 def parse_expression(text: str) -> ast.Expression:
@@ -78,9 +86,9 @@ def parse_expression(text: str) -> ast.Expression:
     try:
         return ast.parse(text, mode="eval")
     except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+        raise ExpressionError(f"cannot parse {_quote(text)}: {exc.msg}") from None
     except (RecursionError, MemoryError):  # MemoryError: the parser's own stack overflowed
-        raise ExpressionError(f"{text!r} is nested too deeply") from None
+        raise ExpressionError(f"{_quote(text)} is nested too deeply") from None
 
 
 def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
@@ -101,20 +109,20 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
         with np.errstate(all="ignore"):
             out = _eval_node(tree, env, text)
     except ZeroDivisionError:
-        raise ExpressionError(f"division by zero in {text!r}") from None
+        raise ExpressionError(f"division by zero in {_quote(text)}") from None
     except OverflowError:
-        raise ExpressionError(f"overflow in {text!r}") from None
+        raise ExpressionError(f"overflow in {_quote(text)}") from None
     except RecursionError:
-        raise ExpressionError(f"{text!r} is nested too deeply") from None
+        raise ExpressionError(f"{_quote(text)} is nested too deeply") from None
     except TypeError:  # a BiSeries or tape node has no exp, sin, ..., quotient or inverse
-        raise UnsupportedRecipe(f"{text!r} has no series expansion in the coordinates") from None
+        raise UnsupportedRecipe(f"{_quote(text)} has no series expansion in the coordinates") from None
     except ValueError:
         # An infinite argument of math.sin or math.cos, or a jet division by
         # a non-finite jet.  A non-finite numerator reaches the check below.
-        raise ExpressionError(f"non-finite value in {text!r}") from None
+        raise ExpressionError(f"non-finite value in {_quote(text)}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
     if not np.all(np.isfinite(getattr(out, "coeffs", out))):
-        raise ExpressionError(f"non-finite value in {text!r}")
+        raise ExpressionError(f"non-finite value in {_quote(text)}")
     return out
 
 

@@ -3,7 +3,7 @@
 Each model carries an orthonormal left-invariant frame E1, E2, E3 with
 signature (+, +, -), the structure constants of the frame bracket, the
 derived connection table that drives the frame-field PDE system, and the
-chart data (frame matrix A, domain guard, coordinate metric).
+chart data (frame matrix A and its inverse, domain guard).
 
 Conventions: ``C[a, b, c]`` is the c-component of [E_a, E_b] (0-based
 indices).  The connection table gamma satisfies nabla_{E_a} E_b =
@@ -154,11 +154,6 @@ class GroupModel:
         x = np.asarray(x, dtype=float)
         shape = self._chart_shape(x)
         return _stack(self.frame(x), shape), _stack(self.coframe(x), shape)
-
-    def metric(self, x) -> np.ndarray:
-        """Coordinate metric Ainv^T diag Ainv at a point or a (3, ...) stack."""
-        _, ainv = self.frame_matrix(x)
-        return np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
 
     def christoffels(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate Christoffel symbols Gamma[k, i, j, ...] and the inverse

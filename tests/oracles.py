@@ -518,16 +518,25 @@ def exact_tension_residual(name, surface, sigma, us, vs) -> float:
     return worst
 
 
+def _frame_metric(group, x):
+    """Coordinate metric g = A^-T diag(+, +, -) A^-1 at one point, from the
+    group's ``frame_matrix``."""
+    _, ainv = group.frame_matrix(x)
+    return np.einsum("a,ai,aj->ij", SIGNATURE, ainv, ainv)
+
+
 def difference_christoffels(group, x, step=None):
-    """Christoffel symbols at one point by central differences of
-    ``group.metric``, step 1e-5 max(1, |x|_inf) by default."""
+    """Christoffel symbols at one point by central differences of the
+    frame metric, step 1e-5 max(1, |x|_inf) by default."""
     x = np.asarray(x, dtype=float)
     h = step if step is not None else 1e-5 * max(1.0, float(np.max(np.abs(x))))
     # dg[l, i, j] = d_l g_ij
-    dg = np.array([group.metric(x + e) - group.metric(x - e) for e in h * np.eye(3)]) / (2.0 * h)
+    dg = np.array(
+        [_frame_metric(group, x + e) - _frame_metric(group, x - e) for e in h * np.eye(3)]
+    ) / (2.0 * h)
     # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     t = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(group.metric(x)), t)
+    return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(_frame_metric(group, x)), t)
 
 
 def reference_tension_residual(group, surface_fn, sigma, us, vs, step=1e-3) -> float:
@@ -548,7 +557,7 @@ def reference_tension_residual(group, surface_fn, sigma, us, vs, step=1e-3) -> f
             f_uu = (fpu - 2.0 * f0 + fmu) / (h * h)
             f_vv = (fpv - 2.0 * f0 + fmv) / (h * h)
             gam = difference_christoffels(group, f0)
-            worst = max(worst, _point_tension(gam, group.metric(f0), f_uu, f_vv, f_u, f_v, sigma))
+            worst = max(worst, _point_tension(gam, _frame_metric(group, f0), f_uu, f_vv, f_u, f_v, sigma))
     return worst
 
 

@@ -476,6 +476,7 @@ def test_bad_order_or_grid_size_is_one_line_schema_error(
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and message in lines[0]
+    assert len(lines[0].encode()) < 300  # a long expression is quoted in part
     assert "Traceback" not in captured.err
 
 
