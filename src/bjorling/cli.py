@@ -9,6 +9,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,6 +37,7 @@ _REJECTIONS = (
 )
 
 
+@functools.cache  # one parser per process: main() only reads it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bjorling",
@@ -82,8 +84,9 @@ def _stem(path: Path) -> str:
 
 def _export_mesh(solution, fmt: str, out: Path):
     """Mesh a solution, in memory or loaded from its file, on its grid and
-    write it to ``out`` as OBJ or CSV; warns about clipped grid points."""
-    mesh = problemfile.build_mesh(solution)
+    write it to ``out`` as OBJ or CSV; warns about clipped grid points.  Only
+    the CSV holds the per-vertex residual, so only it evaluates one."""
+    mesh = problemfile.build_mesh(solution, residual=fmt == "csv")
     if mesh.clipped:
         print(f"warning: clipped {mesh.clipped} grid points outside the chart", file=sys.stderr)
     out.parent.mkdir(parents=True, exist_ok=True)

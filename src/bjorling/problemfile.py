@@ -7,6 +7,7 @@ enough to re-evaluate the surface anywhere without re-solving.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -19,7 +20,7 @@ from .config import GridSpec, ProblemKind, Tolerances
 from .errors import NotInvertible, SchemaError
 from .expressions import evaluate_jet
 from .groups import GroupModel, by_name, generic_group
-from .series import BiSeries, USeries
+from .series import BiSeries, USeries, grid_values, table_stack
 from .solver import BjorlingProblem, BjorlingSolution
 from .verify import conformality_defect, frame_components, surface_grids
 
@@ -47,10 +48,17 @@ _TOL_KEYS = {
 
 # Largest accepted truncation order, in the file or as the CLI override.
 MAX_ORDER = 48
-# Largest accepted grid side (nu or nv): export-mesh writes a 513 x 513 OBJ
-# mesh (19 MB) in about 0.25 s after start-up, in a process that peaks at
-# 105 MB, on a 2-CPU machine.
+# Largest accepted grid side (nu or nv): export-mesh writes the 513 x 513
+# helicoid as OBJ (21 MB) in about 0.15 s after start-up, in a process that
+# peaks at 54 MB, and as CSV (26 MB) in about 0.24 s, peaking at 99 MB, on a
+# 2-CPU machine.
 MAX_GRID_SIDE = 513
+# Rows of mesh text formatted and written at a time.  A block's buffers (up
+# to about 250 KB) stay in cache and are reused from the heap, where buffers
+# of a whole table are handed back to the OS and faulted in again on the
+# next call.  2048 is the largest power of two that adds no page fault to a
+# 129 x 65 solve-and-export round trip; 4096 adds some.
+BLOCK_ROWS = 2048
 
 
 def _jet_entry(entry, order: int, center: float, params: dict, label: str) -> USeries:
@@ -326,86 +334,119 @@ class StoredSolution:
 @dataclass
 class SurfaceMesh:
     vertices: np.ndarray  # (n, 3) chart coordinates
-    uv: np.ndarray  # (n, 2) parameters, row-major in (u, v)
-    residual: np.ndarray  # (n,) per-vertex conformality defect
+    uv: np.ndarray | None  # (n, 2) parameters, row-major in (u, v)
+    residual: np.ndarray | None  # (n,) per-vertex conformality defect
     faces: np.ndarray  # (m, 4) quads of 0-based vertex indices
     clipped: int  # count of grid points outside the chart
 
 
-def build_mesh(solution) -> SurfaceMesh:
+def build_mesh(solution, residual: bool = True) -> SurfaceMesh:
     """Evaluate a solution's surface on its grid and assemble quads.
 
     ``solution`` is a ``StoredSolution`` or a ``BjorlingSolution``: only its
     ``group``, ``kind``, ``surface`` and ``grid`` are read.  Grid points that
     violate the chart guard are clipped: they get no vertex, and no face
-    touches them.  Ordering is row-major in (u, v), deterministic.  A point,
-    tangent or residual that is not finite raises SchemaError naming the
-    first such grid point.
+    touches them.  Ordering is row-major in (u, v), deterministic.  With
+    ``residual`` false only the points, the chart mask and the faces are
+    evaluated (all an OBJ file holds), and ``uv`` and ``residual`` are None.
+    A point, or with ``residual`` a tangent or residual, that is not finite
+    raises SchemaError naming the first such grid point.
     """
     us, vs = solution.grid.us(), solution.grid.vs()
+    surface = solution.surface
+    uv = defect = None
     with np.errstate(all="ignore"):
-        grids = surface_grids(solution.surface, us, vs)
+        if residual:
+            grids = surface_grids(surface, us, vs)
+        else:
+            grids = grid_values(table_stack(surface), surface[0].center, us, vs)[None]
         finite = np.isfinite(grids).all(axis=(0, 1))
         inside = finite & solution.group.chart_mask(grids[0])
         clipped = int(inside.size - np.count_nonzero(inside))
         # With nothing clipped every array is a reshape of the grid.
-        x, fu, fv = grids[:, :, inside] if clipped else grids.reshape(3, 3, -1)
-        ainv = solution.group.frame_matrix(x)[1]
-        residual = conformality_defect(*frame_components(ainv, fu, fv), solution.kind.sigma)
-    if not (finite.all() and np.isfinite(residual).all()):
-        finite[inside] = np.isfinite(residual)
+        kept = grids[:, :, inside] if clipped else grids.reshape(len(grids), 3, -1)
+        x = kept[0]
+        if residual:
+            ainv = solution.group.frame_matrix(x)[1]
+            defect = conformality_defect(*frame_components(ainv, *kept[1:]), solution.kind.sigma)
+            if not np.isfinite(defect).all():
+                finite[inside] = np.isfinite(defect)
+    if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise SchemaError(
             f"surface is not finite at grid point (u, v) = ({float(us[i])!r}, {float(vs[j])!r})"
         )
-    u, v = np.meshgrid(us, vs, indexing="ij")
     if clipped:
         index = np.full(inside.shape, -1)
         index[inside] = np.arange(inside.size - clipped)
-        uv = np.stack([u[inside], v[inside]], axis=1)
     else:
         index = np.arange(inside.size).reshape(inside.shape)
-        uv = np.stack([u.ravel(), v.ravel()], axis=1)
+    if residual:
+        u, v = np.meshgrid(us, vs, indexing="ij")
+        uv = np.stack([u[inside], v[inside]] if clipped else [u.ravel(), v.ravel()], axis=1)
     quads = np.stack(
         [index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]], axis=-1
     ).reshape(-1, 4)
     return SurfaceMesh(
         vertices=np.ascontiguousarray(x.T),  # a copy: the mesh holds no view of the grids
         uv=uv,
-        residual=residual,
+        residual=defect,
         faces=quads[np.all(quads >= 0, axis=1)] if clipped else quads,
         clipped=clipped,
     )
 
 
-def _lines(prefix: bytes, table: np.ndarray, sep: bytes) -> bytes:
-    # One line per row of a 2-D table: the prefix, then the row's numbers in
+def _lines(prefix: bytes, block: np.ndarray, sep: bytes) -> memoryview:
+    # One line per row of a 2-D block: the prefix, then the row's numbers in
     # shortest round-trip form joined by sep (one byte).  orjson writes the
-    # table as one flat JSON array; in place, its commas become sep, every
-    # cols-th one and the closing bracket a newline, and the prefix then
-    # goes before each line.
-    rows, cols = table.shape
+    # block as one flat JSON array; in place, its commas become sep, every
+    # cols-th one and both brackets a newline, and the prefix then goes after
+    # each newline.  The text starts after the first newline and ends before
+    # the last prefix.
+    rows, cols = block.shape
     if not rows:
-        return b""
-    flat = np.ascontiguousarray(table).ravel()
-    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+        return memoryview(b"")
+    text = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
     view = np.frombuffer(text, dtype=np.uint8)
     commas = np.flatnonzero(view == ord(","))
-    view[commas] = ord(sep)
-    view[commas[cols - 1 :: cols]] = ord("\n")
-    view[-1] = ord("\n")
-    del view, commas  # the comma index is nearly half the text's size: free it first
+    if sep != b",":
+        view[commas] = ord(sep)
+    view[commas[cols - 1 :: cols]] = view[0] = view[-1] = ord("\n")
     if prefix:
-        return prefix + text[1:-1].replace(b"\n", b"\n" + prefix) + b"\n"
-    return bytes(memoryview(text)[1:])
+        text = text.replace(b"\n", b"\n" + prefix)
+    return memoryview(text)[1 : len(text) - len(prefix)]
+
+
+def _row_blocks(rows: int):
+    # Slices of BLOCK_ROWS consecutive rows (the last one shorter) covering rows.
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, rows, BLOCK_ROWS))
+
+
+def _stream(path, chunks) -> None:
+    # Write each chunk of bytes as it is made; a failed write removes the
+    # started file, so no truncated mesh is left behind.
+    out = open(path, "wb")
+    try:
+        with out:
+            for chunk in chunks:
+                out.write(chunk)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:
-    text = _lines(b"v ", mesh.vertices, b" ") + _lines(b"f ", mesh.faces + 1, b" ")  # 1-based
-    # A mesh with no vertex is a file holding one empty line.
-    Path(path).write_bytes(text or b"\n")
+    # OBJ face indices are 1-based.  A mesh with no vertex is a file holding
+    # one empty line.
+    vertices = (_lines(b"v ", mesh.vertices[b], b" ") for b in _row_blocks(len(mesh.vertices)))
+    faces = (_lines(b"f ", mesh.faces[b] + 1, b" ") for b in _row_blocks(len(mesh.faces)))
+    _stream(path, itertools.chain(vertices, faces) if len(mesh.vertices) else [b"\n"])
 
 
 def write_csv(mesh: SurfaceMesh, path) -> None:
-    table = np.column_stack([mesh.uv, mesh.vertices, mesh.residual])
-    Path(path).write_bytes(b"u,v,x1,x2,x3,residual\n" + _lines(b"", table, b","))
+    columns = (mesh.uv, mesh.vertices, mesh.residual)
+    rows = (
+        _lines(b"", np.column_stack([column[block] for column in columns]), b",")
+        for block in _row_blocks(len(mesh.vertices))
+    )
+    _stream(path, itertools.chain([b"u,v,x1,x2,x3,residual\n"], rows))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bjorling
-from bjorling import corpus, solver
+from bjorling import cli, corpus, problemfile, solver
 from bjorling.cli import main
 from bjorling.config import ProblemKind
 from bjorling.errors import ConstraintDrift
@@ -269,6 +269,17 @@ def test_solve_order_override(workdir, capsys):
 def test_usage_error_exit_code(workdir, capsys):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_parser_is_built_once_and_still_reports_usage_errors(workdir, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["examples"]) == 0
+    capsys.readouterr()
+    # The shared parser keeps no state from the successful call.
+    assert main(["solve", "--order"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bjorling solve ")
+    assert "error: argument --order: expected one argument" in err
 
 
 def _grid(**sizes):
@@ -694,6 +705,75 @@ def test_export_mesh_refuses_a_non_finite_surface(workdir, capsys, fmt):
     assert len(lines) == 1
     assert lines[0].startswith("error: surface is not finite at grid point (u, v) = (-1e+30, ")
     assert not (workdir / f"far.{fmt}").exists()
+
+
+def test_export_mesh_obj_needs_only_finite_points(workdir, capsys):
+    # A de Sitter surface at height x3 = 1e-310: its points are finite and in
+    # the chart x3 > 0, but the coframe 1/x3 overflows, so the per-vertex
+    # residual that only the CSV holds is not finite.
+    assert main(["examples", "desitter_vertical_plane"]) == 0
+    assert main(["solve", "desitter_vertical_plane.problem.json", "--out", "."]) == 0
+    doc = json.loads((workdir / "desitter_vertical_plane.solution.json").read_text())
+    side = len(doc["surface"][2])
+    doc["surface"][2] = [[1e-310 if i == j == 0 else 0.0 for j in range(side)] for i in range(side)]
+    (workdir / "low.solution.json").write_text(json.dumps(doc))
+    grid = doc["grid"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["export-mesh", "low.solution.json", "--format", "obj", "--out", "low.obj"]) == 0
+        capsys.readouterr()
+        code = main(["export-mesh", "low.solution.json", "--format", "csv", "--out", "low.csv"])
+    vertices = [l.split() for l in (workdir / "low.obj").read_text().splitlines() if l[0] == "v"]
+    assert len(vertices) == grid["nu"] * grid["nv"]
+    assert {v[3] for v in vertices} == {"1e-310"}
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: surface is not finite at grid point (u, v) = (")
+    assert not (workdir / "low.csv").exists()
+
+
+def _fail_after_first_block(monkeypatch):
+    # Mesh text goes out in blocks of 8 rows, and the second block fails as
+    # a full disk would.
+    monkeypatch.setattr(problemfile, "BLOCK_ROWS", 8)
+    raw, calls = problemfile._lines, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return raw(*args)
+
+    monkeypatch.setattr(problemfile, "_lines", failing)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_failed_mesh_write_in_solve_leaves_no_file(workdir, capsys, monkeypatch, fmt):
+    path = _write_problem(workdir / "plane.problem.json")
+    calls = _fail_after_first_block(monkeypatch)
+    assert main(["solve", str(path), "--mesh", fmt, "--out", "out"]) == 1
+    assert "No space left on device" in _one_line_error(capsys)
+    assert len(calls) == 2
+    assert list((workdir / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_failed_export_mesh_write_leaves_no_file(workdir, capsys, monkeypatch, fmt):
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--out", "."]) == 0
+    (workdir / f"old.{fmt}").write_text("an earlier mesh")
+    capsys.readouterr()
+    calls = _fail_after_first_block(monkeypatch)
+    for out in (f"new.{fmt}", f"old.{fmt}"):
+        code = main(["export-mesh", "plane.solution.json", "--format", fmt, "--out", out])
+        assert code == 1
+        assert "No space left on device" in _one_line_error(capsys)
+        assert not (workdir / out).exists()
+        del calls[:]
 
 
 def test_divisor_with_zero_constant_term_exits_1(workdir, capsys):

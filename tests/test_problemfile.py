@@ -7,6 +7,7 @@ import pytest
 from bjorling import corpus, problemfile
 from bjorling.config import GridSpec, ProblemKind
 from bjorling.errors import SchemaError
+from bjorling.groups import GroupModel
 from bjorling.solver import solve_bjorling
 from bjorling.verify import surface_grids
 from kalgebra import variable_u, variable_v, zero_series
@@ -236,6 +237,19 @@ def test_unclipped_mesh_is_a_reshape_of_the_grid(stored_solution):
     ]
     assert np.array_equal(mesh.residual, want)
     assert mesh.clipped == 0
+
+
+def test_points_only_mesh_makes_no_frame_call(stored_solution, monkeypatch):
+    _, stored = stored_solution
+    full = problemfile.build_mesh(stored)
+    calls = []
+    raw = GroupModel.frame_matrix
+    monkeypatch.setattr(GroupModel, "frame_matrix", lambda *a: calls.append(a) or raw(*a))
+    points = problemfile.build_mesh(stored, residual=False)
+    assert calls == []
+    assert points.vertices.tobytes() == full.vertices.tobytes()
+    assert np.array_equal(points.faces, full.faces) and points.clipped == full.clipped
+    assert points.uv is None and points.residual is None
 
 
 def test_mesh_counts_full_grid(stored_solution):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import bjorling
@@ -556,6 +557,81 @@ def test_line_writer_lays_out_empty_and_one_column_tables():
     assert lines(b"", np.array([[3], [10]]), b",") == b"3\n10\n"
     assert lines(b"f ", np.array([[1, 2, 3, 4]]), b" ") == b"f 1 2 3 4\n"
     assert lines(b"", np.array([[0.5, -2.0], [1e16, 5e-324]]), b",") == b"0.5,-2.0\n1e16,5e-324\n"
+
+
+def _seventeen_digit_floats(rng, count):
+    # Doubles whose shortest round-trip text has 17 significant digits and no
+    # exponent, so the reference writers' %.17g prints the writers' bytes.
+    draws = rng.uniform(-1000.0, 1000.0, 4 * count + 64).tolist()
+    out = [x for x in draws if repr(x) == f"{x:.17g}"]
+    assert len(out) >= count
+    return np.array(out[:count])
+
+
+def _block_mesh(rows):
+    # A mesh of `rows` vertices, faces and CSV rows, with random numbers.
+    rng = np.random.default_rng(rows)
+    values = _seventeen_digit_floats(rng, 6 * rows).reshape(rows, 6)
+    faces = rng.integers(0, rows, (rows, 4))
+    return problemfile.SurfaceMesh(
+        np.ascontiguousarray(values[:, 2:5]), values[:, :2], values[:, 5], faces, 0
+    )
+
+
+@pytest.mark.parametrize(
+    "rows", [problemfile.BLOCK_ROWS + k for k in (-1, 0, 1)] + [2 * problemfile.BLOCK_ROWS + 1]
+)
+def test_mesh_writers_match_the_reference_across_block_edges(tmp_path, rows):
+    mesh = _block_mesh(rows)
+    for write, reference in (
+        (problemfile.write_obj, reference_write_obj),
+        (problemfile.write_csv, reference_write_csv),
+    ):
+        write(mesh, tmp_path / "got")
+        reference(mesh, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_clipped_mesh_text_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    n = 6
+    mesh = problemfile.build_mesh(
+        problemfile.StoredSolution(
+            h2xr(),
+            ProblemKind.SPACELIKE_SURFACE,
+            (variable_u(n), variable_v(n) + 0.5, variable_u(n) * variable_v(n)),
+            GridSpec(-0.5, 0.5, -1.0, 1.0, 61, 97),
+            {},
+        )
+    )
+    assert mesh.clipped > 0 and len(mesh.faces) > 2 * problemfile.BLOCK_ROWS
+    for write, reference in (
+        (problemfile.write_obj, reference_write_obj),
+        (problemfile.write_csv, reference_write_csv),
+    ):
+        write(mesh, tmp_path / "blocks")
+        with monkeypatch.context() as one_block:
+            one_block.setattr(problemfile, "BLOCK_ROWS", 10**9)
+            write(mesh, tmp_path / "whole")
+        assert (tmp_path / "blocks").read_bytes() == (tmp_path / "whole").read_bytes()
+        reference(mesh, tmp_path / "want")
+        _assert_same_numbers((tmp_path / "blocks").read_text(), (tmp_path / "want").read_text())
+
+
+def test_mesh_writers_format_one_block_of_rows_per_call(tmp_path, monkeypatch):
+    rows = 2 * problemfile.BLOCK_ROWS + 1
+    mesh = _block_mesh(rows)
+    raw, sizes = orjson.dumps, []
+
+    def spy(value, *args, **kwargs):
+        sizes.append(value.size)
+        return raw(value, *args, **kwargs)
+
+    monkeypatch.setattr(orjson, "dumps", spy)
+    problemfile.write_obj(mesh, tmp_path / "m.obj")
+    problemfile.write_csv(mesh, tmp_path / "m.csv")
+    block = problemfile.BLOCK_ROWS
+    per_table = [block, block, 1]
+    assert sizes == [cols * k for cols in (3, 4, 6) for k in per_table]
 
 
 # ---------------------------------------------------------------------------
