@@ -169,11 +169,15 @@ def _cmd_examples(args) -> int:
     out_dir = Path(args.out)
     problem_path = out_dir / f"{args.name}.problem.json"
     reference_path = out_dir / f"{args.name}.reference.json"
+    written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        problem_path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
-        reference_path.write_text(json.dumps(stub, indent=1), encoding="utf-8")
+        for path, content in ((problem_path, doc), (reference_path, stub)):
+            path.write_text(json.dumps(content, indent=1), encoding="utf-8")
+            written.append(path)
     except OSError as exc:
+        for p in written:  # a failed call leaves none of its files
+            p.unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {problem_path}")

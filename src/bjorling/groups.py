@@ -3,7 +3,7 @@
 Each model carries an orthonormal left-invariant frame E1, E2, E3 with
 signature (+, +, -), the structure constants of the frame bracket, the
 derived connection table that drives the frame-field PDE system, and the
-chart data (frame matrix A and its inverse, domain guard).
+chart data (frame matrix A, from which A^-1 follows, and domain guard).
 
 Conventions: ``C[a, b, c]`` is the c-component of [E_a, E_b] (0-based
 indices).  The connection table gamma satisfies nabla_{E_a} E_b =
@@ -12,6 +12,8 @@ sum_c gamma[a, b, c] E_c and equals half of the Koszul combination
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -48,18 +50,10 @@ def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     C = np.asarray(C, dtype=float)
     if C.shape != (3, 3, 3):
         raise ValueError("structure constants must form a 3x3x3 table")
-    if not np.array_equal(C, -np.transpose(C, (1, 0, 2))):
+    if not (C == -C.transpose(1, 0, 2)).all():
         raise ValueError("structure constants must be antisymmetric in a, b")
-    e = SIGNATURE
-    L = np.zeros((3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                L[a, b, c] = (
-                    C[a, b, c]
-                    - C[b, c, a] * e[a] * e[c]
-                    - C[a, c, b] * e[b] * e[c]
-                )
+    ee = np.multiply.outer(SIGNATURE, SIGNATURE)  # the transposes hold C[b, c, a], C[a, c, b]
+    L = C - C.transpose(2, 0, 1) * ee[:, None] - C.transpose(0, 2, 1) * ee
     return L, L / 2.0
 
 
@@ -72,35 +66,52 @@ def _stack(nest, shape, dtype=float) -> np.ndarray:
     return out
 
 
+def _times(p, q):
+    # p q, with no array or jet operation for a factor that is the number 0.0 or 1.0.
+    if type(p) is float and p in (0.0, 1.0):
+        return q if p else 0.0
+    if type(q) is float and q in (0.0, 1.0):
+        return p if q else 0.0
+    return p * q
+
+
+def _plus(p, q):
+    # p + q, leaving out an operand that is the number 0.0.
+    return q if type(p) is float and p == 0.0 else p if type(q) is float and q == 0.0 else p + q
+
+
+def mat_vec(m, w):
+    """The 3x3 nest m times the triple w; an entry of m that is the number 0.0 or 1.0
+    costs no array or jet operation."""
+    return tuple(reduce(_plus, map(_times, row, w), 0.0) for row in m)
+
+
 def _inverse(m):
-    # Adjugate over determinant; works for floats, arrays and jets alike.
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        adj = [
-            [
-                m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
-    if isinstance(det, float) and det == 0.0:
-        raise NotInvertible("frame matrix is singular")
-    if not np.all(np.isfinite(getattr(det, "coeffs", det))):
-        raise NotInvertible("frame matrix determinant is not finite")
-    return tuple(tuple(a / det for a in row) for row in adj)
+    # Adjugate times the determinant's reciprocal, for floats, arrays and jets
+    # alike; at a point (array) whose determinant is 0 or not finite, not finite.
+    cyclic = ((1, 2), (2, 0), (0, 1))
+    with np.errstate(all="ignore"):
+        adj = [[_plus(_times(m[j][i], m[l][k]), -_times(m[j][k], m[l][i])) for j, l in cyclic]
+               for i, k in cyclic]
+        det = reduce(_plus, map(_times, m[0], (row[0] for row in adj)), 0.0)
+        if isinstance(det, (np.ndarray, np.generic)):
+            det = np.where(np.isfinite(det), det, np.nan)
+        elif not np.isfinite(getattr(det, "coeffs", det)).all():
+            raise NotInvertible("frame matrix determinant is not finite")
+        elif abs(getattr(det, "coeffs", [det])[0]) <= 1e-300:  # a jet quotient's own bound
+            raise NotInvertible("frame matrix determinant is zero or too small to invert")
+        r = 1.0 / det
+        return [[_times(e, r) for e in row] for row in adj]
 
 
 class GroupModel:
     """Immutable bundle of one group's frame, chart and PDE data.
 
-    The chart is given by one pair of callables: ``frame(x)`` is the frame
-    matrix A (columns are the frame fields in coordinates) and
-    ``coframe(x)`` its inverse, each a 3x3 nest of entries for a coordinate
-    triple x.  The parts of x may be floats, numpy arrays of one shape
-    (complex ones for the Christoffel symbols' steps), or ``USeries`` jets,
-    so the same two functions give the point and grid matrices, the metric
-    and Christoffel symbols on whole grids, and the jet maps along a curve.
+    The chart is one callable, ``frame(x)``: the frame matrix A (columns are
+    the frame fields in coordinates) as a 3x3 nest of entries for a
+    coordinate triple x, whose parts may be floats, numpy arrays of one
+    shape (complex ones for the Christoffel symbols' steps), ``USeries``
+    jets, bivariate series or tape nodes; ``coframe(x)`` derives A^{-1}.
     ``chart_guard(x)`` must work elementwise on a (3, ...) stack too.
     ``frame_exprs`` keeps a generic group's declared frame strings (None
     for the built-ins) for its solution file.
@@ -111,7 +122,6 @@ class GroupModel:
         name: str,
         structure_constants,
         frame=None,
-        coframe=None,
         chart_guard=None,
         frame_exprs=None,
     ):
@@ -119,7 +129,6 @@ class GroupModel:
         self.C = np.asarray(structure_constants, dtype=float)
         self.gamma = connection_from_structure(self.C)[1]
         self.frame = frame
-        self.coframe = coframe
         self._chart_guard = chart_guard or (lambda x: True)
         self.frame_exprs = frame_exprs
 
@@ -139,46 +148,55 @@ class GroupModel:
             raise UnsupportedRecipe(f"group {self.name} has no frame matrix")
 
     def _chart_shape(self, x: np.ndarray) -> tuple:
-        # x.shape[1:], once every point is in the chart and there is a frame.
+        # x.shape[1:], once every point is in the chart.
         mask = self.chart_mask(x)
         if not mask.all():
             bad = x.reshape(3, -1)[:, np.argmin(mask.ravel())]
             raise DomainError(f"point {bad.tolist()} outside the {self.name} chart")
-        self.require_frame()
         return mask.shape
 
-    def frame_matrix(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """A and A^{-1} at a point (3x3 each) or at a (3, ...) stack of
-        points ((3, 3, ...) each).  Raises DomainError if any point is
-        outside the chart."""
+    def coframe(self, x):
+        """A^{-1}(x) as a 3x3 nest, the adjugate of ``frame(x)`` over its
+        determinant: for jets along a curve, point stacks and certificates."""
+        self.require_frame()
+        return _inverse(self.frame(x))
+
+    def frame_matrix(self, x) -> np.ndarray:
+        """A^{-1} at a point (3x3) or at a (3, ...) stack of points
+        ((3, 3, ...)).  Raises DomainError if any point is outside the
+        chart."""
         x = np.asarray(x, dtype=float)
         shape = self._chart_shape(x)
-        return _stack(self.frame(x), shape), _stack(self.coframe(x), shape)
+        return _stack(self.coframe(x), shape)
 
     def christoffels(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate Christoffel symbols Gamma[k, i, j, ...] and the inverse
         frame matrix Ainv[a, i, ...] at a point or on a (3, ...) stack of
         points.  Raises DomainError if any point is outside the chart.
 
-        d_l Ainv is a complex step (Squire & Trapp, SIAM Rev. 40, 1998): one
-        coframe call on x + i h e_l, l = 1..3, h = 1e-20 max(1, |x|_inf),
-        whose real part is Ainv and whose imaginary part over h is d_l Ainv,
-        both exact in floating point.  Only the chart is read, never the
+        Ainv is ``frame_matrix``'s, bit for bit.  d_l A is a complex step
+        (Squire & Trapp, SIAM Rev. 40, 1998): one frame call on x + i h e_l,
+        l = 1..3, h = 1e-20 max(1, |x|_inf), whose real part is A and whose
+        imaginary part over h is d_l A, exact for a frame linear in x (the
+        built-ins).  Then d_l g = -2 sym(g d_l A Ainv) for g = Ainv^T diag
+        Ainv, and g^-1 = A diag A^T.  Only the chart is read, never the
         connection table that drives the solver.
         """
         x = np.asarray(x, dtype=float)
         shape = self._chart_shape(x)
-        h = 1e-20 * np.maximum(1.0, np.max(np.abs(x), axis=0))
+        ainv = _stack(self.coframe(x), shape)
+        h = 1e-20 * np.maximum(1.0, np.abs(x).max(axis=0))
         steps = 1j * h * np.eye(3).reshape((3, 3) + (1,) * len(shape))
-        c = _stack(self.coframe(x[:, None] + steps), (3,) + shape, complex)
-        ainv, dainv = c.real[:, :, 0], c.imag / h  # dainv[a, i, l] = d_l Ainv[a, i]
-        half = np.einsum("a,ai...,ajl...->ijl...", SIGNATURE, ainv, dainv)
-        dg = half + half.swapaxes(0, 1)  # dg[i, j, l] = d_l g_ij
-        # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        t = np.einsum("jli...->ijl...", dg) + np.einsum("ilj...->ijl...", dg) - dg
-        a = _stack(self.frame(x), shape)  # g^-1 = A diag A^T, with no inversion
-        ginv = np.einsum("a,ka...,la...->kl...", SIGNATURE, a, a)
-        return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t), ainv
+        c = _stack(self.frame(x[:, None] + steps), (3,) + shape, complex)
+        a, da = c.real[:, :, 0], c.imag / h  # da[k, b, l] = d_l A[k, b]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite symbols fail the certificate
+            g = np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
+            half = -np.einsum("ik...,kjl...->ijl...", g, np.einsum("kbl...,bj...->kjl...", da, ainv))
+            dg = half + half.swapaxes(0, 1)  # dg[i, j, l] = d_l g_ij, half = -g d_l A Ainv
+            # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+            t = np.einsum("jli...->ijl...", dg) + np.einsum("ilj...->ijl...", dg) - dg
+            ginv = np.einsum("a,ka...,la...->kl...", SIGNATURE, a, a)  # g^-1 = A diag A^T
+            return 0.5 * np.einsum("kl...,ijl...->kij...", ginv, t), ainv
 
     # PDE -----------------------------------------------------------------
 
@@ -215,7 +233,6 @@ def heisenberg() -> GroupModel:
         "heisenberg",
         C,
         frame=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-x[1] / 2.0, x[0] / 2.0, 1.0)),
-        coframe=lambda x: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (x[1] / 2.0, -x[0] / 2.0, 1.0)),
     )
 
 
@@ -229,15 +246,10 @@ def de_sitter() -> GroupModel:
     C[2, 0, 0] = 1.0
     C[1, 2, 1] = -1.0
     C[2, 1, 1] = 1.0
-
-    def scaled(s):
-        return ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
-
     return GroupModel(
         "desitter",
         C,
-        frame=lambda x: scaled(x[2]),
-        coframe=lambda x: scaled(1.0 / x[2]),
+        frame=lambda x: ((x[2], 0.0, 0.0), (0.0, x[2], 0.0), (0.0, 0.0, x[2])),
         chart_guard=lambda x: x[2] > 0.0,
     )
 
@@ -250,15 +262,10 @@ def h2xr() -> GroupModel:
     C = np.zeros((3, 3, 3))
     C[0, 1, 0] = -1.0
     C[1, 0, 0] = 1.0
-
-    def scaled(s):
-        return ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, 1.0))
-
     return GroupModel(
         "h2xr",
         C,
-        frame=lambda x: scaled(x[1]),
-        coframe=lambda x: scaled(1.0 / x[1]),
+        frame=lambda x: ((x[1], 0.0, 0.0), (0.0, x[1], 0.0), (0.0, 0.0, 1.0)),
         chart_guard=lambda x: x[1] > 0.0,
     )
 
@@ -274,16 +281,15 @@ def generic_group(
     ``frame_exprs`` is a 3x3 nest of expression strings in x1, x2, x3
     (columns are the frame fields).  The entries are parsed once, here, and
     evaluated on whatever the coordinates are (floats, numpy arrays, jets,
-    bivariate series); the coframe is their adjugate inverse.  Without it
-    only the frame-level residual machinery is available.  The immersion is
-    rebuilt from bivariate series of the coordinates, so there an entry must
-    be a polynomial: numbers, x1..x3, +, -, *, integer powers >= 0 and
-    division by a number; any other (``exp(x1)``, ``1/x3``) raises
-    UnsupportedRecipe.
+    bivariate series).  Without it only the frame-level residual machinery
+    is available.  The immersion is rebuilt from bivariate series of the
+    coordinates, so there an entry must be a polynomial: numbers, x1..x3,
+    +, -, *, integer powers >= 0 and division by a number; any other
+    (``exp(x1)``, ``1/x3``) raises UnsupportedRecipe.
     """
     from .expressions import evaluate_series, parse_expression  # local import, avoids a cycle
 
-    frame = coframe = rows = None
+    frame = rows = None
     if frame_exprs is not None:
         rows = [list(r) for r in frame_exprs]
         entries = [e for r in rows for e in r]
@@ -295,14 +301,10 @@ def generic_group(
             env = {"x1": x[0], "x2": x[1], "x3": x[2]}
             return tuple(tuple(evaluate_series(e, env, tree) for e, tree in row) for row in parsed)
 
-        def coframe(x):
-            return _inverse(frame(x))
-
     return GroupModel(
         name,
         structure_constants,
         frame=frame,
-        coframe=coframe,
         chart_guard=chart_guard,
         frame_exprs=rows,
     )

@@ -367,7 +367,7 @@ def build_mesh(solution, residual: bool = True) -> SurfaceMesh:
         kept = grids[:, :, inside] if clipped else grids.reshape(len(grids), 3, -1)
         x = kept[0]
         if residual:
-            ainv = solution.group.frame_matrix(x)[1]
+            ainv = solution.group.frame_matrix(x)
             defect = conformality_defect(*frame_components(ainv, *kept[1:]), solution.kind.sigma)
             if not np.isfinite(defect).all():
                 finite[inside] = np.isfinite(defect)

@@ -361,6 +361,17 @@ class USeries(ArraySeries):
         return np.polynomial.polynomial.polyval(t, self.coeffs)
 
 
+def jet_table(jets) -> np.ndarray:
+    """USeries about one center, or numbers (constants), as the zero-padded rows of one table."""
+    out = np.zeros((len(jets), max(j.coeffs.size for j in jets if isinstance(j, USeries))))
+    for row, j in zip(out, jets):
+        if isinstance(j, USeries):
+            row[: j.coeffs.size] = j.coeffs
+        else:
+            row[0] = j
+    return out
+
+
 def ode_taylor(rhs, y0: float, order: int, center: float = 0.0) -> USeries:
     """Taylor coefficients of the solution of ``y' = rhs(y)``.
 

@@ -27,8 +27,8 @@ from .errors import (
     NonIntegrable,
     ProblemValidationError,
 )
-from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import BiSeries, USeries, du_tables, dv_tables, pair_products, point_values
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec
+from .series import BiSeries, USeries, du_tables, dv_tables, jet_table, pair_products, point_values
 from .slices import FrameTape, cauchy_slice, matvec_slice
 
 
@@ -67,14 +67,12 @@ class BjorlingProblem:
     def coframe_jets(self) -> tuple:
         """A^{-1} along the curve, a 3x3 nest of jets and numbers, evaluated
         once per problem."""
-        self.group.require_frame()
         return self.group.coframe(self.curve)
 
     @cached_property
     def frame_velocity(self) -> tuple[USeries, USeries, USeries]:
         """Frame components of the curve's velocity, converted once per problem."""
-        w = self.curve_velocity()
-        return tuple(row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in self.coframe_jets)
+        return mat_vec(self.coframe_jets, self.curve_velocity())
 
     def validate(self) -> None:
         """Check the stated invariants; raises ProblemValidationError."""
@@ -138,11 +136,8 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     us = np.linspace(u_lo, u_hi, samples)
     gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _sample_jets(
-            [speed2, *problem.frame_velocity, *problem.curve_velocity(), *coframe],
-            problem.center,
-            us,
-        )
+        table = jet_table([speed2, *problem.frame_velocity, *problem.curve_velocity(), *coframe])
+        values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
         vals, w, v = values[0], values[1:4], values[4:7]
         terms = np.abs(values[7:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
         d = gamma * terms.sum(axis=1)
@@ -170,19 +165,6 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     if np.all(vals < 0.0):
         return CurveClass.TIMELIKE
     return CurveClass.MIXED
-
-
-def _sample_jets(jets, center: float, us: np.ndarray) -> np.ndarray:
-    # Values of USeries about the center, or of numbers, at the points us,
-    # in one matmul: shape (len(jets), len(us)).
-    n1 = max(j.coeffs.size for j in jets if isinstance(j, USeries))
-    coeffs = np.zeros((len(jets), n1))
-    for row, j in zip(coeffs, jets):
-        if isinstance(j, USeries):
-            row[: j.coeffs.size] = j.coeffs
-        else:
-            row[0] = j
-    return coeffs @ np.vander(us - center, n1, increasing=True).T
 
 
 def initial_data(problem: BjorlingProblem) -> np.ndarray:
@@ -314,9 +296,8 @@ def reconstruct_surface(
     s = mode.unit_square
     tape = FrameTape(group.frame, (n + 2, n + 2))
     f = tape.tables[1:4]
-    for table, jet in zip(f, curve):
-        k = min(n + 1, jet.order)
-        table[: k + 1, 0] = jet.coeffs[: k + 1]
+    column = jet_table(curve)[:, : n + 2]
+    f[:, : column.shape[1], 0] = column
     w_r = np.stack([(2.0 * s) * frame[1], 2.0 * frame[0]])
     a = np.zeros((3, 3, n + 1, n + 1))  # A(f), filled one column per level
     fu = np.zeros((3, n + 1, n + 1))

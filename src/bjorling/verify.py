@@ -3,8 +3,8 @@
 Two unrelated certificates are computed for every surface: the frame-level
 residuals of the first-order system (series coefficients), and a
 coordinate-level tension-field residual of the immersion's own series,
-with Christoffel symbols taken from the chart's coframe alone.  Agreement
-of both is what rules out convention bugs in the connection table.
+with Christoffel symbols taken from the chart's frame matrix alone.
+Agreement of both is what rules out convention bugs in the connection table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .config import GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import du_tables, dv_tables, grid_values, pair_products, table_stack
+from .series import du_tables, dv_tables, grid_values, jet_table, pair_products, table_stack
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
 MAX_HALVINGS = 6
@@ -173,13 +173,14 @@ def boundary_residuals(
 
     us = np.asarray(us, dtype=float)
     x, fu, fv = surface_grids(surface, us, [0.0])[..., 0]
-    normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x)[1], fu, fv)))
+    normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x), fu, fv)))
     norm2 = lorentz_dot(normal, normal)
     degenerate = np.abs(norm2) <= 1e-12 * np.maximum(1.0, np.sum(normal * normal, axis=0))
     if degenerate.any():
         raise DegenerateFrame(f"degenerate normal at u = {us[np.argmax(degenerate)]:g}")
     normal = normal / np.sqrt(np.abs(norm2))
-    target = np.array([w.eval(us) for w in normal_field])
+    # One polyval call: on each jet, step for step the Horner rule of USeries.eval.
+    target = np.polynomial.polynomial.polyval(us - normal_field[0].center, jet_table(normal_field).T)
     res_plus = float(np.max(np.abs(normal - target)))
     res_minus = float(np.max(np.abs(normal + target)))
     if res_plus <= res_minus:

@@ -469,7 +469,7 @@ def reference_cone_lift(group, first0: KSeries, second0: KSeries, mode: Mode, or
 
 
 def _point_defect(group, x, fu, fv, sigma):
-    _, ainv = group.frame_matrix(x)
+    ainv = group.frame_matrix(x)
     vec_u = ainv @ fu
     vec_v = ainv @ fv
     return abs(lorentz_dot(vec_u, vec_v)) + abs(
@@ -521,7 +521,7 @@ def exact_tension_residual(name, surface, sigma, us, vs) -> float:
 def _frame_metric(group, x):
     """Coordinate metric g = A^-T diag(+, +, -) A^-1 at one point, from the
     group's ``frame_matrix``."""
-    _, ainv = group.frame_matrix(x)
+    ainv = group.frame_matrix(x)
     return np.einsum("a,ai,aj->ij", SIGNATURE, ainv, ainv)
 
 

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bjorling
@@ -54,6 +55,17 @@ def test_examples_materialize_and_solve(workdir, capsys, example_id):
     assert main(["solve", str(problem), "--out", "out"]) == 0
     assert (workdir / "out" / f"{example_id}.solution.json").exists()
     assert (workdir / "out" / f"{example_id}.report.json").exists()
+
+
+def test_examples_leave_no_file_when_a_write_fails(workdir, capsys):
+    # The reference file's path is an existing directory, so its write fails
+    # after the problem file's: the call exits 1 with one error line and
+    # leaves neither file, as solve and export-mesh do.
+    (workdir / "heisenberg_helicoid.reference.json").mkdir()
+    assert main(["examples", "heisenberg_helicoid", "--out", "."]) == 1
+    _one_line_error(capsys)
+    assert not (workdir / "heisenberg_helicoid.problem.json").exists()
+    assert (workdir / "heisenberg_helicoid.reference.json").is_dir()
 
 
 def test_examples_materialize_helicoid_profile(workdir, capsys):
@@ -709,8 +721,9 @@ def test_export_mesh_refuses_a_non_finite_surface(workdir, capsys, fmt):
 
 def test_export_mesh_obj_needs_only_finite_points(workdir, capsys):
     # A de Sitter surface at height x3 = 1e-310: its points are finite and in
-    # the chart x3 > 0, but the coframe 1/x3 overflows, so the per-vertex
-    # residual that only the CSV holds is not finite.
+    # the chart x3 > 0, but the frame matrix determinant x3^3 underflows to 0,
+    # so A^-1 and the per-vertex residual that only the CSV holds are not
+    # finite.
     assert main(["examples", "desitter_vertical_plane"]) == 0
     assert main(["solve", "desitter_vertical_plane.problem.json", "--out", "."]) == 0
     doc = json.loads((workdir / "desitter_vertical_plane.solution.json").read_text())
@@ -733,6 +746,41 @@ def test_export_mesh_obj_needs_only_finite_points(workdir, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: surface is not finite at grid point (u, v) = (")
     assert not (workdir / "low.csv").exists()
+
+
+def _homothety(k: int) -> dict:
+    # desitter_vertical_plane with its curve scaled by 2^k, an isometry of the
+    # halfspace chart; the normal field's frame components stay the same.
+    doc = corpus.build_problem_dict("desitter_vertical_plane")
+    doc["beta"] = [f"{2.0**k!r}*({b})" for b in doc["beta"]]
+    return doc
+
+
+@pytest.mark.parametrize("k", [-300, -100, -60])
+def test_desitter_homothety_scales_the_solution_exactly(workdir, capsys, k):
+    # Inside the scale window A^-1 = adj(A) / det A scales exactly by 2^-k:
+    # the frame data are those at k = 0 bit for bit, the surface tables and
+    # the tension certificate are exactly 2^k times theirs, and the solve
+    # exits 0.
+    base = solver.solve_bjorling(problemfile.problem_from_dict(_homothety(0)))
+    scaled = solver.solve_bjorling(problemfile.problem_from_dict(_homothety(k)))
+    assert np.array_equal(scaled.frame_data, base.frame_data)
+    for f, g in zip(scaled.surface, base.surface):
+        assert np.array_equal(f.coeffs, 2.0**k * g.coeffs)
+    assert scaled.report.conformality_residual == base.report.conformality_residual
+    assert scaled.report.minimality_residual == 2.0**k * base.report.minimality_residual
+    (workdir / "scaled.problem.json").write_text(json.dumps(_homothety(k)))
+    assert main(["solve", "scaled.problem.json", "--out", "."]) == 0
+
+
+@pytest.mark.parametrize("k", [-340, 400])
+def test_desitter_homothety_outside_the_window_is_one_line(workdir, capsys, k):
+    # det A = x3^3 underflows below x3 of about 1e-100 and overflows above
+    # about 5.6e102: one error line naming the determinant, exit 1.
+    (workdir / "scaled.problem.json").write_text(json.dumps(_homothety(k)))
+    assert main(["solve", "scaled.problem.json", "--out", "."]) == 1
+    assert "frame matrix determinant" in _one_line_error(capsys)
+    assert list(workdir.iterdir()) == [workdir / "scaled.problem.json"]
 
 
 def _fail_after_first_block(monkeypatch):

@@ -391,8 +391,9 @@ def test_grid_code_matches_per_point_reference(example_id):
 def test_certificates_make_few_frame_matrix_calls(monkeypatch):
     # The boundary check makes the solve's one frame-matrix call.  Each strip
     # attempt evaluates the surface once and makes one chart call: the
-    # Christoffel symbols, whose one complex coframe call (the points and
-    # their three steps at once) also gives both certificates Ainv.
+    # Christoffel symbols, whose one real coframe call gives both
+    # certificates Ainv and whose one complex frame call (the points and
+    # their three steps at once) gives d A.
     calls = {"frame_matrix": [], "christoffels": [], "surface_grids": []}
 
     def counted(owner, name):
@@ -408,9 +409,10 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
     counted(GroupModel, "christoffels")
     counted(verify, "surface_grids")
     for example_id in corpus.EXAMPLE_IDS:
-        prob, complex_calls = _problem(example_id), []
-        raw_coframe = prob.group.coframe
-        prob.group.coframe = lambda x: complex_calls.append(np.iscomplexobj(x)) or raw_coframe(x)
+        prob, complex_calls, coframe_calls = _problem(example_id), [], []
+        raw_frame, raw_coframe = prob.group.frame, prob.group.coframe
+        prob.group.frame = lambda x: complex_calls.append(np.iscomplexobj(x)) or raw_frame(x)
+        prob.group.coframe = lambda x: coframe_calls.append(type(x[0])) or raw_coframe(x)
         for made in calls.values():
             made.clear()
         report = solve_bjorling(prob).report
@@ -422,6 +424,8 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
             counts,
         )
         assert complex_calls.count(True) == attempts, (example_id, complex_calls)
+        # The curve's jets, the boundary row, then one per attempt.
+        assert coframe_calls == [USeries] + [np.ndarray] * (1 + attempts), (example_id, coframe_calls)
 
 
 def test_solve_converts_the_frame_velocity_once():
