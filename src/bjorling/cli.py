@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from .errors import (
     DomainError,
     NonIntegrable,
     ProblemValidationError,
-    SchemaError,
     UnsupportedRecipe,
 )
 from .solver import solve_bjorling
@@ -89,11 +87,8 @@ def _export_mesh(solution, fmt: str, out: Path):
     mesh = problemfile.build_mesh(solution, residual=fmt == "csv")
     if mesh.clipped:
         print(f"warning: clipped {mesh.clipped} grid points outside the chart", file=sys.stderr)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "obj":
-        problemfile.write_obj(mesh, out)
-    else:
-        problemfile.write_csv(mesh, out)
+    write = problemfile.write_obj if fmt == "obj" else problemfile.write_csv
+    write(mesh, out)
     return mesh
 
 
@@ -102,14 +97,9 @@ def _cmd_solve(args) -> int:
     overrides = None
     if args.tol is not None:
         overrides = {"series": args.tol, "conformality": args.tol}
-    try:
-        problem, _ = problemfile.load_problem(
-            path, order_override=args.order, tolerance_overrides=overrides
-        )
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    problem, _ = problemfile.load_problem(
+        path, order_override=args.order, tolerance_overrides=overrides
+    )
     try:
         solution = solve_bjorling(problem)
     except _REJECTIONS as exc:
@@ -119,26 +109,16 @@ def _cmd_solve(args) -> int:
         print(f"solver consistency failure: {exc}", file=sys.stderr)
         return 3
 
-    out_dir = Path(args.out)
-    stem = _stem(path)
-    solution_path = out_dir / f"{stem}.solution.json"
-    report_path = out_dir / f"{stem}.report.json"
-    written = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        problemfile.write_solution(solution, solution_path)
-        written.append(solution_path)
-        problemfile.write_report(solution, report_path)
-        written.append(report_path)
-        if args.mesh:
-            mesh_path = out_dir / f"{stem}.surface.{args.mesh}"
-            _export_mesh(solution, args.mesh, mesh_path)
-            written.append(mesh_path)
-    except (OSError, SchemaError) as exc:
-        for p in written:  # a failed call leaves none of its files
-            p.unlink(missing_ok=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out_dir, stem = Path(args.out), _stem(path)
+    files = {
+        out_dir / f"{stem}.solution.json": functools.partial(problemfile.write_solution, solution),
+        out_dir / f"{stem}.report.json": functools.partial(problemfile.write_report, solution),
+    }
+    if args.mesh:
+        files[out_dir / f"{stem}.surface.{args.mesh}"] = functools.partial(
+            _export_mesh, solution, args.mesh
+        )
+    problemfile.write_files(files)
 
     report = solution.report
     for key, val in sorted(report.as_flat_dict().items()):
@@ -146,7 +126,7 @@ def _cmd_solve(args) -> int:
             print(f"{key} = {val:.3e}")
         else:
             print(f"{key} = {val}")
-    for p in written:
+    for p in files:
         print(f"wrote {p}")
     failing = report.failures(problem.tolerances)
     if not failing:
@@ -167,36 +147,20 @@ def _cmd_examples(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
-    problem_path = out_dir / f"{args.name}.problem.json"
-    reference_path = out_dir / f"{args.name}.reference.json"
-    written = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path, content in ((problem_path, doc), (reference_path, stub)):
-            path.write_text(json.dumps(content, indent=1), encoding="utf-8")
-            written.append(path)
-    except OSError as exc:
-        for p in written:  # a failed call leaves none of its files
-            p.unlink(missing_ok=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {problem_path}")
-    print(f"wrote {reference_path}")
+    files = {
+        out_dir / f"{args.name}.problem.json": functools.partial(problemfile.write_json, doc),
+        out_dir / f"{args.name}.reference.json": functools.partial(problemfile.write_json, stub),
+    }
+    problemfile.write_files(files)
+    for p in files:
+        print(f"wrote {p}")
     return 0
 
 
 def _cmd_export_mesh(args) -> int:
-    try:
-        stored = problemfile.StoredSolution.load(args.solution)
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    stored = problemfile.StoredSolution.load(args.solution)
     out = Path(args.out)
-    try:
-        mesh = _export_mesh(stored, args.format, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    (mesh,) = problemfile.write_files({out: functools.partial(_export_mesh, stored, args.format)})
     print(f"wrote {out} ({mesh.vertices.shape[0]} vertices, {len(mesh.faces)} faces)")
     return 0
 
@@ -211,7 +175,7 @@ def main(argv=None) -> int:
     commands = {"solve": _cmd_solve, "examples": _cmd_examples, "export-mesh": _cmd_export_mesh}
     try:
         return commands[args.command](args)
-    except BjorlingError as exc:
+    except (OSError, BjorlingError) as exc:  # usage, I/O and parse problems
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,13 +43,15 @@ def lorentz_dot(y, w):
 def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Koszul table L and connection table gamma = L/2 from structure constants.
 
-    The structure constants must be exactly antisymmetric in their lower
-    pair.  Metric compatibility of the result (gamma[a,b,c] e_c =
+    The structure constants must be finite and exactly antisymmetric in
+    their lower pair.  Metric compatibility of the result (gamma[a,b,c] e_c =
     -gamma[a,c,b] e_b) is automatic and covered by tests.
     """
     C = np.asarray(C, dtype=float)
     if C.shape != (3, 3, 3):
         raise ValueError("structure constants must form a 3x3x3 table")
+    if not np.isfinite(C).all():
+        raise ValueError("structure constants must be finite numbers")
     if not (C == -C.transpose(1, 0, 2)).all():
         raise ValueError("structure constants must be antisymmetric in a, b")
     ee = np.multiply.outer(SIGNATURE, SIGNATURE)  # the transposes hold C[b, c, a], C[a, c, b]
@@ -270,12 +272,7 @@ def h2xr() -> GroupModel:
     )
 
 
-def generic_group(
-    structure_constants,
-    frame_exprs=None,
-    chart_guard=None,
-    name: str = "generic",
-) -> GroupModel:
+def generic_group(structure_constants, frame_exprs=None) -> GroupModel:
     """Group given by raw structure constants, optionally with a frame matrix.
 
     ``frame_exprs`` is a 3x3 nest of expression strings in x1, x2, x3
@@ -301,13 +298,7 @@ def generic_group(
             env = {"x1": x[0], "x2": x[1], "x3": x[2]}
             return tuple(tuple(evaluate_series(e, env, tree) for e, tree in row) for row in parsed)
 
-    return GroupModel(
-        name,
-        structure_constants,
-        frame=frame,
-        chart_guard=chart_guard,
-        frame_exprs=rows,
-    )
+    return GroupModel("generic", structure_constants, frame=frame, frame_exprs=rows)
 
 
 _BUILTINS = {"heisenberg": heisenberg, "desitter": de_sitter, "h2xr": h2xr}

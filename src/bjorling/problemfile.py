@@ -183,6 +183,9 @@ def problem_from_dict(
     if tolerance_overrides:
         tol_doc.update(tolerance_overrides)
     tol_values = {k: _finite(v, f"tolerance {k}") for k, v in tol_doc.items()}
+    for key, value in tol_values.items():
+        if value < 0:
+            raise SchemaError(f"tolerance {key} must not be negative, got {tol_doc[key]!r}")
     # Schema 1 names the step of the finite-difference tension it once had:
     # still checked, no longer read.
     tol_values.pop("fd_step", None)
@@ -277,20 +280,23 @@ def solution_payload(sol: BjorlingSolution) -> dict:
 
 
 def write_solution(sol: BjorlingSolution, path) -> None:
-    # One line per top-level key, each value compact.  json.dumps without
-    # indent runs the C encoder; it writes floats as repr and non-finite
-    # report values as NaN or Infinity (orjson would write null).
-    lines = ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(value)}" for key, value in solution_payload(sol).items()
+    # One line per top-level key, each value compact, streamed key by key.
+    # json.dumps without indent runs the C encoder; it writes floats as repr
+    # and non-finite report values as NaN or Infinity (orjson would write null).
+    lines = (
+        f"{',' if k else '{'}\n{json.dumps(key)}: {json.dumps(value)}".encode()
+        for k, (key, value) in enumerate(solution_payload(sol).items())
     )
-    Path(path).write_text("{\n" + lines + "\n}", encoding="utf-8")
+    _stream(path, itertools.chain(lines, [b"\n}"]))
 
 
 def write_report(sol: BjorlingSolution, path) -> None:
-    Path(path).write_text(
-        json.dumps(sol.report.as_flat_dict(), indent=1, sort_keys=True),
-        encoding="utf-8",
-    )
+    write_json(sol.report.as_flat_dict(), path, sort_keys=True)
+
+
+def write_json(doc, path, sort_keys: bool = False) -> None:
+    """Write ``doc`` as JSON indented by one space."""
+    _stream(path, [json.dumps(doc, indent=1, sort_keys=sort_keys).encode()])
 
 
 @dataclass
@@ -423,8 +429,10 @@ def _row_blocks(rows: int):
 
 
 def _stream(path, chunks) -> None:
-    # Write each chunk of bytes as it is made; a failed write removes the
-    # started file, so no truncated mesh is left behind.
+    # Make the parent directories, then write each chunk of bytes as it is
+    # made; a failed write removes the started file, so no truncated file is
+    # left behind.
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     out = open(path, "wb")
     try:
         with out:
@@ -433,6 +441,26 @@ def _stream(path, chunks) -> None:
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
+
+
+def write_files(files: dict) -> list:
+    """Write all of a command's files or none; returns each write's result.
+
+    ``files`` maps each path to a ``write(path)`` that may compute first and
+    ends by streaming that file through ``_stream``, which makes its parent
+    directories.  On any failure every file the call opened (so also an
+    earlier file at its path) is removed; a path it never opened stays.
+    """
+    done, results = [], []
+    try:
+        for path, write in files.items():
+            results.append(write(path))
+            done.append(path)
+    except BaseException:
+        for path in done:
+            Path(path).unlink(missing_ok=True)
+        raise
+    return results
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:

@@ -1,7 +1,11 @@
+import builtins
+import errno
 import importlib.util
+import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -319,16 +323,16 @@ def _generic(**entries):
 
 
 @pytest.mark.parametrize(
-    "overrides, cli_order, message",
+    "overrides, cli_args, message",
     [
         pytest.param({"order": 2.7}, None, _NOT_INT, id="file-order-fractional"),
         pytest.param({"order": 1}, None, _RANGE, id="file-order-below-2"),
         pytest.param({"order": "twelve"}, None, _NOT_INT, id="file-order-text"),
         pytest.param({"order": 49}, None, _RANGE, id="file-order-above-cap"),
-        pytest.param({}, "2.7", _NOT_INT, id="cli-order-fractional"),
-        pytest.param({}, "-3", _RANGE, id="cli-order-below-2"),
-        pytest.param({}, "twelve", _NOT_INT, id="cli-order-text"),
-        pytest.param({}, "49", _RANGE, id="cli-order-above-cap"),
+        pytest.param({}, ["--order", "2.7"], _NOT_INT, id="cli-order-fractional"),
+        pytest.param({}, ["--order", "-3"], _RANGE, id="cli-order-below-2"),
+        pytest.param({}, ["--order", "twelve"], _NOT_INT, id="cli-order-text"),
+        pytest.param({}, ["--order", "49"], _RANGE, id="cli-order-above-cap"),
         pytest.param(_grid(nu=2.7), None, "grid nu must be an integer", id="nu-fractional"),
         pytest.param(_grid(nu=1), None, _GRID_RANGE.format("nu"), id="nu-below-2"),
         pytest.param(_grid(nv=8.5), None, "grid nv must be an integer", id="nv-fractional"),
@@ -362,6 +366,15 @@ def _generic(**entries):
             "tolerance fd_step must be a finite number",
             id="tolerance-fd-step-text",
         ),
+        pytest.param(
+            {"tolerances": {"cone": -1}},
+            None,
+            "tolerance cone must not be negative, got -1",
+            id="tolerance-negative",
+        ),
+        pytest.param(
+            {}, ["--tol", "-1"], "tolerance series must not be negative, got -1.0", id="cli-tol-negative"
+        ),
         pytest.param({"u0": float("-inf")}, None, "u0 must be a finite number", id="u0-inf"),
         pytest.param({"params": [1.0]}, None, "params must be a JSON object", id="params-list"),
         pytest.param({"params": "c"}, None, "params must be a JSON object", id="params-text"),
@@ -378,6 +391,12 @@ def _generic(**entries):
             None,
             "generic group: could not convert",
             id="structure-constants-text",
+        ),
+        pytest.param(
+            _generic(structure_constants=[[[float("nan")] * 3] * 3] + [[[float("inf")] * 3] * 3] * 2),
+            None,
+            "generic group: structure constants must be finite numbers",
+            id="structure-constants-non-finite",
         ),
         pytest.param(
             _generic(frame_matrix=[["1", "0"], ["0", "1"]]),
@@ -454,7 +473,7 @@ def _generic(**entries):
         ),
         pytest.param(
             {"beta": [_cosh_list(14)] + _PLANE_BETA[1:]},
-            "13",
+            ["--order", "13"],
             "beta[0]: coefficient list has 14 values, order 13 needs 15",
             id="coeffs-short-for-cli-order",
         ),
@@ -490,11 +509,10 @@ def _generic(**entries):
     ],
 )
 def test_bad_order_or_grid_size_is_one_line_schema_error(
-    workdir, capsys, overrides, cli_order, message
+    workdir, capsys, overrides, cli_args, message
 ):
     path = _write_problem(workdir / "bounds.problem.json", **overrides)
-    argv = ["solve", str(path)] + (["--order", cli_order] if cli_order is not None else [])
-    assert main(argv) == 1
+    assert main(["solve", str(path)] + (cli_args or [])) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
@@ -822,6 +840,70 @@ def test_failed_export_mesh_write_leaves_no_file(workdir, capsys, monkeypatch, f
         assert "No space left on device" in _one_line_error(capsys)
         assert not (workdir / out).exists()
         del calls[:]
+
+
+@pytest.mark.parametrize(
+    "limit, argv",
+    [
+        # The solution file is about 15 KB: it is cut short.
+        (4096, ["solve", "plane.problem.json", "--out", "capped"]),
+        # The 1.6 KB problem document is cut short.
+        (100, ["examples", "heisenberg_helicoid", "--out", "capped"]),
+    ],
+    ids=["solve", "examples"],
+)
+def test_write_cut_short_by_the_file_size_limit_leaves_no_file(workdir, limit, argv):
+    # The CLI in a child process whose files cannot grow past limit bytes: a
+    # write beyond it fails with EFBIG, since Python ignores SIGXFSZ.
+    _write_problem(workdir / "plane.problem.json")
+    src = str(Path(bjorling.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "bjorling", *argv],
+        cwd=workdir, env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno 27] File too large")
+    assert list((workdir / "capped").iterdir()) == []
+
+
+def test_report_write_failing_after_its_first_bytes_leaves_no_file(workdir, capsys, monkeypatch):
+    # Every file opened for the report takes one byte and then finds the
+    # disk full; the solution file was complete by then.
+    path = _write_problem(workdir / "plane.problem.json")
+    real_open = open
+
+    class FullAfterOneByte:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            self.file.write(data[:1])
+            self.file.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def opener(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return FullAfterOneByte(handle) if str(file).endswith(".report.json") else handle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", opener)
+        patch.setattr(io, "open", opener)
+        assert main(["solve", str(path), "--out", "out"]) == 1
+    assert "No space left on device" in _one_line_error(capsys)
+    assert list((workdir / "out").iterdir()) == []
 
 
 def test_divisor_with_zero_constant_term_exits_1(workdir, capsys):
