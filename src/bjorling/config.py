@@ -9,6 +9,10 @@ from enum import Enum
 import numpy as np
 
 
+# The one schema version of problem, solution and report files.
+SCHEMA_VERSION = 1
+
+
 class Mode(Enum):
     """The coefficient algebra: values ``a + unit*b`` with the unit squaring
     to -1 (complex) or +1 (paracomplex, also called split-complex)."""
@@ -53,17 +57,13 @@ class ProblemKind(Enum):
         return -1.0 if self is ProblemKind.SPACELIKE_SURFACE else 1.0
 
     @property
-    def fv_sign(self) -> float:
-        """Sign s in ``f_v(u, 0) = s * (V x curve_velocity)``."""
-        return 1.0 if self is ProblemKind.TIMELIKE_CURVE else -1.0
-
-    @property
     def tangent_sign(self) -> float:
         """Sign of the unit part of the initial tangent,
         ``2 phi(u, 0) = curve' + sign * unit * (V x curve')``.
 
-        Differs from fv_sign in the complex mode because there the v
-        partial is minus twice the imaginary part.
+        ``f_v(u, 0)`` is this sign times the unit's square times
+        ``V x curve'``: in the complex mode the v partial is minus twice
+        the imaginary part.
         """
         return -1.0 if self is ProblemKind.SPACELIKE_CURVE else 1.0
 

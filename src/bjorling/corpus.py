@@ -3,10 +3,10 @@
 Six surfaces with known parametrizations, two or three per ambient group.
 Each example is one record: its info, the center, grid and data of its
 problem-file dictionary (the same schema the CLI reads), and an
-independent reference evaluator.  Profile functions defined by
-first-order ODEs are solved for the reference with an adaptive
+independent reference evaluator.  The helicoid's radial profile, defined
+by a first-order ODE, is solved for the reference with an adaptive
 Runge-Kutta integrator, deliberately not with the Taylor recurrence the
-solver itself uses.
+solver itself uses; the saddle's height profile is a closed-form cosh.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import SCHEMA_VERSION
 from .series import USeries, ode_taylor
 
 _SQRT2INV = 1.0 / math.sqrt(2.0)
@@ -129,16 +130,17 @@ def _saddle_data(params, order):
     )
 
 
-def _ref_saddle(params, half_width=0.3):
+def _ref_saddle(params):
+    # Q'' = 16 c^2 Q with Q(0) = Q0 and Q'(0) = Qp0 = |c| sqrt(16 Q0^2 - 1)
+    # is solved by Q = sgn(Q0) cosh(theta0 + sgn(Q0) 4 |c| v) / 4, theta0 =
+    # arccosh(4 |Q0|), through the turn at |Q| = 1/4 where the first-order
+    # form Q' = sqrt(16 c^2 Q^2 - c^2) would stall.
     c, q0 = params["c"], params["Q0"]
-
-    def rhs(q):
-        return math.sqrt(max(16.0 * c * c * q * q - c * c, 0.0))
-
-    height = _ivp_profile(rhs, q0, half_width)
+    sign = math.copysign(1.0, q0)
+    theta0, rate = math.acosh(4.0 * abs(q0)), sign * 4.0 * abs(c)
 
     def surface(u, v):
-        q = height(v)
+        q = sign * np.cosh(theta0 + rate * v) / 4.0
         return 4.0 * c * u, -4.0 * q, -8.0 * c * u * q
 
     return surface
@@ -193,7 +195,8 @@ _EXAMPLES = {
                 "timelike",
                 "saddle-type graph z = x*y/2 over an ODE height profile Q(v)",
                 {"c": 1.0, "Q0": 0.5},
-                "(4*c*u, -4*Q(v), -8*c*u*Q(v)); lies on z = x*y/2",
+                "(4*c*u, -4*Q(v), -8*c*u*Q(v)) with "
+                "Q(v) = sgn(Q0)*cosh(acosh(4*|Q0|) + sgn(Q0)*4*|c|*v)/4; lies on z = x*y/2",
             ),
             u0=0.0,
             grid=(-0.5, 0.5, -0.2, 0.2, 25, 9),
@@ -296,7 +299,7 @@ def build_problem_dict(example_id: str, params: dict | None = None, order: int =
     example, merged = _lookup(example_id, params)
     beta, field, doc_params = example.data(merged, order)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "group": example.info.group,
         "mode": example.info.kind,
         "u0": example.u0,
@@ -323,7 +326,7 @@ def reference_stub(example_id: str, params: dict | None = None) -> dict:
     """Serializable description of the reference surface."""
     example, merged = _lookup(example_id, params)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "example": example_id,
         "params": merged,
         "closed_form": example.info.formula,

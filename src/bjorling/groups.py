@@ -18,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, NotInvertible, UnsupportedRecipe
+from .expressions import evaluate_series, parse_expression
 
 SIGNATURE = np.array([1.0, 1.0, -1.0])
 
@@ -284,8 +285,6 @@ def generic_group(structure_constants, frame_exprs=None) -> GroupModel:
     +, -, *, integer powers >= 0 and division by a number; any other
     (``exp(x1)``, ``1/x3``) raises UnsupportedRecipe.
     """
-    from .expressions import evaluate_series, parse_expression  # local import, avoids a cycle
-
     frame = rows = None
     if frame_exprs is not None:
         rows = [list(r) for r in frame_exprs]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .config import GridSpec, ProblemKind, Tolerances
+from .config import SCHEMA_VERSION, GridSpec, ProblemKind, Tolerances
 from .errors import NotInvertible, SchemaError
 from .expressions import evaluate_jet
 from .groups import GroupModel, by_name, generic_group
@@ -120,10 +120,10 @@ def _finite(value, label: str) -> float:
 
 
 def _check_schema_version(doc: dict) -> None:
-    # Problem and solution files are schema 1: the key absent or the integer 1.
-    version = doc.get("schema_version", 1)
-    if type(version) is not int or version != 1:
-        raise SchemaError(f"schema_version must be 1, got {version!r}")
+    # The key absent, or the integer SCHEMA_VERSION.
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
 
 def _grid_from_dict(grid_doc) -> GridSpec:
@@ -265,7 +265,7 @@ def solution_payload(sol: BjorlingSolution) -> dict:
     group = sol.group  # a generic group is restated as its problem file declared it
     generic = {"structure_constants": group.C.tolist(), "frame_matrix": group.frame_exprs}
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "group": group.name,
         **(generic if group.frame_exprs is not None else {}),
         "mode": sol.kind.value,

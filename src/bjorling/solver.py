@@ -28,7 +28,7 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec
-from .series import BiSeries, USeries, du_tables, dv_tables, jet_table, pair_products, point_values
+from .series import BiSeries, USeries, du_tables, dv_tables, jet_table, point_values, table_stack
 from .slices import FrameTape, cauchy_slice, matvec_slice
 
 
@@ -285,10 +285,10 @@ def reconstruct_surface(
     node and so of A(f), which needs only columns <= L of f.  Two gates
     then check the finished f, each against ``compat_rtol`` times max(1,
     scale): the same slices of A(f) r against the u-derivative of f, and
-    A(f) w, made once from ``group.frame`` on the finished f and
-    whole-series products (one ``pair_products`` batch), off the tape,
-    against its v-derivative.  A mismatch means the frame data were not
-    integrable, or the march did not solve f_v = A(f) w (NonIntegrable).
+    A(f) w, made once off the tape as ``mat_vec(group.frame(f), w)`` over
+    the finished f and the series of w, against its v-derivative.  A
+    mismatch means the frame data were not integrable, or the march did
+    not solve f_v = A(f) w (NonIntegrable).
     A frame entry with no polynomial expansion raises UnsupportedRecipe.
     """
     group.require_frame()
@@ -308,26 +308,10 @@ def reconstruct_surface(
         f[:, :rows, level + 1] = fv / (level + 1)
     _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du_tables(f), fu, compat_rtol)
     surface = tuple(BiSeries(table, curve[0].center) for table in f)
-    aw = _frame_times(group, surface, w_r[0])
+    w = tuple(BiSeries(table, curve[0].center) for table in w_r[0])
+    aw = table_stack(mat_vec(group.frame(surface), w))
     _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv_tables(f), aw, compat_rtol)
     return surface
-
-
-def _frame_times(group: GroupModel, surface, w: np.ndarray) -> np.ndarray:
-    # A(f) w for a series triple f and a (3, n+1, n+1) stack w, from
-    # whole-series products: every distinct series entry of A(f) times
-    # every w_j in one pair_products batch, truncated to the order of w.
-    n1 = w.shape[-1]
-    rows = group.frame(surface)
-    series = list({id(e): e for row in rows for e in row if isinstance(e, BiSeries)}.values())
-    slot = {id(e): k for k, e in enumerate(series)}
-    tables = np.array([e.coeffs[:n1, :n1] for e in series]).reshape(-1, n1, n1)
-    products = pair_products(tables, w)
-    out = np.zeros_like(w)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[i] += products[slot[id(e)], j] if isinstance(e, BiSeries) else e * w[j]
-    return out
 
 
 @dataclass

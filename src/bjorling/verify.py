@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GridSpec, Mode, ProblemKind, Tolerances
+from .config import SCHEMA_VERSION, GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
 from .series import du_tables, dv_tables, grid_values, jet_table, pair_products, table_stack
@@ -42,10 +42,8 @@ class ResidualReport:
     strip_valid: bool
     grid_desc: str
 
-    SCHEMA_VERSION = 1
-
     def as_flat_dict(self) -> dict:
-        out = {"schema_version": self.SCHEMA_VERSION}
+        out = {"schema_version": SCHEMA_VERSION}
         for key, val in self.__dict__.items():
             if isinstance(val, (bool, np.bool_)):
                 out[key] = bool(val)
@@ -148,11 +146,10 @@ def conformality_defect(vec_u, vec_v, sigma: float) -> np.ndarray:
     )
 
 
-def conformality_residual(ainv, grids, sigma: float) -> float:
-    """Grid max of the conformality defect of one grid evaluation:
-    ``grids`` from ``surface_grids``, ``ainv`` the inverse frame matrix at
-    its points."""
-    return float(np.max(conformality_defect(*frame_components(ainv, grids[1], grids[2]), sigma)))
+def conformality_residual(vec_u, vec_v, sigma: float) -> float:
+    """Grid max of the conformality defect of the frame components of the
+    tangents on one grid."""
+    return float(np.max(conformality_defect(vec_u, vec_v, sigma)))
 
 
 def boundary_residuals(
@@ -175,7 +172,7 @@ def boundary_residuals(
     x, fu, fv = surface_grids(surface, us, [0.0])[..., 0]
     normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x), fu, fv)))
     norm2 = lorentz_dot(normal, normal)
-    degenerate = np.abs(norm2) <= 1e-12 * np.maximum(1.0, np.sum(normal * normal, axis=0))
+    degenerate = np.abs(norm2) <= 1e-12 * np.sum(normal * normal, axis=0)
     if degenerate.any():
         raise DegenerateFrame(f"degenerate normal at u = {us[np.argmax(degenerate)]:g}")
     normal = normal / np.sqrt(np.abs(norm2))
@@ -188,37 +185,37 @@ def boundary_residuals(
     return curve_res, res_minus, True
 
 
-def tension_residual(gam, ainv, grids, sigma: float) -> float:
+def tension_residual(gam, grids, vec_u, vec_v, sigma: float) -> float:
     """Grid max of the coordinate-level minimality certificate of one grid
     evaluation.
 
     Evaluates R^k = f^k_uu - sigma f^k_vv + Gamma^k_ij (f^i_u f^j_u -
-    sigma f^i_v f^j_v) over the conformal factor, with f and its first and
-    second partials from ``surface_grids(..., second=True)`` (the series'
-    own derivative tables) and Gamma and Ainv from
-    ``GroupModel.christoffels``, which reads only the chart.
+    sigma f^i_v f^j_v) over the conformal factor (|g(f_u, f_u)| +
+    |g(f_v, f_v)|) / 2, with f and its first and second partials from
+    ``surface_grids(..., second=True)`` (the series' own derivative
+    tables), Gamma from ``GroupModel.christoffels``, which reads only the
+    chart, and the factor from the frame components vec_u, vec_v of the
+    tangents.
     """
     _, f_u, f_v, f_uu, f_vv = grids
     quad = np.einsum("kij...,i...,j...->k...", gam, f_u, f_u) - sigma * np.einsum(
         "kij...,i...,j...->k...", gam, f_v, f_v
     )
     resid = f_uu - sigma * f_vv + quad
-    g = np.einsum("a,ai...,aj...->ij...", SIGNATURE, ainv, ainv)
-    conf = 0.5 * (
-        np.abs(np.einsum("i...,ij...,j...->...", f_u, g, f_u))
-        + np.abs(np.einsum("i...,ij...,j...->...", f_v, g, f_v))
-    )
+    conf = 0.5 * (np.abs(lorentz_dot(vec_u, vec_u)) + np.abs(lorentz_dot(vec_v, vec_v)))
     return float(np.max(np.max(np.abs(resid), axis=0) / np.maximum(conf, 1e-12)))
 
 
 def grid_certificates(group: GroupModel, surface, sigma: float, us, vs) -> tuple[float, float]:
     """Conformality and tension residuals of a series triple on the grid
-    us x vs, both from one ``surface_grids`` evaluation and one
-    ``christoffels`` call.  Leaving the chart raises DomainError (the
-    report uses that to shrink the strip)."""
+    us x vs, both from one ``surface_grids`` evaluation, one
+    ``christoffels`` call and one ``frame_components`` call.  Leaving the
+    chart raises DomainError (the report uses that to shrink the strip)."""
     grids = surface_grids(surface, us, vs, second=True)
     gam, ainv = group.christoffels(grids[0])
-    return conformality_residual(ainv, grids, sigma), tension_residual(gam, ainv, grids, sigma)
+    vec_u, vec_v = frame_components(ainv, grids[1], grids[2])
+    conf = conformality_residual(vec_u, vec_v, sigma)
+    return conf, tension_residual(gam, grids, vec_u, vec_v, sigma)
 
 
 def compare_to_reference(surface, reference_fn, us, vs) -> float:

@@ -136,6 +136,31 @@ def test_lightlike_curve_exits_2_with_no_artifacts(workdir, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("eps, code", [(1e-3, 0), (1e-6, 0), (1e-8, 0), (1e-9, 0), (5e-10, 0), (1e-10, 2)])
+def test_near_lightlike_line_solves_until_the_causal_band(workdir, capsys, eps, code):
+    # beta = (u, 0, b u), b = sqrt(1 - eps), has g(beta', beta') = eps, so
+    # g(N, N) of the normal N = f_u x f_v is of order eps^2: the degeneracy
+    # test is relative to |N|^2.  At eps = 1e-10 the curve is in the causal
+    # band and is refused as lightlike.
+    path = _write_problem(
+        workdir / "line.problem.json",
+        mode="spacelike-curve",
+        beta=["u", "0", "b*u"],
+        V=["0", "1", "0"],
+        params={"b": math.sqrt(1.0 - eps)},
+        grid={"u_min": -1.0, "u_max": 1.0, "v_min": -0.5, "v_max": 0.5, "nu": 17, "nv": 9},
+    )
+    assert main(["solve", str(path), "--out", "out"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "lightlike" in err
+        return
+    assert err == ""
+    report = json.loads((workdir / "out" / "line.report.json").read_text())
+    assert report["normal_residual"] <= 1e-12
+    assert report["conformality_residual"] <= 1e-12 and report["minimality_residual"] <= 1e-12
+
+
 def test_invalid_field_exits_2_naming_invariant(workdir, capsys):
     path = _write_problem(workdir / "badfield.problem.json", V=["0", "2", "0"])
     code = main(["solve", str(path)])

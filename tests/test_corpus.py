@@ -1,9 +1,11 @@
-"""The closed-form references of the two ODE-profile examples.
+"""The closed-form references of the two profiled examples.
 
-Their profiles come from an adaptive integrator's dense output.  The
-oracle evaluates that same dense output one Python float at a time, so
-the library's array path (one call per branch) and its memoized scalar
-path must match it bit for bit, and a spy counts the dense-output calls.
+The helicoid's profile comes from an adaptive integrator's dense output.
+The oracle evaluates that same dense output one Python float at a time,
+so the library's array path (one call per branch) and its memoized
+scalar path must match it bit for bit, and a spy counts the dense-output
+calls.  The saddle's profile is a cosh, checked against its ODE and the
+solve.
 """
 
 import numpy as np
@@ -11,22 +13,22 @@ import pytest
 import scipy.integrate
 from scipy.integrate import OdeSolution
 
-from bjorling import corpus
+from bjorling import corpus, problemfile
 from bjorling.config import GridSpec
+from bjorling.solver import solve_bjorling
+from bjorling.verify import compare_to_reference
 
 # example -> (index of the profile's variable in (u, v), profile half-width)
-PROFILED = {"heisenberg_helicoid": (0, 0.45), "heisenberg_saddle": (1, 0.3)}
+PROFILED = {"heisenberg_helicoid": (0, 0.45)}
 
 
 def _draw_params(example, seed):
     rng = np.random.default_rng(seed)
-    if example == "heisenberg_helicoid":
-        return {
-            "c": rng.uniform(-1.5, -0.8),
-            "rho0": rng.uniform(0.9, 1.1),
-            "b": rng.uniform(-2.0, 2.0),
-        }
-    return {"c": rng.uniform(0.5, 2.0), "Q0": rng.uniform(0.4, 0.6)}
+    return {
+        "c": rng.uniform(-1.5, -0.8),
+        "rho0": rng.uniform(0.9, 1.1),
+        "b": rng.uniform(-2.0, 2.0),
+    }
 
 
 @pytest.fixture
@@ -66,11 +68,8 @@ def _reference_and_oracle(monkeypatch, example, params):
         return np.array(vals, dtype=float).reshape(t.shape)
 
     def oracle(u, v):
-        if example == "heisenberg_helicoid":
-            r = profile(u)
-            return r * np.cos(v), r * np.sin(v), merged["c"] * v + merged["b"]
-        c, q = merged["c"], profile(v)
-        return 4.0 * c * u, -4.0 * q, -8.0 * c * u * q
+        r = profile(u)
+        return r * np.cos(v), r * np.sin(v), merged["c"] * v + merged["b"]
 
     return fn, oracle
 
@@ -132,7 +131,7 @@ def test_array_call_makes_one_dense_output_call_per_branch(dense_calls, example)
     assert dense_calls == []  # an empty branch is skipped
 
 
-@pytest.mark.parametrize("example, most", [("heisenberg_helicoid", 129), ("heisenberg_saddle", 65)])
+@pytest.mark.parametrize("example, most", [("heisenberg_helicoid", 129)])
 def test_per_point_sweep_evaluates_each_abscissa_once(dense_calls, example, most):
     doc = corpus.build_problem_dict(example)
     grid = GridSpec(**dict(doc["grid"], nu=129, nv=65))
@@ -142,3 +141,29 @@ def test_per_point_sweep_evaluates_each_abscissa_once(dense_calls, example, most
         for v in grid.vs():
             fn(u, v)
     assert 0 < len(dense_calls) <= most
+
+
+@pytest.mark.parametrize("q0", [0.4, 0.6])
+def test_saddle_profile_solves_its_ode_through_the_turn(q0):
+    # Q'' = 16 c^2 Q, Q(0) = Q0 and Q'(0) = |c| sqrt(16 Q0^2 - 1) across
+    # the strip at c = 2, where the profile turns at |Q| = 1/4 (v = -0.13
+    # for Q0 = 0.4, -0.19 for 0.6), by central differences of step h.
+    c, h = 2.0, 1e-3
+    fn = corpus.reference_surface("heisenberg_saddle", {"c": c, "Q0": q0})
+
+    def q(t):
+        return -np.asarray(fn(np.zeros_like(t), t)[1]) / 4.0
+
+    v = np.linspace(-0.3, 0.3, 61)
+    second = (q(v + h) - 2.0 * q(v) + q(v - h)) / h**2
+    assert np.max(np.abs(second - 16.0 * c * c * q(v))) <= 1e-3 * 16.0 * c * c * np.max(q(v))
+    assert q(np.zeros(1))[0] == pytest.approx(q0, abs=1e-15)
+    slope = (q(np.array([h])) - q(np.array([-h])))[0] / (2.0 * h)
+    assert slope == pytest.approx(c * np.sqrt(16.0 * q0 * q0 - 1.0), rel=1e-4)
+
+
+def test_saddle_solve_meets_its_closed_form_to_rounding():
+    params = {"c": 0.5, "Q0": 0.6}
+    prob = problemfile.problem_from_dict(corpus.build_problem_dict("heisenberg_saddle", params))
+    fn = corpus.reference_surface("heisenberg_saddle", params)
+    assert compare_to_reference(solve_bjorling(prob).surface, fn, prob.grid.us(), prob.grid.vs()) <= 1e-13

@@ -541,7 +541,7 @@ def test_boundary_v_derivative_sign_convention():
 
         cross = lorentz_cross(prob.normal_field, vel)
         cross_coords = coords_from_frame(prob.group, prob.curve, cross)
-        sign = prob.kind.fv_sign
+        sign = prob.kind.tangent_sign * prob.mode.unit_square
         for f, w in zip(sol.surface, cross_coords):
             fv_row = f.dv().coeffs[:, 0]
             k = min(fv_row.size, w.coeffs.size)

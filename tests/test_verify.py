@@ -428,6 +428,50 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
         assert coframe_calls == [USeries] + [np.ndarray] * (1 + attempts), (example_id, coframe_calls)
 
 
+def test_certificates_share_one_frame_components_call(monkeypatch):
+    # Each strip attempt turns its tangents into frame components once and
+    # hands the same two arrays to both certificates.  The tension's
+    # conformal factor is read from them: its only einsums are the two
+    # Christoffel contractions, and it forms no coordinate metric.
+    components, conformality, tension, subscripts = [], [], [], []
+    raw_components, raw_einsum = verify.frame_components, np.einsum
+    raw_conformality, raw_tension = verify.conformality_residual, verify.tension_residual
+
+    def spy_components(ainv, *vectors):
+        components.append(raw_components(ainv, *vectors))
+        return components[-1]
+
+    def spy_conformality(*args):
+        conformality.append(args)
+        return raw_conformality(*args)
+
+    def spy_tension(*args):
+        tension.append(args)
+        subscripts.append([])
+        return raw_tension(*args)
+
+    def spy_einsum(spec, *operands, **kwargs):
+        if subscripts:
+            subscripts[-1].append(spec)
+        return raw_einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(verify, "frame_components", spy_components)
+    monkeypatch.setattr(verify, "conformality_residual", spy_conformality)
+    monkeypatch.setattr(verify, "tension_residual", spy_tension)
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    for example_id in corpus.EXAMPLE_IDS:
+        for made in (components, conformality, tension, subscripts):
+            made.clear()
+        attempts = _solved(example_id).report.strip_halvings + 1
+        # The boundary's v = 0 row, then one call per attempt.
+        assert len(components) == 1 + attempts, example_id
+        assert len(conformality) == len(tension) == attempts, example_id
+        for (vec_u, vec_v), conf_args, tension_args in zip(components[1:], conformality, tension):
+            assert conf_args[0] is vec_u and conf_args[1] is vec_v
+            assert tension_args[2] is vec_u and tension_args[3] is vec_v
+        assert subscripts == [["kij...,i...,j...->k..."] * 2] * attempts, (example_id, subscripts)
+
+
 def test_solve_converts_the_frame_velocity_once():
     # validate, classify_curve and initial_data all read one evaluation of
     # the coframe along the curve; the certificates' grid calls are not jets.
