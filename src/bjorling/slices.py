@@ -5,8 +5,10 @@ algebra-valued data is a (re, unit) pair of tables.  The kernels build
 one v-degree slice of a product at a time, which is what order-by-order
 recurrences in v need: the frame march and the rebuild of the immersion
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13;
-Jorba & Zou, Exp. Math. 14, 2005).  ``FrameTape`` records a frame matrix
-once so that the rebuild can fill its entries one v-column per level.
+Jorba & Zou, Exp. Math. 14, 2005).  Each level writes its matrix product
+into a zeroed skew buffer and sums the buffer's anti-diagonals with one
+ones-vector product per pair.  ``FrameTape`` records a frame matrix once
+so that the rebuild can fill its entries one v-column per level.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ import numpy as np
 from .series import Ring
 
 
-def _antidiagonal_sums(outer: np.ndarray) -> np.ndarray:
-    # [..., c] = sum of outer[..., t, t'] over t + t' = c < rows.  Re-reading
-    # rows padded to width 2*rows with width 2*rows - 1 shifts row t right
-    # by t, so entry (t, t') lands in column t + t'.
-    lead, rows = outer.shape[:-2], outer.shape[-1]
+def _antidiagonal_sums(xs: np.ndarray, ys: np.ndarray, lead: tuple) -> np.ndarray:
+    # xs @ ys fills the left half of a zeroed (rows, 2*rows) buffer per
+    # ``lead`` index; ys is copied to the positive strides that numpy needs
+    # to call BLAS.  Re-read with width 2*rows - 1, row t shifts right by t,
+    # so entry (t, t') lands in column t + t', which [..., c] sums over t.
+    rows = ys.shape[-1]
     pad = np.zeros(lead + (rows, 2 * rows))
-    pad[..., :rows] = outer
+    np.matmul(xs, np.ascontiguousarray(ys), out=pad[..., :rows])
     skew = pad.reshape(lead + (2 * rows * rows,))[..., : rows * (2 * rows - 1)]
-    return skew.reshape(lead + (rows, 2 * rows - 1)).sum(axis=-2)[..., :rows]
+    return np.ones(rows) @ skew.reshape(lead + (rows, 2 * rows - 1))[..., :rows]
 
 
 def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
@@ -41,22 +44,19 @@ def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndar
 
     ``a`` is a (p, q, R, C) matrix of tables and ``y`` an (r, q, R, C) stack
     of vectors; entry [k, i] is the slice of sum_j a[i, j] * y[k, j], kept
-    to ``rows`` u-coefficients.  That is a Cauchy sum over the v-degrees of
-    u-convolutions: one matrix product contracting j and the v-degree
-    together, then anti-diagonal sums.  Shape (r, p, rows).
+    to ``rows`` u-coefficients.  Each pair (k, i) is its own matrix product
+    over j and the v-degree: equal tables give equal bits.  Shape (r, p, rows).
     """
-    p, q = a.shape[:2]
-    r = y.shape[0]
-    xs = a[:, :, :rows, : level + 1].transpose(0, 2, 1, 3).reshape(p * rows, q * (level + 1))
-    ys = y[:, :, :rows, level::-1].transpose(1, 3, 0, 2).reshape(q * (level + 1), r * rows)
-    return _antidiagonal_sums((xs @ ys).reshape(p, rows, r, rows).transpose(2, 0, 1, 3))
+    xs = a[:, :, :rows, : level + 1].transpose(0, 2, 1, 3).reshape(len(a), rows, -1)
+    ys = y[:, :, :rows, level::-1].transpose(0, 1, 3, 2).reshape(len(y), 1, -1, rows)
+    return _antidiagonal_sums(xs, ys, (len(y), len(a)))
 
 
 def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
     """The v-degree ``level`` slice of every product x[k] * y[k] of two
     (p, R, C) stacks, kept to ``rows`` u-coefficients.  Shape (p, rows)."""
-    outer = x[:, :rows, : level + 1] @ y[:, :rows, level::-1].transpose(0, 2, 1)
-    return _antidiagonal_sums(outer)
+    ys = y[:, :rows, level::-1].transpose(0, 2, 1)
+    return _antidiagonal_sums(x[:, :rows, : level + 1], ys, (len(x),))
 
 
 class TapeNode(Ring):

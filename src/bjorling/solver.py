@@ -227,14 +227,15 @@ def ck_march(
     of dzbar, into psi_v = unit * (psi_u + 2 G); the v-degree (L+1) slice
     of each component then follows from slices <= L because G is
     quadratic.  Each level builds only the v-degree-L slice of every
-    product of two of the six (re, unit) tables (one Cauchy slice,
-    ``slices.cauchy_slice``); one fixed matrix takes those 36 slices to the
-    slices of every conj(psi_a) psi_b and of the cone combination, and a
-    second one takes the former to G.  The march thus costs O(order^4)
-    flops in O(order) array operations.  With the built-in connection
-    tables the cone is preserved to roundoff.  The first level whose
-    cone slice exceeds ``cone_tol`` raises ConstraintDrift; level 0 is the
-    initial data itself.
+    product of two of the six (re, unit) tables (``slices.cauchy_slice``:
+    a matrix product per pair into a zeroed skew buffer, whose
+    anti-diagonals a ones vector sums); one fixed matrix takes those 36
+    slices to the slices of every conj(psi_a) psi_b and of the cone
+    combination, and a second one takes the former to G.  The march thus
+    costs O(order^4) flops in O(order) array operations.  With the built-in
+    connection tables the cone is preserved to roundoff.  The first level
+    whose cone slice exceeds ``cone_tol`` raises ConstraintDrift; level 0
+    is the initial data itself.
     """
     s = mode.unit_square
     order = frame0.shape[-1] - 1

@@ -6,7 +6,8 @@ factorial formulas, the generators of a polynomial argument in exact
 rational arithmetic and by the Horner composition the library once used,
 brute-force dictionary polynomial products, table
 products by one Kronecker-substituted 1-D convolution and by shift-and-add
-over every pair of degrees, the coefficient-level certificate with every
+over every pair of degrees, one v-degree slice of a table product as a
+sum of ``np.convolve`` calls, the coefficient-level certificate with every
 product made that way, the frame march as a literal transcription of the
 PDE that makes each level's column of every product as a sum of
 u-convolutions of columns, and as the earlier slice
@@ -224,6 +225,16 @@ def naive_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             out[:, :, i : i + d, j : j + d] += x[:, None, :d, :d] * y[None, :, i, j, None, None]
     degree = np.add.outer(np.arange(n1), np.arange(n1))
     return np.where(degree < n1, out, 0.0)
+
+
+def convolve_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
+    """The v-degree ``level`` slice of the product of two tables, kept to
+    ``rows`` u-coefficients: for each v-degree l <= level, the u-convolution
+    of column l of x with column level - l of y, cut to ``rows`` and summed."""
+    out = np.zeros(rows)
+    for l in range(level + 1):
+        out += np.convolve(x[:rows, l], y[:rows, level - l])[:rows]
+    return out
 
 
 def frame_stack(components) -> np.ndarray:
