@@ -3,10 +3,11 @@
 Six surfaces with known parametrizations, two or three per ambient group.
 Each example is one record: its info, the center, grid and data of its
 problem-file dictionary (the same schema the CLI reads), and an
-independent reference evaluator.  The helicoid's radial profile, defined
-by a first-order ODE, is solved for the reference with an adaptive
-Runge-Kutta integrator, deliberately not with the Taylor recurrence the
-solver itself uses; the saddle's height profile is a closed-form cosh.
+independent reference evaluator, written with numpy alone.  The
+helicoid's radial profile, defined by a first-order ODE, is the inverse of
+the profile's travel-time integral, by Gauss-Legendre quadrature and
+Newton steps, deliberately not by the Taylor recurrence the solver itself
+uses; the saddle's height profile is a closed-form cosh.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ _SQRT2INV = 1.0 / math.sqrt(2.0)
 # Scalar abscissae memoized per profile: more than one grid side
 # (problemfile.MAX_GRID_SIDE = 513) of a per-point sweep.
 _PROFILE_CACHE = 4096
+# Gauss-Legendre rule and Newton step count of the helicoid's profile;
+# tests/test_corpus.py shows that more of either moves it by at most 1 ulp.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_NEWTON_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -51,42 +56,24 @@ class _Example:
     reference: Callable
 
 
-def _ivp_profile(rhs, y0: float, half_width: float):
-    """Profile y(t) of y' = rhs(y) on [-half_width, half_width], from the
-    integrator's dense output.  An array t of any shape costs one dense
-    output call per branch (t >= 0 forward, t < 0 backward); a scalar t is
-    memoized, so a per-point sweep reads the dense output once per
-    abscissa.  scipy is imported here, so only the closed-form references
-    load it."""
-    from scipy.integrate import solve_ivp
+def _helicoid_profile(c: float, rho0: float, t: np.ndarray) -> np.ndarray:
+    """The helicoid's radial profile rho(t), rho' = sqrt(P(rho)) with P(s) =
+    (s^2/2 - c)^2 - s^2 and rho(0) = rho0, at a column t of shape (m, 1).
+    It inverts t(rho) = int_{rho0}^{rho} ds / sqrt(P(s)): the integral by
+    Gauss-Legendre quadrature, the inverse by Newton steps rho <- rho -
+    (t(rho) - t) sqrt(P(rho)) from rho0, every row on its own, so a row's
+    value does not depend on m.  P must stay positive between rho0 and
+    rho(t)."""
 
-    span = 1.12 * half_width + 1e-6
-    fwd, bwd = (
-        solve_ivp(
-            lambda t, y: [rhs(y[0])], (0.0, end), [y0],
-            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
-        )
-        for end in (span, -span)
-    )
-    if not (fwd.success and bwd.success):
-        raise RuntimeError("reference profile integration failed")
+    def root_p(s):
+        return np.sqrt((0.5 * s * s - c) ** 2 - s * s)
 
-    @functools.lru_cache(maxsize=_PROFILE_CACHE)
-    def scalar(t: float) -> float:
-        return float((fwd if t >= 0.0 else bwd).sol(t)[0])
-
-    def profile(t):
-        if np.ndim(t) == 0:
-            return scalar(float(t))
-        flat = np.asarray(t, dtype=float).ravel()
-        out = np.empty_like(flat)
-        ahead = flat >= 0.0
-        for branch, mask in ((fwd, ahead), (bwd, ~ahead)):
-            if mask.any():  # OdeSolution raises on an empty array
-                out[mask] = branch.sol(flat[mask])[0]
-        return out.reshape(np.shape(t))
-
-    return profile
+    rho = np.full_like(t, rho0)
+    for _ in range(_NEWTON_STEPS):
+        half, mid = 0.5 * (rho - rho0), 0.5 * (rho + rho0)
+        t_rho = half * np.sum(_WEIGHTS / root_p(mid + half * _NODES), axis=1, keepdims=True)
+        rho = rho - (t_rho - t) * root_p(rho)
+    return rho
 
 
 def _helicoid_data(params, order):
@@ -105,16 +92,21 @@ def _helicoid_data(params, order):
     )
 
 
-def _ref_helicoid(params, half_width=0.45):
+def _ref_helicoid(params):
+    # An array u is solved in one pass; a scalar u is memoized, so a
+    # per-point sweep solves once per abscissa.
     c, rho0, b = params["c"], params["rho0"], params["b"]
 
-    def rhs(y):
-        return math.sqrt(max((0.5 * y * y - c) ** 2 - y * y, 0.0))
-
-    rho = _ivp_profile(rhs, rho0, half_width)
+    @functools.lru_cache(maxsize=_PROFILE_CACHE)
+    def scalar(t: float) -> float:
+        return float(_helicoid_profile(c, rho0, np.array([[t]]))[0, 0])
 
     def surface(u, v):
-        r = rho(u)
+        if np.ndim(u) == 0:
+            r = scalar(float(u))
+        else:
+            u = np.asarray(u, dtype=float)
+            r = _helicoid_profile(c, rho0, u.reshape(-1, 1)).reshape(u.shape)
         return r * np.cos(v), r * np.sin(v), c * v + b
 
     return surface
@@ -287,10 +279,6 @@ def _lookup(example_id: str, params: dict | None = None):
 
 def list_examples() -> list[ExampleInfo]:
     return [example.info for example in _EXAMPLES.values()]
-
-
-def example_info(example_id: str) -> ExampleInfo:
-    return _lookup(example_id)[0].info
 
 
 def build_problem_dict(example_id: str, params: dict | None = None, order: int = 12) -> dict:

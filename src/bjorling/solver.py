@@ -95,19 +95,25 @@ class BjorlingProblem:
                 f"{self.group.name} chart guard"
             )
         want = self.kind.normal_square
-        vdotv = lorentz_dot(self.normal_field, self.normal_field) - want
-        if vdotv.maxabs() > 1e-9 * max(1.0, max(w.maxabs() for w in self.normal_field) ** 2):
+        # Formed in numpy floats, where an overflow is inf, not an exception.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vel = self.frame_velocity
+            field_scale = max(1.0, *(w.maxabs() for w in self.normal_field))
+            scale = max(field_scale, *(w.maxabs() for w in vel))
+            vdotv = (lorentz_dot(self.normal_field, self.normal_field) - want).maxabs()
+            ortho = lorentz_dot(vel, self.normal_field).maxabs()
+            bounds = 1e-9 * np.square([field_scale, scale])
+        if not np.all(np.isfinite([vdotv, ortho, *bounds])):
             raise ProblemValidationError(
-                f"invariant g(V, V) = {want:+g} violated: largest deviation "
-                f"{vdotv.maxabs():.3e}"
+                "the invariants g(V, V) and g(curve', V) or their scales overflow"
             )
-        vel = self.frame_velocity
-        ortho = lorentz_dot(vel, self.normal_field)
-        scale = max(1.0, max(w.maxabs() for w in vel), max(w.maxabs() for w in self.normal_field))
-        if ortho.maxabs() > 1e-9 * scale * scale:
+        if vdotv > bounds[0]:
             raise ProblemValidationError(
-                f"invariant g(curve', V) = 0 violated: largest deviation "
-                f"{ortho.maxabs():.3e}"
+                f"invariant g(V, V) = {want:+g} violated: largest deviation {vdotv:.3e}"
+            )
+        if ortho > bounds[1]:
+            raise ProblemValidationError(
+                f"invariant g(curve', V) = 0 violated: largest deviation {ortho:.3e}"
             )
 
 

@@ -231,7 +231,7 @@ def test_criterion_08_independent_minimality_certificate():
     for ex, sigma, u0, uh, vh in shrink_cases:
         ref = corpus.reference_surface(ex)
         fn = lambda u, v: np.array(ref(u, v))
-        grp = groups[corpus.example_info(ex).group]
+        grp = groups[corpus.build_problem_dict(ex)["group"]]
         us = np.linspace(u0 - uh, u0 + uh, 5)
         vs = np.linspace(-vh, vh, 5)
         r_h = reference_tension_residual(grp, fn, sigma, us, vs, step=4e-3)
@@ -241,7 +241,7 @@ def test_criterion_08_independent_minimality_certificate():
     for ex, sigma in (("heisenberg_vertical_plane", 1.0), ("desitter_vertical_plane", 1.0)):
         ref = corpus.reference_surface(ex)
         fn = lambda u, v: np.array(ref(u, v))
-        grp = groups[corpus.example_info(ex).group]
+        grp = groups[corpus.build_problem_dict(ex)["group"]]
         res = reference_tension_residual(
             grp, fn, sigma, np.linspace(-0.5, 0.5, 5), np.linspace(-0.4, 0.4, 5), step=1e-3
         )

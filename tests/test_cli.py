@@ -576,6 +576,36 @@ def test_overflowing_curve_speed_is_rejected_as_overflow(workdir, capsys):
     assert "characteristic" not in lines[0]
 
 
+def _huge_field_coefficient(doc):
+    doc["V"][1]["coeffs"][0] = 1e200
+    return doc
+
+
+def _huge_curve_slope(doc):
+    doc["beta"][0] = "1e308*u"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "example, order, spoil",
+    [
+        pytest.param("heisenberg_helicoid", 4, _huge_field_coefficient, id="V-coefficient-1e200"),
+        pytest.param("heisenberg_vertical_plane", 12, _huge_curve_slope, id="beta-1e308-u"),
+    ],
+)
+def test_overflowing_invariants_are_one_line_rejections(workdir, capsys, example, order, spoil):
+    # validate squares the field's and the frame velocity's sizes; past the
+    # float range that is a rejection, not an OverflowError or a warning.
+    doc = spoil(corpus.build_problem_dict(example, order=order))
+    (workdir / "huge.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "huge.problem.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["rejected: the invariants g(V, V) and g(curve', V) or their scales overflow"]
+    assert list(workdir.iterdir()) == [workdir / "huge.problem.json"]
+
+
 @pytest.mark.parametrize("c", [1e20, 1e100, 1e150])
 def test_speed_lost_to_rounding_is_rejected_naming_the_rounding(workdir, capsys, c):
     # The frame velocity cancels coordinate terms of size c; below the
@@ -948,12 +978,19 @@ for argv in (
     ["export-mesh", "heisenberg_helicoid.solution.json", "--format", "obj", "--out", "h.obj"],
 ):
     assert cli.main(argv) == 0, argv
+import numpy as np
+from bjorling import corpus
+from bjorling.config import GridSpec
+for example in corpus.EXAMPLE_IDS:
+    grid = GridSpec(**corpus.build_problem_dict(example)["grid"])
+    u, v = np.meshgrid(grid.us(), grid.vs(), indexing="ij")
+    assert np.all(np.isfinite(corpus.reference_surface(example)(u, v))), example
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
 def test_examples_solve_and_export_mesh_load_no_scipy(tmp_path):
-    # scipy serves only the closed-form references, never the CLI path.
+    # Neither the CLI path nor the closed-form references load scipy.
     src = str(Path(bjorling.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(

@@ -1,28 +1,25 @@
 """The closed-form references of the two profiled examples.
 
-The helicoid's profile comes from an adaptive integrator's dense output.
-The oracle evaluates that same dense output one Python float at a time,
-so the library's array path (one call per branch) and its memoized
-scalar path must match it bit for bit, and a spy counts the dense-output
-calls.  The saddle's profile is a cosh, checked against its ODE and the
-solve.
+The helicoid's profile is the inverse of a Gauss-Legendre quadrature,
+checked against a 30-digit mpmath inverse of the same integral; its
+memoized scalar path must match its array path bit for bit, and its node
+and Newton step counts must have converged.  The saddle's profile is a
+cosh, checked against its ODE and the solve.
 """
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
-from scipy.integrate import OdeSolution
 
 from bjorling import corpus, problemfile
 from bjorling.config import GridSpec
 from bjorling.solver import solve_bjorling
 from bjorling.verify import compare_to_reference
 
-# example -> (index of the profile's variable in (u, v), profile half-width)
-PROFILED = {"heisenberg_helicoid": (0, 0.45)}
+HALF_WIDTH = 0.45  # of the helicoid's profile abscissae
 
 
-def _draw_params(example, seed):
+def _draw_params(seed):
     rng = np.random.default_rng(seed)
     return {
         "c": rng.uniform(-1.5, -0.8),
@@ -31,69 +28,57 @@ def _draw_params(example, seed):
     }
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Shapes of the arguments of every OdeSolution call, in order."""
-    calls = []
-    real = OdeSolution.__call__
-
-    def spy(self, t):
-        calls.append(np.shape(t))
-        return real(self, t)
-
-    monkeypatch.setattr(OdeSolution, "__call__", spy)
-    return calls
+# (params, half-width of u): two draws, the parameter sweep's (c, rho0)
+# and the flat case, whose profile equation needs rho0 > 2 at c = 0.
+PARAM_SETS = [
+    pytest.param(_draw_params(3), HALF_WIDTH, id="draw-3"),
+    pytest.param(_draw_params(17), HALF_WIDTH, id="draw-17"),
+    pytest.param({"c": -0.5, "rho0": 1.2, "b": 1.0}, HALF_WIDTH, id="sweep"),
+    pytest.param({"c": 0.0, "rho0": 2.5, "b": 0.0}, 0.2, id="flat"),
+]
 
 
-def _reference_and_oracle(monkeypatch, example, params):
-    """The library's reference and a per-scalar oracle of the same surface:
-    the oracle reads the integrator's two solutions, recorded as the
-    reference is built, one float abscissa per OdeSolution call."""
-    solved = []
-    real = scipy.integrate.solve_ivp
-
-    def recording(*args, **kwargs):
-        solved.append(real(*args, **kwargs))
-        return solved[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(scipy.integrate, "solve_ivp", recording)
-        fn = corpus.reference_surface(example, params)
-    fwd, bwd = sorted(solved, key=lambda res: res.t[-1], reverse=True)
-    merged = {**corpus.example_info(example).defaults, **params}
-
-    def profile(t):
-        t = np.asarray(t, dtype=float)
-        vals = [float((fwd if s >= 0.0 else bwd).sol(s)[0]) for s in t.ravel()]
-        return np.array(vals, dtype=float).reshape(t.shape)
-
-    def oracle(u, v):
-        r = profile(u)
-        return r * np.cos(v), r * np.sin(v), merged["c"] * v + merged["b"]
-
-    return fn, oracle
+def _profile(fn, t):
+    # rho(u) is the x coordinate at v = 0, where cos v = 1 exactly.
+    return np.asarray(fn(t, np.zeros_like(t))[0], dtype=float)
 
 
-def _abscissae(rng, half_width):
-    """(label, profile abscissa, other coordinate) inputs of every kind."""
-    t1 = rng.uniform(-half_width, half_width, 11)
+def _mp_profile(c, rho0, t):
+    """rho(t) from findroot on the 30-digit integral of 1 / sqrt(P)."""
+    with mpmath.workdps(30):
+        c, rho0, t = mpmath.mpf(c), mpmath.mpf(rho0), mpmath.mpf(t)
+        root_p = lambda s: mpmath.sqrt((s * s / 2 - c) ** 2 - s * s)  # noqa: E731
+        guess = rho0 + t * root_p(rho0)
+        return float(mpmath.findroot(lambda r: mpmath.quad(lambda s: 1 / root_p(s), [rho0, r]) - t, guess))
+
+
+@pytest.mark.parametrize("params, half_width", PARAM_SETS)
+def test_helicoid_profile_matches_the_mpmath_inverse(params, half_width):
+    t = np.linspace(-half_width, half_width, 9)
+    got = _profile(corpus.reference_surface("heisenberg_helicoid", params), t)
+    want = np.array([_mp_profile(params["c"], params["rho0"], s) for s in t])
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def _abscissae(rng):
+    """(label, profile abscissa) inputs of every kind."""
+    t1 = rng.uniform(-HALF_WIDTH, HALF_WIDTH, 11)
     t1[3] = 0.0
-    t2 = rng.uniform(-half_width, half_width, (5, 4))
-    pos = rng.uniform(0.0, half_width, 6)
-    other = lambda shape: rng.uniform(-0.5, 0.5, shape)  # noqa: E731
-    s = float(rng.uniform(-half_width, half_width))
+    t2 = rng.uniform(-HALF_WIDTH, HALF_WIDTH, (5, 4))
+    pos = rng.uniform(0.0, HALF_WIDTH, 6)
+    s = float(rng.uniform(-HALF_WIDTH, HALF_WIDTH))
     return [
-        ("float", s, float(other(()))),
-        ("float-negative", -abs(s), float(other(()))),
-        ("numpy-scalar", np.float64(s), np.float64(other(()))),
-        ("zero-d-array", np.array(s), np.array(other(()))),
-        ("zero", 0.0, 0.25),
-        ("1-d", t1, other(t1.shape)),
-        ("2-d", t2, other(t2.shape)),
-        ("all-positive", pos, other(pos.shape)),
-        ("all-negative", -pos, other(pos.shape)),
-        ("zeros", np.zeros(3), other(3)),
-        ("empty", np.empty(0), np.empty(0)),
+        ("float", s),
+        ("float-negative", -abs(s)),
+        ("numpy-scalar", np.float64(s)),
+        ("zero-d-array", np.array(s)),
+        ("zero", 0.0),
+        ("1-d", t1),
+        ("2-d", t2),
+        ("all-positive", pos),
+        ("all-negative", -pos),
+        ("zeros", np.zeros(3)),
+        ("empty", np.empty(0)),
     ]
 
 
@@ -103,44 +88,50 @@ def _bits(x) -> tuple:
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-@pytest.mark.parametrize("example", sorted(PROFILED))
-def test_reference_matches_per_scalar_dense_output(monkeypatch, example, seed):
-    axis, half_width = PROFILED[example]
-    fn, oracle = _reference_and_oracle(monkeypatch, example, _draw_params(example, seed))
-    for label, t, other in _abscissae(np.random.default_rng(seed), half_width):
-        uv = (t, other) if axis == 0 else (other, t)
-        got, want = fn(*uv), oracle(*uv)
-        for k in range(3):
-            assert _bits(got[k]) == _bits(want[k]), (label, k)
+def test_helicoid_scalar_and_array_calls_agree_bit_for_bit(seed):
+    fn = corpus.reference_surface("heisenberg_helicoid", _draw_params(seed))
+    for label, t in _abscissae(np.random.default_rng(seed)):
+        arr = np.asarray(t, dtype=float)
+        got = _profile(fn, t)
+        # each abscissa as a Python float (the memoized path) and inside a
+        # one-element array (the array path)
+        for one in (lambda s: s, lambda s: np.array([s])):
+            want = np.array([_profile(fn, one(float(s))) for s in arr.ravel()]).reshape(arr.shape)
+            assert _bits(got) == _bits(want), label
 
 
-@pytest.mark.parametrize("example", sorted(PROFILED))
-def test_array_call_makes_one_dense_output_call_per_branch(dense_calls, example):
-    fn = corpus.reference_surface(example)
-    half_width = PROFILED[example][1]
-    rng = np.random.default_rng(5)
-    for shape in [(1,), (7,), (129, 65), (40, 3, 2)]:
-        t = rng.uniform(-half_width, half_width, shape)
-        for arr in (t, np.abs(t), -np.abs(t)):
-            dense_calls.clear()
-            fn(arr, arr)
-            assert len(dense_calls) <= 2, (shape, dense_calls)
-            assert all(len(s) == 1 for s in dense_calls)  # raveled, never per point
-    dense_calls.clear()
-    fn(np.empty((0, 4)), np.empty((0, 4)))
-    assert dense_calls == []  # an empty branch is skipped
+@pytest.mark.parametrize("params, half_width", PARAM_SETS)
+def test_helicoid_quadrature_and_newton_steps_have_converged(monkeypatch, params, half_width):
+    # One more Newton step, or twice the nodes, moves no value by more than 1 ulp.
+    t = np.linspace(-half_width, half_width, 31)
+    base = _profile(corpus.reference_surface("heisenberg_helicoid", params), t)
+    nodes, weights = np.polynomial.legendre.leggauss(2 * len(corpus._NODES))
+    for more in ({"_NEWTON_STEPS": corpus._NEWTON_STEPS + 1}, {"_NODES": nodes, "_WEIGHTS": weights}):
+        with monkeypatch.context() as m:
+            for name, value in more.items():
+                m.setattr(corpus, name, value)
+            finer = _profile(corpus.reference_surface("heisenberg_helicoid", params), t)
+        assert np.all(np.abs(finer - base) <= np.spacing(base)), sorted(more)
 
 
 @pytest.mark.parametrize("example, most", [("heisenberg_helicoid", 129)])
-def test_per_point_sweep_evaluates_each_abscissa_once(dense_calls, example, most):
+def test_per_point_sweep_evaluates_each_abscissa_once(monkeypatch, example, most):
+    solves = []
+    real = corpus._helicoid_profile
+
+    def counted(c, rho0, t):
+        solves.append(t.shape)
+        return real(c, rho0, t)
+
+    monkeypatch.setattr(corpus, "_helicoid_profile", counted)
     doc = corpus.build_problem_dict(example)
     grid = GridSpec(**dict(doc["grid"], nu=129, nv=65))
     fn = corpus.reference_surface(example)
-    dense_calls.clear()
     for u in grid.us():
         for v in grid.vs():
             fn(u, v)
-    assert 0 < len(dense_calls) <= most
+    assert 0 < len(solves) <= most
+    assert set(solves) == {(1, 1)}
 
 
 @pytest.mark.parametrize("q0", [0.4, 0.6])
