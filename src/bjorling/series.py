@@ -24,7 +24,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyvander
 
 from .errors import DomainError, NotInvertible
 
@@ -100,29 +99,54 @@ def table_stack(series) -> np.ndarray:
     return out
 
 
-def _weighted_powers(tables: np.ndarray, center: float, u: np.ndarray) -> np.ndarray:
-    # Rows of T C for every table C of a (..., n+1, n+1) stack, T the power
-    # table of u - center: shape (..., *u.shape, n+1).  Contracting the last
-    # axis with the powers of v gives the values.
+def power_table(x, n: int) -> np.ndarray:
+    """Powers x^0, ..., x^n of finite x along a new last axis: shape
+    (*x.shape, n+1), x at least 1-D.  Each power is the previous one times
+    x (one ``multiply.accumulate``), after x + 0.0 turns -0.0 into 0.0.
+
+    These are the values of numpy's power-basis Vandermonde matrix, and its
+    memory layout too: the table is the ``moveaxis`` of a (n+1, *x.shape)
+    array.  The layout picks the BLAS transposition of every product with
+    the table, and so the kernel and the last bits of the result.
+    """
+    x = np.array(x, dtype=float, copy=None, ndmin=1)
+    v = np.empty((n + 1,) + x.shape)
+    v[0] = 1.0
+    v[1:] = x + 0.0
+    np.multiply.accumulate(v, axis=0, out=v)
+    return np.moveaxis(v, 0, -1)
+
+
+def u_rows(tables: np.ndarray, center: float, us) -> np.ndarray:
+    """Rows T_u C of every table C of a (..., n+1, n+1) stack, T_u the power
+    table of us - center: shape (..., *us.shape, n+1).  Contracting the
+    last axis with the powers of v gives the values (``v_product`` on a
+    grid); the powers of v = 0 pick column 0."""
+    u = np.asarray(us, dtype=float)
     n = tables.shape[-1] - 1
     lead = tables.shape[:-2] + (1,) * max(u.ndim - 1, 0)
-    return polyvander(u - center, n) @ tables.reshape(lead + tables.shape[-2:])
+    return power_table(u - center, n) @ tables.reshape(lead + tables.shape[-2:])
+
+
+def v_product(rows: np.ndarray, vs) -> np.ndarray:
+    """Values on the tensor grid us x vs from the ``u_rows`` of a stack on
+    us: rows T_v^T, shape (..., len(us), len(vs))."""
+    return rows @ power_table(vs, rows.shape[-1] - 1).T
 
 
 def grid_values(tables: np.ndarray, center: float, us, vs) -> np.ndarray:
     """Values of a (..., n+1, n+1) stack of tables about (center, 0) on the
     tensor grid us x vs, shape (..., len(us), len(vs)): one matmul chain
     T_u C T_v^T for the whole stack."""
-    rows = _weighted_powers(tables, center, np.asarray(us, dtype=float))
-    return rows @ polyvander(np.asarray(vs, dtype=float), tables.shape[-1] - 1).T
+    return v_product(u_rows(tables, center, us), vs)
 
 
 def point_values(tables: np.ndarray, center: float, u, v) -> np.ndarray:
     """Values of a (..., n+1, n+1) stack of tables at the points (u, v), which
     are broadcast together: shape (..., *common shape)."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    rows = _weighted_powers(tables, center, u)
-    out = np.einsum("...k,...k->...", rows, polyvander(v, tables.shape[-1] - 1))
+    rows = u_rows(tables, center, u)
+    out = np.einsum("...k,...k->...", rows, power_table(v, tables.shape[-1] - 1))
     return out.reshape(tables.shape[:-2] + u.shape)[()]
 
 

@@ -103,9 +103,16 @@ class BjorlingProblem:
             vdotv = (lorentz_dot(self.normal_field, self.normal_field) - want).maxabs()
             ortho = lorentz_dot(vel, self.normal_field).maxabs()
             bounds = 1e-9 * np.square([field_scale, scale])
+            # The metric Ainv^T diag Ainv at the base point: the coframe jets' constant terms.
+            ainv = np.array([[getattr(e, "coeffs", [e])[0] for e in row] for row in self.coframe_jets])
+            metric = ainv.T @ (SIGNATURE[:, None] * ainv)
         if not np.all(np.isfinite([vdotv, ortho, *bounds])):
             raise ProblemValidationError(
                 "the invariants g(V, V) and g(curve', V) or their scales overflow"
+            )
+        if not np.all(np.isfinite(metric)):
+            raise ProblemValidationError(
+                f"the metric overflows at the curve base point {base.tolist()}"
             )
         if vdotv > bounds[0]:
             raise ProblemValidationError(

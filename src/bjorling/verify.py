@@ -15,8 +15,9 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, GridSpec, Mode, ProblemKind, Tolerances
 from .errors import DegenerateFrame, DomainError
-from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
-from .series import du_tables, dv_tables, grid_values, jet_table, pair_products, table_stack
+from .groups import GroupModel, lorentz_cross, lorentz_dot
+from .series import _triangle_mask, du_tables, dv_tables, grid_values, jet_table, pair_products
+from .series import table_stack, u_rows, v_product
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
 MAX_HALVINGS = 6
@@ -94,42 +95,45 @@ def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> t
     n = frame.shape[-1] - 1
     x = frame.reshape(6, n + 1, n + 1)
     p = pair_products(x, x).reshape(2, 3, 2, 3, n + 1, n + 1)
-    # (re, unit) parts of psi_a psi_b and of conj(psi_a) psi_b, indexed [a, b].
-    square = np.stack([p[0, :, 0] + s * p[1, :, 1], p[0, :, 1] + p[1, :, 0]])
+    # (re, unit) parts of psi_a^2, indexed [..., a], and of conj(psi_a) psi_b, [a, b].
+    d = np.diagonal(p, axis1=1, axis2=3)
+    square = np.stack([d[0, 0] + s * d[1, 1], d[0, 1] + d[1, 0]])
     mixed = np.stack([p[0, :, 0] - s * p[1, :, 1], p[0, :, 1] - p[1, :, 0]])
-    cone = float(np.max(np.abs(np.einsum("a,raamk->rmk", SIGNATURE, square))))
+    cone = float(np.max(np.abs(square[..., 0] + square[..., 1] - square[..., 2])))
     quad = np.tensordot(group.gamma, mixed, axes=([0, 1], [1, 2])).swapaxes(0, 1)
     du, dv = du_tables(frame), dv_tables(frame)
     dzbar = 0.5 * np.stack([du[0] - dv[1], du[1] - s * dv[0]])
     resid = dzbar + quad[..., :n, :n]
-    kept = np.add.outer(np.arange(n), np.arange(n)) < n
-    return cone, float(np.max(np.abs(np.where(kept, resid, 0.0))))
+    return cone, float(np.max(np.abs(np.where(_triangle_mask(n - 1), resid, 0.0))))
 
 
-def hermitian_sign_profile(
-    frame: np.ndarray, mode: Mode, center: float, us, vs
-) -> tuple[float, float]:
-    """Grid range of |psi1|^2 + |psi2|^2 - |psi3|^2 (indefinite moduli) for
-    a frame-data stack about ``center``."""
-    vals = grid_values(frame, center, us, vs)
-    terms = vals[0] * vals[0] - mode.unit_square * (vals[1] * vals[1])
+def hermitian_sign_profile(values: np.ndarray, mode: Mode) -> tuple[float, float]:
+    """Range of |psi1|^2 + |psi2|^2 - |psi3|^2 (indefinite moduli) over the
+    (re, unit) grid values of the frame data, a (2, 3, ...) array."""
+    terms = values[0] * values[0] - mode.unit_square * (values[1] * values[1])
     total = terms[0] + terms[1] - terms[2]
     return float(total.min()), float(total.max())
+
+
+def report_tables(surface, frame=()) -> np.ndarray:
+    """The tables the grid checks read, zero-padded to one (k, 3, n+1, n+1)
+    stack: f, f_u, f_v, f_uu and f_vv of a series triple, then the (re,
+    unit) tables of a frame-data stack if one is given."""
+    f = table_stack(surface)
+    fu, fv = du_tables(f), dv_tables(f)
+    parts = (f, fu, fv, du_tables(fu), dv_tables(fv), *frame)
+    tables = np.zeros((len(parts),) + f.shape)
+    for table, part in zip(tables, parts):
+        m = part.shape[-1]
+        table[:, :m, :m] = part
+    return tables
 
 
 def surface_grids(surface, us, vs, second: bool = False) -> np.ndarray:
     """Points and tangents f_u, f_v of a series triple on the tensor grid
     us x vs: one (3, 3, len(us), len(vs)) array, [0] the points, [1] f_u and
-    [2] f_v, evaluated as one stack of nine tables.  With ``second`` the
-    stack also holds f_uu and f_vv, as [3] and [4]."""
-    f = table_stack(surface)
-    fu, fv = du_tables(f), dv_tables(f)
-    parts = (f, fu, fv) + ((du_tables(fu), dv_tables(fv)) if second else ())
-    tables = np.zeros((len(parts),) + f.shape)
-    for table, part in zip(tables, parts):
-        m = part.shape[-1]
-        table[:, :m, :m] = part
-    return grid_values(tables, surface[0].center, us, vs)
+    [2] f_v.  With ``second`` it also holds f_uu and f_vv, as [3] and [4]."""
+    return grid_values(report_tables(surface)[: 5 if second else 3], surface[0].center, us, vs)
 
 
 def frame_components(ainv, *vectors):
@@ -153,14 +157,15 @@ def conformality_residual(vec_u, vec_v, sigma: float) -> float:
 
 
 def boundary_residuals(
-    group: GroupModel, surface, curve, normal_field, us
+    group: GroupModel, surface, curve, normal_field, us, values
 ) -> tuple[float, float, bool]:
     """Deviation of the solved surface from its prescribed boundary data.
 
     curve_res is coefficientwise: the v = 0 row of the surface against the
     curve jets.  normal_res compares the normalized frame cross product of
-    f_u, f_v on v = 0 with the prescribed field, allowing one global
-    orientation flip (reported, not failed).
+    f_u, f_v on v = 0, from ``values`` (f, f_u and f_v at the points us on
+    v = 0, a (3, 3, len(us)) array), with the prescribed field, allowing one
+    global orientation flip (reported, not failed).
     """
     curve_res = 0.0
     for f, b in zip(surface, curve):
@@ -169,7 +174,7 @@ def boundary_residuals(
         curve_res = max(curve_res, float(np.max(np.abs(row[:k] - b.coeffs[:k]))))
 
     us = np.asarray(us, dtype=float)
-    x, fu, fv = surface_grids(surface, us, [0.0])[..., 0]
+    x, fu, fv = values
     normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x), fu, fv)))
     norm2 = lorentz_dot(normal, normal)
     degenerate = np.abs(norm2) <= 1e-12 * np.sum(normal * normal, axis=0)
@@ -191,11 +196,10 @@ def tension_residual(gam, grids, vec_u, vec_v, sigma: float) -> float:
 
     Evaluates R^k = f^k_uu - sigma f^k_vv + Gamma^k_ij (f^i_u f^j_u -
     sigma f^i_v f^j_v) over the conformal factor (|g(f_u, f_u)| +
-    |g(f_v, f_v)|) / 2, with f and its first and second partials from
-    ``surface_grids(..., second=True)`` (the series' own derivative
-    tables), Gamma from ``GroupModel.christoffels``, which reads only the
-    chart, and the factor from the frame components vec_u, vec_v of the
-    tangents.
+    |g(f_v, f_v)|) / 2, with f and its first and second partials on the
+    grid from the series' own derivative tables, Gamma from
+    ``GroupModel.christoffels``, which reads only the chart, and the factor
+    from the frame components vec_u, vec_v of the tangents.
     """
     _, f_u, f_v, f_uu, f_vv = grids
     quad = np.einsum("kij...,i...,j...->k...", gam, f_u, f_u) - sigma * np.einsum(
@@ -206,12 +210,12 @@ def tension_residual(gam, grids, vec_u, vec_v, sigma: float) -> float:
     return float(np.max(np.max(np.abs(resid), axis=0) / np.maximum(conf, 1e-12)))
 
 
-def grid_certificates(group: GroupModel, surface, sigma: float, us, vs) -> tuple[float, float]:
-    """Conformality and tension residuals of a series triple on the grid
-    us x vs, both from one ``surface_grids`` evaluation, one
-    ``christoffels`` call and one ``frame_components`` call.  Leaving the
-    chart raises DomainError (the report uses that to shrink the strip)."""
-    grids = surface_grids(surface, us, vs, second=True)
+def grid_certificates(group: GroupModel, grids: np.ndarray, sigma: float) -> tuple[float, float]:
+    """Conformality and tension residuals of a series triple from its grid
+    values ``grids`` (f, f_u, f_v, f_uu, f_vv, as ``surface_grids(...,
+    second=True)`` gives them), with one ``christoffels`` call and one
+    ``frame_components`` call.  Leaving the chart raises DomainError (the
+    report uses that to shrink the strip)."""
     gam, ainv = group.christoffels(grids[0])
     vec_u, vec_v = frame_components(ainv, grids[1], grids[2])
     conf = conformality_residual(vec_u, vec_v, sigma)
@@ -243,13 +247,20 @@ def build_report(
     until the grid-level residuals pass (or the strip bottoms out).
 
     Series-level residuals do not depend on the strip and are computed
-    once.  The report is complete even when no strip validates; in that
-    case the smallest strip's values are reported with strip_valid False.
+    once.  The grid checks read one evaluation: the ``report_tables`` of
+    the surface and the frame data, multiplied once by the powers of u.
+    The boundary reads its v = 0 column, and each strip attempt multiplies
+    it by its own powers of v.  The report is complete even when no strip
+    validates; in that case the smallest strip's values are reported with
+    strip_valid False.
     """
     cone, pde = weierstrass_residuals(group, frame, kind.mode)
     report_grid = grid.coarse()
     us = report_grid.us()
-    curve_res, normal_res, flipped = boundary_residuals(group, surface, curve, normal_field, us)
+    rows = u_rows(report_tables(surface, frame), surface[0].center, us)
+    curve_res, normal_res, flipped = boundary_residuals(
+        group, surface, curve, normal_field, us, rows[:3, ..., 0]
+    )
 
     conf = float("inf")
     minim = float("inf")
@@ -257,22 +268,23 @@ def build_report(
     attempted = None
     for halvings in range(MAX_HALVINGS + 1):
         sub = report_grid.scaled_v(0.5**halvings)
+        values = v_product(rows, sub.vs())
         try:
-            conf_try, minim_try = grid_certificates(group, surface, kind.sigma, us, sub.vs())
+            conf_try, minim_try = grid_certificates(group, values[:5], kind.sigma)
         except DomainError:
             continue
-        attempted = (sub, conf_try, minim_try, halvings)
+        attempted = (sub, conf_try, minim_try, halvings, values)
         if conf_try <= tol.conformality and minim_try <= tol.minimality:
             chosen = attempted
             break
     if attempted is None:
         # Even the thinnest strip leaves the chart; halvings is MAX_HALVINGS.
         v_min = v_max = 0.0
-        sign_vs = np.array([0.0])
+        frame_values = rows[5:, ..., :1]
     else:
-        sub, conf, minim, halvings = chosen if chosen is not None else attempted
-        v_min, v_max, sign_vs = sub.v_min, sub.v_max, sub.vs()
-    sign_lo, sign_hi = hermitian_sign_profile(frame, kind.mode, curve[0].center, us, sign_vs)
+        sub, conf, minim, halvings, values = chosen if chosen is not None else attempted
+        v_min, v_max, frame_values = sub.v_min, sub.v_max, values[5:]
+    sign_lo, sign_hi = hermitian_sign_profile(frame_values, kind.mode)
 
     return ResidualReport(
         cone_residual=cone,

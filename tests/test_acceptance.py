@@ -22,6 +22,7 @@ from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     compare_to_reference,
     grid_certificates,
+    surface_grids,
 )
 from kalgebra import (
     KScalar,
@@ -216,7 +217,8 @@ def test_criterion_08_independent_minimality_certificate():
         prob, sol = _solve(ex)
         us = prob.grid.coarse(9, 5).us()
         vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, 5)
-        res = grid_certificates(sol.group, sol.surface, prob.kind.sigma, us, vs)[1]
+        grids = surface_grids(sol.surface, us, vs, second=True)
+        res = grid_certificates(sol.group, grids, prob.kind.sigma)[1]
         assert res <= 1e-6, (ex, res)
         fd = reference_tension_residual(sol.group, sol.surface_point, prob.kind.sigma, us, vs)
         assert fd <= 1e-4, (ex, fd)
@@ -250,9 +252,8 @@ def test_criterion_08_independent_minimality_certificate():
     # (c) a non-minimal probe, (u, 1, v + 1) under the spacelike operator,
     # is loudly non-minimal
     probe = (variable_u(2), zero_series(2) + 1.0, variable_v(2) + 1.0)
-    res = grid_certificates(
-        de_sitter(), probe, -1.0, np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5)
-    )[1]
+    grids = surface_grids(probe, np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5), second=True)
+    res = grid_certificates(de_sitter(), grids, -1.0)[1]
     assert res > 0.1
     _report(8, "tension certificate: corpus <= 1e-6, oracle O(h^2), probe > 0.1")
 

@@ -606,6 +606,22 @@ def test_overflowing_invariants_are_one_line_rejections(workdir, capsys, example
     assert list(workdir.iterdir()) == [workdir / "huge.problem.json"]
 
 
+@pytest.mark.parametrize("base", [1e200, 1e308, -1e308])
+def test_base_point_whose_metric_overflows_is_a_one_line_rejection(workdir, capsys, base):
+    # Only velocities enter the invariants, so a huge base point passed them
+    # and overflowed in the boundary check's normal.  The Heisenberg metric
+    # there, Ainv^T diag Ainv, has an entry of size base^2 / 4.
+    doc = corpus.build_problem_dict("heisenberg_helicoid", order=12)
+    doc["beta"][0]["coeffs"][0] = base
+    (workdir / "huge.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "huge.problem.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"rejected: the metric overflows at the curve base point [{base!r}, 0.0, 0.0]"]
+    assert list(workdir.iterdir()) == [workdir / "huge.problem.json"]
+
+
 @pytest.mark.parametrize("c", [1e20, 1e100, 1e150])
 def test_speed_lost_to_rounding_is_rejected_naming_the_rounding(workdir, capsys, c):
     # The frame velocity cancels coordinate terms of size c; below the

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval2d
+from numpy.polynomial.polynomial import polyval2d, polyvander
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bjorling.config import Mode
 from bjorling.errors import DomainError
-from bjorling.series import BiSeries, USeries, ode_taylor, pair_products
+from bjorling.series import BiSeries, USeries, ode_taylor, pair_products, power_table
 from bjorling.slices import FrameTape, TapeNode
 from kalgebra import (
     KScalar,
@@ -380,6 +380,28 @@ def test_eval_and_grid_agree():
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             assert grid[i, j] == pytest.approx(f.eval(u, v), abs=1e-13)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 30, 48])
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.linspace(-1.3, 1.3, 17),
+        np.array([-0.0, 0.0, 1e-300, -2.5, 1e5]),
+        np.random.default_rng(5).uniform(-2.0, 2.0, (7, 4)),
+        np.array(0.7),
+    ],
+    ids=["grid", "edges", "2d", "0d"],
+)
+def test_power_table_is_polyvander_bit_for_bit_and_stride_for_stride(x, order):
+    # Equal values are not enough: the strides set which transposition BLAS
+    # is asked for, and so which kernel runs and the last bits of every
+    # report product with the table.  A C-ordered table of the same values
+    # moved report values.
+    want = polyvander(x, order)
+    got = power_table(x, order)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("order", [0, 12, 30])

@@ -13,7 +13,7 @@ from bjorling import corpus, problemfile, verify
 from bjorling.config import GridSpec, Mode, ProblemKind
 from bjorling.errors import DomainError
 from bjorling.groups import GroupModel, de_sitter, h2xr, heisenberg
-from bjorling.series import BiSeries, USeries
+from bjorling.series import BiSeries, USeries, du_tables, dv_tables, grid_values, table_stack
 from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     boundary_residuals,
@@ -21,6 +21,7 @@ from bjorling.verify import (
     conformality_defect,
     frame_components,
     grid_certificates,
+    hermitian_sign_profile,
     surface_grids,
     weierstrass_residuals,
 )
@@ -58,6 +59,14 @@ def _problem(example_id, params=None):
 
 def _solved(example_id, params=None):
     return solve_bjorling(_problem(example_id, params))
+
+
+def _certificates(group, surface, sigma, us, vs):
+    return grid_certificates(group, surface_grids(surface, us, vs, second=True), sigma)
+
+
+def _boundary(group, surface, curve, field, us):
+    return boundary_residuals(group, surface, curve, field, us, surface_grids(surface, us, [0.0])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +147,7 @@ def test_conformality_of_vertical_plane():
     sol = _solved("heisenberg_vertical_plane")
     us = np.linspace(-0.5, 0.5, 9)
     vs = np.linspace(-0.5, 0.5, 9)
-    res = grid_certificates(sol.group, sol.surface, 1.0, us, vs)[0]
+    res = _certificates(sol.group, sol.surface, 1.0, us, vs)[0]
     assert res <= 1e-9
 
 
@@ -146,7 +155,7 @@ def test_conformality_of_spacelike_plane():
     sol = _solved("h2xr_horizontal_plane")
     us = np.linspace(math.pi / 4, 3 * math.pi / 4, 9)
     vs = np.linspace(-0.5, 0.5, 9)
-    res = grid_certificates(sol.group, sol.surface, -1.0, us, vs)[0]
+    res = _certificates(sol.group, sol.surface, -1.0, us, vs)[0]
     assert res <= 1e-9
 
 
@@ -159,7 +168,7 @@ def test_conformality_detects_anisotropic_scaling():
         2.0 * variable_v(n, center) + 3.0,
         zero_series(n, center),
     )
-    res = grid_certificates(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))[0]
+    res = _certificates(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))[0]
     assert res > 0.1
 
 
@@ -171,7 +180,7 @@ def test_conformality_raises_outside_chart():
         zero_series(n),
     )
     with pytest.raises(DomainError):
-        grid_certificates(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
+        _certificates(h2xr(), f, -1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +190,7 @@ def test_conformality_raises_outside_chart():
 def test_normal_matches_field_on_vertical_plane():
     sol = _solved("heisenberg_vertical_plane")
     prob = _problem("heisenberg_vertical_plane")
-    curve_res, normal_res, flipped = boundary_residuals(
+    curve_res, normal_res, flipped = _boundary(
         sol.group, sol.surface, prob.curve, prob.normal_field, np.linspace(-1, 1, 9)
     )
     assert curve_res <= 1e-12
@@ -194,7 +203,7 @@ def test_normal_matches_field_on_helicoid_and_saddle():
         prob = _problem(ex)
         sol = solve_bjorling(prob)
         us = np.linspace(prob.grid.u_min, prob.grid.u_max, 9)
-        curve_res, normal_res, flipped = boundary_residuals(
+        curve_res, normal_res, flipped = _boundary(
             sol.group, sol.surface, prob.curve, prob.normal_field, us
         )
         assert curve_res <= 1e-10
@@ -206,7 +215,7 @@ def test_orientation_flip_is_flagged_not_failed():
     prob = _problem("heisenberg_vertical_plane")
     sol = solve_bjorling(prob)
     flipped_field = tuple(-1.0 * w for w in prob.normal_field)
-    _, normal_res, flipped = boundary_residuals(
+    _, normal_res, flipped = _boundary(
         sol.group, sol.surface, prob.curve, flipped_field, np.linspace(-1, 1, 5)
     )
     assert flipped
@@ -226,7 +235,7 @@ def test_degenerate_normal_raises():
     curve = tuple(USeries.constant(0.0, n + 1) for _ in range(3))
     field = (USeries.constant(0.0, n + 1), USeries.constant(0.0, n + 1), USeries.constant(1.0, n + 1))
     with pytest.raises(DegenerateFrame):
-        boundary_residuals(h2xr(), surface, curve, field, [0.1, 0.2])
+        _boundary(h2xr(), surface, curve, field, [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +259,7 @@ def test_tension_small_on_closed_form_vertical_plane():
     ch, sh, ev = univariate_coeffs("cosh", 0.0, n), univariate_coeffs("sinh", 0.0, n), _exp_v(n)
     surface = (_outer(ch, ev), BiSeries.constant(1.0, n), _outer(sh - 0.5 * ch, ev))
     grid = np.linspace(-0.5, 0.5, 5)
-    assert grid_certificates(heisenberg(), surface, 1.0, grid, grid)[1] <= 1e-12
+    assert _certificates(heisenberg(), surface, 1.0, grid, grid)[1] <= 1e-12
 
 
 def test_tension_small_on_closed_form_desitter():
@@ -258,13 +267,13 @@ def test_tension_small_on_closed_form_desitter():
     n = 30
     ch, sh = univariate_coeffs("cosh", 0.0, n), univariate_coeffs("sinh", 0.0, n)
     surface = (_outer(sh, _exp_v(n, -1.0)), BiSeries.constant(1.0, n), _outer(ch, _exp_v(n, -1.0)))
-    res = grid_certificates(
+    res = _certificates(
         de_sitter(), surface, 1.0, np.linspace(-0.5, 0.5, 5), np.linspace(-0.4, 0.4, 5)
     )[1]
     assert res <= 1e-12
     # A surface that is not minimal: the same plane with x1 scaled by 1.1.
     scaled = (surface[0] * 1.1,) + surface[1:]
-    assert grid_certificates(de_sitter(), scaled, 1.0, [0.3], [0.2])[1] > 1e-2
+    assert _certificates(de_sitter(), scaled, 1.0, [0.3], [0.2])[1] > 1e-2
 
 
 def test_tension_shrinks_quadratically_on_helicoid():
@@ -290,9 +299,9 @@ def test_tension_flags_non_minimal_probe():
     probe = _plane_probe()
     us = np.linspace(-0.3, 0.3, 5)
     vs = np.linspace(-0.3, 0.3, 5)
-    res = grid_certificates(de_sitter(), probe, -1.0, us, vs)[1]
+    res = _certificates(de_sitter(), probe, -1.0, us, vs)[1]
     assert res > 0.1
-    res_wave = grid_certificates(de_sitter(), probe, 1.0, us, vs)[1]
+    res_wave = _certificates(de_sitter(), probe, 1.0, us, vs)[1]
     assert res_wave <= 1e-12
 
 
@@ -304,7 +313,7 @@ def test_tension_with_exact_christoffel_oracle():
     vs = np.linspace(-0.3, 0.3, 5)
     for sigma in (-1.0, 1.0):
         want = exact_tension_residual("desitter", probe, sigma, us, vs)
-        got = grid_certificates(de_sitter(), probe, sigma, us, vs)[1]
+        got = _certificates(de_sitter(), probe, sigma, us, vs)[1]
         assert abs(got - want) <= 1e-12 * max(1.0, want)
     assert want <= 1e-12 < 0.1 < exact_tension_residual("desitter", probe, -1.0, us, vs)
 
@@ -367,7 +376,7 @@ def test_grid_code_matches_per_point_reference(example_id):
     vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, prob.grid.coarse().nv)
     sigma = prob.kind.sigma
 
-    conf, tension = grid_certificates(sol.group, sol.surface, sigma, us, vs)
+    conf, tension = _certificates(sol.group, sol.surface, sigma, us, vs)
     want = reference_conformality_residual(sol.group, sol.surface, sigma, us, vs)
     scale = max(1.0, max(float(np.max(np.abs(f.eval_grid(us, vs)))) for f in sol.surface) ** 2)
     assert abs(conf - want) <= 1e-12 * scale
@@ -389,25 +398,28 @@ def test_grid_code_matches_per_point_reference(example_id):
 
 
 def test_certificates_make_few_frame_matrix_calls(monkeypatch):
-    # The boundary check makes the solve's one frame-matrix call.  Each strip
-    # attempt evaluates the surface once and makes one chart call: the
-    # Christoffel symbols, whose one real coframe call gives both
+    # A report evaluates one stack of tables in u: f, f_u, f_v, f_uu, f_vv
+    # and the frame data's (re, unit) tables.  The boundary check reads its
+    # v = 0 column and makes the solve's one frame-matrix call.  Each strip
+    # attempt makes one product with its own powers of v and one chart call:
+    # the Christoffel symbols, whose one real coframe call gives both
     # certificates Ainv and whose one complex frame call (the points and
     # their three steps at once) gives d A.
-    calls = {"frame_matrix": [], "christoffels": [], "surface_grids": []}
+    calls = {"frame_matrix": [], "christoffels": [], "u_rows": [], "v_product": []}
 
     def counted(owner, name):
         raw = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(1)
+            calls[name].append(args)
             return raw(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(GroupModel, "frame_matrix")
     counted(GroupModel, "christoffels")
-    counted(verify, "surface_grids")
+    counted(verify, "u_rows")
+    counted(verify, "v_product")
     for example_id in corpus.EXAMPLE_IDS:
         prob, complex_calls, coframe_calls = _problem(example_id), [], []
         raw_frame, raw_coframe = prob.group.frame, prob.group.coframe
@@ -415,31 +427,36 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
         prob.group.coframe = lambda x: coframe_calls.append(type(x[0])) or raw_coframe(x)
         for made in calls.values():
             made.clear()
-        report = solve_bjorling(prob).report
-        attempts = report.strip_halvings + 1
+        sol = solve_bjorling(prob)
+        attempts = sol.report.strip_halvings + 1
         counts = {name: len(made) for name, made in calls.items()}
-        # surface_grids: the boundary's v = 0 row, then one per attempt.
-        assert counts == {"frame_matrix": 1, "christoffels": attempts, "surface_grids": 1 + attempts}, (
-            example_id,
-            counts,
-        )
+        want = {"frame_matrix": 1, "christoffels": attempts, "u_rows": 1, "v_product": attempts}
+        assert counts == want, (example_id, counts)
+        n1 = sol.order + 2  # the rebuilt surface is one order above the frame data
+        assert calls["u_rows"][0][0].shape == (7, 3, n1, n1), example_id
         assert complex_calls.count(True) == attempts, (example_id, complex_calls)
         # The curve's jets, the boundary row, then one per attempt.
         assert coframe_calls == [USeries] + [np.ndarray] * (1 + attempts), (example_id, coframe_calls)
 
 
 def test_certificates_share_one_frame_components_call(monkeypatch):
-    # Each strip attempt turns its tangents into frame components once and
-    # hands the same two arrays to both certificates.  The tension's
-    # conformal factor is read from them: its only einsums are the two
-    # Christoffel contractions, and it forms no coordinate metric.
-    components, conformality, tension, subscripts = [], [], [], []
-    raw_components, raw_einsum = verify.frame_components, np.einsum
+    # Each strip attempt turns the tangents of its one v-product into frame
+    # components once and hands the same two arrays to both certificates,
+    # and the tension reads the points and partials of that same product.
+    # The tension's conformal factor is read from the components: its only
+    # einsums are the two Christoffel contractions, and it forms no
+    # coordinate metric.
+    components, products, conformality, tension, subscripts = [], [], [], [], []
+    raw_components, raw_product, raw_einsum = verify.frame_components, verify.v_product, np.einsum
     raw_conformality, raw_tension = verify.conformality_residual, verify.tension_residual
 
     def spy_components(ainv, *vectors):
         components.append(raw_components(ainv, *vectors))
         return components[-1]
+
+    def spy_product(rows, vs):
+        products.append(raw_product(rows, vs))
+        return products[-1]
 
     def spy_conformality(*args):
         conformality.append(args)
@@ -456,20 +473,46 @@ def test_certificates_share_one_frame_components_call(monkeypatch):
         return raw_einsum(spec, *operands, **kwargs)
 
     monkeypatch.setattr(verify, "frame_components", spy_components)
+    monkeypatch.setattr(verify, "v_product", spy_product)
     monkeypatch.setattr(verify, "conformality_residual", spy_conformality)
     monkeypatch.setattr(verify, "tension_residual", spy_tension)
     monkeypatch.setattr(np, "einsum", spy_einsum)
     for example_id in corpus.EXAMPLE_IDS:
-        for made in (components, conformality, tension, subscripts):
+        for made in (components, products, conformality, tension, subscripts):
             made.clear()
         attempts = _solved(example_id).report.strip_halvings + 1
         # The boundary's v = 0 row, then one call per attempt.
         assert len(components) == 1 + attempts, example_id
-        assert len(conformality) == len(tension) == attempts, example_id
-        for (vec_u, vec_v), conf_args, tension_args in zip(components[1:], conformality, tension):
+        assert len(products) == len(conformality) == len(tension) == attempts, example_id
+        for (vec_u, vec_v), values, conf_args, tension_args in zip(
+            components[1:], products, conformality, tension
+        ):
             assert conf_args[0] is vec_u and conf_args[1] is vec_v
             assert tension_args[2] is vec_u and tension_args[3] is vec_v
+            assert tension_args[1].base is values and tension_args[1].shape[0] == 5
         assert subscripts == [["kij...,i...,j...->k..."] * 2] * attempts, (example_id, subscripts)
+
+
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_report_values_equal_grid_values_of_each_table(example_id, order):
+    # The report evaluates one zero-padded stack once in u and reads column 0
+    # for v = 0.  Its normal residual and Hermitian range are, bit for bit,
+    # those of ``grid_values`` of each table on its own: the surface's
+    # tangents at v = 0, and the frame data on the validated strip.
+    prob = problemfile.problem_from_dict(corpus.build_problem_dict(example_id, order=order))
+    sol = solve_bjorling(prob)
+    report, center = sol.report, sol.center
+    assert report.strip_valid, example_id
+    grid = prob.grid.coarse()
+    us = grid.us()
+    f = table_stack(sol.surface)
+    row = np.stack([grid_values(t, center, us, [0.0])[..., 0] for t in (f, du_tables(f), dv_tables(f))])
+    normal = boundary_residuals(sol.group, sol.surface, prob.curve, prob.normal_field, us, row)
+    assert normal == (report.boundary_curve_residual, report.normal_residual, report.orientation_flipped)
+    vs = grid.scaled_v(0.5**report.strip_halvings).vs()
+    sign = hermitian_sign_profile(grid_values(sol.frame_data, center, us, vs), prob.mode)
+    assert sign == (report.herm_sign_min, report.herm_sign_max)
 
 
 def test_solve_converts_the_frame_velocity_once():
