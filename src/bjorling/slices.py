@@ -5,10 +5,11 @@ algebra-valued data is a (re, unit) pair of tables.  The kernels build
 one v-degree slice of a product at a time, which is what order-by-order
 recurrences in v need: the frame march and the rebuild of the immersion
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13;
-Jorba & Zou, Exp. Math. 14, 2005).  Each level writes its matrix product
-into a zeroed skew buffer and sums the buffer's anti-diagonals with one
-ones-vector product per pair.  ``FrameTape`` records a frame matrix once
-so that the rebuild can fill its entries one v-column per level.
+Jorba & Zou, Exp. Math. 14, 2005).  Each level writes its matrix products
+into a ``SkewPad``, one zeroed skew buffer that the level loop makes once,
+and sums the buffer's anti-diagonals with one ones-vector product per
+pair.  ``FrameTape`` records a frame matrix once so that the rebuild can
+fill its entries one v-column per level.
 """
 
 from __future__ import annotations
@@ -18,45 +19,66 @@ import numpy as np
 from .series import Ring
 
 
-def _antidiagonal_sums(xs: np.ndarray, ys: np.ndarray, lead: tuple) -> np.ndarray:
-    # xs @ ys fills the left half of a zeroed (rows, 2*rows) buffer per
-    # ``lead`` index; ys is copied to the positive strides that numpy needs
-    # to call BLAS.  Re-read with width 2*rows - 1, row t shifts right by t,
-    # so entry (t, t') lands in column t + t', which [..., c] sums over t.
-    rows = ys.shape[-1]
-    pad = np.zeros(lead + (rows, 2 * rows))
-    np.matmul(xs, np.ascontiguousarray(ys), out=pad[..., :rows])
-    skew = pad.reshape(lead + (2 * rows * rows,))[..., : rows * (2 * rows - 1)]
-    return np.ones(rows) @ skew.reshape(lead + (rows, 2 * rows - 1))[..., :rows]
+class SkewPad:
+    """A zeroed ``lead + (size, 2 size)`` buffer that a level loop keeps.
+
+    Each level's matrix product fills ``pad[..., :rows, :rows]``.  Re-read
+    with row width 2 size - 1 (``skew``), row t shifts right by t, so entry
+    (t, t') lands in column t + t', and one product of ``ones[:rows]`` with
+    ``skew[..., :rows, :rows]`` sums the anti-diagonals.  For c >= t,
+    skew[t, c] is pad[t, c - t], which this level's product has just
+    written since c - t < rows; for c < t it lies in the right half of
+    the buffer, which no level writes.  So any sequence of ``rows`` <=
+    ``size`` reads only this level's products and zeros.
+    """
+
+    __slots__ = ("pad", "skew", "ones")
+
+    def __init__(self, lead: tuple, size: int):
+        self.pad = np.zeros(lead + (size, 2 * size))
+        flat = self.pad.reshape(lead + (2 * size * size,))
+        self.skew = flat[..., : size * (2 * size - 1)].reshape(lead + (size, 2 * size - 1))
+        self.ones = np.ones(size)
+
+    def sums(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # ys, read in reverse v-order, is copied to the positive strides that
+        # numpy needs to call BLAS; as a strided view it takes numpy's own
+        # loop, about twice as slow at order 30.
+        rows = ys.shape[-1]
+        np.matmul(xs, np.ascontiguousarray(ys), out=self.pad[..., :rows, :rows])
+        return self.ones[:rows] @ self.skew[..., :rows, :rows]
 
 
-def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
+def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
     """The v-degree ``level`` slice of every product x[i] * y[k].
 
     ``x`` and ``y`` are (p, R, C) and (q, R, C) stacks; the slice keeps
-    ``rows`` u-coefficients.  Shape (p, q, rows).
+    ``rows`` u-coefficients.  ``pad`` has lead (p, q).  Shape (p, q, rows).
     """
-    return matvec_slice(x[:, None], y[:, None], level, rows).transpose(1, 0, 2)
+    ys = y[:, :rows, level::-1].transpose(0, 2, 1)
+    return pad.sums(x[:, None, :rows, : level + 1], ys)
 
 
-def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
+def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
     """The v-degree ``level`` slice of every matrix-vector product a . y[k].
 
     ``a`` is a (p, q, R, C) matrix of tables and ``y`` an (r, q, R, C) stack
     of vectors; entry [k, i] is the slice of sum_j a[i, j] * y[k, j], kept
     to ``rows`` u-coefficients.  Each pair (k, i) is its own matrix product
-    over j and the v-degree: equal tables give equal bits.  Shape (r, p, rows).
+    over j and the v-degree: equal tables give equal bits.  ``pad`` has
+    lead (r, p).  Shape (r, p, rows).
     """
     xs = a[:, :, :rows, : level + 1].transpose(0, 2, 1, 3).reshape(len(a), rows, -1)
     ys = y[:, :, :rows, level::-1].transpose(0, 1, 3, 2).reshape(len(y), 1, -1, rows)
-    return _antidiagonal_sums(xs, ys, (len(y), len(a)))
+    return pad.sums(xs, ys)
 
 
-def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int) -> np.ndarray:
+def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
     """The v-degree ``level`` slice of every product x[k] * y[k] of two
-    (p, R, C) stacks, kept to ``rows`` u-coefficients.  Shape (p, rows)."""
+    (p, R, C) stacks, kept to ``rows`` u-coefficients.  ``pad`` has lead
+    (p,).  Shape (p, rows)."""
     ys = y[:, :rows, level::-1].transpose(0, 2, 1)
-    return _antidiagonal_sums(x[:, :rows, : level + 1], ys, (len(x),))
+    return pad.sums(x[:, :rows, : level + 1], ys)
 
 
 class TapeNode(Ring):
@@ -127,12 +149,12 @@ class FrameTape:
     form in them.  ``tables[k]`` is base k's coefficient table of the
     given shape, and ``tables[1:4]`` are the coordinate tables, whose
     columns the caller fills: ``column(L, rows)`` reads columns <= L of
-    them.  The products
-    are grouped by depth (a product's depth is one more than its deepest
-    operand's); a level fills, depth by depth, the operands' column L by
-    one fixed matrix and the products' by one ``product_slice``, then
-    column L of A by one more fixed matrix.  A frame entry with no
-    polynomial expansion raises TypeError while the tape is recorded.
+    them.  The products are grouped by depth (a product's depth is one
+    more than its deepest operand's); a level fills, depth by depth, the
+    operands' column L by one fixed matrix and the products' by one
+    ``product_slice`` into the depth's own ``SkewPad``, then column L of A
+    by one more fixed matrix.  A frame entry with no polynomial expansion
+    raises TypeError while the tape is recorded.
     """
 
     def __init__(self, frame, shape: tuple[int, int]):
@@ -151,7 +173,8 @@ class FrameTape:
             bases = [k for k in range(4, size) if depth[k] == d]
             operands = [self.products[k - 4][side] for side in (0, 1) for k in bases]
             stack = np.zeros((len(operands), *shape))
-            self._stages.append((bases, _weights(operands, size), stack))
+            pad = SkewPad((len(bases),), shape[0])
+            self._stages.append((bases, _weights(operands, size), stack, pad))
 
     def product(self, left: dict, right: dict) -> TapeNode:
         self.products.append((left, right))
@@ -161,8 +184,8 @@ class FrameTape:
         """Column ``level`` of every node, kept to ``rows`` u-coefficients;
         returns that of A, shape (3, 3, rows)."""
         col = self.tables[:, :rows, level]
-        for bases, weights, stack in self._stages:
+        for bases, weights, stack, pad in self._stages:
             stack[:, :rows, level] = weights @ col
             half = len(bases)
-            col[bases] = product_slice(stack[:half], stack[half:], level, rows)
+            col[bases] = product_slice(stack[:half], stack[half:], level, rows, pad)
         return (self.outputs @ col).reshape(3, 3, rows)

@@ -13,6 +13,7 @@ its (6, n+1, n+1) reshape is the stack the march computes on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +30,10 @@ from .errors import (
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec
 from .series import BiSeries, USeries, du_tables, dv_tables, jet_table, point_values, table_stack
-from .slices import FrameTape, cauchy_slice, matvec_slice
+from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
+
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,40 @@ class BjorlingProblem:
         if ortho > bounds[1]:
             raise ProblemValidationError(
                 f"invariant g(curve', V) = 0 violated: largest deviation {ortho:.3e}"
+            )
+        self._bound_boundary_normal(scale)
+
+    def _bound_boundary_normal(self, scale: float) -> None:
+        """Refuse data whose boundary normal has a square that overflows.
+
+        The boundary check's normal w x (V x w), w the frame velocity, has
+        a square of size |w|^4 |V|^2.  Over the grid's u-range, r from the
+        center, a jet is at most sum_k |c_k| r^k, so at most ``scale`` (the
+        largest coefficient of w and V, at least 1) times sum_k r^k; while
+        that keeps the square finite nothing more is formed.  Otherwise w
+        and V are bounded jet by jet (a zero coefficient adds nothing, even
+        where r^k overflows), and from each |w_a| the rounding of its terms
+        |A^{-1}_aj| |curve'_j| is taken off first (gamma as in
+        classify_curve, which rejects a w lost to rounding).
+        """
+        g = self.grid
+        vel = self.frame_velocity
+        r = max(abs(g.u_min - self.center), abs(g.u_max - self.center))
+        # sum_k r^k over the jets' sizes is at most size * max(1, r)^(size - 1).
+        size = max(j.coeffs.size for j in (*vel, *self.normal_field))
+        if 6.0 * (math.log(scale * size) + (size - 1) * math.log(max(1.0, r))) < _LOG_MAX:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            coframe = [e for row in self.coframe_jets for e in row]
+            table = np.abs(jet_table([*vel, *self.normal_field, *self.curve_velocity(), *coframe]))
+            reach = np.sum(table * r ** np.arange(table.shape[1]), axis=1, where=table > 0)
+            rounding = 4.0 * table.shape[1] * np.finfo(float).eps * (reach[9:].reshape(3, 3) @ reach[6:9])
+            w_reach, v_reach = max(0.0, *(reach[:3] - rounding)), max(reach[3:6])
+            normal2 = w_reach**4 * v_reach**2
+        if not np.isfinite(normal2):
+            raise ProblemValidationError(
+                f"the boundary normal's square overflows: the frame velocity reaches "
+                f"{w_reach:.3e} and the field {v_reach:.3e} on [{g.u_min:g}, {g.u_max:g}]"
             )
 
 
@@ -241,12 +279,13 @@ def ck_march(
     of each component then follows from slices <= L because G is
     quadratic.  Each level builds only the v-degree-L slice of every
     product of two of the six (re, unit) tables (``slices.cauchy_slice``:
-    a matrix product per pair into a zeroed skew buffer, whose
-    anti-diagonals a ones vector sums); one fixed matrix takes those 36
-    slices to the slices of every conj(psi_a) psi_b and of the cone
-    combination, and a second one takes the former to G.  The march thus
-    costs O(order^4) flops in O(order) array operations.  With the built-in
-    connection tables the cone is preserved to roundoff.  The first level
+    a matrix product per pair into one ``slices.SkewPad`` that the march
+    keeps for all its levels, whose anti-diagonals a ones vector sums);
+    one fixed matrix takes those 36 slices to the slices of every
+    conj(psi_a) psi_b and of the cone combination, and a second one takes
+    the former to G.  The march thus costs O(order^4) flops in O(order)
+    array operations.  With the built-in connection tables the cone is
+    preserved to roundoff.  The first level
     whose cone slice exceeds ``cone_tol`` raises ConstraintDrift; level 0
     is the initial data itself.
     """
@@ -255,8 +294,9 @@ def ck_march(
     conj_map, gamma_map = _march_maps(group.gamma, s)
     deg = np.arange(1.0, order + 1)
     x = _column_zero(frame0)
+    pad = SkewPad((6, 6), order + 1)
     for level in range(order + 1):
-        parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level).reshape(36, -1)
+        parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level, pad).reshape(36, -1)
         drift = float(np.max(np.abs(parts[18:])))
         if cone_tol is not None and drift > cone_tol:
             where = "in the initial data" if level == 0 else f"at march level {level}"
@@ -293,12 +333,13 @@ def reconstruct_surface(
     The frame data psi (a (2, 3, n+1, n+1) stack) are the frame components
     of d f / dz, so f_u = A(f) r and f_v = A(f) w with r = 2 Re psi and
     w = 2 s Im psi, s the unit's square.  Column 0 of f is the curve jet;
-    column L+1 is the v-degree-L slice of A(f) w (``slices.matvec_slice``)
-    divided by L+1.  A is recorded once as a ``slices.FrameTape`` whose
-    coordinate tables are f, and each level fills column L of every tape
-    node and so of A(f), which needs only columns <= L of f.  Two gates
-    then check the finished f, each against ``compat_rtol`` times max(1,
-    scale): the same slices of A(f) r against the u-derivative of f, and
+    column L+1 is the v-degree-L slice of A(f) w (``slices.matvec_slice``,
+    into one ``slices.SkewPad`` kept for all levels) divided by L+1.  A is
+    recorded once as a ``slices.FrameTape`` whose coordinate tables are f,
+    and each level fills column L of every tape node and so of A(f), which
+    needs only columns <= L of f.  Two gates then check the finished f,
+    each against ``compat_rtol`` times max(1, scale): the same slices of
+    A(f) r against the u-derivative of f, and
     A(f) w, made once off the tape as ``mat_vec(group.frame(f), w)`` over
     the finished f and the series of w, against its v-derivative.  A
     mismatch means the frame data were not integrable, or the march did
@@ -315,10 +356,11 @@ def reconstruct_surface(
     w_r = np.stack([(2.0 * s) * frame[1], 2.0 * frame[0]])
     a = np.zeros((3, 3, n + 1, n + 1))  # A(f), filled one column per level
     fu = np.zeros((3, n + 1, n + 1))
+    pad = SkewPad((2, 3), n + 1)
     for level in range(n + 1):
         rows = n + 1 - level
         a[:, :, :rows, level] = tape.column(level, rows)
-        fv, fu[:, :rows, level] = matvec_slice(a, w_r, level, rows)
+        fv, fu[:, :rows, level] = matvec_slice(a, w_r, level, rows, pad)
         f[:, :rows, level + 1] = fv / (level + 1)
     _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du_tables(f), fu, compat_rtol)
     surface = tuple(BiSeries(table, curve[0].center) for table in f)

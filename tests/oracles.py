@@ -32,7 +32,7 @@ import sympy as sp
 from bjorling.config import Mode
 from bjorling.groups import SIGNATURE, lorentz_dot
 from bjorling.series import BiSeries
-from bjorling.slices import cauchy_slice
+from bjorling.slices import SkewPad, cauchy_slice
 from kalgebra import KScalar, KSeries
 
 
@@ -376,15 +376,17 @@ def slice_ck_march(group, frame0: np.ndarray, mode: Mode) -> tuple[np.ndarray, l
     """The frame march as it was written before its two fixed maps: per
     level, the Cauchy slices of all 36 products, the cone slice from their
     diagonals and an einsum of gamma with the conj(psi_a) psi_b slices.
-    Returns the marched (2, 3, n+1, n+1) stack and the cone drift of every
-    level."""
+    Each level makes a fresh zeroed skew buffer, where the solver keeps one
+    for the whole march.  Returns the marched (2, 3, n+1, n+1) stack and
+    the cone drift of every level."""
     s = mode.unit_square
     order = frame0.shape[-1] - 1
     x = np.zeros((6, order + 1, order + 1))
     x[:, :, 0] = frame0.reshape(x.shape)[:, :, 0]
     drifts = []
     for level in range(order + 1):
-        p = cauchy_slice(x, x, level, order + 1 - level)
+        rows = order + 1 - level
+        p = cauchy_slice(x, x, level, rows, SkewPad((6, 6), rows))
         square, cross = np.einsum("iim->im", p), np.einsum("iim->im", p[:3, 3:])
         cone = np.stack([SIGNATURE @ (square[:3] + s * square[3:]), 2.0 * SIGNATURE @ cross])
         drifts.append(float(np.max(np.abs(cone))))

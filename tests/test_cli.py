@@ -251,8 +251,8 @@ def test_rebuild_off_its_v_equation_exits_3(workdir, capsys, monkeypatch, exampl
     # NonIntegrable, which the CLI reports as a consistency failure.
     real = solver.matvec_slice
 
-    def scaled(a, y, level, rows):
-        out = real(a, y, level, rows)
+    def scaled(a, y, level, rows, pad):
+        out = real(a, y, level, rows, pad)
         out[0] *= 1.0 + 1e-7
         return out
 
@@ -620,6 +620,44 @@ def test_base_point_whose_metric_overflows_is_a_one_line_rejection(workdir, caps
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == [f"rejected: the metric overflows at the curve base point [{base!r}, 0.0, 0.0]"]
     assert list(workdir.iterdir()) == [workdir / "huge.problem.json"]
+
+
+@pytest.mark.parametrize("order", [4, 12])
+@pytest.mark.parametrize("shift", ["1e100", "1e150", "1e154"])
+def test_normal_whose_square_overflows_is_a_one_line_rejection(workdir, capsys, order, shift):
+    # The vertical plane moved to x2 = c + shift: the metric and the
+    # invariants stay finite, but the frame velocity reaches shift/2 and the
+    # boundary check's normal, quadratic in it, overflowed when squared.
+    doc = corpus.build_problem_dict("heisenberg_vertical_plane", order=order)
+    doc["beta"][1] = f"(c) + {shift}"
+    (workdir / "far.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "far.problem.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("rejected: the boundary normal's square overflows: the frame velocity reaches ")
+    assert list(workdir.iterdir()) == [workdir / "far.problem.json"]
+
+
+@pytest.mark.parametrize("speed, code", [(1.15e77, 0), (1.16e77, 2)])
+def test_flat_plane_is_solved_until_its_normal_square_overflows(workdir, capsys, speed, code):
+    # In the flat chart (zero structure constants, A = I) the timelike line
+    # of speed K spans a plane whose boundary normal has square K^4: solved
+    # while that is a float, one line from validate from where it is not.
+    doc = corpus.build_problem_dict("heisenberg_vertical_plane", order=12)
+    doc.update(group="generic", structure_constants=[[[0.0] * 3] * 3] * 3, params={})
+    doc.update(frame_matrix=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    doc.update(beta=["0", "0", f"{speed!r}*u"], V=["0", "1", "0"])
+    (workdir / "flat.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "flat.problem.json", "--out", "out"]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code:
+        assert len(err) == 1 and "the boundary normal's square overflows" in err[0]
+    else:
+        assert err == []
 
 
 @pytest.mark.parametrize("c", [1e20, 1e100, 1e150])

@@ -25,7 +25,7 @@ from bjorling.groups import (
     lorentz_dot,
 )
 from bjorling.series import BiSeries, USeries
-from bjorling.slices import FrameTape, TapeNode
+from bjorling.slices import FrameTape, SkewPad, TapeNode
 from bjorling.solver import (
     BjorlingProblem,
     ck_march,
@@ -435,6 +435,23 @@ def test_rebuild_evaluates_the_frame_twice(name, order):
     group.frame = lambda x: calls.append(type(x[0])) or raw(x)
     reconstruct_surface(group, frame, prob.curve, prob.mode)
     assert calls == [TapeNode, BiSeries]
+
+
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("example_id", [*corpus.EXAMPLE_IDS, "saddle-chart"])
+def test_solve_makes_one_skew_buffer_per_loop(monkeypatch, example_id, order):
+    # The march and the rebuild each keep one buffer for all their levels;
+    # the saddle in the quadratic chart adds one for its tape's one depth
+    # stage (x1*x1 and (2*x1)*x2).  None is made per level.
+    if example_id == "saddle-chart":
+        prob = _quadratic_chart_problem("heisenberg_saddle", order)
+    else:
+        prob = _problem(example_id, order=order)
+    made, init = [], SkewPad.__init__
+    monkeypatch.setattr(SkewPad, "__init__", lambda pad, *args: made.append(args) or init(pad, *args))
+    assert solve_bjorling(prob).report.passes(prob.tolerances)
+    stages = [((2,), order + 2)] if example_id == "saddle-chart" else []
+    assert made == [((6, 6), order + 1), *stages, ((2, 3), order + 1)]
 
 
 # Per kind: the index of the curve's leading velocity direction and the
