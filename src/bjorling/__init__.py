@@ -11,6 +11,7 @@ from .errors import (
     BjorlingError,
     CausalMismatch,
     CharacteristicData,
+    ConsistencyFailure,
     ConstraintDrift,
     DegenerateFrame,
     DomainError,
@@ -18,6 +19,7 @@ from .errors import (
     NonIntegrable,
     NotInvertible,
     ProblemValidationError,
+    Rejection,
     SchemaError,
     UnsupportedRecipe,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "BjorlingSolution",
     "CausalMismatch",
     "CharacteristicData",
+    "ConsistencyFailure",
     "ConstraintDrift",
     "CurveClass",
     "DegenerateFrame",
@@ -72,6 +75,7 @@ __all__ = [
     "NotInvertible",
     "ProblemKind",
     "ProblemValidationError",
+    "Rejection",
     "ResidualReport",
     "SchemaError",
     "Tolerances",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 solved with all residuals in tolerance, 1 usage / I-O /
-parse problems, 2 rejected problem (lightlike curve, causal mismatch,
-violated invariant, unsupported group), 3 solved but residuals above
-tolerance.
+parse problems, 2 rejected problem (an ``errors.Rejection``: lightlike
+curve, causal mismatch, violated invariant, unsupported group), 3 a
+solver consistency failure (an ``errors.ConsistencyFailure``) or solved
+but residuals above tolerance.
 """
 
 from __future__ import annotations
@@ -14,25 +15,8 @@ import sys
 from pathlib import Path
 
 from . import corpus, problemfile
-from .errors import (
-    BjorlingError,
-    CausalMismatch,
-    CharacteristicData,
-    ConstraintDrift,
-    DomainError,
-    NonIntegrable,
-    ProblemValidationError,
-    UnsupportedRecipe,
-)
+from .errors import BjorlingError, ConsistencyFailure, Rejection
 from .solver import solve_bjorling
-
-_REJECTIONS = (
-    CharacteristicData,
-    CausalMismatch,
-    ProblemValidationError,
-    UnsupportedRecipe,
-    DomainError,
-)
 
 
 @functools.cache  # one parser per process: main() only reads it
@@ -102,10 +86,10 @@ def _cmd_solve(args) -> int:
     )
     try:
         solution = solve_bjorling(problem)
-    except _REJECTIONS as exc:
+    except Rejection as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except (ConstraintDrift, NonIntegrable) as exc:
+    except ConsistencyFailure as exc:
         print(f"solver consistency failure: {exc}", file=sys.stderr)
         return 3
 

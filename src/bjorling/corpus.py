@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .config import SCHEMA_VERSION
+from .config import SCHEMA_VERSION, GridSpec
 from .series import USeries, ode_taylor
 
 _SQRT2INV = 1.0 / math.sqrt(2.0)
@@ -295,7 +295,7 @@ def build_problem_dict(example_id: str, params: dict | None = None, order: int =
         "beta": beta,
         "V": field,
         "params": doc_params,
-        "grid": dict(zip(("u_min", "u_max", "v_min", "v_max", "nu", "nv"), example.grid)),
+        "grid": dict(zip((f.name for f in fields(GridSpec)), example.grid)),
         "name": example_id,
         "description": example.info.description,
     }

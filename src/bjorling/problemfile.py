@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +35,10 @@ _OPTIONAL_KEYS = {
     "structure_constants",
     "frame_matrix",
 }
-_GRID_KEYS = {"u_min", "u_max", "v_min", "v_max", "nu", "nv"}
-_TOL_KEYS = {
-    "cone",
-    "causal",
-    "compat",
-    "series",
-    "conformality",
-    "minimality",
-    "fd_step",
-}
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
+# Schema 1 also names the step of the finite-difference tension it once
+# had: still checked, no longer read.
+_TOL_KEYS = {f.name for f in fields(Tolerances)} | {"fd_step"}
 
 # Largest accepted truncation order, in the file or as the CLI override.
 MAX_ORDER = 48
@@ -186,9 +180,7 @@ def problem_from_dict(
     for key, value in tol_values.items():
         if value < 0:
             raise SchemaError(f"tolerance {key} must not be negative, got {tol_doc[key]!r}")
-    # Schema 1 names the step of the finite-difference tension it once had:
-    # still checked, no longer read.
-    tol_values.pop("fd_step", None)
+    tol_values.pop("fd_step", None)  # schema 1 only
     tolerances = Tolerances().merged(tol_values)
 
     try:

@@ -89,13 +89,17 @@ def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def table_stack(series) -> np.ndarray:
-    """Coefficient tables of a sequence of BiSeries as one (k, n+1, n+1)
-    stack, zero-padded to the highest order."""
-    n1 = max(f.coeffs.shape[0] for f in series)
-    out = np.zeros((len(series), n1, n1))
-    for table, f in zip(out, series):
-        m = f.coeffs.shape[0]
-        table[:m, :m] = f.coeffs
+    """Coefficient arrays of a sequence of series of one kind (USeries or
+    BiSeries) as one zero-padded stack, (k, n+1) of jets or (k, n+1, n+1)
+    of tables at the highest order; a number in the sequence is a
+    constant."""
+    arrays = [getattr(f, "coeffs", None) for f in series]
+    out = np.zeros((len(arrays), *max(a.shape for a in arrays if a is not None)))
+    for table, a, f in zip(out, arrays, series):
+        if a is None:
+            table.flat[0] = f
+        else:
+            table[(slice(len(a)),) * a.ndim] = a
     return out
 
 
@@ -383,17 +387,6 @@ class USeries(ArraySeries):
     def eval(self, x):
         t = np.asarray(x, dtype=float) - self.center
         return np.polynomial.polynomial.polyval(t, self.coeffs)
-
-
-def jet_table(jets) -> np.ndarray:
-    """USeries about one center, or numbers (constants), as the zero-padded rows of one table."""
-    out = np.zeros((len(jets), max(j.coeffs.size for j in jets if isinstance(j, USeries))))
-    for row, j in zip(out, jets):
-        if isinstance(j, USeries):
-            row[: j.coeffs.size] = j.coeffs
-        else:
-            row[0] = j
-    return out
 
 
 def ode_taylor(rhs, y0: float, order: int, center: float = 0.0) -> USeries:

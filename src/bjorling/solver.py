@@ -29,7 +29,7 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec
-from .series import BiSeries, USeries, du_tables, dv_tables, jet_table, point_values, table_stack
+from .series import BiSeries, USeries, du_tables, dv_tables, point_values, table_stack
 from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
 
 
@@ -87,6 +87,15 @@ class BjorlingProblem:
             raise ProblemValidationError("grid ranges must be increasing")
         if g.nu < 2 or g.nv < 2:
             raise ProblemValidationError("grid needs at least 2 samples per direction")
+        # The report and the mesh evaluate tables of order n + 1 at the
+        # grid's powers, each the last times the coordinate, as this product
+        # is; the largest |u - u0| or |v| (the ranges increase) has the largest.
+        radius = max(abs(g.u_min - self.center), abs(g.u_max - self.center), -g.v_min, g.v_max)
+        if not math.isfinite(math.prod([radius] * (self.order + 1))):
+            raise ProblemValidationError(
+                f"the grid's powers overflow at order {self.order}: "
+                f"|u - u0| or |v| reaches {radius:.3e}"
+            )
         centers = {c.center for c in self.curve} | {
             w.center for w in self.normal_field
         }
@@ -150,7 +159,7 @@ class BjorlingProblem:
             return
         with np.errstate(over="ignore", invalid="ignore"):
             coframe = [e for row in self.coframe_jets for e in row]
-            table = np.abs(jet_table([*vel, *self.normal_field, *self.curve_velocity(), *coframe]))
+            table = np.abs(table_stack([*vel, *self.normal_field, *self.curve_velocity(), *coframe]))
             reach = np.sum(table * r ** np.arange(table.shape[1]), axis=1, where=table > 0)
             rounding = 4.0 * table.shape[1] * np.finfo(float).eps * (reach[9:].reshape(3, 3) @ reach[6:9])
             w_reach, v_reach = max(0.0, *(reach[:3] - rounding)), max(reach[3:6])
@@ -187,7 +196,7 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     us = np.linspace(u_lo, u_hi, samples)
     gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        table = jet_table([speed2, *problem.frame_velocity, *problem.curve_velocity(), *coframe])
+        table = table_stack([speed2, *problem.frame_velocity, *problem.curve_velocity(), *coframe])
         values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
         vals, w, v = values[0], values[1:4], values[4:7]
         terms = np.abs(values[7:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
@@ -264,6 +273,8 @@ def _march_maps(gamma: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return conj_map.reshape(20, 36), gamma_map.reshape(6, 18)
 
 
+# An overflow shows in its level's cone slice, which is checked, not as a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def ck_march(
     group: GroupModel,
     frame0: np.ndarray,
@@ -286,8 +297,9 @@ def ck_march(
     the former to G.  The march thus costs O(order^4) flops in O(order)
     array operations.  With the built-in connection tables the cone is
     preserved to roundoff.  The first level
-    whose cone slice exceeds ``cone_tol`` raises ConstraintDrift; level 0
-    is the initial data itself.
+    whose cone slice exceeds ``cone_tol`` raises ConstraintDrift, and one
+    whose cone slice is not finite ProblemValidationError (the data
+    overflow); level 0 is the initial data itself.
     """
     s = mode.unit_square
     order = frame0.shape[-1] - 1
@@ -298,7 +310,9 @@ def ck_march(
     for level in range(order + 1):
         parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level, pad).reshape(36, -1)
         drift = float(np.max(np.abs(parts[18:])))
-        if cone_tol is not None and drift > cone_tol:
+        if not math.isfinite(drift):
+            raise ProblemValidationError(f"the frame data overflow at march level {level}")
+        if cone_tol is not None and not drift <= cone_tol:
             where = "in the initial data" if level == 0 else f"at march level {level}"
             raise ConstraintDrift(
                 f"cone constraint violated {where} by {drift:.3e} "
@@ -317,10 +331,12 @@ def ck_march(
 def _integrability_gate(name: str, got: np.ndarray, want: np.ndarray, rtol: float) -> None:
     mismatch = float(np.max(np.abs(got - want)))
     bound = rtol * max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
-    if mismatch > bound:
+    if not mismatch <= bound:  # NaN fails too
         raise NonIntegrable(f"{name} by {mismatch:.3e}, above {bound:.3e}")
 
 
+# An overflow shows as a mismatch that is not finite, which fails its gate.
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruct_surface(
     group: GroupModel,
     frame: np.ndarray,
@@ -351,7 +367,7 @@ def reconstruct_surface(
     s = mode.unit_square
     tape = FrameTape(group.frame, (n + 2, n + 2))
     f = tape.tables[1:4]
-    column = jet_table(curve)[:, : n + 2]
+    column = table_stack(curve)[:, : n + 2]
     f[:, : column.shape[1], 0] = column
     w_r = np.stack([(2.0 * s) * frame[1], 2.0 * frame[0]])
     a = np.zeros((3, 3, n + 1, n + 1))  # A(f), filled one column per level
@@ -394,11 +410,10 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
     """Solve one problem end to end and attach a full residual report.
 
     Deterministic: identical inputs give bit-identical coefficient tables.
-    Raises CharacteristicData for lightlike curves, CausalMismatch when the
-    curve's character does not match the declared kind, UnsupportedRecipe
-    for a group without a frame matrix or with a frame entry that has no
-    series expansion, and propagates NonIntegrable / ConstraintDrift as
-    internal-consistency failures.
+    Raises an ``errors.Rejection`` for a problem it refuses (invalid or
+    overflowing data, a lightlike curve, a causal mismatch, a group it
+    cannot rebuild in) and an ``errors.ConsistencyFailure`` when the march
+    or the rebuild fails its own gate.
     """
     problem.validate()
     observed = classify_curve(problem)
@@ -415,7 +430,9 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
 
     frame0 = initial_data(problem)
     # ck_march checks the cone of the initial data (its level 0) and of every level.
-    scale = max(1.0, float(np.max(np.abs(frame0))) ** 2)
+    # A product, not a power: past the float range it is inf, not an OverflowError.
+    peak = float(np.max(np.abs(frame0)))
+    scale = max(1.0, peak * peak)
     frame_data = ck_march(
         problem.group,
         frame0,
@@ -430,16 +447,7 @@ def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:
         compat_rtol=problem.tolerances.compat,
     )
 
-    report = verify.build_report(
-        problem.group,
-        problem.kind,
-        frame_data,
-        surface,
-        problem.curve,
-        problem.normal_field,
-        problem.grid,
-        problem.tolerances,
-    )
+    report = verify.build_report(problem, frame_data, surface)
     return BjorlingSolution(
         group=problem.group,
         kind=problem.kind,

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, GridSpec, Mode, ProblemKind, Tolerances
-from .errors import DegenerateFrame, DomainError
+from .config import SCHEMA_VERSION, Mode, Tolerances
+from .errors import DegenerateFrame, DomainError, ProblemValidationError
 from .groups import GroupModel, lorentz_cross, lorentz_dot
-from .series import _triangle_mask, du_tables, dv_tables, grid_values, jet_table, pair_products
+from .series import _triangle_mask, du_tables, dv_tables, grid_values, pair_products
 from .series import table_stack, u_rows, v_product
 
 # Dyadic shrinks of the v-strip tried before the report gives up.
@@ -165,7 +165,8 @@ def boundary_residuals(
     curve jets.  normal_res compares the normalized frame cross product of
     f_u, f_v on v = 0, from ``values`` (f, f_u and f_v at the points us on
     v = 0, a (3, 3, len(us)) array), with the prescribed field, allowing one
-    global orientation flip (reported, not failed).
+    global orientation flip (reported, not failed).  A normal whose square
+    is not finite raises ProblemValidationError, a null one DegenerateFrame.
     """
     curve_res = 0.0
     for f, b in zip(surface, curve):
@@ -177,12 +178,15 @@ def boundary_residuals(
     x, fu, fv = values
     normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x), fu, fv)))
     norm2 = lorentz_dot(normal, normal)
+    if not np.all(np.isfinite(norm2)):
+        u = us[np.argmin(np.isfinite(norm2))]
+        raise ProblemValidationError(f"the boundary normal's square overflows at u = {u:g}")
     degenerate = np.abs(norm2) <= 1e-12 * np.sum(normal * normal, axis=0)
     if degenerate.any():
         raise DegenerateFrame(f"degenerate normal at u = {us[np.argmax(degenerate)]:g}")
     normal = normal / np.sqrt(np.abs(norm2))
     # One polyval call: on each jet, step for step the Horner rule of USeries.eval.
-    target = np.polynomial.polynomial.polyval(us - normal_field[0].center, jet_table(normal_field).T)
+    target = np.polynomial.polynomial.polyval(us - normal_field[0].center, table_stack(normal_field).T)
     res_plus = float(np.max(np.abs(normal - target)))
     res_minus = float(np.max(np.abs(normal + target)))
     if res_plus <= res_minus:
@@ -233,33 +237,29 @@ def compare_to_reference(surface, reference_fn, us, vs) -> float:
     return float(np.max(np.abs(here - np.asarray(reference_fn(u, v), dtype=float))))
 
 
-def build_report(
-    group: GroupModel,
-    kind: ProblemKind,
-    frame: np.ndarray,
-    surface,
-    curve,
-    normal_field,
-    grid: GridSpec,
-    tol: Tolerances,
-) -> ResidualReport:
-    """Assemble the full residual report, shrinking the v-strip dyadically
+# An overflow shows as a residual that is not finite, which fails its check.
+@np.errstate(over="ignore", invalid="ignore")
+def build_report(problem, frame: np.ndarray, surface) -> ResidualReport:
+    """Assemble the full residual report of a ``solver.BjorlingProblem``'s
+    frame data and rebuilt surface, shrinking the v-strip dyadically
     until the grid-level residuals pass (or the strip bottoms out).
 
-    Series-level residuals do not depend on the strip and are computed
-    once.  The grid checks read one evaluation: the ``report_tables`` of
-    the surface and the frame data, multiplied once by the powers of u.
-    The boundary reads its v = 0 column, and each strip attempt multiplies
-    it by its own powers of v.  The report is complete even when no strip
-    validates; in that case the smallest strip's values are reported with
-    strip_valid False.
+    The group, kind, curve, normal field, grid and tolerances are the
+    problem's.  Series-level residuals do not depend on the strip and are
+    computed once.  The grid checks read one evaluation: the
+    ``report_tables`` of the surface and the frame data, multiplied once
+    by the powers of u.  The boundary reads its v = 0 column, and each
+    strip attempt multiplies it by its own powers of v.  The report is
+    complete even when no strip validates; in that case the smallest
+    strip's values are reported with strip_valid False.
     """
+    group, kind, grid, tol = problem.group, problem.kind, problem.grid, problem.tolerances
     cone, pde = weierstrass_residuals(group, frame, kind.mode)
     report_grid = grid.coarse()
     us = report_grid.us()
     rows = u_rows(report_tables(surface, frame), surface[0].center, us)
     curve_res, normal_res, flipped = boundary_residuals(
-        group, surface, curve, normal_field, us, rows[:3, ..., 0]
+        group, surface, problem.curve, problem.normal_field, us, rows[:3, ..., 0]
     )
 
     conf = float("inf")

@@ -640,6 +640,116 @@ def test_normal_whose_square_overflows_is_a_one_line_rejection(workdir, capsys, 
     assert list(workdir.iterdir()) == [workdir / "far.problem.json"]
 
 
+@pytest.mark.parametrize(
+    "beta0", ["(sinh(u))*1e70", "(sinh(u))*1e76", "(sinh(u)) + 1e70*u"], ids=["x1e70", "x1e76", "plus-1e70u"]
+)
+def test_frame_data_that_overflow_in_the_march_are_a_one_line_rejection(workdir, capsys, beta0):
+    # The de Sitter plane's curve scaled to 1e70: validate passes, but the
+    # march's quadratic terms overflow by level 3.  That level's cone slice
+    # is not finite, and the march refuses it instead of warning.
+    doc = corpus.build_problem_dict("desitter_vertical_plane", order=4)
+    doc["beta"][0] = beta0
+    (workdir / "huge.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "huge.problem.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["rejected: the frame data overflow at march level 3"]
+    assert list(workdir.iterdir()) == [workdir / "huge.problem.json"]
+
+
+@pytest.mark.parametrize(
+    "key, value, order",
+    [("v_max", 1e70, 4), ("v_min", -1e30, 12), ("u_max", 1e70, 4)],
+    ids=["v_max-1e70", "v_min-1e30", "u_max-1e70"],
+)
+def test_grid_whose_powers_overflow_is_a_one_line_rejection(workdir, capsys, key, value, order):
+    # The report evaluates tables of order n + 1 at the grid's powers: at
+    # |v| = 1e30 and order 12, v^13 is past the float range.
+    doc = corpus.build_problem_dict("desitter_diagonal_plane", order=order)
+    doc["grid"][key] = value
+    (workdir / "wide.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "wide.problem.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [
+        f"rejected: the grid's powers overflow at order {order}: |u - u0| or |v| reaches {abs(value):.3e}"
+    ]
+    assert list(workdir.iterdir()) == [workdir / "wide.problem.json"]
+
+
+def test_boundary_normal_overflowing_in_the_chart_is_a_one_line_rejection(workdir, capsys):
+    # A helicoid whose x1 has a u^3 coefficient of 1e70: the frame data stay
+    # in range, but the Heisenberg chart's frame matrix, linear in x1, takes
+    # the boundary normal's square past the float range.
+    doc = corpus.build_problem_dict("heisenberg_helicoid", order=4)
+    doc["beta"][0]["coeffs"][3] = 1e70
+    (workdir / "huge.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "huge.problem.json"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["rejected: the boundary normal's square overflows at u = -0.3"]
+    assert list(workdir.iterdir()) == [workdir / "huge.problem.json"]
+
+
+@pytest.mark.parametrize("order, k", [(4, 3), (12, 9)])
+def test_certificates_that_overflow_fail_in_their_report(workdir, capsys, order, k):
+    # A field coefficient of 1e154 keeps the invariants' relative bounds, but
+    # the certificates' products of the frame data overflow: those residuals
+    # read inf or nan, and the report fails them in one line.
+    doc = corpus.build_problem_dict("heisenberg_helicoid", order=order)
+    doc["V"][1]["coeffs"][k] = 1e154
+    (workdir / "huge.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "huge.problem.json", "--out", "out"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("residual failure: ")
+    assert "conformality_residual = inf" in lines[0] and "minimality_residual = nan" in lines[0]
+    report = json.loads((workdir / "out" / "huge.report.json").read_text())
+    assert report["strip_valid"] is False
+
+
+def _bjorling_errors():
+    exported = (getattr(bjorling, name) for name in bjorling.__all__)
+    return [e for e in exported if isinstance(e, type) and issubclass(e, bjorling.BjorlingError)]
+
+
+@pytest.mark.parametrize("error", _bjorling_errors(), ids=lambda e: e.__name__)
+def test_each_error_category_has_one_exit_code_and_one_line(workdir, capsys, monkeypatch, error):
+    # A Rejection exits 2, a ConsistencyFailure 3, every other library
+    # error 1, each with one stderr line under its category's prefix.
+    def solve(problem):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "solve_bjorling", solve)
+    path = _write_problem(workdir / "plane.problem.json")
+    if issubclass(error, bjorling.Rejection):
+        code, prefix = 2, "rejected: "
+    elif issubclass(error, bjorling.ConsistencyFailure):
+        code, prefix = 3, "solver consistency failure: "
+    else:
+        code, prefix = 1, "error: "
+    assert main(["solve", str(path)]) == code
+    assert capsys.readouterr().err.splitlines() == [prefix + "the message"]
+    assert list(workdir.iterdir()) == [path]
+
+
+def test_error_categories_split_the_solve_errors():
+    assert {e.__name__ for e in _bjorling_errors() if issubclass(e, bjorling.Rejection)} == {
+        "Rejection",
+        "CharacteristicData",
+        "CausalMismatch",
+        "ProblemValidationError",
+        "UnsupportedRecipe",
+        "DomainError",
+    }
+    consistency = {e.__name__ for e in _bjorling_errors() if issubclass(e, bjorling.ConsistencyFailure)}
+    assert consistency == {"ConsistencyFailure", "ConstraintDrift", "NonIntegrable"}
+
+
 @pytest.mark.parametrize("speed, code", [(1.15e77, 0), (1.16e77, 2)])
 def test_flat_plane_is_solved_until_its_normal_square_overflows(workdir, capsys, speed, code):
     # In the flat chart (zero structure constants, A = I) the timelike line

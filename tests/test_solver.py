@@ -538,6 +538,25 @@ def test_perturbed_frame_data_is_not_integrable():
         reconstruct_surface(prob.group, bad, prob.curve, prob.mode)
 
 
+def test_nan_frame_data_are_not_integrable():
+    # A NaN mismatch is not below the gate's bound: it fails the gate.
+    prob = _problem("heisenberg_vertical_plane")
+    frame = ck_march(prob.group, initial_data(prob), prob.mode)
+    frame[0, 0, 0, 1] = np.nan
+    with pytest.raises(NonIntegrable, match="f_u differs .* by nan"):
+        reconstruct_surface(prob.group, frame, prob.curve, prob.mode)
+
+
+@pytest.mark.parametrize("cone_tol", [None, 1e-9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_march_refuses_a_cone_slice_that_is_not_finite(cone_tol, bad):
+    prob = _problem("heisenberg_vertical_plane")
+    frame0 = initial_data(prob)
+    frame0[1, 2, 0, 0] = bad
+    with pytest.raises(ProblemValidationError, match="^the frame data overflow at march level 0$"):
+        ck_march(prob.group, frame0, prob.mode, cone_tol=cone_tol)
+
+
 def test_reconstructed_boundary_is_the_curve():
     for ex in corpus.EXAMPLE_IDS:
         prob = _problem(ex)
