@@ -62,14 +62,18 @@ def _band_gathers(order: int) -> tuple:
     return tuple(out)
 
 
-def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Every truncated product x[s] * y[t] of two stacks of triangular tables.
+def pair_products(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Every truncated product x[s] * y[t] of two stacks of triangular tables,
+    or the weighted sums of those products.
 
     ``x``, ``y`` are (p, n+1, n+1), (q, n+1, n+1); the result (p, q, n+1, n+1)
     has [s, t, m, k] = sum of x[s, m - i, j] y[t, i, k - j] over i + j <= n.
-    The output u-degrees are cut into bands; each band is one matmul of the
-    u-Toeplitz stack of x with the v-shifted stack of y, over only the
-    v-degrees and pairs that reach the kept triangle from that band.
+    With (o, p, q) ``weights`` the result is (o, n+1, n+1), table r the sum
+    of weights[r, s, t] times product [s, t]; the p q products are never
+    stored.  The output u-degrees are cut into bands; each band is one
+    matmul of the u-Toeplitz stack of x with the v-shifted stack of y, over
+    only the v-degrees and pairs that reach the kept triangle from that
+    band, and the weights contract that band's output.
     """
     p, q, n1 = x.shape[0], y.shape[0], x.shape[1]
     size = n1 * n1
@@ -78,13 +82,17 @@ def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     yt = np.zeros((size + 1, q))
     yt[:size] = y.reshape(q, size).T
     keep = _triangle_mask(n1 - 1)
-    out = np.zeros((p, q, n1, n1))
+    out = np.zeros(((p, q) if weights is None else weights.shape[:1]) + (n1, n1))
     for m0, m1, left, right in _band_gathers(n1 - 1):
         rows, cols = m1 - m0, n1 - m0
         a = np.take(xf, left, axis=1).reshape(p * rows, left.shape[1])
         b = np.take(yt, right, axis=0).reshape(right.shape[0], cols * q)
-        band = (a @ b).reshape(p, rows, cols, q).transpose(0, 3, 1, 2)
-        np.copyto(out[:, :, m0:m1, :cols], band, where=keep[m0:m1, :cols])
+        band = (a @ b).reshape(p, rows, cols, q)
+        if weights is None:
+            band = band.transpose(0, 3, 1, 2)
+        else:
+            band = np.tensordot(weights, band, axes=([1, 2], [0, 3]))
+        np.copyto(out[..., m0:m1, :cols], band, where=keep[m0:m1, :cols])
     return out
 
 

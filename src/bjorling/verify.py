@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, Mode, Tolerances
 from .errors import DegenerateFrame, DomainError, ProblemValidationError
-from .groups import GroupModel, lorentz_cross, lorentz_dot
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
 from .series import _triangle_mask, du_tables, dv_tables, grid_values, pair_products
 from .series import table_stack, u_rows, v_product
 
@@ -84,26 +84,29 @@ def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> t
 
     Returns (cone, pde): the largest coefficients of psi1^2 + psi2^2 - psi3^2
     and of d psi_c / dzbar + G_c, G_c = sum gamma[a,b,c] conj(psi_a) psi_b,
-    for a (2, 3, n+1, n+1) frame-data stack.  The products come from all
-    pairs of its six (re, unit) tables, made in one batch by
-    ``series.pair_products``, not by the march's slice kernel, and this
-    function forms conj(psi_a) psi_b, the cone and G from them itself, not
-    through the march's maps: the certificate stays independent of the
-    code that made the data.
+    for a (2, 3, n+1, n+1) frame-data stack.  One ``series.pair_products``
+    call sums the products of pairs of its six (re, unit) tables into the
+    (re, unit) tables of the cone and of G, with weights built here from
+    ``group.gamma``, the unit's square s and the signature; neither the
+    march's slice kernel nor its maps are used, so the certificate stays
+    independent of the code that made the data.
     """
     s = mode.unit_square
     n = frame.shape[-1] - 1
+    # times[k, r, r']: weight of part r of x times part r' of y in part k
+    # of x y, part 0 the real and 1 the unit one; conj(x) y negates r = 1.
+    # Tables 0, 1 of the sums are the (re, unit) parts of the cone, and
+    # table 2 + 3 k + c is part k of G_c.
+    times = np.array([[[1.0, 0.0], [0.0, s]], [[0.0, 1.0], [1.0, 0.0]]])
+    squares = np.einsum("krq,ab->kraqb", times, np.diag(SIGNATURE))
+    quad = np.einsum("krq,abc->kcraqb", times * [[1.0], [-1.0]], group.gamma)
+    weights = np.concatenate([squares, quad.reshape(6, 2, 3, 2, 3)]).reshape(8, 6, 6)
     x = frame.reshape(6, n + 1, n + 1)
-    p = pair_products(x, x).reshape(2, 3, 2, 3, n + 1, n + 1)
-    # (re, unit) parts of psi_a^2, indexed [..., a], and of conj(psi_a) psi_b, [a, b].
-    d = np.diagonal(p, axis1=1, axis2=3)
-    square = np.stack([d[0, 0] + s * d[1, 1], d[0, 1] + d[1, 0]])
-    mixed = np.stack([p[0, :, 0] - s * p[1, :, 1], p[0, :, 1] - p[1, :, 0]])
-    cone = float(np.max(np.abs(square[..., 0] + square[..., 1] - square[..., 2])))
-    quad = np.tensordot(group.gamma, mixed, axes=([0, 1], [1, 2])).swapaxes(0, 1)
+    sums = pair_products(x, x, weights)
+    cone = float(np.max(np.abs(sums[:2])))
     du, dv = du_tables(frame), dv_tables(frame)
     dzbar = 0.5 * np.stack([du[0] - dv[1], du[1] - s * dv[0]])
-    resid = dzbar + quad[..., :n, :n]
+    resid = dzbar + sums[2:, :n, :n].reshape(dzbar.shape)
     return cone, float(np.max(np.abs(np.where(_triangle_mask(n - 1), resid, 0.0))))
 
 

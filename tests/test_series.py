@@ -169,6 +169,33 @@ def test_pair_products_match_naive_product_at_every_order(stacks):
         assert np.all(np.max(np.abs(got - want), axis=(2, 3)) <= 1e-13 * scale), order
 
 
+# One to thirteen bands: orders 12 and 13 sit on either side of the first
+# band edge, 48 is the largest order a problem may ask for.
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 13, 30, 44, 48])
+def test_weighted_pair_products_sum_the_unweighted_products(order):
+    rng = np.random.default_rng(100 + order)
+    triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
+    x = rng.uniform(-1.0, 1.0, (6, order + 1, order + 1)) * triangle
+    y = rng.uniform(-1.0, 1.0, (5, order + 1, order + 1)) * triangle
+    products = pair_products(x, y)
+    # A dense weight row, a sparse one with the certificate's kind of
+    # weights (0, +-1, +-1/2), a one-hot row per chosen pair and a zero row.
+    pairs = [(0, 0), (2, 3), (5, 4)]
+    weights = np.zeros((3 + len(pairs), 6, 5))
+    weights[0] = rng.normal(size=(6, 5))
+    weights[1] = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 0.5, -0.5], size=(6, 5))
+    for row, pair in enumerate(pairs, start=3):
+        weights[(row, *pair)] = 1.0
+    got = pair_products(x, y, weights)
+    assert got.shape == (len(weights), order + 1, order + 1)
+    want = np.tensordot(weights, products, axes=([1, 2], [0, 1]))
+    scale = np.tensordot(np.abs(weights), np.max(np.abs(products), axis=(2, 3)), axes=2)
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-15 * scale)
+    assert np.all(got[2] == 0.0)
+    for row, pair in enumerate(pairs, start=3):
+        assert np.array_equal(got[row], products[pair])
+
+
 def test_split_difference_of_squares():
     n = 3
     one_plus = KSeries(BiSeries.constant(1.0, n), variable_u(n), P)

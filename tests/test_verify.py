@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import subprocess
@@ -105,7 +106,7 @@ def _solved_frame(example_id, order):
     return problem, solve_bjorling(problem).frame_data
 
 
-@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("order", [12, 30, 44])
 @pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
 def test_weierstrass_matches_full_product_reference(example_id, order):
     problem, frame = _solved_frame(example_id, order)
@@ -119,7 +120,7 @@ def test_weierstrass_matches_full_product_reference(example_id, order):
 
 # psi2 vanishes identically on the two vertical planes, so these are the
 # examples with a psi2 coefficient to perturb.
-@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("order", [12, 30, 44])
 @pytest.mark.parametrize(
     "example_id",
     [
@@ -137,6 +138,21 @@ def test_weierstrass_flags_one_perturbed_psi2_coefficient(example_id, order):
     table = probe[:, 1]  # a view: the (re, unit) tables of psi2
     table[np.unravel_index(np.argmax(np.abs(table)), table.shape)] *= 1.0 + 1e-6
     assert weierstrass_residuals(problem.group, probe, problem.mode)[1] > tol
+
+
+def test_weierstrass_certificate_shares_no_code_with_the_march():
+    # The certificate builds its own weights from gamma, so a slip in the
+    # march's maps or slice kernel shows up as a residual instead of being
+    # repeated by it.
+    tree = ast.parse(Path(verify.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+    assert not {m for m in modules if m and m.split(".")[-1] in ("slices", "solver")}
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names |= {a.name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not names & {"_march_maps", "cauchy_slice"}
 
 
 # ---------------------------------------------------------------------------
