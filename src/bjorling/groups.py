@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NotInvertible, UnsupportedRecipe
 from .expressions import evaluate_series, parse_expression
+from .series import BiSeries, table_products
 
 SIGNATURE = np.array([1.0, 1.0, -1.0])
 
@@ -87,6 +88,23 @@ def mat_vec(m, w):
     """The 3x3 nest m times the triple w; an entry of m that is the number 0.0 or 1.0
     costs no array or jet operation."""
     return tuple(reduce(_plus, map(_times, row, w), 0.0) for row in m)
+
+
+def mat_vec_tables(m, w: np.ndarray) -> np.ndarray:
+    """``mat_vec`` of a 3x3 nest m of numbers and ``BiSeries`` (of order at
+    least w's) with a (3, n+1, n+1) stack w of tables, as a (3, n+1, n+1)
+    stack: the terms and sums of mat_vec over the series of w, with every
+    product of a series entry and w_j made in one ``series.table_products``
+    call."""
+    n1 = w.shape[-1]
+    pairs = [(e.coeffs[:n1, :n1], wj) for row in m for e, wj in zip(row, w) if isinstance(e, BiSeries)]
+    x, y = (np.array([pair[k] for pair in pairs]).reshape(-1, n1, n1) for k in (0, 1))
+    products = iter(table_products(x, y))
+    out = np.zeros(w.shape)
+    for table, row in zip(out, m):
+        terms = (next(products) if isinstance(e, BiSeries) else _times(e, wj) for e, wj in zip(row, w))
+        table[...] = reduce(_plus, terms, 0.0)
+    return out
 
 
 def _inverse(m):

@@ -62,18 +62,18 @@ def _band_gathers(order: int) -> tuple:
     return tuple(out)
 
 
-def pair_products(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Every truncated product x[s] * y[t] of two stacks of triangular tables,
-    or the weighted sums of those products.
+def pair_products(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sums of every truncated product x[s] * y[t] of two stacks of
+    triangular tables.
 
-    ``x``, ``y`` are (p, n+1, n+1), (q, n+1, n+1); the result (p, q, n+1, n+1)
-    has [s, t, m, k] = sum of x[s, m - i, j] y[t, i, k - j] over i + j <= n.
-    With (o, p, q) ``weights`` the result is (o, n+1, n+1), table r the sum
-    of weights[r, s, t] times product [s, t]; the p q products are never
-    stored.  The output u-degrees are cut into bands; each band is one
-    matmul of the u-Toeplitz stack of x with the v-shifted stack of y, over
-    only the v-degrees and pairs that reach the kept triangle from that
-    band, and the weights contract that band's output.
+    ``x``, ``y`` are (p, n+1, n+1), (q, n+1, n+1) and ``weights`` (o, p, q);
+    the result (o, n+1, n+1) has as table r the sum of weights[r, s, t]
+    times the product x[s] * y[t], whose [m, k] is the sum of
+    x[s, m - i, j] y[t, i, k - j] over i + j <= n.  The p q products are
+    never stored.  The output u-degrees are cut into bands; each band is
+    one matmul of the u-Toeplitz stack of x with the v-shifted stack of y,
+    over only the v-degrees and pairs that reach the kept triangle from
+    that band, and the weights contract that band's output.
     """
     p, q, n1 = x.shape[0], y.shape[0], x.shape[1]
     size = n1 * n1
@@ -82,17 +82,36 @@ def pair_products(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = Non
     yt = np.zeros((size + 1, q))
     yt[:size] = y.reshape(q, size).T
     keep = _triangle_mask(n1 - 1)
-    out = np.zeros(((p, q) if weights is None else weights.shape[:1]) + (n1, n1))
+    out = np.zeros((len(weights), n1, n1))
     for m0, m1, left, right in _band_gathers(n1 - 1):
         rows, cols = m1 - m0, n1 - m0
         a = np.take(xf, left, axis=1).reshape(p * rows, left.shape[1])
         b = np.take(yt, right, axis=0).reshape(right.shape[0], cols * q)
         band = (a @ b).reshape(p, rows, cols, q)
-        if weights is None:
-            band = band.transpose(0, 3, 1, 2)
-        else:
-            band = np.tensordot(weights, band, axes=([1, 2], [0, 3]))
-        np.copyto(out[..., m0:m1, :cols], band, where=keep[m0:m1, :cols])
+        band = np.tensordot(weights, band, axes=([1, 2], [0, 3]))
+        np.copyto(out[:, m0:m1, :cols], band, where=keep[m0:m1, :cols])
+    return out
+
+
+def table_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The truncated products x[k] * y[k] of two (p, n+1, n+1) stacks of
+    triangular tables, shape (p, n+1, n+1).
+
+    The bands are ``pair_products``'s, and each band is one batched matmul
+    of the u-Toeplitz tables of x with the v-shifted tables of y, which
+    makes each pair's product by the same matrix product as a stack of
+    that one pair: a product has the same bits alone or in a stack.
+    """
+    p, n1 = x.shape[0], x.shape[1]
+    size = n1 * n1
+    flat = np.zeros((2, p, size + 1))  # flat tables of x and y, and the pad
+    flat[0, :, :size] = x.reshape(p, size)
+    flat[1, :, :size] = y.reshape(p, size)
+    keep = _triangle_mask(n1 - 1)
+    out = np.zeros((p, n1, n1))
+    for m0, m1, left, right in _band_gathers(n1 - 1):
+        band = np.take(flat[0], left, axis=1) @ np.take(flat[1], right, axis=1)
+        np.copyto(out[:, m0:m1, : n1 - m0], band, where=keep[m0:m1, : n1 - m0])
     return out
 
 
@@ -292,7 +311,10 @@ class USeries(ArraySeries):
 
     Quotients, square roots and exp, sin, cos, sinh, cosh are forward
     Taylor recurrences: coefficient k follows from the coefficients below
-    it (Griewank & Walther, Evaluating Derivatives, ch. 13).
+    it (Griewank & Walther, Evaluating Derivatives, ch. 13).  Quotients
+    and square roots make one ``np.dot`` per coefficient; exp, sin, cos,
+    sinh and cosh run on Python floats over the nonzero coefficients of
+    the argument's derivative only.
     """
 
     __slots__ = ()
@@ -367,14 +389,31 @@ class USeries(ArraySeries):
 
     def _paired(self, fn, gn, sign: float) -> tuple["USeries", "USeries"]:
         # F(a), G(a) for F' = G, G' = sign F (F = fn, G = gn): match
-        # (F o a)' = (G o a) a' and (G o a)' = sign (F o a) a' degree by degree.
-        n = self.order
-        da = self.coeffs[1:] * np.arange(1, n + 1)  # da[j] is coefficient j of a'
-        f, g = np.zeros(n + 1), np.zeros(n + 1)
-        f[0], g[0] = fn(self.coeffs[0]), gn(self.coeffs[0])
+        # (F o a)' = (G o a) a' and (G o a)' = sign (F o a) a' degree by degree,
+        # on Python floats.  Coefficient k >= 2 adds da[j] g[k-1-j] over the
+        # nonzero da[j] only, j falling: the order of the dot product over all
+        # j < k that it stands for.  A skipped term 0 * g[k-1-j] adds nothing
+        # unless g[k-1-j] is not finite, where the dot made NaN; zero_f and
+        # zero_g, the sums of 0 * f[i] and 0 * g[i] so far, carry that.
+        c = self.coeffs.tolist()
+        n = len(c) - 1
+        da = [c[j + 1] * (j + 1) for j in range(n)]  # da[j] is coefficient j of a'
+        terms = [j for j in reversed(range(n)) if da[j] != 0.0]
+        f, g = [fn(c[0])], [gn(c[0])]
+        zero_f = zero_g = 0.0
         for k in range(1, n + 1):
-            f[k] = np.dot(da[k - 1 :: -1], g[:k]) / k
-            g[k] = sign * np.dot(da[k - 1 :: -1], f[:k]) / k
+            zero_f += 0.0 * f[k - 1]
+            zero_g += 0.0 * g[k - 1]
+            if k == 1:  # a dot of one term is that product, with its zero's sign
+                sum_f, sum_g = da[0] * g[0], da[0] * f[0]
+            else:
+                sum_f, sum_g = zero_g, zero_f
+                for j in terms:
+                    if j < k:
+                        sum_f += da[j] * g[k - 1 - j]
+                        sum_g += da[j] * f[k - 1 - j]
+            f.append(sum_f / k)
+            g.append(sign * sum_g / k)
         return USeries(f, self.center), USeries(g, self.center)
 
     def exp(self) -> "USeries":
@@ -436,7 +475,7 @@ class BiSeries(ArraySeries):
     def __mul__(self, other):
         if isinstance(other, BiSeries):
             a, b = self._pair(other)
-            return BiSeries(pair_products(a[None], b[None])[0, 0], self.center)
+            return BiSeries(table_products(a[None], b[None])[0], self.center)
         return self._scaled(other)
 
     def du(self) -> "BiSeries":

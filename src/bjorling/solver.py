@@ -28,7 +28,7 @@ from .errors import (
     NonIntegrable,
     ProblemValidationError,
 )
-from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec, mat_vec_tables
 from .series import BiSeries, USeries, du_tables, dv_tables, point_values, table_stack
 from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
 
@@ -296,35 +296,47 @@ def ck_march(
     conj(psi_a) psi_b and of the cone combination, and a second one takes
     the former to G.  The march thus costs O(order^4) flops in O(order)
     array operations.  With the built-in connection tables the cone is
-    preserved to roundoff.  The first level
-    whose cone slice exceeds ``cone_tol`` raises ConstraintDrift, and one
-    whose cone slice is not finite ProblemValidationError (the data
-    overflow); level 0 is the initial data itself.
+    preserved to roundoff.  Each level's cone slice is kept, and the
+    drift is read once, after the level loop: the first level whose cone
+    slice is not finite raises ProblemValidationError (the data
+    overflow), or, if it exceeds ``cone_tol`` first, ConstraintDrift;
+    level 0 is the initial data itself.
     """
     s = mode.unit_square
     order = frame0.shape[-1] - 1
     conj_map, gamma_map = _march_maps(group.gamma, s)
+    twice_gamma = 2.0 * gamma_map
     deg = np.arange(1.0, order + 1)
     x = _column_zero(frame0)
     pad = SkewPad((6, 6), order + 1)
+    cone = np.zeros((order + 1, 2, order + 1))  # [level, (re, unit), u-degree]
     for level in range(order + 1):
-        parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level, pad).reshape(36, -1)
-        drift = float(np.max(np.abs(parts[18:])))
-        if not math.isfinite(drift):
-            raise ProblemValidationError(f"the frame data overflow at march level {level}")
-        if cone_tol is not None and not drift <= cone_tol:
-            where = "in the initial data" if level == 0 else f"at march level {level}"
-            raise ConstraintDrift(
-                f"cone constraint violated {where} by {drift:.3e} "
-                f"(tolerance {cone_tol:.3e})"
-            )
+        rows = order + 1 - level
+        parts = conj_map @ cauchy_slice(x, x, level, rows, pad).reshape(36, -1)
+        cone[level, :, :rows] = parts[18:]
         if level < order:
             # Column level+1 from psi_v = unit * (psi_u + 2 G), and
-            # unit * (a + unit b) = s b + unit a.
-            rows = order - level
-            rhs = deg[:rows] * x[:, 1 : rows + 1, level] + 2.0 * (gamma_map @ parts[:18, :rows])
-            x[:3, :rows, level + 1] = s * rhs[3:] / (level + 1)
-            x[3:, :rows, level + 1] = rhs[:3] / (level + 1)
+            # unit * (a + unit b) = s b + unit a.  Dividing the sum by
+            # s (level+1) gives the bits of s times it divided by level+1,
+            # zero signs included; s must not enter before the sum, where
+            # s a + s b and s (a + b) differ in the sign of a zero.
+            rows -= 1
+            rhs = deg[:rows] * x[:, 1 : rows + 1, level]
+            rhs += twice_gamma @ parts[:18, :rows]
+            np.divide(rhs[3:], s * (level + 1), out=x[:3, :rows, level + 1])
+            np.divide(rhs[:3], level + 1, out=x[3:, :rows, level + 1])
+    drift = np.max(np.abs(cone), axis=(1, 2))
+    overflow = ~np.isfinite(drift)
+    failed = overflow if cone_tol is None else overflow | ~(drift <= cone_tol)
+    if np.any(failed):
+        level = int(np.argmax(failed))
+        if overflow[level]:
+            raise ProblemValidationError(f"the frame data overflow at march level {level}")
+        where = "in the initial data" if level == 0 else f"at march level {level}"
+        raise ConstraintDrift(
+            f"cone constraint violated {where} by {drift[level]:.3e} "
+            f"(tolerance {cone_tol:.3e})"
+        )
     return x.reshape(frame0.shape)
 
 
@@ -356,8 +368,10 @@ def reconstruct_surface(
     needs only columns <= L of f.  Two gates then check the finished f,
     each against ``compat_rtol`` times max(1, scale): the same slices of
     A(f) r against the u-derivative of f, and
-    A(f) w, made once off the tape as ``mat_vec(group.frame(f), w)`` over
-    the finished f and the series of w, against its v-derivative.  A
+    A(f) w, made once off the tape as ``mat_vec_tables(group.frame(f), w)``
+    (the frame evaluated on the series of the finished f, and every
+    product of a series entry with w_j in one ``series.table_products``
+    call), against its v-derivative.  A
     mismatch means the frame data were not integrable, or the march did
     not solve f_v = A(f) w (NonIntegrable).
     A frame entry with no polynomial expansion raises UnsupportedRecipe.
@@ -380,8 +394,7 @@ def reconstruct_surface(
         f[:, :rows, level + 1] = fv / (level + 1)
     _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du_tables(f), fu, compat_rtol)
     surface = tuple(BiSeries(table, curve[0].center) for table in f)
-    w = tuple(BiSeries(table, curve[0].center) for table in w_r[0])
-    aw = table_stack(mat_vec(group.frame(surface), w))
+    aw = mat_vec_tables(group.frame(surface), w_r[0])
     _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv_tables(f), aw, compat_rtol)
     return surface
 

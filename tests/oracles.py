@@ -11,7 +11,10 @@ sum of ``np.convolve`` calls, the coefficient-level certificate with every
 product made that way, the frame march as a literal transcription of the
 PDE that makes each level's column of every product as a sum of
 u-convolutions of columns, and as the earlier slice
-march (Cauchy slices, a cone slice and an einsum per level), the series
+march (Cauchy slices, a cone slice and an einsum per level) and the march
+with its drift read at every level, the univariate exp, sin, cos, sinh and
+cosh recurrences by one ``np.dot`` per coefficient, every product of two
+triangular tables by one band matmul per pair, the series
 square root matched degree by degree
 against full products, the cone lift's root grown one v-column per level
 from those column products, the grid certificates and the mesh as loops over
@@ -30,9 +33,11 @@ import numpy as np
 import sympy as sp
 
 from bjorling.config import Mode
+from bjorling.errors import ConstraintDrift, ProblemValidationError
 from bjorling.groups import SIGNATURE, lorentz_dot
-from bjorling.series import BiSeries
+from bjorling.series import BiSeries, USeries, _band_gathers, _triangle_mask
 from bjorling.slices import SkewPad, cauchy_slice
+from bjorling.solver import _column_zero, _march_maps
 from kalgebra import KScalar, KSeries
 
 
@@ -401,6 +406,76 @@ def slice_ck_march(group, frame0: np.ndarray, mode: Mode) -> tuple[np.ndarray, l
         x[:3, :rows, level + 1] = s * rhs[1] / (level + 1)
         x[3:, :rows, level + 1] = rhs[0] / (level + 1)
     return x.reshape(frame0.shape), drifts
+
+
+# An overflow shows in its level's cone slice, which is checked, not as a warning.
+@np.errstate(over="ignore", invalid="ignore")
+def level_check_ck_march(group, frame0: np.ndarray, mode: Mode, cone_tol: float | None = None) -> np.ndarray:
+    """The frame march as it was written with its drift read at every
+    level: the same fixed maps and skew buffer as the solver's, but each
+    level's cone slice is checked before the next column is made, and
+    each new column is written as two halves."""
+    s = mode.unit_square
+    order = frame0.shape[-1] - 1
+    conj_map, gamma_map = _march_maps(group.gamma, s)
+    deg = np.arange(1.0, order + 1)
+    x = _column_zero(frame0)
+    pad = SkewPad((6, 6), order + 1)
+    for level in range(order + 1):
+        parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level, pad).reshape(36, -1)
+        drift = float(np.max(np.abs(parts[18:])))
+        if not math.isfinite(drift):
+            raise ProblemValidationError(f"the frame data overflow at march level {level}")
+        if cone_tol is not None and not drift <= cone_tol:
+            where = "in the initial data" if level == 0 else f"at march level {level}"
+            raise ConstraintDrift(
+                f"cone constraint violated {where} by {drift:.3e} "
+                f"(tolerance {cone_tol:.3e})"
+            )
+        if level < order:
+            # Column level+1 from psi_v = unit * (psi_u + 2 G), and
+            # unit * (a + unit b) = s b + unit a.
+            rows = order - level
+            rhs = deg[:rows] * x[:, 1 : rows + 1, level] + 2.0 * (gamma_map @ parts[:18, :rows])
+            x[:3, :rows, level + 1] = s * rhs[3:] / (level + 1)
+            x[3:, :rows, level + 1] = rhs[:3] / (level + 1)
+    return x.reshape(frame0.shape)
+
+
+def dot_paired(a: USeries, fn, gn, sign: float) -> tuple[USeries, USeries]:
+    """F(a), G(a) for F' = G, G' = sign F (F = fn, G = gn), as the jets
+    made them with one ``np.dot`` per coefficient: (F o a)' = (G o a) a'
+    and (G o a)' = sign (F o a) a' matched degree by degree."""
+    n = a.order
+    da = a.coeffs[1:] * np.arange(1, n + 1)  # da[j] is coefficient j of a'
+    f, g = np.zeros(n + 1), np.zeros(n + 1)
+    f[0], g[0] = fn(a.coeffs[0]), gn(a.coeffs[0])
+    for k in range(1, n + 1):
+        f[k] = np.dot(da[k - 1 :: -1], g[:k]) / k
+        g[k] = sign * np.dot(da[k - 1 :: -1], f[:k]) / k
+    return USeries(f, a.center), USeries(g, a.center)
+
+
+def band_pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every truncated product x[s] * y[t] of two (p, n+1, n+1) and
+    (q, n+1, n+1) stacks of triangular tables, shape (p, q, n+1, n+1), as
+    the banded kernel made them before it took weights: per band, one 2-D
+    matmul of the u-Toeplitz stack of x with the v-shifted stack of y."""
+    p, q, n1 = x.shape[0], y.shape[0], x.shape[1]
+    size = n1 * n1
+    xf = np.zeros((p, size + 1))  # flat tables and the pad
+    xf[:, :size] = x.reshape(p, size)
+    yt = np.zeros((size + 1, q))
+    yt[:size] = y.reshape(q, size).T
+    keep = _triangle_mask(n1 - 1)
+    out = np.zeros((p, q, n1, n1))
+    for m0, m1, left, right in _band_gathers(n1 - 1):
+        rows, cols = m1 - m0, n1 - m0
+        a = np.take(xf, left, axis=1).reshape(p * rows, left.shape[1])
+        b = np.take(yt, right, axis=0).reshape(right.shape[0], cols * q)
+        band = (a @ b).reshape(p, rows, cols, q).transpose(0, 3, 1, 2)
+        np.copyto(out[..., m0:m1, :cols], band, where=keep[m0:m1, :cols])
+    return out
 
 
 def reference_sqrt(a: KSeries, branch: KScalar) -> KSeries:

@@ -6,6 +6,7 @@ import pytest
 from bjorling.errors import ExpressionError
 from bjorling.expressions import evaluate_jet, evaluate_series
 from bjorling.series import BiSeries, USeries
+from oracles import dot_paired
 
 
 def test_polynomial_with_parameters():
@@ -92,3 +93,31 @@ def test_syntax_error_reported():
 def test_attribute_access_rejected():
     with pytest.raises(ExpressionError):
         evaluate_series("u.coeffs", {"u": USeries.variable(3)})
+
+
+@pytest.mark.parametrize("order", [5, 12, 30])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sinh(1e300*u**2)",
+        "sin(1e300*u**2)",
+        "cos(1e300*u**2)",
+        "exp(1e200*u)",
+        "cosh(1e155*(u**2 + u))",
+        "exp(exp(1e100*u))",
+        "sinh(u/1e-320)",
+        "exp(u*1e308*10)",
+    ],
+)
+def test_jets_that_overflow_end_in_the_error_of_the_dot_recurrence(monkeypatch, text, order):
+    # sinh(1e300 u^2) at order 5 has g_4 = inf: the dot behind f_5 added
+    # 0 * g_4 = NaN, which the float loop, skipping the zero term, must
+    # carry as well.
+    def message():
+        with pytest.raises(ExpressionError) as err:
+            evaluate_jet(text, order, 0.0)
+        return str(err.value)
+
+    got = message()
+    monkeypatch.setattr(USeries, "_paired", lambda a, fn, gn, sign: dot_paired(a, fn, gn, sign))
+    assert message() == got

@@ -15,8 +15,10 @@ from bjorling.groups import (
     heisenberg,
     lorentz_cross,
     lorentz_dot,
+    mat_vec,
+    mat_vec_tables,
 )
-from bjorling.series import USeries
+from bjorling.series import BiSeries, USeries, table_stack
 from kalgebra import KScalar, frame_jet_from_coords
 from oracles import coords_from_frame, difference_christoffels, exact_christoffels
 
@@ -387,3 +389,27 @@ def test_generic_group_reproduces_builtin():
     assert max((g - t).maxabs() for g, t in zip(got, want)) <= 1e-12
     back = coords_from_frame(gen, curve, got)
     assert max((g - t).maxabs() for g, t in zip(back, w)) <= 1e-12
+
+
+_SADDLE_CHART = [["1", "0", "0"], ["0", "1", "0"], ["2*x1*x2 - x2/2", "x1**2 + x1/2", "1"]]
+
+
+@pytest.mark.parametrize("order", [0, 3, 12, 30])
+@pytest.mark.parametrize("name", ["heisenberg", "desitter", "h2xr", "saddle-chart", "numbers"])
+def test_mat_vec_tables_is_mat_vec_over_series(name, order):
+    # Coordinates one order above w, as the rebuild's f is.  The same terms
+    # summed in the same order, with every series product in one batch: the
+    # bits of mat_vec over the series of w.  "numbers" mixes the numbers 0,
+    # 1 and 2 with series and has a zero row.
+    rng = np.random.default_rng(order)
+    triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
+    x = tuple(BiSeries(rng.uniform(0.5, 1.5, (order + 2, order + 2)), 0.25) for _ in range(3))
+    w = rng.uniform(-1.0, 1.0, (3, order + 1, order + 1)) * triangle
+    if name == "numbers":
+        m = ((2.0, 0.0, x[0]), (1.0, x[1] * x[2], -1.0), (0.0, 0.0, 0.0))
+    elif name == "saddle-chart":
+        m = generic_group(heisenberg().C, frame_exprs=_SADDLE_CHART).frame(x)
+    else:
+        m = by_name(name).frame(x)
+    want = table_stack(mat_vec(m, tuple(BiSeries(table, 0.25) for table in w)))
+    assert np.array_equal(mat_vec_tables(m, w), want)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bjorling.config import Mode
 from bjorling.errors import DomainError
-from bjorling.series import BiSeries, USeries, ode_taylor, pair_products, power_table
+from bjorling.series import BiSeries, USeries, ode_taylor, pair_products, power_table, table_products
 from bjorling.slices import FrameTape, TapeNode
 from kalgebra import (
     KScalar,
@@ -20,7 +20,9 @@ from kalgebra import (
     zero_series,
 )
 from oracles import (
+    band_pair_products,
     composite_coeffs,
+    dot_paired,
     horner_composition,
     naive_products,
     reference_product,
@@ -69,6 +71,48 @@ def test_useries_generators_match_the_horner_composition(name, order):
         a = _composite_argument(order, center)
         want = horner_composition(a, name).coeffs
         np.testing.assert_allclose(getattr(a, name)().coeffs, want, rtol=1e-12, atol=1e-15)
+
+
+_PAIRS = {  # name: (F, G, sign) of F' = G, G' = sign F, and which of the two it is
+    "exp": (math.exp, math.exp, 1.0, 0),
+    "sin": (math.sin, math.cos, -1.0, 0),
+    "cos": (math.sin, math.cos, -1.0, 1),
+    "sinh": (math.sinh, math.cosh, 1.0, 0),
+    "cosh": (math.sinh, math.cosh, 1.0, 1),
+}
+
+
+def _dot_jet(name, a):
+    fn, gn, sign, which = _PAIRS[name]
+    return dot_paired(a, fn, gn, sign)[which].coeffs
+
+
+@pytest.mark.parametrize("center", [0.0, 0.3])
+@pytest.mark.parametrize("order", [12, 30, 48])
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_useries_generators_keep_the_bits_of_the_dot_recurrence(name, order, center):
+    # Affine arguments and a0 + a2 (u - u0)^2 have one nonzero coefficient
+    # of a', so the dot product over all j < k added one product to zeros,
+    # whatever the BLAS kernel's order: the float loop gives its bits, and
+    # its zero signs (the zero and -u arguments make zeros of both signs).
+    u = USeries.variable(order, center)
+    t = u - center
+    for a in (u, -u, 0.0 * u, 1.3 * u + 0.4, -2.5 * u - 0.7, 0.8 * (t * t) - 0.2, -(t * t), 0.5 * (t * t)):
+        got, want = getattr(a, name)().coeffs, _dot_jet(name, a)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), a.coeffs[:3]
+
+
+@pytest.mark.parametrize("center", [0.0, 0.3])
+@pytest.mark.parametrize("order", [12, 30, 48])
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_useries_generators_of_dense_arguments_agree_with_the_dot_recurrence(name, order, center):
+    # With two or more nonzero coefficients of a' the float loop adds them in
+    # the dot's order but rounds each product, where an FMA kernel's dot may
+    # fuse one: the two agree to roundoff.
+    u = USeries.variable(order, center)
+    for a in (0.3 + 0.7 * u + 0.2 * (u * u), u.exp(), u.sin() + 0.5, 0.5 * u.cosh()):
+        got, want = getattr(a, name)().coeffs, _dot_jet(name, a)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_useries_division_matches_a_triangular_toeplitz_solve():
@@ -138,13 +182,19 @@ def test_product_of_u_and_v():
     assert np.array_equal(prod.coeffs, want)
 
 
+def _one_hot_products(x, y):
+    # Every product x[s] * y[t] as the weighted kernel's one-hot sums, (p, q, n+1, n+1).
+    p, q, n1 = len(x), len(y), x.shape[-1]
+    return pair_products(x, y, np.eye(p * q).reshape(p * q, p, q)).reshape(p, q, n1, n1)
+
+
 @pytest.mark.parametrize("stacks", [(1, 1), (2, 3), (6, 6)], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("order", [0, 1, 2, 12, 30, 48])
 def test_pair_products_match_reference(order, stacks):
     rng = np.random.default_rng(order)
     triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
     x, y = (rng.uniform(-1.0, 1.0, (k, order + 1, order + 1)) * triangle for k in stacks)
-    got = pair_products(x, y)
+    got = _one_hot_products(x, y)
     assert got.shape == (*stacks, order + 1, order + 1)
     for s in range(stacks[0]):
         for t in range(stacks[1]):
@@ -161,7 +211,7 @@ def test_pair_products_match_naive_product_at_every_order(stacks):
         degree = np.add.outer(np.arange(order + 1), np.arange(order + 1))
         shapes = [(k, order + 1, order + 1) for k in stacks]
         x, y = (rng.uniform(-1.0, 1.0, shape) * (degree <= order) for shape in shapes)
-        got = pair_products(x, y)
+        got = _one_hot_products(x, y)
         want = naive_products(x, y)
         assert got.shape == want.shape
         assert np.all(got[..., degree > order] == 0.0), order
@@ -177,7 +227,7 @@ def test_weighted_pair_products_sum_the_unweighted_products(order):
     triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
     x = rng.uniform(-1.0, 1.0, (6, order + 1, order + 1)) * triangle
     y = rng.uniform(-1.0, 1.0, (5, order + 1, order + 1)) * triangle
-    products = pair_products(x, y)
+    products = _one_hot_products(x, y)
     # A dense weight row, a sparse one with the certificate's kind of
     # weights (0, +-1, +-1/2), a one-hot row per chosen pair and a zero row.
     pairs = [(0, 0), (2, 3), (5, 4)]
@@ -194,6 +244,27 @@ def test_weighted_pair_products_sum_the_unweighted_products(order):
     assert np.all(got[2] == 0.0)
     for row, pair in enumerate(pairs, start=3):
         assert np.array_equal(got[row], products[pair])
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 13, 30, 44, 48])
+def test_table_products_make_each_pair_as_if_alone(order, pairs):
+    # Each pair's product has the bits of the same pair alone, and of the
+    # banded kernel's two-dimensional matmul, which BiSeries products were
+    # made by before; and it is the naive product to roundoff.
+    rng = np.random.default_rng(200 + 3 * order + pairs)
+    triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
+    x, y = (rng.uniform(-1.0, 1.0, (pairs, order + 1, order + 1)) * triangle for _ in range(2))
+    got = table_products(x, y)
+    assert got.shape == x.shape and np.all(got[:, ~triangle] == 0.0)
+    for k in range(pairs):
+        alone = table_products(x[k : k + 1], y[k : k + 1])[0]
+        assert np.array_equal(got[k], alone) and np.array_equal(np.signbit(got[k]), np.signbit(alone))
+        assert np.array_equal(got[k], band_pair_products(x[k : k + 1], y[k : k + 1])[0, 0])
+        want = naive_products(x[k : k + 1], y[k : k + 1])[0, 0]
+        assert np.max(np.abs(got[k] - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+    product = BiSeries(x[0], 0.5) * BiSeries(y[0], 0.5)
+    assert product.center == 0.5 and np.array_equal(product.coeffs, got[0])
 
 
 def test_split_difference_of_squares():
@@ -340,7 +411,7 @@ def test_derived_ring_operators(kind):
     if d == 1:
         times = lambda x, y: np.convolve(x, y)[:6]
     else:
-        times = lambda x, y: pair_products(x[None], y[None])[0, 0]
+        times = lambda x, y: table_products(x[None], y[None])[0]
     c2 = times(c, c)
     cases = [(a - b, cut - c), (b - 3, c - 3 * one), (3 - b, 3 * one - c), (-b, -c), (2 * b, 2 * c)]
     powers = [one, c, c2, times(c, c2), times(c2, c2), times(c, times(c2, c2))]

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bjorling import corpus, problemfile
+from bjorling import corpus, groups, problemfile
 from bjorling.config import CurveClass, GridSpec, Mode, ProblemKind
 from bjorling.errors import (
     CausalMismatch,
@@ -48,6 +48,7 @@ from oracles import (
     coords_from_frame,
     frame_series,
     frame_stack,
+    level_check_ck_march,
     reference_ck_march,
     slice_ck_march,
 )
@@ -439,6 +440,23 @@ def test_rebuild_evaluates_the_frame_twice(name, order):
 
 @pytest.mark.parametrize("order", [12, 30])
 @pytest.mark.parametrize("example_id", [*corpus.EXAMPLE_IDS, "saddle-chart"])
+def test_rebuild_gate_makes_its_products_in_one_call(monkeypatch, example_id, order):
+    # Every product of a frame entry that is a series with a component of w
+    # is made by one table_products call; the numbers 0 and 1 make none.
+    if example_id == "saddle-chart":
+        prob = _quadratic_chart_problem("heisenberg_saddle", order)
+    else:
+        prob = _problem(example_id, order=order)
+    frame = ck_march(prob.group, initial_data(prob), prob.mode)
+    calls, real = [], groups.table_products
+    monkeypatch.setattr(groups, "table_products", lambda x, y: calls.append(len(x)) or real(x, y))
+    reconstruct_surface(prob.group, frame, prob.curve, prob.mode)
+    series = {"heisenberg": 2, "desitter": 3, "h2xr": 2, "generic": 2}[prob.group.name]
+    assert calls == [series]
+
+
+@pytest.mark.parametrize("order", [12, 30])
+@pytest.mark.parametrize("example_id", [*corpus.EXAMPLE_IDS, "saddle-chart"])
 def test_solve_makes_one_skew_buffer_per_loop(monkeypatch, example_id, order):
     # The march and the rebuild each keep one buffer for all their levels;
     # the saddle in the quadratic chart adds one for its tape's one depth
@@ -757,6 +775,73 @@ def test_march_matches_the_slice_transcription(example_id, order):
     frame0 = initial_data(prob)
     want, _ = slice_ck_march(prob.group, frame0, prob.mode)
     assert np.array_equal(ck_march(prob.group, frame0, prob.mode), want)
+
+
+@pytest.mark.parametrize("order", [12, 30, 44])
+@pytest.mark.parametrize("chart", ["builtin", "generic"])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_march_is_the_level_checked_march_bit_for_bit(example_id, chart, order):
+    # The doubled map and the division by s (level+1) after the sum give
+    # the bits, zero signs included, of the march that checked each level's
+    # drift before it made the next column and multiplied by s.
+    prob = _problem(example_id, order=order)
+    if chart == "generic":
+        prob = dataclasses.replace(
+            prob, group=generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES[prob.group.name])
+        )
+    frame0 = initial_data(prob)
+    want = level_check_ck_march(prob.group, frame0, prob.mode)
+    got = ck_march(prob.group, frame0, prob.mode)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("mode", [Mode.PARACOMPLEX, Mode.COMPLEX], ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_march_is_the_level_checked_march_for_any_connection_table(seed, mode):
+    # A random table puts many weights on each G_c, so G's rows are sums of
+    # many products whose last bits depend on the row's place in the matrix
+    # product; half of the tables' entries and of the data are zeros.
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (3, 3, 3)) * (rng.uniform(size=(3, 3, 3)) < 0.5)
+    group = generic_group(table - table.transpose(1, 0, 2))
+    for order in (3, 12, 30):
+        frame0 = np.zeros((2, 3, order + 1, order + 1))
+        frame0[..., 0] = rng.uniform(-0.3, 0.3, (2, 3, order + 1)) * (rng.uniform(size=(2, 3, order + 1)) < 0.6)
+        want = level_check_ck_march(group, frame0, mode)
+        got = ck_march(group, frame0, mode)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), order
+
+
+# The helicoid's initial data times 1e40 keep to the cone only to roundoff
+# of their size: the cone slices read about 2.6e64, 5.7e104, 1.2e145,
+# 1.4e185, 1.5e225 and 1.2e265 at levels 0 to 5, and level 6 overflows.
+# Times 1e20 they reach about 1.9e258 at level 12 and stay finite.
+@pytest.mark.parametrize(
+    "scale, cone_tol, error, level",
+    [
+        (1e40, 1e160, ConstraintDrift, 3),
+        (1e40, 1e250, ConstraintDrift, 5),
+        (1e40, 1e300, ProblemValidationError, 6),
+        (1e40, None, ProblemValidationError, 6),
+        (1e20, None, None, None),
+    ],
+)
+def test_march_reads_the_drift_after_its_levels_as_the_level_check_did(scale, cone_tol, error, level):
+    # The first level over the tolerance is named although a later level
+    # overflows; an overflow before any drift is named as an overflow; with
+    # no tolerance only an overflow raises.
+    prob = _problem("heisenberg_helicoid", order=12)
+    frame0 = initial_data(prob) * scale
+    if error is None:
+        want = level_check_ck_march(prob.group, frame0, prob.mode, cone_tol)
+        got = ck_march(prob.group, frame0, prob.mode, cone_tol=cone_tol)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        return
+    with pytest.raises(error, match=f"at march level {level}( |$)") as want:
+        level_check_ck_march(prob.group, frame0, prob.mode, cone_tol)
+    with pytest.raises(error) as got:
+        ck_march(prob.group, frame0, prob.mode, cone_tol=cone_tol)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("mode", [Mode.PARACOMPLEX, Mode.COMPLEX], ids=lambda m: m.value)
