@@ -33,9 +33,6 @@ from .series import BiSeries, USeries, du_tables, dv_tables, point_values, table
 from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
 
 
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
 @dataclass(frozen=True)
 class BjorlingProblem:
     """One solvable problem: a group, a curve with a unit normal field,
@@ -135,40 +132,6 @@ class BjorlingProblem:
             raise ProblemValidationError(
                 f"invariant g(curve', V) = 0 violated: largest deviation {ortho:.3e}"
             )
-        self._bound_boundary_normal(scale)
-
-    def _bound_boundary_normal(self, scale: float) -> None:
-        """Refuse data whose boundary normal has a square that overflows.
-
-        The boundary check's normal w x (V x w), w the frame velocity, has
-        a square of size |w|^4 |V|^2.  Over the grid's u-range, r from the
-        center, a jet is at most sum_k |c_k| r^k, so at most ``scale`` (the
-        largest coefficient of w and V, at least 1) times sum_k r^k; while
-        that keeps the square finite nothing more is formed.  Otherwise w
-        and V are bounded jet by jet (a zero coefficient adds nothing, even
-        where r^k overflows), and from each |w_a| the rounding of its terms
-        |A^{-1}_aj| |curve'_j| is taken off first (gamma as in
-        classify_curve, which rejects a w lost to rounding).
-        """
-        g = self.grid
-        vel = self.frame_velocity
-        r = max(abs(g.u_min - self.center), abs(g.u_max - self.center))
-        # sum_k r^k over the jets' sizes is at most size * max(1, r)^(size - 1).
-        size = max(j.coeffs.size for j in (*vel, *self.normal_field))
-        if 6.0 * (math.log(scale * size) + (size - 1) * math.log(max(1.0, r))) < _LOG_MAX:
-            return
-        with np.errstate(over="ignore", invalid="ignore"):
-            coframe = [e for row in self.coframe_jets for e in row]
-            table = np.abs(table_stack([*vel, *self.normal_field, *self.curve_velocity(), *coframe]))
-            reach = np.sum(table * r ** np.arange(table.shape[1]), axis=1, where=table > 0)
-            rounding = 4.0 * table.shape[1] * np.finfo(float).eps * (reach[9:].reshape(3, 3) @ reach[6:9])
-            w_reach, v_reach = max(0.0, *(reach[:3] - rounding)), max(reach[3:6])
-            normal2 = w_reach**4 * v_reach**2
-        if not np.isfinite(normal2):
-            raise ProblemValidationError(
-                f"the boundary normal's square overflows: the frame velocity reaches "
-                f"{w_reach:.3e} and the field {v_reach:.3e} on [{g.u_min:g}, {g.u_max:g}]"
-            )
 
 
 def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
@@ -180,32 +143,45 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     whose magnitudes T_a bound its rounding by d_a = gamma T_a, with gamma
     = 4 (order + 1) eps for the jet products and the evaluation; g's
     rounding is then at most sum_a d_a (2 |w_a| + d_a) + gamma sum_a w_a^2.
-    A sample whose |g| is within that bound, where the bound exceeds the
-    causal band, leaves the sign undecided and raises
-    ProblemValidationError naming the rounding (large coordinates whose
-    frame components cancel).  Otherwise a sample within the causal band,
-    the tolerance times max(1, sum_a w_a^2), makes the curve lightlike
-    (characteristic data); a strict sign change without a null sample is
-    reported as mixed.  ProblemValidationError is raised too when a
-    sample of the squared speed, its rounding bound or the squared
-    coordinate velocity overflows.
+
+    The first decision is the boundary normal's: the boundary check's
+    normal w x (V x w) has a square of size |w|^4 |V|^2, and
+    ProblemValidationError is raised when that overflows at the samples,
+    |w_a| taken less d_a (so a w lost to rounding does not count).  Next
+    it is raised when a sample of the squared speed, its rounding bound or
+    the squared coordinate velocity overflows.  A sample whose |g| is
+    within its rounding bound, where the bound exceeds the causal band,
+    leaves the sign undecided and raises ProblemValidationError naming the
+    rounding (large coordinates whose frame components cancel).  Otherwise
+    a sample within the causal band, the tolerance times max(1, sum_a
+    w_a^2), makes the curve lightlike (characteristic data); a strict sign
+    change without a null sample is reported as mixed.
     """
     speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
+    jets = [speed2, *problem.frame_velocity, *problem.normal_field, *problem.curve_velocity()]
     coframe = [e for row in problem.coframe_jets for e in row]
     u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
     us = np.linspace(u_lo, u_hi, samples)
     gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        table = table_stack([speed2, *problem.frame_velocity, *problem.curve_velocity(), *coframe])
+        table = table_stack(jets + coframe)
         values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
-        vals, w, v = values[0], values[1:4], values[4:7]
-        terms = np.abs(values[7:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
+        vals, w, field, v = values[0], values[1:4], values[4:7], values[7:10]
+        terms = np.abs(values[10:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
         d = gamma * terms.sum(axis=1)
+        # fmax drops the NaN of a w whose rounding bound overflows with it.
+        w_reach, v_reach = np.max(np.fmax(np.abs(w) - d, 0.0)), np.max(np.abs(field))
+        normal2 = w_reach**4 * v_reach**2
         rounding = np.sum(d * (2.0 * np.abs(w) + d) + gamma * w * w, axis=0)
         band = problem.tolerances.causal * np.maximum(1.0, np.sum(w * w, axis=0))
         # The frame components cancel terms as large as the coordinate
         # velocity; once their squares overflow, only rounding is left.
         finite = np.all(np.isfinite(vals + rounding + np.sum(v * v, axis=0)))
+    if not np.isfinite(normal2):
+        raise ProblemValidationError(
+            f"the boundary normal's square overflows: the frame velocity reaches "
+            f"{w_reach:.3e} and the field {v_reach:.3e} on [{u_lo:g}, {u_hi:g}]"
+        )
     if not finite:
         raise ProblemValidationError(
             f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"

@@ -641,6 +641,47 @@ def test_normal_whose_square_overflows_is_a_one_line_rejection(workdir, capsys, 
 
 
 @pytest.mark.parametrize(
+    "example_id, edit, line",
+    [
+        (
+            "heisenberg_vertical_plane",
+            {"grid": {"u_min": -1.0, "u_max": 1e12, "v_min": -0.5, "v_max": 0.5, "nu": 33, "nv": 17}},
+            "the boundary normal's square overflows: the frame velocity reaches 2.088e+135 "
+            "and the field 1.000e+00 on [-1, 1e+12]",
+        ),
+        (
+            "desitter_vertical_plane",
+            {"beta": ["1e160*u", "c", "1e50"]},
+            "the boundary normal's square overflows: the frame velocity reaches 1.000e+110 "
+            "and the field 1.000e+00 on [-0.75, 0.75]",
+        ),
+        (
+            "desitter_vertical_plane",
+            {"beta": ["1e160*u", "c", "1e100"]},
+            "squared speed of the initial curve overflows on [-0.75, 0.75]",
+        ),
+    ],
+    ids=["far-grid", "fast-curve", "fast-far-curve"],
+)
+def test_classification_refuses_overflow_in_one_line(workdir, capsys, example_id, edit, line):
+    # The boundary normal's square, of size |w|^4, is the classification's
+    # first decision.  It is past the float range on the first two inputs,
+    # where, judged after the curve, the far grid would read as a lightlike
+    # curve and the fast curve (squared coordinate velocity 1e320) as a
+    # speed that overflows.  At x3 = 1e100 the de Sitter frame velocity,
+    # curve' / x3, is 1e60 and the normal's square 1e240, but the squared
+    # coordinate velocity is still 1e320.
+    doc = corpus.build_problem_dict(example_id, order=12)
+    doc.update(edit)
+    (workdir / "far.problem.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "far.problem.json"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["rejected: " + line]
+    assert list(workdir.iterdir()) == [workdir / "far.problem.json"]
+
+
+@pytest.mark.parametrize(
     "beta0", ["(sinh(u))*1e70", "(sinh(u))*1e76", "(sinh(u)) + 1e70*u"], ids=["x1e70", "x1e76", "plus-1e70u"]
 )
 def test_frame_data_that_overflow_in_the_march_are_a_one_line_rejection(workdir, capsys, beta0):

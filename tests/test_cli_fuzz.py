@@ -1,15 +1,18 @@
-"""Fuzz of the problem-file boundary: every mutated corpus document ends in
-a documented exit code, with exactly one stderr line when it is not 0.
+"""Fuzz of the file boundaries: every mutated document ends in a documented
+exit code, with exactly one stderr line when it is not 0.
 
-Each case takes a corpus document at order 4 or 12 and replaces one to
-three of its entries (a leaf or a whole list or object) by one of a fixed
-set of values, or drops the entry, then solves it through ``cli.main``
-in-process with numpy's RuntimeWarning an error.  The escapes the
-contract once had are explicit examples.
+Each problem case takes a corpus document at order 4 or 12 and replaces
+one to three of its entries (a leaf or a whole list or object) by one of
+a fixed set of values, or drops the entry, then solves it through
+``cli.main`` in-process with numpy's RuntimeWarning an error.  The escapes
+the contract once had are explicit examples.  Each solution case mutates
+an example's order-12 solution file the same way and meshes it with
+``export-mesh`` to OBJ and to CSV, which exits 0 or 1.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import warnings
@@ -17,7 +20,7 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bjorling import cli, corpus
+from bjorling import cli, corpus, problemfile, solver
 
 _DROP = "<drop the entry>"
 
@@ -48,20 +51,25 @@ def _paths(doc, path=()):
     return out
 
 
+def _edit(doc, path, value) -> None:
+    """Replace the entry at ``path`` by ``value``, or drop it."""
+    *parents, key = path
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    if value is _DROP:
+        del owner[key]
+    else:
+        owner[key] = copy.deepcopy(value)
+
+
 def _mutated(example_id: str, order: int, edits) -> dict:
     doc = corpus.build_problem_dict(example_id, order=order)
     for index, value in edits:
         paths = _paths(doc)
         if not paths:
             break
-        *parents, key = paths[index % len(paths)]
-        owner = doc
-        for step in parents:
-            owner = owner[step]
-        if value is _DROP:
-            del owner[key]
-        else:
-            owner[key] = copy.deepcopy(value)
+        _edit(doc, paths[index % len(paths)], value)
     return doc
 
 
@@ -118,3 +126,43 @@ def test_mutated_problem_files_exit_with_one_line(tmp_path_factory, example_id, 
     assert code in (0, 1, 2, 3)
     if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+@functools.cache
+def _solution_doc(example_id: str) -> dict:
+    """The example's order-12 solution file as a JSON document."""
+    problem = problemfile.problem_from_dict(corpus.build_problem_dict(example_id, order=12))
+    return problemfile.solution_payload(solver.solve_bjorling(problem))
+
+
+def _solution_paths(doc, coefficient: bool) -> list:
+    """The surface's coefficients, or every other entry but the frame
+    data's, which export-mesh does not read (the whole entry is kept)."""
+    paths = [p for p in _paths(doc) if p[0] != "frame_data" or len(p) == 1]
+    return [p for p in paths if (p[0] == "surface" and len(p) == 4) == coefficient]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    example_id=st.sampled_from(corpus.EXAMPLE_IDS),
+    edits=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 1000), st.sampled_from(_VALUES)), min_size=1, max_size=3
+    ),
+)
+def test_mutated_solution_files_mesh_or_exit_with_one_line(tmp_path_factory, example_id, edits):
+    work = tmp_path_factory.mktemp("fuzz")
+    doc = copy.deepcopy(_solution_doc(example_id))
+    for coefficient, index, value in edits:
+        paths = _solution_paths(doc, coefficient)
+        if paths:
+            _edit(doc, paths[index % len(paths)], value)
+    solution = work / "case.solution.json"
+    solution.write_text(json.dumps(doc))
+    for fmt in ("obj", "csv"):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["export-mesh", str(solution), "--format", fmt, "--out", str(work / f"case.{fmt}")])
+        assert code in (0, 1)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
