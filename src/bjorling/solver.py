@@ -157,13 +157,14 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     w_a^2), makes the curve lightlike (characteristic data); a strict sign
     change without a null sample is reported as mixed.
     """
-    speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
-    jets = [speed2, *problem.frame_velocity, *problem.normal_field, *problem.curve_velocity()]
     coframe = [e for row in problem.coframe_jets for e in row]
     u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
     us = np.linspace(u_lo, u_hi, samples)
-    gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
+    # Every overflow, from the squared speed's coefficients on, reads as inf or NaN below.
     with np.errstate(over="ignore", invalid="ignore"):
+        speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
+        gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
+        jets = [speed2, *problem.frame_velocity, *problem.normal_field, *problem.curve_velocity()]
         table = table_stack(jets + coframe)
         values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
         vals, w, field, v = values[0], values[1:4], values[4:7], values[7:10]

@@ -660,8 +660,21 @@ def test_normal_whose_square_overflows_is_a_one_line_rejection(workdir, capsys, 
             {"beta": ["1e160*u", "c", "1e100"]},
             "squared speed of the initial curve overflows on [-0.75, 0.75]",
         ),
+        (
+            "heisenberg_vertical_plane",
+            {
+                "group": "generic",
+                "structure_constants": [[[0.0] * 3] * 3] * 3,
+                "params": {},
+                "frame_matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "beta": ["1.3e154*u", "1.3e154*u", "0"],
+                "V": ["0", "1", "0"],
+            },
+            "the boundary normal's square overflows: the frame velocity reaches 1.300e+154 "
+            "and the field 1.000e+00 on [-1, 1]",
+        ),
     ],
-    ids=["far-grid", "fast-curve", "fast-far-curve"],
+    ids=["far-grid", "fast-curve", "fast-far-curve", "flat-fast-curve"],
 )
 def test_classification_refuses_overflow_in_one_line(workdir, capsys, example_id, edit, line):
     # The boundary normal's square, of size |w|^4, is the classification's
@@ -670,7 +683,9 @@ def test_classification_refuses_overflow_in_one_line(workdir, capsys, example_id
     # curve and the fast curve (squared coordinate velocity 1e320) as a
     # speed that overflows.  At x3 = 1e100 the de Sitter frame velocity,
     # curve' / x3, is 1e60 and the normal's square 1e240, but the squared
-    # coordinate velocity is still 1e320.
+    # coordinate velocity is still 1e320.  In the flat chart two components
+    # of 1.3e154 pass validate, and their squared speed overflows in its
+    # coefficients, which the classification forms where overflow is inf.
     doc = corpus.build_problem_dict(example_id, order=12)
     doc.update(edit)
     (workdir / "far.problem.json").write_text(json.dumps(doc))

@@ -115,6 +115,13 @@ def _edits(example_id: str, order: int, *changes) -> tuple:
         (("V", 2, "coeffs", 7), 2),
     ),
 )
+# Escape 10: a squared speed whose coefficients overflow, formed before the
+# classification's overflow guard.
+@example(
+    "heisenberg_vertical_plane",
+    12,
+    _edits("heisenberg_vertical_plane", 12, (("beta", 0), "1e154*u"), (("beta", 1), "1e154*u")),
+)
 def test_mutated_problem_files_exit_with_one_line(tmp_path_factory, example_id, order, edits):
     work = tmp_path_factory.mktemp("fuzz")
     problem = work / "case.problem.json"
