@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,48 @@ from .errors import (
     NonIntegrable,
     ProblemValidationError,
 )
-from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec, mat_vec_tables
+from .groups import SIGNATURE, GroupModel, by_value, mat_vec, mat_vec_tables
 from .series import BiSeries, USeries, du_tables, dv_tables, point_values, table_stack
 from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
+
+
+def _jet_times(p, q):
+    # The USeries product of two jets' coefficient arrays, both at the lower
+    # order; a number scales, as a number times a USeries does.
+    if not isinstance(p, np.ndarray):
+        return q * p
+    n = min(p.size, q.size)
+    return np.convolve(p[:n], q[:n])[:n]
+
+
+def _jet_plus(p, q):
+    # The USeries sum of two jets' coefficient arrays, at the lower order.
+    n = min(p.size, q.size)
+    return p[:n] + q[:n]
+
+
+def _jet_minus(p, q):
+    # The USeries difference p + q * -1.0.
+    return _jet_plus(p, q * -1.0)
+
+
+def _jet_dot(y, w):
+    # lorentz_dot(y, w) of USeries triples, on their coefficient arrays.
+    return _jet_minus(_jet_plus(_jet_times(y[0], w[0]), _jet_times(y[1], w[1])), _jet_times(y[2], w[2]))
+
+
+class CurveJets(NamedTuple):
+    """The jets along the curve that the checks before the march and the
+    initial data read, as coefficient arrays, each at its own order: the
+    results of ``groups.lorentz_dot``, ``lorentz_cross`` and ``mat_vec``
+    on USeries, bit for bit."""
+
+    table: np.ndarray  # (19, k): g(w, w), w, V, curve', A^-1 row by row; zero-padded
+    w: list  # the frame components of curve'
+    cross: list  # V x w
+    w_square: np.ndarray  # g(w, w)
+    field_square: np.ndarray  # g(V, V)
+    w_dot_field: np.ndarray  # g(w, V)
 
 
 @dataclass(frozen=True)
@@ -71,9 +111,32 @@ class BjorlingProblem:
         return self.group.coframe(self.curve)
 
     @cached_property
+    def curve_jets(self) -> CurveJets:
+        """The curve's velocity, the field, the coframe and the frame
+        velocity w, with g(w, w), g(V, V), g(w, V) and V x w, formed once
+        per problem on coefficient arrays.  w is ``mat_vec`` of the coframe
+        jets and the velocity, with USeries products and sums; an overflow
+        reads as inf or NaN, which the checks refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coframe = [[getattr(e, "coeffs", e) for e in row] for row in self.coframe_jets]
+            velocity = [c.coeffs for c in self.curve_velocity()]
+            field = [v.coeffs for v in self.normal_field]
+            w = mat_vec(coframe, velocity, _jet_times, _jet_plus)
+            cross = [
+                _jet_minus(_jet_times(field[i], w[j]), _jet_times(w[i], field[j]))
+                for i, j in ((1, 2), (2, 0), (1, 0))
+            ]
+            speed2 = _jet_dot(w, w)
+            rows = [speed2, *w, *field, *velocity, *(e for row in coframe for e in row)]
+            table = np.zeros((len(rows), max(getattr(r, "size", 1) for r in rows)))
+            for out, row in zip(table, rows):
+                out[: getattr(row, "size", 1)] = row  # a number is a constant
+            return CurveJets(table, w, cross, speed2, _jet_dot(field, field), _jet_dot(w, field))
+
+    @cached_property
     def frame_velocity(self) -> tuple[USeries, USeries, USeries]:
         """Frame components of the curve's velocity, converted once per problem."""
-        return mat_vec(self.coframe_jets, self.curve_velocity())
+        return tuple(USeries(w, self.center) for w in self.curve_jets.w)
 
     def validate(self) -> None:
         """Check the stated invariants; raises ProblemValidationError."""
@@ -105,16 +168,19 @@ class BjorlingProblem:
                 f"{self.group.name} chart guard"
             )
         want = self.kind.normal_square
+        jets = self.curve_jets
         # Formed in numpy floats, where an overflow is inf, not an exception.
         with np.errstate(over="ignore", invalid="ignore"):
-            vel = self.frame_velocity
-            field_scale = max(1.0, *(w.maxabs() for w in self.normal_field))
-            scale = max(field_scale, *(w.maxabs() for w in vel))
-            vdotv = (lorentz_dot(self.normal_field, self.normal_field) - want).maxabs()
-            ortho = lorentz_dot(vel, self.normal_field).maxabs()
+            # Row maxima, taken as USeries.maxabs takes them, one jet at a time.
+            field_scale = max(1.0, *np.max(np.abs(jets.table[4:7]), axis=1))
+            scale = max(field_scale, *np.max(np.abs(jets.table[1:4]), axis=1))
+            deviation = jets.field_square.copy()
+            deviation[0] -= want
+            vdotv = float(np.max(np.abs(deviation)))
+            ortho = float(np.max(np.abs(jets.w_dot_field)))
             bounds = 1e-9 * np.square([field_scale, scale])
             # The metric Ainv^T diag Ainv at the base point: the coframe jets' constant terms.
-            ainv = np.array([[getattr(e, "coeffs", [e])[0] for e in row] for row in self.coframe_jets])
+            ainv = jets.table[10:19, 0].reshape(3, 3).copy()
             metric = ainv.T @ (SIGNATURE[:, None] * ainv)
         if not np.all(np.isfinite([vdotv, ortho, *bounds])):
             raise ProblemValidationError(
@@ -157,15 +223,13 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     w_a^2), makes the curve lightlike (characteristic data); a strict sign
     change without a null sample is reported as mixed.
     """
-    coframe = [e for row in problem.coframe_jets for e in row]
+    jets = problem.curve_jets
     u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
     us = np.linspace(u_lo, u_hi, samples)
+    gamma = 4.0 * jets.w_square.size * np.finfo(float).eps
+    table = jets.table
     # Every overflow, from the squared speed's coefficients on, reads as inf or NaN below.
     with np.errstate(over="ignore", invalid="ignore"):
-        speed2 = lorentz_dot(problem.frame_velocity, problem.frame_velocity)
-        gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
-        jets = [speed2, *problem.frame_velocity, *problem.normal_field, *problem.curve_velocity()]
-        table = table_stack(jets + coframe)
         values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
         vals, w, field, v = values[0], values[1:4], values[4:7], values[7:10]
         terms = np.abs(values[10:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
@@ -211,13 +275,12 @@ def initial_data(problem: BjorlingProblem) -> np.ndarray:
     velocity) / 2 along the curve; every other entry is zero.
     """
     n = problem.order
-    vel = problem.frame_velocity
-    cross = lorentz_cross(problem.normal_field, vel)
+    jets = problem.curve_jets
     frame = np.zeros((2, 3, n + 1, n + 1))
-    for part, jets, factor in ((0, vel, 0.5), (1, cross, 0.5 * problem.kind.tangent_sign)):
-        for c, jet in enumerate(jets):
-            k = min(n, jet.order)
-            frame[part, c, : k + 1, 0] = factor * jet.coeffs[: k + 1]
+    for part, rows, factor in ((0, jets.w, 0.5), (1, jets.cross, 0.5 * problem.kind.tangent_sign)):
+        for c, row in enumerate(rows):
+            row = row[: n + 1]
+            frame[part, c, : row.size, 0] = factor * row
     return frame
 
 
@@ -228,7 +291,9 @@ def _column_zero(frame0: np.ndarray) -> np.ndarray:
     return x
 
 
+@by_value
 def _march_maps(gamma: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    # Memoized by the bytes of gamma and by s, read-only (groups.by_value).
     # parts = conj_map @ (pair slices p[a', b'], a', b' < 6 the re then unit
     # tables of psi1..3, flattened): rows [k, a, b] (18) are the (re, unit)
     # slices of conj(psi_a) psi_b and rows 18, 19 the (re, unit) slice of

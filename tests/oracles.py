@@ -20,22 +20,24 @@ against full products, the cone lift's root grown one v-column per level
 from those column products, the grid certificates and the mesh as loops over
 single grid points (the tension twice: with the symbolic Christoffel
 symbols, and by central differences of the surface and the metric), and
-the mesh files written one line at a time.  Series references are written in the
+the mesh files written one line at a time, and the checks before the march
+with the initial data from ``USeries`` jets, with A^-1 by the adjugate formula
+evaluated entry by entry.  Series references are written in the
 closed-form algebra of ``kalgebra``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import sympy as sp
 
-from bjorling.config import Mode
-from bjorling.errors import ConstraintDrift, ProblemValidationError
-from bjorling.groups import SIGNATURE, lorentz_dot
-from bjorling.series import BiSeries, USeries, _band_gathers, _triangle_mask
+from bjorling.config import CurveClass, Mode
+from bjorling.errors import ConstraintDrift, NotInvertible, ProblemValidationError
+from bjorling.groups import SIGNATURE, _plus, _times, lorentz_cross, lorentz_dot, mat_vec
+from bjorling.series import BiSeries, USeries, _band_gathers, _triangle_mask, table_stack
 from bjorling.slices import SkewPad, cauchy_slice
 from bjorling.solver import _column_zero, _march_maps
 from kalgebra import KScalar, KSeries
@@ -702,3 +704,63 @@ def reference_write_csv(mesh, path) -> None:
     for (u, v), x, r in zip(mesh.uv, mesh.vertices, mesh.residual):
         lines.append(f"{u:.17g},{v:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g},{r:.17g}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_inverse(m):
+    """A^-1 of a 3x3 nest as the adjugate times the determinant's reciprocal,
+    each entry evaluated through ``_times`` and ``_plus`` as it is met."""
+    cyclic = ((1, 2), (2, 0), (0, 1))
+    with np.errstate(all="ignore"):
+        adj = [[_plus(_times(m[j][i], m[l][k]), -_times(m[j][k], m[l][i])) for j, l in cyclic]
+               for i, k in cyclic]
+        det = reduce(_plus, map(_times, m[0], (row[0] for row in adj)), 0.0)
+        if isinstance(det, (np.ndarray, np.generic)):
+            det = np.where(np.isfinite(det), det, np.nan)
+        elif not np.isfinite(getattr(det, "coeffs", det)).all():
+            raise NotInvertible("frame matrix determinant is not finite")
+        elif abs(getattr(det, "coeffs", [det])[0]) <= 1e-300:  # a jet quotient's own bound
+            raise NotInvertible("frame matrix determinant is zero or too small to invert")
+        r = 1.0 / det
+        return [[_times(e, r) for e in row] for row in adj]
+
+
+def reference_front_end(problem, samples: int = 33):
+    """(class, initial data) of a problem from ``USeries`` jets: the frame
+    velocity is ``mat_vec`` of ``reference_inverse`` along the curve and
+    the curve's velocity, g(w, w) and V x w are ``lorentz_dot`` and
+    ``lorentz_cross`` of jets, and the class reads the sampled rows of one
+    ``table_stack``; the class is None where a sample of the squared speed
+    is lost to rounding."""
+    coframe = reference_inverse(problem.group.frame(problem.curve))
+    vel = mat_vec(coframe, problem.curve_velocity())
+    cross = lorentz_cross(problem.normal_field, vel)
+    n = problem.order
+    frame = np.zeros((2, 3, n + 1, n + 1))
+    for part, jets, factor in ((0, vel, 0.5), (1, cross, 0.5 * problem.kind.tangent_sign)):
+        for c, jet in enumerate(jets):
+            k = min(n, jet.order)
+            frame[part, c, : k + 1, 0] = factor * jet.coeffs[: k + 1]
+
+    us = np.linspace(problem.grid.u_min, problem.grid.u_max, samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed2 = lorentz_dot(vel, vel)
+        gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
+        jets = [speed2, *vel, *problem.normal_field, *problem.curve_velocity()]
+        table = table_stack(jets + [e for row in coframe for e in row])
+        values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
+        vals, w, v = values[0], values[1:4], values[7:10]
+        terms = np.abs(values[10:].reshape(3, 3, -1) * v)
+        d = gamma * terms.sum(axis=1)
+        rounding = np.sum(d * (2.0 * np.abs(w) + d) + gamma * w * w, axis=0)
+        band = problem.tolerances.causal * np.maximum(1.0, np.sum(w * w, axis=0))
+    if np.any((np.abs(vals) <= rounding) & (rounding > band)):
+        kind = None
+    elif np.any(np.abs(vals) <= band):
+        kind = CurveClass.LIGHTLIKE
+    elif np.all(vals > 0.0):
+        kind = CurveClass.SPACELIKE
+    elif np.all(vals < 0.0):
+        kind = CurveClass.TIMELIKE
+    else:
+        kind = CurveClass.MIXED
+    return kind, frame

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bjorling import corpus, groups, problemfile
+from bjorling import corpus, expressions, groups, problemfile, verify
 from bjorling.config import CurveClass, GridSpec, Mode, ProblemKind
 from bjorling.errors import (
     CausalMismatch,
@@ -28,13 +28,14 @@ from bjorling.series import BiSeries, USeries
 from bjorling.slices import FrameTape, SkewPad, TapeNode
 from bjorling.solver import (
     BjorlingProblem,
+    _march_maps,
     ck_march,
     classify_curve,
     initial_data,
     reconstruct_surface,
     solve_bjorling,
 )
-from bjorling.verify import compare_to_reference
+from bjorling.verify import compare_to_reference, weierstrass_residuals
 from kalgebra import (
     KScalar,
     KSeries,
@@ -50,6 +51,7 @@ from oracles import (
     frame_stack,
     level_check_ck_march,
     reference_ck_march,
+    reference_front_end,
     slice_ck_march,
 )
 
@@ -319,17 +321,19 @@ def test_builtin_declared_generic_rebuilds_the_same_surface(example_id, order):
 
 
 def test_generic_frame_entries_are_parsed_once(monkeypatch):
-    # The nine entries are parsed when the group is made, not on each of the
-    # hundreds of frame evaluations a solve makes.
+    # The entries are parsed when the group is made, not on each of the
+    # hundreds of frame evaluations a solve makes; the parse is memoized by
+    # text, so the nine entries make one parse per distinct text.
     prob = _problem("heisenberg_vertical_plane", order=30)
     calls = []
     parse = ast.parse
     monkeypatch.setattr(ast, "parse", lambda *args, **kw: calls.append(args) or parse(*args, **kw))
+    expressions.parse_expression.cache_clear()
     gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES["heisenberg"])
-    assert len(calls) == 9
+    assert sorted(args[0] for args in calls) == ["-x2/2", "0", "1", "x1/2"]
     solution = solve_bjorling(dataclasses.replace(prob, group=gen))
     assert not solution.report.failures(prob.tolerances)
-    assert len(calls) == 9
+    assert len(calls) == 4
 
 
 # Heisenberg in the chart y = phi(x) = (x1, x2, x3 + x1^2 x2): the built-in
@@ -1037,3 +1041,127 @@ def test_field_jet_one_order_short_is_caught_in_the_initial_data():
     short = dataclasses.replace(prob, normal_field=(v1, v2.truncated(prob.order - 1), v3))
     with pytest.raises(ConstraintDrift, match="in the initial data"):
         solve_bjorling(short)
+
+
+# ---------------------------------------------------------------------------
+# the checks before the march, on stacked jets
+
+
+def _generic_twin(prob):
+    gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES[prob.group.name])
+    return dataclasses.replace(prob, group=gen)
+
+
+def _assert_front_end_bits(prob):
+    # classify_curve and initial_data read the problem's jets as coefficient
+    # arrays; the USeries jets they replaced give the same class and the
+    # same bits, the signs of zeros included.
+    want_class, want = reference_front_end(prob)
+    prob.validate()
+    got = initial_data(prob)
+    assert want_class is not None
+    assert classify_curve(prob) is want_class
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("twin", [False, True])
+@pytest.mark.parametrize("order", [2, 12, 30, 48])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_front_end_keeps_the_bits_of_useries_jets(example_id, order, twin):
+    prob = _problem(example_id, order=order)
+    _assert_front_end_bits(_generic_twin(prob) if twin else prob)
+
+
+@pytest.mark.parametrize("order", [2, 12, 30])
+def test_front_end_keeps_the_bits_with_a_short_coefficient_field(order):
+    # The vertical plane's field as coefficient lists, V[0] and V[2] one
+    # order shorter than the curve and V[1] as long: every product is made
+    # at the lower order of its factors.
+    n = order
+    field = [{"coeffs": [0.0] * (n + 1)}, {"coeffs": [1.0] + [0.0] * (n + 1)}, {"coeffs": [-0.0] * (n + 1)}]
+    prob = _problem("heisenberg_vertical_plane", order=order, V=field)
+    assert [v.order for v in prob.normal_field] == [n, n + 1, n]
+    _assert_front_end_bits(prob)
+    _assert_front_end_bits(_generic_twin(prob))
+
+
+@pytest.mark.parametrize("order", [2, 12])
+def test_front_end_keeps_the_bits_of_the_helicoid_at_b_zero(order):
+    _assert_front_end_bits(_problem("heisenberg_helicoid", {"b": 0.0}, order=order))
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("name", ["heisenberg", "desitter", "h2xr", "quadratic-chart"])
+def test_front_end_keeps_the_bits_on_random_jets_of_mixed_orders(name, kind):
+    # Random curve and field jets, each of its own order, some below the
+    # problem's: every product, sum and difference at the lower order of its
+    # operands, in the operand order of the USeries operations, and a row
+    # shorter than the initial data's column leaves its zeros alone.  The
+    # data need not satisfy the invariants: only the class (or the refusal)
+    # and the initial data are compared.
+    rng = np.random.default_rng([len(name), len(kind.value)])
+    n = 12
+    curve = tuple(USeries(rng.uniform(0.5, 1.5, n + 2 - k), 0.25) for k in (0, 1, 0))
+    field = tuple(USeries(rng.uniform(-1.0, 1.0, size), 0.25) for size in (n + 1, n - 2, n + 2))
+    group = generic_group(heisenberg().C, _QUADRATIC_CHART) if name == "quadratic-chart" else groups.by_name(name)
+    prob = BjorlingProblem(group, curve, field, kind, order=n)
+    want_class, want = reference_front_end(prob)
+    if want_class is None:
+        with pytest.raises(ProblemValidationError, match="lost to rounding"):
+            classify_curve(prob)
+    else:
+        assert classify_curve(prob) is want_class
+    assert initial_data(prob).tobytes() == want.tobytes()
+
+
+def test_curve_jets_are_made_once_per_problem():
+    prob = _problem("desitter_vertical_plane")
+    jets = prob.curve_jets
+    prob.validate()
+    classify_curve(prob)
+    initial_data(prob)
+    assert prob.curve_jets is jets
+    assert [np.array_equal(w.coeffs, row) for w, row in zip(prob.frame_velocity, jets.w)] == [True] * 3
+
+
+# ---------------------------------------------------------------------------
+# tables memoized by value
+
+
+def _solution_bytes(sol):
+    return (
+        sol.frame_data.tobytes(),
+        b"".join(f.coeffs.tobytes() for f in sol.surface),
+        repr(sol.report.as_flat_dict()),
+    )
+
+
+@pytest.mark.parametrize("order", [12, 30])
+def test_memoized_tables_do_not_leak_between_groups(order):
+    # Heisenberg, then a generic group with other constants, whose connection
+    # table, march maps and certificate weights differ, then Heisenberg again:
+    # the third solve has the bits of the first.
+    first = solve_bjorling(_problem("heisenberg_helicoid", order=order))
+    C = np.zeros((3, 3, 3))
+    C[0, 1, 2], C[1, 0, 2] = 2.0, -2.0
+    other = _problem("heisenberg_helicoid", order=order)
+    other = dataclasses.replace(other, group=generic_group(C, _GENERIC_FRAMES["heisenberg"]))
+    assert np.array_equal(other.group.gamma, 2.0 * first.group.gamma)
+    frame = ck_march(other.group, initial_data(other), other.mode)
+    assert not np.array_equal(frame, first.frame_data)
+    assert weierstrass_residuals(other.group, frame, other.mode)[1] <= 1e-8
+    third = solve_bjorling(_problem("heisenberg_helicoid", order=order))
+    assert _solution_bytes(third) == _solution_bytes(first)
+
+
+def test_march_maps_and_certificate_weights_are_read_only():
+    gamma = heisenberg().gamma
+    conj_map, gamma_map = _march_maps(gamma, -1.0)
+    weights = verify._certificate_weights(gamma, -1.0)
+    assert _march_maps(gamma.copy(), -1.0)[0] is conj_map
+    assert verify._certificate_weights(gamma.copy(), -1.0) is weights
+    assert verify._certificate_weights(gamma, 1.0) is not weights
+    for table in (conj_map, gamma_map, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
