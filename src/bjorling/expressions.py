@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,13 +81,8 @@ def _eval_node(node, env, text):
     raise ExpressionError(f"unsupported syntax in {_quote(text)}")
 
 
-@lru_cache(maxsize=1024)
 def parse_expression(text: str) -> ast.Expression:
-    """The syntax tree of an expression, for evaluating it many times.
-
-    Memoized by the text for the life of the process, up to the 1024 most
-    recent texts; a text that fails to parse is not kept.  The tree is
-    shared by every caller and must not be changed."""
+    """The syntax tree of an expression, for evaluating it many times."""
     try:
         return ast.parse(text, mode="eval")
     except SyntaxError as exc:

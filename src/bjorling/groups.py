@@ -14,7 +14,7 @@ sum_c gamma[a, b, c] E_c and equals half of the Koszul combination
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, reduce, wraps
+from functools import reduce
 
 import numpy as np
 
@@ -25,60 +25,35 @@ from .series import BiSeries, table_products
 SIGNATURE = np.array([1.0, 1.0, -1.0])
 
 
-def lorentz_cross(y, w):
+def lorentz_cross(y, w, times=operator.mul, plus=operator.add):
     """Frame-component cross product adapted to the (+, +, -) metric.
 
-    Works on any triple of multiplicable components (floats, arrays, jets).
-    Antisymmetric; the output is g-orthogonal to both inputs.
+    Works on any triple of multiplicable components (floats, arrays, jets);
+    ``times`` and ``plus`` make the products and sums (the operators by
+    default), and p - q is p plus -q.  Antisymmetric; the output is
+    g-orthogonal to both inputs.
     """
     return (
-        y[1] * w[2] - w[1] * y[2],
-        y[2] * w[0] - w[2] * y[0],
-        y[1] * w[0] - w[1] * y[0],
+        plus(times(y[1], w[2]), -times(w[1], y[2])),
+        plus(times(y[2], w[0]), -times(w[2], y[0])),
+        plus(times(y[1], w[0]), -times(w[1], y[0])),
     )
 
 
-def lorentz_dot(y, w):
-    """Frame-component inner product y1*w1 + y2*w2 - y3*w3."""
-    return y[0] * w[0] + y[1] * w[1] - y[2] * w[2]
+def lorentz_dot(y, w, times=operator.mul, plus=operator.add):
+    """Frame-component inner product y1*w1 + y2*w2 - y3*w3, with
+    ``times`` and ``plus`` as in ``lorentz_cross``."""
+    return plus(plus(times(y[0], w[0]), times(y[1], w[1])), -times(y[2], w[2]))
 
 
-def by_value(fn):
-    """Memoize ``fn(table, *rest)`` by the shape and bytes of the float
-    array ``table`` and by ``rest``, for the life of the process.
-
-    Tables that depend only on a group's constants are then made once per
-    process, whatever model object carries them.  The cache keeps the 64
-    most recent keys; a call that raises stores nothing.  The array, or
-    tuple of arrays, that ``fn`` returns comes back read-only, since every
-    caller shares it.
-    """
-
-    @lru_cache(maxsize=64)
-    def cached(shape, data, *rest):
-        out = fn(np.frombuffer(data).reshape(shape), *rest)
-        for array in out if isinstance(out, tuple) else (out,):
-            array.setflags(write=False)
-        return out
-
-    @wraps(fn)
-    def call(table, *rest):
-        table = np.asarray(table, dtype=float)
-        return cached(table.shape, table.tobytes(), *rest)
-
-    call.cache_info = cached.cache_info
-    return call
-
-
-@by_value
 def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Koszul table L and connection table gamma = L/2 from structure constants.
 
     The structure constants must be finite and exactly antisymmetric in
     their lower pair.  Metric compatibility of the result (gamma[a,b,c] e_c =
-    -gamma[a,c,b] e_b) is automatic and covered by tests.  Memoized by
-    value (``by_value``): the two tables are read-only.
+    -gamma[a,c,b] e_b) is automatic and covered by tests.
     """
+    C = np.asarray(C, dtype=float)
     if C.shape != (3, 3, 3):
         raise ValueError("structure constants must form a 3x3x3 table")
     if not np.isfinite(C).all():
@@ -140,95 +115,22 @@ def mat_vec_tables(m, w: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Slot:
-    # An entry of A that is not a number while an inverse plan is traced:
-    # each product, sum, negation or reciprocal of it is recorded as a step.
-    __slots__ = ("steps",)
-
-    def __init__(self, steps):
-        self.steps = steps
-
-    def _step(self, fn, *args):
-        out = _Slot(self.steps)
-        self.steps.append((fn, args, out))
-        return out
-
-    def __mul__(self, other):
-        return self._step(operator.mul, self, other)
-
-    def __rmul__(self, other):
-        return self._step(operator.mul, other, self)
-
-    def __add__(self, other):
-        return self._step(operator.add, self, other)
-
-    def __radd__(self, other):
-        return self._step(operator.add, other, self)
-
-    def __neg__(self):
-        return self._step(operator.neg, self)
-
-
-def _reciprocal(det):
-    # 1 / det; a jet or number det that is not finite or too small is refused,
-    # and at a point (array) whose det is 0 or not finite the result is not finite.
-    if isinstance(det, (np.ndarray, np.generic)):
-        det = np.where(np.isfinite(det), det, np.nan)
-    elif not np.isfinite(getattr(det, "coeffs", det)).all():
-        raise NotInvertible("frame matrix determinant is not finite")
-    elif abs(getattr(det, "coeffs", [det])[0]) <= 1e-300:  # a jet quotient's own bound
-        raise NotInvertible("frame matrix determinant is zero or too small to invert")
-    return 1.0 / det
-
-
-def _adjugate_over_det(m):
-    # A^-1 as the adjugate of the 3x3 nest m times the determinant's reciprocal.
-    cyclic = ((1, 2), (2, 0), (0, 1))
-    adj = [[_plus(_times(m[j][i], m[l][k]), -_times(m[j][k], m[l][i])) for j, l in cyclic]
-           for i, k in cyclic]
-    det = reduce(_plus, map(_times, m[0], (row[0] for row in adj)), 0.0)
-    r = det._step(_reciprocal, det) if type(det) is _Slot else _reciprocal(det)
-    return [[_times(e, r) for e in row] for row in adj]
-
-
-@lru_cache(maxsize=256)
-def _inverse_plan(numbers: tuple):
-    """The operations of ``_adjugate_over_det`` on a nest whose flattened
-    entries are the floats of ``numbers`` where it holds one, and anything
-    else where it holds None: (constants, steps, out).  Registers 0-8 are
-    the entries, then the constants, then one per step; a step is (fn, its
-    argument registers), and out is the 3x3 nest of the result's registers.
-
-    The formula is traced once, on the numbers and on a ``_Slot`` for each
-    other entry: operations on numbers alone are made here, a number 0.0
-    or 1.0 costs no step as it costs no operation there, and the steps are
-    the other operations, with the same operands in the same order, so
-    they give the formula's bits.  A number determinant that is refused
-    raises here, and so on every call, since a raising call is not cached."""
-    steps = []
-    entries = [_Slot(steps) if x is None else x for x in numbers]
-    out = _adjugate_over_det([entries[0:3], entries[3:6], entries[6:9]])
-    operands = [args for _, args, _ in steps] + [[x for row in out for x in row]]
-    constants = [x for args in operands for x in args if type(x) is not _Slot]
-    register = {id(e): k for k, e in enumerate(entries) if type(e) is _Slot}
-    register.update((id(made), 9 + len(constants) + k) for k, (_, _, made) in enumerate(steps))
-    numbered = iter(range(9, 9 + len(constants)))
-    *args, out = [
-        tuple(register[id(x)] if type(x) is _Slot else next(numbered) for x in xs)
-        for xs in operands
-    ]
-    return tuple(constants), tuple(zip([fn for fn, _, _ in steps], args)), (out[0:3], out[3:6], out[6:9])
-
-
 def _inverse(m):
-    # A^-1 of a 3x3 nest of floats, arrays or jets alike, from the plan keyed on its float entries.
-    regs = [e for row in m for e in row]
-    constants, steps, out = _inverse_plan(tuple(e if type(e) is float else None for e in regs))
-    regs += constants
+    # Adjugate times the determinant's reciprocal, for floats, arrays and jets
+    # alike; at a point (array) whose determinant is 0 or not finite, not finite.
+    cyclic = ((1, 2), (2, 0), (0, 1))
     with np.errstate(all="ignore"):
-        for fn, args in steps:
-            regs.append(fn(*[regs[k] for k in args]))
-    return [[regs[k] for k in row] for row in out]
+        adj = [[_plus(_times(m[j][i], m[l][k]), -_times(m[j][k], m[l][i])) for j, l in cyclic]
+               for i, k in cyclic]
+        det = reduce(_plus, map(_times, m[0], (row[0] for row in adj)), 0.0)
+        if isinstance(det, (np.ndarray, np.generic)):
+            det = np.where(np.isfinite(det), det, np.nan)
+        elif not np.isfinite(getattr(det, "coeffs", det)).all():
+            raise NotInvertible("frame matrix determinant is not finite")
+        elif abs(getattr(det, "coeffs", [det])[0]) <= 1e-300:  # a jet quotient's own bound
+            raise NotInvertible("frame matrix determinant is zero or too small to invert")
+        r = 1.0 / det
+        return [[_times(e, r) for e in row] for row in adj]
 
 
 class GroupModel:

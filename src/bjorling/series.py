@@ -115,6 +115,28 @@ def table_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def lower_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two series' coefficient arrays of one kind, both cut to the lower of
+    their orders: the operands of every sum and product of two series."""
+    n = min(a.shape[0], b.shape[0])
+    return a[(slice(n),) * a.ndim], b[(slice(n),) * b.ndim]
+
+
+def jet_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the sum of two series, at the lower order."""
+    a, b = lower_pair(a, b)
+    return a + b
+
+
+def jet_product(a, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the product of two univariate jets, at the lower
+    order; a number ``a`` scales ``b``, as it scales a ``USeries``."""
+    if not isinstance(a, np.ndarray):
+        return b * float(a)
+    a, b = lower_pair(a, b)
+    return np.convolve(a, b)[: a.size]
+
+
 def table_stack(series) -> np.ndarray:
     """Coefficient arrays of a sequence of series of one kind (USeries or
     BiSeries) as one zero-padded stack, (k, n+1) of jets or (k, n+1, n+1)
@@ -268,17 +290,15 @@ class ArraySeries(Ring):
             return self
         return type(self)(self.coeffs[(slice(order + 1),) * self.NDIM], self.center)
 
-    def _pair(self, other):
-        # Both coefficient arrays at the lower of the two orders.
+    def _same_center(self, other) -> np.ndarray:
+        # other's coefficients, once the two are known to share a center.
         if self.center != other.center:
             raise ValueError(f"center mismatch: {self.center} vs {other.center}")
-        n = min(self.order, other.order)
-        return self.truncated(n).coeffs, other.truncated(n).coeffs
+        return other.coeffs
 
     def __add__(self, other):
         if isinstance(other, type(self)):
-            a, b = self._pair(other)
-            return type(self)(a + b, self.center)
+            return type(self)(jet_sum(self.coeffs, self._same_center(other)), self.center)
         if isinstance(other, (int, float)):
             c = np.zeros_like(self.coeffs)
             c[(0,) * self.NDIM] = float(other)
@@ -338,14 +358,13 @@ class USeries(ArraySeries):
 
     def __mul__(self, other):
         if isinstance(other, USeries):
-            a, b = self._pair(other)
-            return USeries(np.convolve(a, b)[: a.size], self.center)
+            return USeries(jet_product(self.coeffs, self._same_center(other)), self.center)
         return self._scaled(other)
 
     def __truediv__(self, other):
         if not isinstance(other, USeries):
             return super().__truediv__(other)
-        a, b = self._pair(other)
+        a, b = lower_pair(self.coeffs, self._same_center(other))
         if abs(b[0]) <= 1e-300:
             raise NotInvertible("division by a jet with zero constant term")
         if not np.all(np.isfinite(b)):  # an infinite b_0 would give q = 0
@@ -474,7 +493,7 @@ class BiSeries(ArraySeries):
 
     def __mul__(self, other):
         if isinstance(other, BiSeries):
-            a, b = self._pair(other)
+            a, b = lower_pair(self.coeffs, self._same_center(other))
             return BiSeries(table_products(a[None], b[None])[0], self.center)
         return self._scaled(other)
 

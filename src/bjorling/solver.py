@@ -29,34 +29,10 @@ from .errors import (
     NonIntegrable,
     ProblemValidationError,
 )
-from .groups import SIGNATURE, GroupModel, by_value, mat_vec, mat_vec_tables
-from .series import BiSeries, USeries, du_tables, dv_tables, point_values, table_stack
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec, mat_vec_tables
+from .series import BiSeries, USeries, du_tables, dv_tables, jet_product, jet_sum, point_values
+from .series import table_stack
 from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
-
-
-def _jet_times(p, q):
-    # The USeries product of two jets' coefficient arrays, both at the lower
-    # order; a number scales, as a number times a USeries does.
-    if not isinstance(p, np.ndarray):
-        return q * p
-    n = min(p.size, q.size)
-    return np.convolve(p[:n], q[:n])[:n]
-
-
-def _jet_plus(p, q):
-    # The USeries sum of two jets' coefficient arrays, at the lower order.
-    n = min(p.size, q.size)
-    return p[:n] + q[:n]
-
-
-def _jet_minus(p, q):
-    # The USeries difference p + q * -1.0.
-    return _jet_plus(p, q * -1.0)
-
-
-def _jet_dot(y, w):
-    # lorentz_dot(y, w) of USeries triples, on their coefficient arrays.
-    return _jet_minus(_jet_plus(_jet_times(y[0], w[0]), _jet_times(y[1], w[1])), _jet_times(y[2], w[2]))
 
 
 class CurveJets(NamedTuple):
@@ -66,8 +42,8 @@ class CurveJets(NamedTuple):
     on USeries, bit for bit."""
 
     table: np.ndarray  # (19, k): g(w, w), w, V, curve', A^-1 row by row; zero-padded
-    w: list  # the frame components of curve'
-    cross: list  # V x w
+    w: tuple  # the frame components of curve'
+    cross: tuple  # V x w
     w_square: np.ndarray  # g(w, w)
     field_square: np.ndarray  # g(V, V)
     w_dot_field: np.ndarray  # g(w, V)
@@ -114,29 +90,29 @@ class BjorlingProblem:
     def curve_jets(self) -> CurveJets:
         """The curve's velocity, the field, the coframe and the frame
         velocity w, with g(w, w), g(V, V), g(w, V) and V x w, formed once
-        per problem on coefficient arrays.  w is ``mat_vec`` of the coframe
-        jets and the velocity, with USeries products and sums; an overflow
-        reads as inf or NaN, which the checks refuse."""
+        per problem on coefficient arrays by ``mat_vec``, ``lorentz_dot``
+        and ``lorentz_cross`` with ``series.jet_product`` and ``jet_sum``;
+        an overflow reads as inf or NaN, which the checks refuse.  Curve
+        and field jets about different centers are refused."""
+        self._require_shared_center()
         with np.errstate(over="ignore", invalid="ignore"):
             coframe = [[getattr(e, "coeffs", e) for e in row] for row in self.coframe_jets]
             velocity = [c.coeffs for c in self.curve_velocity()]
             field = [v.coeffs for v in self.normal_field]
-            w = mat_vec(coframe, velocity, _jet_times, _jet_plus)
-            cross = [
-                _jet_minus(_jet_times(field[i], w[j]), _jet_times(w[i], field[j]))
-                for i, j in ((1, 2), (2, 0), (1, 0))
-            ]
-            speed2 = _jet_dot(w, w)
+            w = mat_vec(coframe, velocity, jet_product, jet_sum)
+            cross = lorentz_cross(field, w, jet_product, jet_sum)
+            speed2 = lorentz_dot(w, w, jet_product, jet_sum)
             rows = [speed2, *w, *field, *velocity, *(e for row in coframe for e in row)]
             table = np.zeros((len(rows), max(getattr(r, "size", 1) for r in rows)))
             for out, row in zip(table, rows):
                 out[: getattr(row, "size", 1)] = row  # a number is a constant
-            return CurveJets(table, w, cross, speed2, _jet_dot(field, field), _jet_dot(w, field))
+            field_square = lorentz_dot(field, field, jet_product, jet_sum)
+            w_dot_field = lorentz_dot(w, field, jet_product, jet_sum)
+            return CurveJets(table, w, cross, speed2, field_square, w_dot_field)
 
-    @cached_property
-    def frame_velocity(self) -> tuple[USeries, USeries, USeries]:
-        """Frame components of the curve's velocity, converted once per problem."""
-        return tuple(USeries(w, self.center) for w in self.curve_jets.w)
+    def _require_shared_center(self) -> None:
+        if len({c.center for c in (*self.curve, *self.normal_field)}) != 1:
+            raise ProblemValidationError("curve and field jets must share a center")
 
     def validate(self) -> None:
         """Check the stated invariants; raises ProblemValidationError."""
@@ -156,11 +132,7 @@ class BjorlingProblem:
                 f"the grid's powers overflow at order {self.order}: "
                 f"|u - u0| or |v| reaches {radius:.3e}"
             )
-        centers = {c.center for c in self.curve} | {
-            w.center for w in self.normal_field
-        }
-        if len(centers) != 1:
-            raise ProblemValidationError("curve and field jets must share a center")
+        self._require_shared_center()
         base = self.base_point()
         if not self.group.in_chart(base):
             raise ProblemValidationError(
@@ -291,9 +263,7 @@ def _column_zero(frame0: np.ndarray) -> np.ndarray:
     return x
 
 
-@by_value
 def _march_maps(gamma: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    # Memoized by the bytes of gamma and by s, read-only (groups.by_value).
     # parts = conj_map @ (pair slices p[a', b'], a', b' < 6 the re then unit
     # tables of psi1..3, flattened): rows [k, a, b] (18) are the (re, unit)
     # slices of conj(psi_a) psi_b and rows 18, 19 the (re, unit) slice of

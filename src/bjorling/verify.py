@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, Mode, Tolerances
 from .errors import DegenerateFrame, DomainError, ProblemValidationError
-from .groups import SIGNATURE, GroupModel, by_value, lorentz_cross, lorentz_dot
+from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot
 from .series import _triangle_mask, du_tables, dv_tables, grid_values, pair_products
 from .series import table_stack, u_rows, v_product
 
@@ -79,24 +79,6 @@ class ResidualReport:
         return not self.failures(tol)
 
 
-@by_value
-def _certificate_weights(gamma: np.ndarray, s: float) -> np.ndarray:
-    """The (8, 6, 6) weights of ``weierstrass_residuals``' pair sums,
-    memoized by the bytes of gamma and by s (``groups.by_value``).
-
-    weights[t, a', b'] is the weight of the product of the frame stack's
-    (re, unit) tables a' and b' (part r of psi_a is table 3 r + a) in sum
-    t: tables 0, 1 of the sums are the (re, unit) parts of the cone, and
-    table 2 + 3 k + c is part k of G_c.
-    """
-    # times[k, r, r']: weight of part r of x times part r' of y in part k
-    # of x y, part 0 the real and 1 the unit one; conj(x) y negates r = 1.
-    times = np.array([[[1.0, 0.0], [0.0, s]], [[0.0, 1.0], [1.0, 0.0]]])
-    squares = np.einsum("krq,ab->kraqb", times, np.diag(SIGNATURE))
-    quad = np.einsum("krq,abc->kcraqb", times * [[1.0], [-1.0]], gamma)
-    return np.concatenate([squares, quad.reshape(6, 2, 3, 2, 3)]).reshape(8, 6, 6)
-
-
 def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> tuple[float, float]:
     """Coefficient-level residuals of the representation conditions.
 
@@ -104,15 +86,23 @@ def weierstrass_residuals(group: GroupModel, frame: np.ndarray, mode: Mode) -> t
     and of d psi_c / dzbar + G_c, G_c = sum gamma[a,b,c] conj(psi_a) psi_b,
     for a (2, 3, n+1, n+1) frame-data stack.  One ``series.pair_products``
     call sums the products of pairs of its six (re, unit) tables into the
-    (re, unit) tables of the cone and of G, with ``_certificate_weights``
-    built from ``group.gamma``, the unit's square s and the signature;
-    neither the march's slice kernel nor its maps are used, so the
-    certificate stays independent of the code that made the data.
+    (re, unit) tables of the cone and of G, with weights built here from
+    ``group.gamma``, the unit's square s and the signature; neither the
+    march's slice kernel nor its maps are used, so the certificate stays
+    independent of the code that made the data.
     """
     s = mode.unit_square
     n = frame.shape[-1] - 1
+    # times[k, r, r']: weight of part r of x times part r' of y in part k
+    # of x y, part 0 the real and 1 the unit one; conj(x) y negates r = 1.
+    # Tables 0, 1 of the sums are the (re, unit) parts of the cone, and
+    # table 2 + 3 k + c is part k of G_c.
+    times = np.array([[[1.0, 0.0], [0.0, s]], [[0.0, 1.0], [1.0, 0.0]]])
+    squares = np.einsum("krq,ab->kraqb", times, np.diag(SIGNATURE))
+    quad = np.einsum("krq,abc->kcraqb", times * [[1.0], [-1.0]], group.gamma)
+    weights = np.concatenate([squares, quad.reshape(6, 2, 3, 2, 3)]).reshape(8, 6, 6)
     x = frame.reshape(6, n + 1, n + 1)
-    sums = pair_products(x, x, _certificate_weights(group.gamma, s))
+    sums = pair_products(x, x, weights)
     cone = float(np.max(np.abs(sums[:2])))
     du, dv = du_tables(frame), dv_tables(frame)
     dzbar = 0.5 * np.stack([du[0] - dv[1], du[1] - s * dv[0]])

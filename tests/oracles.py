@@ -21,22 +21,21 @@ from those column products, the grid certificates and the mesh as loops over
 single grid points (the tension twice: with the symbolic Christoffel
 symbols, and by central differences of the surface and the metric), and
 the mesh files written one line at a time, and the checks before the march
-with the initial data from ``USeries`` jets, with A^-1 by the adjugate formula
-evaluated entry by entry.  Series references are written in the
+with the initial data from ``USeries`` jets.  Series references are written in the
 closed-form algebra of ``kalgebra``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
 
 from bjorling.config import CurveClass, Mode
-from bjorling.errors import ConstraintDrift, NotInvertible, ProblemValidationError
-from bjorling.groups import SIGNATURE, _plus, _times, lorentz_cross, lorentz_dot, mat_vec
+from bjorling.errors import ConstraintDrift, ProblemValidationError
+from bjorling.groups import SIGNATURE, lorentz_cross, lorentz_dot, mat_vec
 from bjorling.series import BiSeries, USeries, _band_gathers, _triangle_mask, table_stack
 from bjorling.slices import SkewPad, cauchy_slice
 from bjorling.solver import _column_zero, _march_maps
@@ -706,32 +705,14 @@ def reference_write_csv(mesh, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def reference_inverse(m):
-    """A^-1 of a 3x3 nest as the adjugate times the determinant's reciprocal,
-    each entry evaluated through ``_times`` and ``_plus`` as it is met."""
-    cyclic = ((1, 2), (2, 0), (0, 1))
-    with np.errstate(all="ignore"):
-        adj = [[_plus(_times(m[j][i], m[l][k]), -_times(m[j][k], m[l][i])) for j, l in cyclic]
-               for i, k in cyclic]
-        det = reduce(_plus, map(_times, m[0], (row[0] for row in adj)), 0.0)
-        if isinstance(det, (np.ndarray, np.generic)):
-            det = np.where(np.isfinite(det), det, np.nan)
-        elif not np.isfinite(getattr(det, "coeffs", det)).all():
-            raise NotInvertible("frame matrix determinant is not finite")
-        elif abs(getattr(det, "coeffs", [det])[0]) <= 1e-300:  # a jet quotient's own bound
-            raise NotInvertible("frame matrix determinant is zero or too small to invert")
-        r = 1.0 / det
-        return [[_times(e, r) for e in row] for row in adj]
-
-
 def reference_front_end(problem, samples: int = 33):
     """(class, initial data) of a problem from ``USeries`` jets: the frame
-    velocity is ``mat_vec`` of ``reference_inverse`` along the curve and
-    the curve's velocity, g(w, w) and V x w are ``lorentz_dot`` and
+    velocity is ``mat_vec`` of the coframe along the curve and the curve's
+    velocity, g(w, w) and V x w are ``lorentz_dot`` and
     ``lorentz_cross`` of jets, and the class reads the sampled rows of one
     ``table_stack``; the class is None where a sample of the squared speed
     is lost to rounding."""
-    coframe = reference_inverse(problem.group.frame(problem.curve))
+    coframe = problem.group.coframe(problem.curve)
     vel = mat_vec(coframe, problem.curve_velocity())
     cross = lorentz_cross(problem.normal_field, vel)
     n = problem.order

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bjorling.errors import ExpressionError
-from bjorling.expressions import evaluate_jet, evaluate_series, parse_expression
+from bjorling.expressions import evaluate_jet, evaluate_series
 from bjorling.series import BiSeries, USeries
 from oracles import dot_paired
 
@@ -121,17 +121,3 @@ def test_jets_that_overflow_end_in_the_error_of_the_dot_recurrence(monkeypatch, 
     got = message()
     monkeypatch.setattr(USeries, "_paired", lambda a, fn, gn, sign: dot_paired(a, fn, gn, sign))
     assert message() == got
-
-
-def test_parse_cache_is_bounded_and_keeps_no_failure():
-    # The syntax tree is memoized by text, for a bounded number of texts; a
-    # text that fails to parse raises its message every time.
-    maxsize = parse_expression.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 4096
-    assert parse_expression("u**2 + 1") is parse_expression("u**2 + 1")
-    for k in range(maxsize + 10):
-        parse_expression(f"u + {k}")
-    assert parse_expression.cache_info().currsize <= maxsize
-    for _ in range(2):
-        with pytest.raises(ExpressionError, match="cannot parse"):
-            evaluate_jet("u +", 4, 0.0)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bjorling import corpus, expressions, groups, problemfile, verify
+from bjorling import corpus, groups, problemfile
 from bjorling.config import CurveClass, GridSpec, Mode, ProblemKind
 from bjorling.errors import (
     CausalMismatch,
@@ -28,14 +28,13 @@ from bjorling.series import BiSeries, USeries
 from bjorling.slices import FrameTape, SkewPad, TapeNode
 from bjorling.solver import (
     BjorlingProblem,
-    _march_maps,
     ck_march,
     classify_curve,
     initial_data,
     reconstruct_surface,
     solve_bjorling,
 )
-from bjorling.verify import compare_to_reference, weierstrass_residuals
+from bjorling.verify import compare_to_reference
 from kalgebra import (
     KScalar,
     KSeries,
@@ -205,7 +204,7 @@ def test_frame_data_stack_layout():
     frame0 = initial_data(prob)
     assert frame0.shape == (2, 3, n + 1, n + 1) and frame0.dtype == np.float64
     assert not frame0[..., 1:].any()  # only v = 0 comes from the data
-    vel = prob.frame_velocity
+    vel = tuple(USeries(w, prob.center) for w in prob.curve_jets.w)
     cross = lorentz_cross(prob.normal_field, vel)
     half_sign = 0.5 * prob.kind.tangent_sign
     for c in range(3):
@@ -321,19 +320,17 @@ def test_builtin_declared_generic_rebuilds_the_same_surface(example_id, order):
 
 
 def test_generic_frame_entries_are_parsed_once(monkeypatch):
-    # The entries are parsed when the group is made, not on each of the
-    # hundreds of frame evaluations a solve makes; the parse is memoized by
-    # text, so the nine entries make one parse per distinct text.
+    # The nine entries are parsed when the group is made, not on each of the
+    # hundreds of frame evaluations a solve makes.
     prob = _problem("heisenberg_vertical_plane", order=30)
     calls = []
     parse = ast.parse
     monkeypatch.setattr(ast, "parse", lambda *args, **kw: calls.append(args) or parse(*args, **kw))
-    expressions.parse_expression.cache_clear()
     gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES["heisenberg"])
-    assert sorted(args[0] for args in calls) == ["-x2/2", "0", "1", "x1/2"]
+    assert len(calls) == 9
     solution = solve_bjorling(dataclasses.replace(prob, group=gen))
     assert not solution.report.failures(prob.tolerances)
-    assert len(calls) == 4
+    assert len(calls) == 9
 
 
 # Heisenberg in the chart y = phi(x) = (x1, x2, x3 + x1^2 x2): the built-in
@@ -594,7 +591,7 @@ def test_boundary_v_derivative_sign_convention():
     for ex in ("heisenberg_vertical_plane", "heisenberg_helicoid", "h2xr_horizontal_plane"):
         prob = _problem(ex)
         sol = solve_bjorling(prob)
-        vel = prob.frame_velocity
+        vel = tuple(USeries(w, prob.center) for w in prob.curve_jets.w)
         from bjorling.groups import lorentz_cross
 
         cross = lorentz_cross(prob.normal_field, vel)
@@ -1122,46 +1119,16 @@ def test_curve_jets_are_made_once_per_problem():
     classify_curve(prob)
     initial_data(prob)
     assert prob.curve_jets is jets
-    assert [np.array_equal(w.coeffs, row) for w, row in zip(prob.frame_velocity, jets.w)] == [True] * 3
+    want = groups.mat_vec(prob.coframe_jets, prob.curve_velocity())
+    assert [np.array_equal(w.coeffs, row) for w, row in zip(want, jets.w)] == [True] * 3
 
 
-# ---------------------------------------------------------------------------
-# tables memoized by value
-
-
-def _solution_bytes(sol):
-    return (
-        sol.frame_data.tobytes(),
-        b"".join(f.coeffs.tobytes() for f in sol.surface),
-        repr(sol.report.as_flat_dict()),
-    )
-
-
-@pytest.mark.parametrize("order", [12, 30])
-def test_memoized_tables_do_not_leak_between_groups(order):
-    # Heisenberg, then a generic group with other constants, whose connection
-    # table, march maps and certificate weights differ, then Heisenberg again:
-    # the third solve has the bits of the first.
-    first = solve_bjorling(_problem("heisenberg_helicoid", order=order))
-    C = np.zeros((3, 3, 3))
-    C[0, 1, 2], C[1, 0, 2] = 2.0, -2.0
-    other = _problem("heisenberg_helicoid", order=order)
-    other = dataclasses.replace(other, group=generic_group(C, _GENERIC_FRAMES["heisenberg"]))
-    assert np.array_equal(other.group.gamma, 2.0 * first.group.gamma)
-    frame = ck_march(other.group, initial_data(other), other.mode)
-    assert not np.array_equal(frame, first.frame_data)
-    assert weierstrass_residuals(other.group, frame, other.mode)[1] <= 1e-8
-    third = solve_bjorling(_problem("heisenberg_helicoid", order=order))
-    assert _solution_bytes(third) == _solution_bytes(first)
-
-
-def test_march_maps_and_certificate_weights_are_read_only():
-    gamma = heisenberg().gamma
-    conj_map, gamma_map = _march_maps(gamma, -1.0)
-    weights = verify._certificate_weights(gamma, -1.0)
-    assert _march_maps(gamma.copy(), -1.0)[0] is conj_map
-    assert verify._certificate_weights(gamma.copy(), -1.0) is weights
-    assert verify._certificate_weights(gamma, 1.0) is not weights
-    for table in (conj_map, gamma_map, weights):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+@pytest.mark.parametrize("reader", [classify_curve, initial_data])
+def test_curve_jets_refuse_a_field_about_another_center(reader):
+    # The readers of the stacked jets refuse a field centred away from the
+    # curve, as validate does, without validate having run.
+    prob = _problem("heisenberg_helicoid")
+    shifted = tuple(USeries(v.coeffs, prob.center + 0.5) for v in prob.normal_field)
+    prob = dataclasses.replace(prob, normal_field=shifted)
+    with pytest.raises(ProblemValidationError, match="must share a center"):
+        reader(prob)
