@@ -28,14 +28,14 @@ closed-form algebra of ``kalgebra``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import sympy as sp
 
 from bjorling.config import CurveClass, Mode
 from bjorling.errors import ConstraintDrift, ProblemValidationError
-from bjorling.groups import SIGNATURE, lorentz_cross, lorentz_dot, mat_vec
+from bjorling.groups import SIGNATURE, lorentz_dot
 from bjorling.series import BiSeries, USeries, _band_gathers, _triangle_mask, table_stack
 from bjorling.slices import SkewPad, cauchy_slice
 from bjorling.solver import _column_zero, _march_maps
@@ -705,16 +705,40 @@ def reference_write_csv(mesh, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _jet_mat_vec(m, w):
+    # m w on jets with the operators, a factor that is the number 0.0 or 1.0
+    # making no product and a 0.0 no sum, in the order groups.mat_vec takes.
+    def times(p, q):
+        if type(p) is float and p in (0.0, 1.0):
+            return q if p else 0.0
+        if type(q) is float and q in (0.0, 1.0):
+            return p if q else 0.0
+        return p * q
+
+    def plus(p, q):
+        return q if type(p) is float and p == 0.0 else p if type(q) is float and q == 0.0 else p + q
+
+    return tuple(reduce(plus, map(times, row, w), 0.0) for row in m)
+
+
+def _jet_cross(y, w):
+    return (y[1] * w[2] - w[1] * y[2], y[2] * w[0] - w[2] * y[0], y[1] * w[0] - w[1] * y[0])
+
+
+def _jet_dot(y, w):
+    return y[0] * w[0] + y[1] * w[1] - y[2] * w[2]
+
+
 def reference_front_end(problem, samples: int = 33):
     """(class, initial data) of a problem from ``USeries`` jets: the frame
-    velocity is ``mat_vec`` of the coframe along the curve and the curve's
-    velocity, g(w, w) and V x w are ``lorentz_dot`` and
-    ``lorentz_cross`` of jets, and the class reads the sampled rows of one
+    velocity is the coframe along the curve times the curve's velocity,
+    g(w, w) and V x w are the Lorentz inner and cross products written
+    with the jets' operators, and the class reads the sampled rows of one
     ``table_stack``; the class is None where a sample of the squared speed
     is lost to rounding."""
     coframe = problem.group.coframe(problem.curve)
-    vel = mat_vec(coframe, problem.curve_velocity())
-    cross = lorentz_cross(problem.normal_field, vel)
+    vel = _jet_mat_vec(coframe, problem.curve_velocity())
+    cross = _jet_cross(problem.normal_field, vel)
     n = problem.order
     frame = np.zeros((2, 3, n + 1, n + 1))
     for part, jets, factor in ((0, vel, 0.5), (1, cross, 0.5 * problem.kind.tangent_sign)):
@@ -724,7 +748,7 @@ def reference_front_end(problem, samples: int = 33):
 
     us = np.linspace(problem.grid.u_min, problem.grid.u_max, samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        speed2 = lorentz_dot(vel, vel)
+        speed2 = _jet_dot(vel, vel)
         gamma = 4.0 * (speed2.order + 1) * np.finfo(float).eps
         jets = [speed2, *vel, *problem.normal_field, *problem.curve_velocity()]
         table = table_stack(jets + [e for row in coframe for e in row])
