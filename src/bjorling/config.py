@@ -103,8 +103,8 @@ class GridSpec:
     def vs(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, self.nv)
 
-    def coarse(self, nu_cap: int = 17, nv_cap: int = 9) -> "GridSpec":
-        return replace(self, nu=min(self.nu, nu_cap), nv=min(self.nv, nv_cap))
+    def coarse(self) -> "GridSpec":
+        return replace(self, nu=min(self.nu, 17), nv=min(self.nv, 9))
 
     def scaled_v(self, factor: float) -> "GridSpec":
         return replace(self, v_min=self.v_min * factor, v_max=self.v_max * factor)

@@ -194,15 +194,6 @@ def grid_values(tables: np.ndarray, center: float, us, vs) -> np.ndarray:
     return v_product(u_rows(tables, center, us), vs)
 
 
-def point_values(tables: np.ndarray, center: float, u, v) -> np.ndarray:
-    """Values of a (..., n+1, n+1) stack of tables at the points (u, v), which
-    are broadcast together: shape (..., *common shape)."""
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    rows = u_rows(tables, center, u)
-    out = np.einsum("...k,...k->...", rows, power_table(v, tables.shape[-1] - 1))
-    return out.reshape(tables.shape[:-2] + u.shape)[()]
-
-
 def dv_tables(tables: np.ndarray) -> np.ndarray:
     """d/dv of every table of a (..., n+1, n+1) stack, truncated to order
     n - 1: shape (..., n, n).  ``du_tables`` is d/du."""
@@ -507,7 +498,9 @@ class BiSeries(ArraySeries):
         """Value at (u, v).  u and v may be numpy arrays; they are broadcast
         together and the result has their common shape (a scalar for
         scalar arguments).  ``eval_grid`` is the tensor-grid form."""
-        return point_values(self.coeffs, self.center, u, v)
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        rows = u_rows(self.coeffs, self.center, u)
+        return np.einsum("...k,...k->...", rows, power_table(v, self.order)).reshape(u.shape)[()]
 
     def eval_grid(self, us, vs) -> np.ndarray:
         """Values on the tensor grid, shape (len(us), len(vs))."""

@@ -8,14 +8,16 @@ recurrences in v need: the frame march and the rebuild of the immersion
 Jorba & Zou, Exp. Math. 14, 2005).  Each level writes its matrix products
 into a ``SkewPad``, one zeroed skew buffer that the level loop makes once,
 and sums the buffer's anti-diagonals with one ones-vector product per
-pair.  ``FrameTape`` records a frame matrix once so that the rebuild can
-fill its entries one v-column per level.
+pair.  ``FrameTape`` records the rebuild's right side A(x) w once so
+that the rebuild can fill it one v-column per level, each product on
+``product_slice``; the march's products run on ``cauchy_slice``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .groups import mat_vec
 from .series import Ring
 
 
@@ -57,20 +59,6 @@ def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewP
     """
     ys = y[:, :rows, level::-1].transpose(0, 2, 1)
     return pad.sums(x[:, None, :rows, : level + 1], ys)
-
-
-def matvec_slice(a: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
-    """The v-degree ``level`` slice of every matrix-vector product a . y[k].
-
-    ``a`` is a (p, q, R, C) matrix of tables and ``y`` an (r, q, R, C) stack
-    of vectors; entry [k, i] is the slice of sum_j a[i, j] * y[k, j], kept
-    to ``rows`` u-coefficients.  Each pair (k, i) is its own matrix product
-    over j and the v-degree: equal tables give equal bits.  ``pad`` has
-    lead (r, p).  Shape (r, p, rows).
-    """
-    xs = a[:, :, :rows, : level + 1].transpose(0, 2, 1, 3).reshape(len(a), rows, -1)
-    ys = y[:, :, :rows, level::-1].transpose(0, 1, 3, 2).reshape(len(y), 1, -1, rows)
-    return pad.sums(xs, ys)
 
 
 def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
@@ -140,52 +128,54 @@ def _weights(forms, size: int) -> np.ndarray:
 
 
 class FrameTape:
-    """A frame matrix A(x) recorded once, then filled one v-column per level.
+    """The rebuild's right side A(x) w, recorded once, then filled one
+    v-column per level.
 
-    ``frame`` is called once on three tape variables, so built-in lambdas
-    and a generic group's parsed expressions give one node list.  Its bases
-    are the constant 1 (index 0), the coordinates x1..x3 (1-3) and one per
-    product of two nodes, in recording order; every entry of A is an affine
-    form in them.  ``tables[k]`` is base k's coefficient table of the
-    given shape, and ``tables[1:4]`` are the coordinate tables, whose
-    columns the caller fills: ``column(L, rows)`` reads columns <= L of
-    them.  The products are grouped by depth (a product's depth is one
-    more than its deepest operand's); a level fills, depth by depth, the
-    operands' column L by one fixed matrix and the products' by one
-    ``product_slice`` into the depth's own ``SkewPad``, then column L of A
-    by one more fixed matrix.  A frame entry with no polynomial expansion
-    raises TypeError while the tape is recorded.
+    ``groups.mat_vec(frame(x), w)`` is called once on six tape variables, so
+    built-in lambdas and a generic group's parsed expressions give one node
+    list.  Its bases are the constant 1 (index 0), the coordinates x1..x3
+    (1-3), the given w1..w3 (4-6) and one per product of two nodes, in
+    recording order; each component of A(x) w is an affine form in them.
+    ``tables[k]`` is base k's coefficient table of the given shape.  The
+    given tables are ``given``, set here in full; the coordinate tables are
+    ``tables[1:4]``, whose columns the caller fills: ``column(L, rows)``
+    reads columns <= L of them.  The products are cut into runs, in
+    recording order, a run ending before a product with an operand made in
+    it.  A level fills, run by run, the operands' column L by one fixed
+    matrix and the products' by one ``product_slice`` into the run's own
+    ``SkewPad``, then column L of A(x) w by one more fixed matrix.  A frame
+    entry with no polynomial expansion raises TypeError while the tape is
+    recorded.
     """
 
-    def __init__(self, frame, shape: tuple[int, int]):
-        self.products = []  # (left terms, right terms) of bases 4, 5, ...
-        rows = frame(tuple(TapeNode(self, {k: 1.0}) for k in (1, 2, 3)))
-        forms = [e.terms if isinstance(e, TapeNode) else {0: float(e)} for row in rows for e in row]
-        size = 4 + len(self.products)
+    def __init__(self, frame, given: np.ndarray, shape: tuple[int, int]):
+        self.products = []  # (left terms, right terms) of bases 7, 8, ...
+        x, w = (tuple(TapeNode(self, {k: 1.0}) for k in bases) for bases in ((1, 2, 3), (4, 5, 6)))
+        forms = [e.terms if isinstance(e, TapeNode) else {0: float(e)} for e in mat_vec(frame(x), w)]
+        size = 7 + len(self.products)
         self.tables = np.zeros((size, *shape))
         self.tables[0, 0, 0] = 1.0
+        self.tables[4:7, : given.shape[1], : given.shape[2]] = given
         self.outputs = _weights(forms, size)
-        depth = [0, 0, 0, 0]
-        for left, right in self.products:
-            depth.append(1 + max(depth[k] for k in (*left, *right)))
-        self._stages = []
-        for d in range(1, max(depth) + 1):
-            bases = [k for k in range(4, size) if depth[k] == d]
-            operands = [self.products[k - 4][side] for side in (0, 1) for k in bases]
+        starts = []
+        for k, (left, right) in enumerate(self.products, 7):
+            if not starts or max((*left, *right)) >= starts[-1]:
+                starts.append(k)
+        self._runs = []
+        for lo, hi in zip(starts, [*starts[1:], size]):
+            operands = [self.products[k - 7][side] for side in (0, 1) for k in range(lo, hi)]
             stack = np.zeros((len(operands), *shape))
-            pad = SkewPad((len(bases),), shape[0])
-            self._stages.append((bases, _weights(operands, size), stack, pad))
+            self._runs.append((lo, hi, _weights(operands, size), stack, SkewPad((hi - lo,), shape[0])))
 
     def product(self, left: dict, right: dict) -> TapeNode:
         self.products.append((left, right))
-        return TapeNode(self, {3 + len(self.products): 1.0})
+        return TapeNode(self, {6 + len(self.products): 1.0})
 
     def column(self, level: int, rows: int) -> np.ndarray:
         """Column ``level`` of every node, kept to ``rows`` u-coefficients;
-        returns that of A, shape (3, 3, rows)."""
+        returns that of A(x) w, shape (3, rows)."""
         col = self.tables[:, :rows, level]
-        for bases, weights, stack, pad in self._stages:
+        for lo, hi, weights, stack, pad in self._runs:
             stack[:, :rows, level] = weights @ col
-            half = len(bases)
-            col[bases] = product_slice(stack[:half], stack[half:], level, rows, pad)
-        return (self.outputs @ col).reshape(3, 3, rows)
+            col[lo:hi] = product_slice(stack[: hi - lo], stack[hi - lo :], level, rows, pad)
+        return self.outputs @ col

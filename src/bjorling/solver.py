@@ -30,9 +30,8 @@ from .errors import (
     ProblemValidationError,
 )
 from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec, mat_vec_tables
-from .series import BiSeries, USeries, du_tables, dv_tables, jet_product, jet_sum, point_values
-from .series import table_stack
-from .slices import FrameTape, SkewPad, cauchy_slice, matvec_slice
+from .series import BiSeries, USeries, du_tables, dv_tables, jet_product, jet_sum, table_stack
+from .slices import FrameTape, SkewPad, cauchy_slice
 
 
 class CurveJets(NamedTuple):
@@ -172,15 +171,16 @@ class BjorlingProblem:
             )
 
 
-def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
+def classify_curve(problem: BjorlingProblem) -> CurveClass:
     """Causal character of the problem's curve from the sign of g(curve', curve').
 
     The squared speed g = w1^2 + w2^2 - w3^2 of the frame velocity w is
-    sampled across the grid's u-range, next to a rounding bound made from
-    the sizes of its terms: w_a sums the terms A^{-1}_aj(curve) curve'_j,
-    whose magnitudes T_a bound its rounding by d_a = gamma T_a, with gamma
-    = 4 (order + 1) eps for the jet products and the evaluation; g's
-    rounding is then at most sum_a d_a (2 |w_a| + d_a) + gamma sum_a w_a^2.
+    sampled at 33 points across the grid's u-range, next to a rounding
+    bound made from the sizes of its terms: w_a sums the terms
+    A^{-1}_aj(curve) curve'_j, whose magnitudes T_a bound its rounding by
+    d_a = gamma T_a, with gamma = 4 (order + 1) eps for the jet products
+    and the evaluation; g's rounding is then at most
+    sum_a d_a (2 |w_a| + d_a) + gamma sum_a w_a^2.
 
     The first decision is the boundary normal's: the boundary check's
     normal w x (V x w) has a square of size |w|^4 |V|^2, and
@@ -197,7 +197,7 @@ def classify_curve(problem: BjorlingProblem, samples: int = 33) -> CurveClass:
     """
     jets = problem.curve_jets
     u_lo, u_hi = problem.grid.u_min, problem.grid.u_max
-    us = np.linspace(u_lo, u_hi, samples)
+    us = np.linspace(u_lo, u_hi, 33)
     gamma = 4.0 * jets.w_square.size * np.finfo(float).eps
     table = jets.table
     # Every overflow, from the squared speed's coefficients on, reads as inf or NaN below.
@@ -373,17 +373,16 @@ def reconstruct_surface(
     The frame data psi (a (2, 3, n+1, n+1) stack) are the frame components
     of d f / dz, so f_u = A(f) r and f_v = A(f) w with r = 2 Re psi and
     w = 2 s Im psi, s the unit's square.  Column 0 of f is the curve jet;
-    column L+1 is the v-degree-L slice of A(f) w (``slices.matvec_slice``,
-    into one ``slices.SkewPad`` kept for all levels) divided by L+1.  A is
-    recorded once as a ``slices.FrameTape`` whose coordinate tables are f,
-    and each level fills column L of every tape node and so of A(f), which
-    needs only columns <= L of f.  Two gates then check the finished f,
-    each against ``compat_rtol`` times max(1, scale): the same slices of
-    A(f) r against the u-derivative of f, and
-    A(f) w, made once off the tape as ``mat_vec_tables(group.frame(f), w)``
-    (the frame evaluated on the series of the finished f, and every
-    product of a series entry with w_j in one ``series.table_products``
-    call), against its v-derivative.  A
+    column L+1 is the v-degree-L slice of A(f) w divided by L+1.  A(x) w
+    is recorded once as a ``slices.FrameTape`` whose coordinate tables are
+    f and whose given tables are w, and each level fills column L of every
+    tape node and so of A(f) w, which needs only columns <= L of f.  Two
+    gates then check the finished f, each against ``compat_rtol`` times
+    max(1, scale): A(f) r against the u-derivative of f and A(f) w against
+    its v-derivative, both from one evaluation off the tape,
+    ``mat_vec_tables(group.frame(f), [r, w])`` (the frame evaluated on the
+    series of the finished f, and every product of a series entry with a
+    component of r or w in one ``series.table_products`` call).  A
     mismatch means the frame data were not integrable, or the march did
     not solve f_v = A(f) w (NonIntegrable).
     A frame entry with no polynomial expansion raises UnsupportedRecipe.
@@ -391,23 +390,18 @@ def reconstruct_surface(
     group.require_frame()
     n = frame.shape[-1] - 1
     s = mode.unit_square
-    tape = FrameTape(group.frame, (n + 2, n + 2))
+    r_w = np.stack([2.0 * frame[0], (2.0 * s) * frame[1]])
+    tape = FrameTape(group.frame, r_w[1], (n + 2, n + 2))
     f = tape.tables[1:4]
     column = table_stack(curve)[:, : n + 2]
     f[:, : column.shape[1], 0] = column
-    w_r = np.stack([(2.0 * s) * frame[1], 2.0 * frame[0]])
-    a = np.zeros((3, 3, n + 1, n + 1))  # A(f), filled one column per level
-    fu = np.zeros((3, n + 1, n + 1))
-    pad = SkewPad((2, 3), n + 1)
     for level in range(n + 1):
         rows = n + 1 - level
-        a[:, :, :rows, level] = tape.column(level, rows)
-        fv, fu[:, :rows, level] = matvec_slice(a, w_r, level, rows, pad)
-        f[:, :rows, level + 1] = fv / (level + 1)
-    _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du_tables(f), fu, compat_rtol)
+        f[:, :rows, level + 1] = tape.column(level, rows) / (level + 1)
     surface = tuple(BiSeries(table, curve[0].center) for table in f)
-    aw = mat_vec_tables(group.frame(surface), w_r[0])
-    _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv_tables(f), aw, compat_rtol)
+    au, av = mat_vec_tables(group.frame(surface), r_w)
+    _integrability_gate("f_u differs from A(f) * 2 Re(psi)", du_tables(f), au, compat_rtol)
+    _integrability_gate("f_v differs from A(f) * 2s Im(psi)", dv_tables(f), av, compat_rtol)
     return surface
 
 
@@ -424,11 +418,6 @@ class BjorlingSolution:
     surface: tuple
     grid: GridSpec
     report: verify.ResidualReport
-
-    def surface_point(self, u, v) -> np.ndarray:
-        """Coordinates at (u, v), shape (3, *np.shape(u)); u and v may be
-        arrays of one shape.  The rebuild's three tables are of one order."""
-        return point_values(np.array([f.coeffs for f in self.surface]), self.center, u, v)
 
 
 def solve_bjorling(problem: BjorlingProblem) -> BjorlingSolution:

@@ -6,6 +6,7 @@ symbolic oracles in ``oracles.py``; nothing here reuses the solver's own
 arithmetic as its own certificate.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -215,12 +216,13 @@ def test_criterion_08_independent_minimality_certificate():
     groups = {"heisenberg": heisenberg(), "desitter": de_sitter(), "h2xr": h2xr()}
     for ex in corpus.EXAMPLE_IDS:
         prob, sol = _solve(ex)
-        us = prob.grid.coarse(9, 5).us()
+        us = dataclasses.replace(prob.grid, nu=9, nv=5).us()
         vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, 5)
         grids = surface_grids(sol.surface, us, vs, second=True)
         res = grid_certificates(sol.group, grids, prob.kind.sigma)[1]
         assert res <= 1e-6, (ex, res)
-        fd = reference_tension_residual(sol.group, sol.surface_point, prob.kind.sigma, us, vs)
+        point = lambda u, v: np.array([f.eval(u, v) for f in sol.surface])
+        fd = reference_tension_residual(sol.group, point, prob.kind.sigma, us, vs)
         assert fd <= 1e-4, (ex, fd)
 
     # (b) the finite-difference oracle decays quadratically under step

@@ -19,6 +19,7 @@ from bjorling import cli, corpus, problemfile, solver
 from bjorling.cli import main
 from bjorling.config import ProblemKind
 from bjorling.errors import ConstraintDrift
+from bjorling.slices import FrameTape
 
 
 @pytest.fixture()
@@ -246,17 +247,11 @@ def test_builtin_solution_file_keeps_its_keys(workdir, capsys):
 
 @pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
 def test_rebuild_off_its_v_equation_exits_3(workdir, capsys, monkeypatch, example_id):
-    # Scale each new v-column of f by 1 + 1e-7 (the A(f) w half of the
-    # rebuild's slices): f then misses f_v = A(f) w, and a gate must raise
+    # Scale each new v-column of f by 1 + 1e-7 (the tape's A(f) w, before
+    # its division by L+1): f then misses f_v = A(f) w, and a gate must raise
     # NonIntegrable, which the CLI reports as a consistency failure.
-    real = solver.matvec_slice
-
-    def scaled(a, y, level, rows, pad):
-        out = real(a, y, level, rows, pad)
-        out[0] *= 1.0 + 1e-7
-        return out
-
-    monkeypatch.setattr(solver, "matvec_slice", scaled)
+    real = FrameTape.column
+    monkeypatch.setattr(FrameTape, "column", lambda tape, *args: real(tape, *args) * (1.0 + 1e-7))
     path = workdir / "p.json"
     path.write_text(json.dumps(corpus.build_problem_dict(example_id)))
     assert main(["solve", str(path), "--out", "."]) == 3

@@ -397,19 +397,20 @@ _SADDLE_CHART = [["1", "0", "0"], ["0", "1", "0"], ["2*x1*x2 - x2/2", "x1**2 + x
 @pytest.mark.parametrize("order", [0, 3, 12, 30])
 @pytest.mark.parametrize("name", ["heisenberg", "desitter", "h2xr", "saddle-chart", "numbers"])
 def test_mat_vec_tables_is_mat_vec_over_series(name, order):
-    # Coordinates one order above w, as the rebuild's f is.  The same terms
-    # summed in the same order, with every series product in one batch: the
-    # bits of mat_vec over the series of w.  "numbers" mixes the numbers 0,
-    # 1 and 2 with series and has a zero row.
+    # Coordinates one order above w, as the rebuild's f is, and two vectors,
+    # as the rebuild's gates read r and w.  The same terms summed in the
+    # same order, with every series product of both vectors in one batch:
+    # the bits of mat_vec over the series of each vector.  "numbers" mixes
+    # the numbers 0, 1 and 2 with series and has a zero row.
     rng = np.random.default_rng(order)
     triangle = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
     x = tuple(BiSeries(rng.uniform(0.5, 1.5, (order + 2, order + 2)), 0.25) for _ in range(3))
-    w = rng.uniform(-1.0, 1.0, (3, order + 1, order + 1)) * triangle
+    w = rng.uniform(-1.0, 1.0, (2, 3, order + 1, order + 1)) * triangle
     if name == "numbers":
         m = ((2.0, 0.0, x[0]), (1.0, x[1] * x[2], -1.0), (0.0, 0.0, 0.0))
     elif name == "saddle-chart":
         m = generic_group(heisenberg().C, frame_exprs=_SADDLE_CHART).frame(x)
     else:
         m = by_name(name).frame(x)
-    want = table_stack(mat_vec(m, tuple(BiSeries(table, 0.25) for table in w)))
+    want = [table_stack(mat_vec(m, tuple(BiSeries(table, 0.25) for table in vec))) for vec in w]
     assert np.array_equal(mat_vec_tables(m, w), want)

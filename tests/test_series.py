@@ -393,16 +393,22 @@ def test_derived_ring_operators(kind):
     # type's own + and *; they must equal the explicit coefficient arithmetic.
     if kind is TapeNode:
         # x ** k is x times x ** (k - 1) by repeated squaring, never 1 * x:
-        # k - 1 products up to k = 4, and x * (x*x)*(x*x) for k = 5.
+        # k - 1 products up to k = 4, and x * (x*x)*(x*x) for k = 5.  The
+        # tape records A(x) w, so one more product takes x ** k times w1: for
+        # k = 0, the constant 1 times w1.
+        given = np.zeros((3, 3, 3))
         for k, count in enumerate([0, 0, 1, 2, 3, 3]):
-            tape = FrameTape(lambda x: ((x[0] ** k, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 3))
-            assert len(tape.products) == count and (tape.outputs[0, 0] == 1.0) == (k == 0), k
-            assert all(0 not in terms for pair in tape.products for terms in pair), k
-        # The affine operators record no product and give the explicit weights.
+            tape = FrameTape(lambda x: ((x[0] ** k, 0, 0), (0, 1, 0), (0, 0, 1)), given, (3, 3))
+            *powers, (left, right) = tape.products
+            assert len(powers) == count and right == {4: 1.0} and (left == {0: 1.0}) == (k == 0), k
+            assert all(0 not in terms for pair in powers for terms in pair), k
+        # The affine operators record no product; each entry that is a node
+        # is one product with its w_j, whose left operand has the explicit weights.
         rows = lambda x: ((-x[0], 3 - x[1], x[2] / 2), (x[0] - x[1], 2 * x[2], 1), (0, 0, 1))
-        tape = FrameTape(rows, (3, 3))
+        tape = FrameTape(rows, given, (3, 3))
         want = [[0, -1, 0, 0], [3, 0, -1, 0], [0, 0, 0, 0.5], [0, 1, -1, 0], [0, 0, 0, 2]]
-        assert tape.products == [] and np.array_equal(tape.outputs[:5], want)
+        assert [[left.get(k, 0.0) for k in range(4)] for left, _ in tape.products] == want
+        assert [right for _, right in tape.products] == [{4: 1.0}, {5: 1.0}, {6: 1.0}, {4: 1.0}, {5: 1.0}]
         return
     d, rng = kind.NDIM, np.random.default_rng(11)
     a, b = kind(rng.uniform(-1.0, 1.0, (8,) * d), 0.25), kind(rng.uniform(-1.0, 1.0, (6,) * d), 0.25)

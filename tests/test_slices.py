@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bjorling.slices import SkewPad, cauchy_slice, matvec_slice, product_slice
+from bjorling.slices import SkewPad, cauchy_slice, product_slice
 from oracles import convolve_slice
 
 
@@ -43,16 +43,6 @@ def test_cauchy_slice_matches_convolutions(order):
 
 
 @pytest.mark.parametrize("order", [2, 12, 30])
-def test_matvec_slice_matches_convolutions(order):
-    # The rebuild's shapes: a 3 x 3 matrix of tables times two 3-vectors.
-    rng = np.random.default_rng(order)
-    a, y = _triangular(rng, 3, 3, order=order), _triangular(rng, 2, 3, order=order)
-    pad = SkewPad((2, 3), order + 1)
-    for level, rows in _levels(order):
-        _close(matvec_slice(a, y, level, rows, pad), _matvec_reference(a, y, level, rows))
-
-
-@pytest.mark.parametrize("order", [2, 12, 30])
 def test_product_slice_matches_convolutions(order):
     rng = np.random.default_rng(order)
     x, y = _triangular(rng, 5, order=order), _triangular(rng, 5, order=order)
@@ -75,23 +65,21 @@ def test_equal_tables_give_equal_bits_in_every_position(order):
     # The vertical plane's psi2 stays exactly 0 only if a product of equal
     # tables has the same bits wherever it sits in a slice.
     t = _paired_stack(order)
-    # The rebuild's shapes: row 2 of a equals row 0, and y[1] equals y[0].
-    a = t[[[0, 1, 2], [4, 1, 3], [5, 1, 3]]]
-    y = t[[[2, 4, 0], [3, 4, 5]]]
-    march_pad, rebuild_pad = SkewPad((6, 6), order + 1), SkewPad((2, 3), order + 1)
+    # The rebuild tape's shapes: one depth's products A_ij * w_j, the first
+    # and last of equal tables, into a buffer one size larger than the tables.
+    x, y = t[[0, 1, 5]], t[[2, 4, 3]]
+    march_pad, rebuild_pad = SkewPad((6, 6), order + 1), SkewPad((3,), order + 2)
     for level, rows in _levels(order):
         march = cauchy_slice(t, t, level, rows, march_pad)
         assert np.array_equal(march[2, 0], march[3, 5])
         assert np.array_equal(march[0, 2], march[5, 3])
-        rebuild = matvec_slice(a, y, level, rows, rebuild_pad)
-        for k, i in [(0, 2), (1, 0), (1, 2)]:
-            assert np.array_equal(rebuild[k, i], rebuild[0, 0])
+        rebuild = product_slice(x, y, level, rows, rebuild_pad)
+        assert np.array_equal(rebuild[2], rebuild[0])
 
 
 # Each kernel with the lead shapes of its two operands and of its buffer.
 _KERNELS = {
     "cauchy": (cauchy_slice, (6,), (6,), (6, 6)),
-    "matvec": (matvec_slice, (3, 3), (2, 3), (2, 3)),
     "product": (product_slice, (4,), (4,), (4,)),
 }
 

@@ -23,6 +23,7 @@ from bjorling.groups import (
     heisenberg,
     lorentz_cross,
     lorentz_dot,
+    mat_vec,
 )
 from bjorling.series import BiSeries, USeries
 from bjorling.slices import FrameTape, SkewPad, TapeNode
@@ -116,7 +117,7 @@ def test_classify_mixed():
     # use beta = (u, 0, u^2) so speed^2 = 1 - 4u^2 changes sign on [-1, 1]
     u = USeries.variable(n)
     curve = (u, USeries.constant(0.0, n), u * u)
-    got = classify_curve(_curve_only(group, curve), samples=16)
+    got = classify_curve(_curve_only(group, curve))
     assert got in (CurveClass.MIXED, CurveClass.LIGHTLIKE)
 
 
@@ -355,37 +356,42 @@ _TAPE_GROUPS = {
         frame_exprs=[["1", "0", "0"], ["0", "1", "0"], ["1 + x1*x2*x3 - x2/2", "x1**3 + x1/2", "1"]],
     ),
 }
-_TAPE_PRODUCTS = {"quadratic-chart": 2, "cubic": 4}  # x1*x1, (2*x1)*x2; and two of each cube
+# The products A_ij * w_j, one per frame entry that is a tape node, and
+# those inside the entries: x1*x1, (2*x1)*x2; and two of each cube.
+_TAPE_PRODUCTS = {"desitter": 3, "quadratic-chart": 2 + 2, "cubic": 4 + 2}
 
 
 @pytest.mark.parametrize("name", list(_TAPE_GROUPS))
 def test_tape_columns_match_the_frame_on_the_partly_built_series(name):
     # Column L of every tape node equals column L of the same value made
-    # from whole series on f cut to its columns <= L: A's entries by
-    # group.frame itself, the product bases by replaying the tape's products
-    # as BiSeries products.  Entries affine in the coordinates agree bit for
-    # bit; products agree up to the kernels' summation order.
+    # from whole series on f cut to its columns <= L and on the whole w: the
+    # product bases by replaying the tape's products as BiSeries products,
+    # and the recorded A(x) w by mat_vec over the BiSeries of group.frame
+    # itself.  Components with no product base agree bit for bit; the rest
+    # agree up to the kernels' summation order.
     group = _TAPE_GROUPS[name]()
     n = 10
+    rng = np.random.default_rng(7)
     keep = np.add.outer(np.arange(n + 2), np.arange(n + 2)) <= n + 1
-    f = np.where(keep, np.random.default_rng(7).uniform(-1.0, 1.0, (3, n + 2, n + 2)), 0.0)
-    tape = FrameTape(group.frame, f.shape[1:])
+    f = np.where(keep, rng.uniform(-1.0, 1.0, (3, n + 2, n + 2)), 0.0)
+    w = np.where(keep[1:, :-1], rng.uniform(-1.0, 1.0, (3, n + 1, n + 1)), 0.0)  # degrees <= n
+    tape = FrameTape(group.frame, w, f.shape[1:])
     tape.tables[1:4] = f
-    affine = ~tape.outputs[:, 4:].any(axis=1)  # no weight on a product base
-    assert len(tape.products) == _TAPE_PRODUCTS.get(name, 0)
+    affine = ~tape.outputs[:, 7:].any(axis=1)  # no weight on a product base
+    assert len(tape.products) == _TAPE_PRODUCTS.get(name, 2)
+    given = tuple(BiSeries(t) for t in w)
     for level in range(n + 1):
         rows = n + 1 - level
-        column = tape.column(level, rows).reshape(9, rows)
+        column = tape.column(level, rows)
         partial = tuple(BiSeries(np.where(np.arange(n + 2) <= level, t, 0.0)) for t in f)
-        bases = [BiSeries.constant(1.0, n + 1), *partial]
+        bases = [BiSeries.constant(1.0, n + 1), *partial, *given]
         for left, right in tape.products:
             bases.append(_replay(left, bases) * _replay(right, bases))
         for k, base in enumerate(bases):
             want = base.coeffs[:rows, level]
             assert np.allclose(tape.tables[k, :rows, level], want, rtol=0.0, atol=1e-13), (k, level)
-        entries = [e for row in group.frame(partial) for e in row]
-        for got, entry, exact in zip(column, entries, affine):
-            want = (entry if isinstance(entry, BiSeries) else BiSeries.constant(entry, n + 1)).coeffs
+        for got, entry, exact in zip(column, mat_vec(group.frame(partial), given), affine):
+            want = (entry if isinstance(entry, BiSeries) else BiSeries.constant(entry, n)).coeffs
             if exact:
                 assert np.array_equal(got, want[:rows, level]), level
             else:
@@ -442,8 +448,9 @@ def test_rebuild_evaluates_the_frame_twice(name, order):
 @pytest.mark.parametrize("order", [12, 30])
 @pytest.mark.parametrize("example_id", [*corpus.EXAMPLE_IDS, "saddle-chart"])
 def test_rebuild_gate_makes_its_products_in_one_call(monkeypatch, example_id, order):
-    # Every product of a frame entry that is a series with a component of w
-    # is made by one table_products call; the numbers 0 and 1 make none.
+    # Both gates read one evaluation: every product of a frame entry that is
+    # a series with a component of r or of w is made by one table_products
+    # call; the numbers 0 and 1 make none.
     if example_id == "saddle-chart":
         prob = _quadratic_chart_problem("heisenberg_saddle", order)
     else:
@@ -453,15 +460,16 @@ def test_rebuild_gate_makes_its_products_in_one_call(monkeypatch, example_id, or
     monkeypatch.setattr(groups, "table_products", lambda x, y: calls.append(len(x)) or real(x, y))
     reconstruct_surface(prob.group, frame, prob.curve, prob.mode)
     series = {"heisenberg": 2, "desitter": 3, "h2xr": 2, "generic": 2}[prob.group.name]
-    assert calls == [series]
+    assert calls == [2 * series]
 
 
 @pytest.mark.parametrize("order", [12, 30])
 @pytest.mark.parametrize("example_id", [*corpus.EXAMPLE_IDS, "saddle-chart"])
 def test_solve_makes_one_skew_buffer_per_loop(monkeypatch, example_id, order):
-    # The march and the rebuild each keep one buffer for all their levels;
-    # the saddle in the quadratic chart adds one for its tape's one depth
-    # stage (x1*x1 and (2*x1)*x2).  None is made per level.
+    # The march keeps one buffer for all its levels, and so does each run of
+    # the rebuild's tape: the products A_ij w_j (two in Heisenberg and H2xR,
+    # three in de Sitter); the saddle in the quadratic chart has x1*x1 and
+    # (2*x1)*x2 in a run before them.  None is made per level.
     if example_id == "saddle-chart":
         prob = _quadratic_chart_problem("heisenberg_saddle", order)
     else:
@@ -469,8 +477,8 @@ def test_solve_makes_one_skew_buffer_per_loop(monkeypatch, example_id, order):
     made, init = [], SkewPad.__init__
     monkeypatch.setattr(SkewPad, "__init__", lambda pad, *args: made.append(args) or init(pad, *args))
     assert solve_bjorling(prob).report.passes(prob.tolerances)
-    stages = [((2,), order + 2)] if example_id == "saddle-chart" else []
-    assert made == [((6, 6), order + 1), *stages, ((2, 3), order + 1)]
+    stages = [2, 2] if example_id == "saddle-chart" else [3 if prob.group.name == "desitter" else 2]
+    assert made == [((6, 6), order + 1), *(((size,), order + 2) for size in stages)]
 
 
 # Per kind: the index of the curve's leading velocity direction and the
@@ -611,7 +619,7 @@ def test_frame_data_closes_through_coordinates():
     psi = _series(prob, sol.frame_data)
     us = np.linspace(-0.6, 0.6, 7)
     for u in us:
-        x = sol.surface_point(u, 0.0)
+        x = np.array([f.eval(u, 0.0) for f in sol.surface])
         ainv = prob.group.frame_matrix(x)
         fu = np.array([f.du().eval(u, 0.0) for f in sol.surface])
         fv = np.array([f.dv().eval(u, 0.0) for f in sol.surface])
