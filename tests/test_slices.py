@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bjorling.slices import SkewPad, cauchy_slice, product_slice
-from oracles import convolve_slice
+from bjorling.slices import FrameTape, SkewPad, cauchy_slice, product_slice
+from oracles import convolve_slice, reference_product
 
 
 def _triangular(rng, *lead, order):
@@ -52,6 +52,45 @@ def test_product_slice_matches_convolutions(order):
         _close(product_slice(x, y, level, rows, pad), np.einsum("akkm->akm", want))
 
 
+def _test_frame(x):
+    # Constants, affine entries, a product of two coordinates and a product
+    # of a product (x1 x1) with a coordinate, as chart frames have them.
+    x1, x2, x3 = x
+    return ((1.0, x1 * x2, 0.0), (x3, 1.0, x1 * x1 * x2), (2.0 * x2 - x3, 0.0, 1.0))
+
+
+def _test_frame_tables(x):
+    # _test_frame on whole tables, each product by the oracle's truncated product.
+    one = np.zeros_like(x[0])
+    one[0, 0] = 1.0
+    zero = np.zeros_like(x[0])
+    x1, x2, x3 = x
+    return np.array([
+        [one, reference_product(x1, x2), zero],
+        [x3, one, reference_product(reference_product(x1, x1), x2)],
+        [2.0 * x2 - x3, zero, one],
+    ])
+
+
+@pytest.mark.parametrize("order", [2, 12, 30])
+def test_tape_column_matches_convolutions(order):
+    # The rebuild's right side A(x) w, filled one v-column per level on the
+    # tape, against the sums of convolutions of whole product tables; the
+    # roundoff scale is the same sums over the tables' absolute values.
+    rng = np.random.default_rng(order)
+    x, w = _triangular(rng, 3, order=order), _triangular(rng, 3, order=order)
+    tape = FrameTape(_test_frame, w, x.shape[1:])
+    tape.tables[1:4] = x
+    assert len(tape.products) == 7  # x1 x2, x1 x1, (x1 x1) x2 and four A_ij w_j
+    signed, scale = _test_frame_tables(x), _test_frame_tables(np.abs(x))
+    for level, rows in _levels(order):
+        want = _matvec_reference(signed, w[None], level, rows)[0, 0]
+        bound = _matvec_reference(scale, np.abs(w)[None], level, rows)[0, 0]
+        got = tape.column(level, rows)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(bound)
+
+
 def _paired_stack(order):
     # Six tables with table 5 equal to table 0 and table 3 equal to table 2,
     # as the vertical plane's frame data have them.
@@ -77,10 +116,13 @@ def test_equal_tables_give_equal_bits_in_every_position(order):
         assert np.array_equal(rebuild[2], rebuild[0])
 
 
-# Each kernel with the lead shapes of its two operands and of its buffer.
+# Each kernel with the lead shapes of its two operands and of its buffer,
+# and how many sizes its tables and kept buffer exceed the longest rows: the
+# rebuild tape's tables and buffers are one size larger than its rows.
 _KERNELS = {
-    "cauchy": (cauchy_slice, (6,), (6,), (6, 6)),
-    "product": (product_slice, (4,), (4,), (4,)),
+    "cauchy": (cauchy_slice, (6,), (6,), (6, 6), 0),
+    "product": (product_slice, (4,), (4,), (4,), 0),
+    "tape": (product_slice, (3,), (3,), (3,), 1),
 }
 
 
@@ -90,10 +132,11 @@ def test_kept_buffer_gives_the_bits_of_a_fresh_one(kernel, order):
     # One buffer kept over rows that shrink to 1 and grow back gives the
     # bits of a fresh zeroed buffer of each call's own size.  The tables
     # are full, so a stale product read from an earlier call would show.
-    fn, x_lead, y_lead, lead = _KERNELS[kernel]
+    fn, x_lead, y_lead, lead, margin = _KERNELS[kernel]
     rng = np.random.default_rng(order)
-    x, y = (rng.standard_normal(shape + (order + 1, order + 1)) for shape in (x_lead, y_lead))
-    kept = SkewPad(lead, order + 1)
+    size = order + 1 + margin
+    x, y = (rng.standard_normal(shape + (size, size)) for shape in (x_lead, y_lead))
+    kept = SkewPad(lead, size)
     sizes = [*range(order + 1, 0, -1), *range(2, order + 2)]
     for step, rows in enumerate(sizes):
         level = (7 * step) % (order + 1)
