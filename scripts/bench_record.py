@@ -16,7 +16,11 @@ default), so a parent commit can be recorded the same way.  The result is
   each metric;
 * ``raw``: per workload, the median over seeds of each untraced run's raw
   wall-clock figures (``op_ms.p50`` and so on);
-* ``runs``: every run's metrics, raw figures, failure share and set-up;
+* ``minor_faults``: per workload, the median over seeds of the minor page
+  faults of each untraced run's process (a run whose heap keeps faulting
+  pages in, a few hundred per op instead of a few, stands out here);
+* ``runs``: every run's metrics, raw figures, minor page faults, failure
+  share and set-up;
 * ``env``: the first run's environment record (Python, numpy, CPU,
   thread settings, commit).
 
@@ -26,6 +30,7 @@ finish.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -42,7 +47,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -53,6 +60,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
         "trace": trace,
         "correct": result["correct"],
         "fail_frac": record["fail_frac"],
+        "minor_faults": faults,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "raw": record["raw"],
         "setup": record["setup"],
@@ -78,6 +86,10 @@ def summarize(label: str, runs: list[dict], seconds: float) -> dict:
             workload: _medians([r[field] for r in runs if r["workload"] == workload and r["trace"] == trace])
             for workload in dict.fromkeys(r["workload"] for r in runs)
         }
+    summary["minor_faults"] = {
+        workload: statistics.median(r["minor_faults"] for r in runs if r["workload"] == workload and r["trace"] == 0)
+        for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0)
+    }
     summary["runs"] = [{k: v for k, v in r.items() if k != "env"} for r in runs]
     summary["env"] = runs[0]["env"] if runs else {}
     return summary

@@ -103,11 +103,16 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
     ``tree`` is ``parse_expression(text)`` when the caller has parsed the
     text already.
     """
+    with np.errstate(all="ignore"):
+        return _evaluate(text, env, tree)
+
+
+def _evaluate(text: str, env: dict, tree: ast.Expression | None = None):
+    # evaluate_series inside the caller's np.errstate.
     if tree is None:
         tree = parse_expression(text)
     try:
-        with np.errstate(all="ignore"):
-            out = _eval_node(tree, env, text)
+        out = _eval_node(tree, env, text)
     except ZeroDivisionError:
         raise ExpressionError(f"division by zero in {_quote(text)}") from None
     except OverflowError:
@@ -121,16 +126,27 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
         # a non-finite jet.  A non-finite numerator reaches the check below.
         raise ExpressionError(f"non-finite value in {_quote(text)}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
-    if not np.all(np.isfinite(getattr(out, "coeffs", out))):
+    if not np.isfinite(getattr(out, "coeffs", out)).all():
         raise ExpressionError(f"non-finite value in {_quote(text)}")
     return out
 
 
-def evaluate_jet(text: str, order: int, center: float, params: dict | None = None) -> USeries:
-    """Jet of an expression in u (plus named parameters) about the center."""
+def jet_environment(order: int, center: float, params: dict | None = None) -> dict:
+    """The environment of expressions in u: the named parameters and one
+    jet of u about the center, for every text of a problem."""
     env = dict(params or {})
     env["u"] = USeries.variable(order, center)
-    out = evaluate_series(text, env)
+    return env
+
+
+def evaluate_jet(text: str, env: dict) -> USeries:
+    """Jet of an expression in u over ``jet_environment(order, center,
+    params)``: a text that does not name u is evaluated on floats and is
+    the constant jet of its value.  Call it inside ``np.errstate(all=
+    "ignore")``, which one problem's texts share: an overflow then reads
+    as a value that is not finite, which raises ExpressionError."""
+    out = _evaluate(text, env)
     if not isinstance(out, USeries):
-        out = USeries.constant(float(out), order, center)
+        u = env["u"]
+        out = USeries.constant(float(out), u.order, u.center)
     return out

@@ -25,25 +25,22 @@ from .series import BiSeries, table_products
 SIGNATURE = np.array([1.0, 1.0, -1.0])
 
 
-def lorentz_cross(y, w, times=operator.mul, plus=operator.add):
+def lorentz_cross(y, w):
     """Frame-component cross product adapted to the (+, +, -) metric.
 
-    Works on any triple of multiplicable components (floats, arrays, jets);
-    ``times`` and ``plus`` make the products and sums (the operators by
-    default), and p - q is p plus -q.  Antisymmetric; the output is
-    g-orthogonal to both inputs.
+    Works on any triple of multiplicable components (floats, arrays, jets).
+    Antisymmetric; the output is g-orthogonal to both inputs.
     """
     return (
-        plus(times(y[1], w[2]), -times(w[1], y[2])),
-        plus(times(y[2], w[0]), -times(w[2], y[0])),
-        plus(times(y[1], w[0]), -times(w[1], y[0])),
+        y[1] * w[2] - w[1] * y[2],
+        y[2] * w[0] - w[2] * y[0],
+        y[1] * w[0] - w[1] * y[0],
     )
 
 
-def lorentz_dot(y, w, times=operator.mul, plus=operator.add):
-    """Frame-component inner product y1*w1 + y2*w2 - y3*w3, with
-    ``times`` and ``plus`` as in ``lorentz_cross``."""
-    return plus(plus(times(y[0], w[0]), times(y[1], w[1])), -times(y[2], w[2]))
+def lorentz_dot(y, w):
+    """Frame-component inner product y1*w1 + y2*w2 - y3*w3."""
+    return y[0] * w[0] + y[1] * w[1] - y[2] * w[2]
 
 
 def connection_from_structure(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

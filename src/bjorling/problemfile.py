@@ -18,7 +18,7 @@ import orjson
 
 from .config import SCHEMA_VERSION, GridSpec, ProblemKind, Tolerances
 from .errors import NotInvertible, SchemaError
-from .expressions import evaluate_jet
+from .expressions import evaluate_jet, jet_environment
 from .groups import GroupModel, by_name, generic_group
 from .series import BiSeries, USeries, grid_values, table_stack
 from .solver import BjorlingProblem, BjorlingSolution
@@ -55,22 +55,30 @@ MAX_GRID_SIDE = 513
 BLOCK_ROWS = 2048
 
 
-def _jet_entry(entry, order: int, center: float, params: dict, label: str) -> USeries:
+def _jet_entry(entry, env: dict, label: str) -> USeries:
+    # One beta or V entry as a jet of env's order about its center, inside
+    # problem_from_dict's np.errstate.
+    u = env["u"]
     if isinstance(entry, str):
         try:
-            return evaluate_jet(entry, order, center, params)
+            return evaluate_jet(entry, env)
         except NotInvertible as exc:
             raise SchemaError(f"{label}: {exc}") from None
     if isinstance(entry, dict) and set(entry) == {"coeffs"}:
         raw = entry["coeffs"]
         if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{label}: coefficient list must be 1-D and nonempty")
-        coeffs = [_finite(c, f"{label} coefficient {k}") for k, c in enumerate(raw)]
+        # A list of floats is checked as one array; any other list, or one
+        # with a value that is not finite, gets _finite's message for its
+        # first bad entry (integers and numeric text pass, as they do alone).
+        coeffs = np.array(raw) if all(type(c) is float for c in raw) else None
+        if coeffs is None or not np.isfinite(coeffs).all():
+            coeffs = [_finite(c, f"{label} coefficient {k}") for k, c in enumerate(raw)]
         # The list length is the jet's order: padding with zeros would
         # claim accuracy the file does not contain.
-        return USeries(coeffs[: order + 1], center)
+        return USeries(coeffs[: u.order + 1], u.center)
     if isinstance(entry, (int, float)):
-        return USeries.constant(_finite(entry, label), order, center)
+        return USeries.constant(_finite(entry, label), u.order, u.center)
     raise SchemaError(
         f"{label}: expected an expression string, a number, or "
         '{"coeffs": [...]}'
@@ -103,10 +111,11 @@ def _bounded_int(value, label: str, lo: int, hi: int) -> int:
 
 
 def _finite(value, label: str) -> float:
-    # Numbers and numeric text; NaN, infinities, booleans and other text fail.
+    # Numbers and numeric text; NaN, infinities, integers past the float
+    # range, booleans and other text fail.
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
         raise SchemaError(f"{label} must be a finite number, got {value!r}")
@@ -200,14 +209,11 @@ def problem_from_dict(
             raise SchemaError(f"{label} must be a list of three components")
 
     # Curve jets carry one extra order so differentiated data is full order.
-    curve = tuple(
-        _jet_entry(beta_doc[i], order + 1, center, params, f"beta[{i}]")
-        for i in range(3)
-    )
-    field = tuple(
-        _jet_entry(field_doc[i], order + 1, center, params, f"V[{i}]")
-        for i in range(3)
-    )
+    # The six entries share one jet of u and one np.errstate.
+    env = jet_environment(order + 1, center, params)
+    with np.errstate(all="ignore"):
+        curve = tuple(_jet_entry(beta_doc[i], env, f"beta[{i}]") for i in range(3))
+        field = tuple(_jet_entry(field_doc[i], env, f"V[{i}]") for i in range(3))
     # The solve differentiates the curve once and uses the field as it is, so
     # the data must give the curve to order + 1 and the field to the order;
     # only a coefficient list can fall short.
@@ -236,6 +242,8 @@ def _read_json(path):
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc.msg})") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise SchemaError(f"{path}: not valid JSON (an integer with too many digits)") from None
     except RecursionError:
         raise SchemaError(f"{path}: JSON nested too deeply") from None
 

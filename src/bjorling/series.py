@@ -122,19 +122,65 @@ def lower_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[(slice(n),) * a.ndim], b[(slice(n),) * b.ndim]
 
 
+def _leading_sum(x: list, y: list, lo: int, k: int) -> float:
+    # 0.0 + x[lo] y[k - lo] + ... + x[k-1] y[1] on Python floats: the
+    # terms and order of ``jet_product``'s coefficient k up to degree k - 1
+    # of x, so that a quotient times its divisor, or a root times itself,
+    # gives back the coefficients it was solved from as closely as the
+    # last term's rounding allows.
+    s = 0.0
+    for j in range(lo, k):
+        s += x[j] * y[k - j]
+    return s
+
+
 def jet_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The coefficients of the sum of two series, at the lower order."""
     a, b = lower_pair(a, b)
     return a + b
 
 
+@lru_cache(maxsize=None)
+def _anti_diagonals(n: int) -> np.ndarray:
+    # (2, n+1, n) gathers from the two operands' n + 1 padded degrees, laid
+    # end to end: term r of output k is degree j = r - n + k of the left one
+    # times degree k - j of the right one, or the two pads' zeros where
+    # j < 0.  Row 0 is all pads, and the degrees j <= k follow in rising order.
+    r, k = np.arange(n + 1)[:, None], np.arange(n)
+    j = r - n + k
+    out = np.stack([np.where(j >= 0, j, n), np.where(j >= 0, n + 1 + k - j, 2 * n + 1)])
+    out.setflags(write=False)
+    return out
+
+
 def jet_product(a, b: np.ndarray) -> np.ndarray:
-    """The coefficients of the product of two univariate jets, at the lower
-    order; a number ``a`` scales ``b``, as it scales a ``USeries``."""
+    """The coefficients of the products of two stacks of univariate jets,
+    (..., K) and (..., L), which broadcast over their leading axes: the
+    truncated product of each pair, at the lower order min(K, L), in one
+    array call.  A number ``a`` scales ``b``, as it scales a ``USeries``.
+
+    Coefficient k is 0.0 + a_0 b_k + a_1 b_(k-1) + ... + a_k b_0, summed
+    in that order and nothing else: one gather of the terms, one multiply
+    and one sum over an outer axis.  So a product has the same bits alone,
+    in any stack and cut from a longer one, a zero coefficient is +0.0,
+    and a coefficient that is not finite reaches exactly the coefficients
+    from its own degree on, as in ``np.convolve``, whose bits (a BLAS dot
+    per coefficient) this does not keep.
+    """
     if not isinstance(a, np.ndarray):
         return b * float(a)
-    a, b = lower_pair(a, b)
-    return np.convolve(a, b)[: a.size]
+    n = min(a.shape[-1], b.shape[-1])
+    a, b = a[..., :n], b[..., :n]
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    # Degrees first, then the stack's axes reversed (.T), so the sum over
+    # the terms adds whole contiguous slices in order; row n is the pad.
+    stack = a.shape[-2::-1]
+    degrees = np.zeros((2, n + 1) + stack)
+    degrees[0, :n], degrees[1, :n] = a.T, b.T
+    terms = degrees.reshape((2 * n + 2,) + stack).take(_anti_diagonals(n), axis=0)
+    np.multiply(terms[0], terms[1], out=terms[0])
+    return np.add.reduce(terms[0], axis=0).T
 
 
 def table_stack(series) -> np.ndarray:
@@ -320,12 +366,13 @@ class ArraySeries(Ring):
 class USeries(ArraySeries):
     """Taylor jet of one real-analytic function of u about ``center``.
 
-    Quotients, square roots and exp, sin, cos, sinh, cosh are forward
-    Taylor recurrences: coefficient k follows from the coefficients below
-    it (Griewank & Walther, Evaluating Derivatives, ch. 13).  Quotients
-    and square roots make one ``np.dot`` per coefficient; exp, sin, cos,
-    sinh and cosh run on Python floats over the nonzero coefficients of
-    the argument's derivative only.
+    Products are ``jet_product``'s, alone or in stacks.  Quotients, square
+    roots and exp, sin, cos, sinh, cosh are forward Taylor recurrences:
+    coefficient k follows from the coefficients below it (Griewank &
+    Walther, Evaluating Derivatives, ch. 13), on Python floats.  Quotients
+    and square roots sum their known terms in ``jet_product``'s order;
+    exp, sin, cos, sinh and cosh sum over the nonzero coefficients of the
+    argument's derivative only.
     """
 
     __slots__ = ()
@@ -360,10 +407,10 @@ class USeries(ArraySeries):
             raise NotInvertible("division by a jet with zero constant term")
         if not np.all(np.isfinite(b)):  # an infinite b_0 would give q = 0
             raise ValueError("division by a non-finite jet")
-        # a = b q degree by degree: q_k = (a_k - sum_{j<k} b_{k-j} q_j) / b_0.
-        q = np.zeros(a.size)
-        for k in range(a.size):
-            q[k] = (a[k] - np.dot(b[k:0:-1], q[:k])) / b[0]
+        # a = b q degree by degree: q_k = (a_k - sum_{j<k} q_j b_{k-j}) / b_0.
+        b, q = b.tolist(), []
+        for k, a_k in enumerate(a.tolist()):
+            q.append((a_k - _leading_sum(q, b, 0, k)) / b[0])
         return USeries(q, self.center)
 
     def __rtruediv__(self, other):
@@ -389,12 +436,11 @@ class USeries(ArraySeries):
             raise DomainError(
                 f"square root of negative leading value {a0:g} in a real jet"
             )
-        n = self.order
-        r = np.zeros(n + 1)
-        r[0] = math.sqrt(a0)
-        for k in range(1, n + 1):
-            acc = self.coeffs[k] - np.dot(r[1:k], r[k - 1:0:-1])
-            r[k] = acc / (2.0 * r[0])
+        # c = r r degree by degree: r_k = (c_k - sum_{0<j<k} r_j r_{k-j}) / (2 r_0).
+        c = self.coeffs.tolist()
+        r = [math.sqrt(a0)]
+        for k in range(1, len(c)):
+            r.append((c[k] - _leading_sum(r, r, 1, k)) / (2.0 * r[0]))
         return USeries(r, self.center)
 
     def _paired(self, fn, gn, sign: float) -> tuple["USeries", "USeries"]:

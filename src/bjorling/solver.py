@@ -29,7 +29,7 @@ from .errors import (
     NonIntegrable,
     ProblemValidationError,
 )
-from .groups import SIGNATURE, GroupModel, lorentz_cross, lorentz_dot, mat_vec, mat_vec_tables
+from .groups import SIGNATURE, GroupModel, mat_vec, mat_vec_tables
 from .series import BiSeries, USeries, du_tables, dv_tables, jet_product, jet_sum, table_stack
 from .slices import FrameTape, SkewPad, cauchy_slice
 
@@ -37,15 +37,22 @@ from .slices import FrameTape, SkewPad, cauchy_slice
 class CurveJets(NamedTuple):
     """The jets along the curve that the checks before the march and the
     initial data read, as coefficient arrays, each at its own order: the
-    results of ``groups.lorentz_dot``, ``lorentz_cross`` and ``mat_vec``
-    on USeries, bit for bit."""
+    results of ``groups.mat_vec``, ``lorentz_dot`` and ``lorentz_cross`` on
+    USeries, bit for bit."""
 
-    table: np.ndarray  # (19, k): g(w, w), w, V, curve', A^-1 row by row; zero-padded
+    table: np.ndarray  # (21, k): g(w, w), w, V, g(V, V), g(w, V), curve', A^-1 row by row; zero-padded
     w: tuple  # the frame components of curve'
     cross: tuple  # V x w
     w_square: np.ndarray  # g(w, w)
     field_square: np.ndarray  # g(V, V)
     w_dot_field: np.ndarray  # g(w, V)
+
+
+# The rows of [w; V] that V x w, g(w, w), g(V, V) and g(w, V) multiply, in
+# the operand order of lorentz_cross(V, w) = (V1 w2 - w1 V2, V2 w0 - w2 V0,
+# V1 w0 - w1 V0) and lorentz_dot(y, z) = y0 z0 + y1 z1 - y2 z2.
+_LEFT = [4, 5, 4, 1, 2, 1, 0, 1, 2, 3, 4, 5, 0, 1, 2]
+_RIGHT = [2, 0, 0, 5, 3, 3, 0, 1, 2, 3, 4, 5, 3, 4, 5]
 
 
 @dataclass(frozen=True)
@@ -89,25 +96,50 @@ class BjorlingProblem:
     def curve_jets(self) -> CurveJets:
         """The curve's velocity, the field, the coframe and the frame
         velocity w, with g(w, w), g(V, V), g(w, V) and V x w, formed once
-        per problem on coefficient arrays by ``mat_vec``, ``lorentz_dot``
-        and ``lorentz_cross`` with ``series.jet_product`` and ``jet_sum``;
-        an overflow reads as inf or NaN, which the checks refuse.  Curve
-        and field jets about different centers are refused."""
+        per problem on coefficient arrays in two ``series.jet_product``
+        calls.  The first makes every product of a coframe entry with the
+        velocity, which ``groups.mat_vec`` sums with ``series.jet_sum``,
+        its 0.0 and 1.0 entries skipped as on USeries.  The second makes
+        the 15 products of [w; V] that ``lorentz_cross(V, w)`` and
+        ``lorentz_dot`` take, summed as those helpers sum them, on the
+        zero-padded rows.  Each result is cut to the lower order of its
+        factors, below which no padding is read, and a stacked product has
+        the bits of a single one: the jets are those of the USeries
+        operations, bit for bit.  An overflow reads as inf or NaN, which
+        the checks refuse.  Curve and field jets about different centers
+        are refused."""
         self._require_shared_center()
         with np.errstate(over="ignore", invalid="ignore"):
-            coframe = [[getattr(e, "coeffs", e) for e in row] for row in self.coframe_jets]
+            coframe = [getattr(e, "coeffs", e) for row in self.coframe_jets for e in row]
             velocity = [c.coeffs for c in self.curve_velocity()]
             field = [v.coeffs for v in self.normal_field]
-            w = mat_vec(coframe, velocity, jet_product, jet_sum)
-            cross = lorentz_cross(field, w, jet_product, jet_sum)
-            speed2 = lorentz_dot(w, w, jet_product, jet_sum)
-            rows = [speed2, *w, *field, *velocity, *(e for row in coframe for e in row)]
-            table = np.zeros((len(rows), max(getattr(r, "size", 1) for r in rows)))
-            for out, row in zip(table, rows):
-                out[: getattr(row, "size", 1)] = row  # a number is a constant
-            field_square = lorentz_dot(field, field, jet_product, jet_sum)
-            w_dot_field = lorentz_dot(w, field, jet_product, jet_sum)
-            return CurveJets(table, w, cross, speed2, field_square, w_dot_field)
+            given = [*field, None, None, *velocity, *coframe]  # rows 4 to 20
+            table = np.zeros((21, max(getattr(r, "size", 1) for r in given)))
+            for out, row in zip(table[4:], given):
+                if row is not None:
+                    out[: getattr(row, "size", 1)] = row  # a number is a constant
+            # A^-1_aj curve'_j for each entry that is a jet, cut to the lower
+            # order; mat_vec skips or scales by the numbers itself.
+            at = [k for k, e in enumerate(coframe) if isinstance(e, np.ndarray)]
+            nest = list(coframe)
+            for k, row in zip(at, jet_product(table[12:][at], table[9:12][[j % 3 for j in at]])):
+                nest[k] = row[: min(coframe[k].size, velocity[k % 3].size)]
+            w = mat_vec((nest[:3], nest[3:6], nest[6:]), velocity,
+                        lambda p, q: p if isinstance(p, np.ndarray) else jet_product(p, q), jet_sum)
+            for out, row in zip(table[1:4], w):
+                out[: row.size] = row
+            # lorentz_cross and lorentz_dot's sums, p - q being p + (-q),
+            # on the zero-padded rows, each then cut to its factors' lower order.
+            p = jet_product(table[1:7][_LEFT], table[1:7][_RIGHT])
+            sums = np.concatenate([p[:3] - p[3:6], p[6::3] + p[7::3] - p[8::3]])
+        size = [row.size for row in (*w, *field)]
+        pair = [min(size[s], size[t]) for s, t in zip(_LEFT, _RIGHT)]
+        cut = [min(pair[c], pair[3 + c]) for c in range(3)] + [min(pair[k : k + 3]) for k in (6, 9, 12)]
+        cross = tuple(sums[c, : cut[c]] for c in range(3))
+        jets = [sums[c, : cut[c]] for c in range(3, 6)]
+        for row, jet in zip((0, 7, 8), jets):
+            table[row, : jet.size] = jet
+        return CurveJets(table, w, cross, *jets)
 
     def _require_shared_center(self) -> None:
         if len({c.center for c in (*self.curve, *self.normal_field)}) != 1:
@@ -142,22 +174,23 @@ class BjorlingProblem:
         jets = self.curve_jets
         # Formed in numpy floats, where an overflow is inf, not an exception.
         with np.errstate(over="ignore", invalid="ignore"):
-            # Row maxima, taken as USeries.maxabs takes them, one jet at a time.
-            field_scale = max(1.0, *np.max(np.abs(jets.table[4:7]), axis=1))
-            scale = max(field_scale, *np.max(np.abs(jets.table[1:4]), axis=1))
-            deviation = jets.field_square.copy()
-            deviation[0] -= want
-            vdotv = float(np.max(np.abs(deviation)))
-            ortho = float(np.max(np.abs(jets.w_dot_field)))
+            # The largest coefficient of each of w, V, g(V, V) - want and
+            # g(w, V), as USeries.maxabs takes it, in one reduction.
+            checked = jets.table[1:9].copy()
+            checked[6, 0] -= want
+            peaks = np.abs(checked).max(axis=1).tolist()
+            field_scale = max(1.0, *peaks[3:6])
+            scale = max(field_scale, *peaks[:3])
+            vdotv, ortho = peaks[6], peaks[7]
             bounds = 1e-9 * np.square([field_scale, scale])
             # The metric Ainv^T diag Ainv at the base point: the coframe jets' constant terms.
-            ainv = jets.table[10:19, 0].reshape(3, 3).copy()
+            ainv = jets.table[12:, 0].reshape(3, 3).copy()
             metric = ainv.T @ (SIGNATURE[:, None] * ainv)
-        if not np.all(np.isfinite([vdotv, ortho, *bounds])):
+        if not np.isfinite([vdotv, ortho, *bounds]).all():
             raise ProblemValidationError(
                 "the invariants g(V, V) and g(curve', V) or their scales overflow"
             )
-        if not np.all(np.isfinite(metric)):
+        if not np.isfinite(metric).all():
             raise ProblemValidationError(
                 f"the metric overflows at the curve base point {base.tolist()}"
             )
@@ -203,17 +236,18 @@ def classify_curve(problem: BjorlingProblem) -> CurveClass:
     # Every overflow, from the squared speed's coefficients on, reads as inf or NaN below.
     with np.errstate(over="ignore", invalid="ignore"):
         values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
-        vals, w, field, v = values[0], values[1:4], values[4:7], values[7:10]
-        terms = np.abs(values[10:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
+        vals, w, field, v = values[0], values[1:4], values[4:7], values[9:12]
+        terms = np.abs(values[12:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
         d = gamma * terms.sum(axis=1)
+        size = np.abs(w)
         # fmax drops the NaN of a w whose rounding bound overflows with it.
-        w_reach, v_reach = np.max(np.fmax(np.abs(w) - d, 0.0)), np.max(np.abs(field))
+        w_reach, v_reach = np.fmax(size - d, 0.0).max(), np.abs(field).max()
         normal2 = w_reach**4 * v_reach**2
-        rounding = np.sum(d * (2.0 * np.abs(w) + d) + gamma * w * w, axis=0)
-        band = problem.tolerances.causal * np.maximum(1.0, np.sum(w * w, axis=0))
+        rounding = (d * (2.0 * size + d) + gamma * w * w).sum(axis=0)
+        band = problem.tolerances.causal * np.maximum(1.0, (w * w).sum(axis=0))
         # The frame components cancel terms as large as the coordinate
         # velocity; once their squares overflow, only rounding is left.
-        finite = np.all(np.isfinite(vals + rounding + np.sum(v * v, axis=0)))
+        finite = np.isfinite(vals + rounding + (v * v).sum(axis=0)).all()
     if not np.isfinite(normal2):
         raise ProblemValidationError(
             f"the boundary normal's square overflows: the frame velocity reaches "
@@ -224,18 +258,18 @@ def classify_curve(problem: BjorlingProblem) -> CurveClass:
             f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"
         )
     undecided = (np.abs(vals) <= rounding) & (rounding > band)
-    if np.any(undecided):
+    if undecided.any():
         k = int(np.argmax(undecided))
         raise ProblemValidationError(
             f"squared speed of the initial curve is lost to rounding at u = {us[k]:g}: "
             f"|g(curve', curve')| = {abs(vals[k]):.3e} is within its rounding bound "
             f"{rounding[k]:.3e} from terms of size {np.max(terms[..., k]):.3e}"
         )
-    if np.any(np.abs(vals) <= band):
+    if (np.abs(vals) <= band).any():
         return CurveClass.LIGHTLIKE
-    if np.all(vals > 0.0):
+    if (vals > 0.0).all():
         return CurveClass.SPACELIKE
-    if np.all(vals < 0.0):
+    if (vals < 0.0).all():
         return CurveClass.TIMELIKE
     return CurveClass.MIXED
 

@@ -118,17 +118,21 @@ def hermitian_sign_profile(values: np.ndarray, mode: Mode) -> tuple[float, float
     return float(total.min()), float(total.max())
 
 
-def report_tables(surface, frame=()) -> np.ndarray:
+def report_tables(surface, frame=(), field=()) -> np.ndarray:
     """The tables the grid checks read, zero-padded to one (k, 3, n+1, n+1)
     stack: f, f_u, f_v, f_uu and f_vv of a series triple, then the (re,
-    unit) tables of a frame-data stack if one is given."""
+    unit) tables of a frame-data stack if one is given, then the jets of a
+    normal field triple if one is given, cut to the surface's order, as
+    tables of column 0 (constant in v), so that the grid's powers of u
+    give their values too."""
     f = table_stack(surface)
     fu, fv = du_tables(f), dv_tables(f)
     parts = (f, fu, fv, du_tables(fu), dv_tables(fv), *frame)
+    if field:
+        parts += (table_stack(field)[:, : f.shape[-1], None],)
     tables = np.zeros((len(parts),) + f.shape)
     for table, part in zip(tables, parts):
-        m = part.shape[-1]
-        table[:, :m, :m] = part
+        table[:, : part.shape[-2], : part.shape[-1]] = part
     return tables
 
 
@@ -159,17 +163,17 @@ def conformality_residual(vec_u, vec_v, sigma: float) -> float:
     return float(np.max(conformality_defect(vec_u, vec_v, sigma)))
 
 
-def boundary_residuals(
-    group: GroupModel, surface, curve, normal_field, us, values
-) -> tuple[float, float, bool]:
+def boundary_residuals(group: GroupModel, surface, curve, us, values) -> tuple[float, float, bool]:
     """Deviation of the solved surface from its prescribed boundary data.
 
     curve_res is coefficientwise: the v = 0 row of the surface against the
     curve jets.  normal_res compares the normalized frame cross product of
-    f_u, f_v on v = 0, from ``values`` (f, f_u and f_v at the points us on
-    v = 0, a (3, 3, len(us)) array), with the prescribed field, allowing one
-    global orientation flip (reported, not failed).  A normal whose square
-    is not finite raises ProblemValidationError, a null one DegenerateFrame.
+    f_u, f_v on v = 0 with the prescribed field, allowing one global
+    orientation flip (reported, not failed).  ``values`` is a (4, 3,
+    len(us)) array: f, f_u, f_v and the field at the points us on v = 0,
+    the column-0 values of ``report_tables(surface, frame, field)``.  A
+    normal whose square is not finite raises ProblemValidationError, a
+    null one DegenerateFrame.
     """
     curve_res = 0.0
     for f, b in zip(surface, curve):
@@ -178,7 +182,7 @@ def boundary_residuals(
         curve_res = max(curve_res, float(np.max(np.abs(row[:k] - b.coeffs[:k]))))
 
     us = np.asarray(us, dtype=float)
-    x, fu, fv = values
+    x, fu, fv, target = values
     normal = np.array(lorentz_cross(*frame_components(group.frame_matrix(x), fu, fv)))
     norm2 = lorentz_dot(normal, normal)
     if not np.all(np.isfinite(norm2)):
@@ -188,8 +192,6 @@ def boundary_residuals(
     if degenerate.any():
         raise DegenerateFrame(f"degenerate normal at u = {us[np.argmax(degenerate)]:g}")
     normal = normal / np.sqrt(np.abs(norm2))
-    # One polyval call: on each jet, step for step the Horner rule of USeries.eval.
-    target = np.polynomial.polynomial.polyval(us - normal_field[0].center, table_stack(normal_field).T)
     res_plus = float(np.max(np.abs(normal - target)))
     res_minus = float(np.max(np.abs(normal + target)))
     if res_plus <= res_minus:
@@ -250,9 +252,11 @@ def build_report(problem, frame: np.ndarray, surface) -> ResidualReport:
     The group, kind, curve, normal field, grid and tolerances are the
     problem's.  Series-level residuals do not depend on the strip and are
     computed once.  The grid checks read one evaluation: the
-    ``report_tables`` of the surface and the frame data, multiplied once
-    by the powers of u.  The boundary reads its v = 0 column, and each
-    strip attempt multiplies it by its own powers of v.  The report is
+    ``report_tables`` of the surface, the frame data and the normal field,
+    multiplied once by the powers of u.  The boundary reads its v = 0
+    column, the field's values among them, and each strip attempt
+    multiplies the surface's and the frame data's rows by its own powers
+    of v.  The report is
     complete even when no strip validates; in that case the smallest
     strip's values are reported with strip_valid False.
     """
@@ -260,10 +264,11 @@ def build_report(problem, frame: np.ndarray, surface) -> ResidualReport:
     cone, pde = weierstrass_residuals(group, frame, kind.mode)
     report_grid = grid.coarse()
     us = report_grid.us()
-    rows = u_rows(report_tables(surface, frame), surface[0].center, us)
+    rows = u_rows(report_tables(surface, frame, problem.normal_field), surface[0].center, us)
     curve_res, normal_res, flipped = boundary_residuals(
-        group, surface, problem.curve, problem.normal_field, us, rows[:3, ..., 0]
+        group, surface, problem.curve, us, rows[[0, 1, 2, 7], ..., 0]
     )
+    rows = rows[:7]  # the field is constant in v
 
     conf = float("inf")
     minim = float("inf")

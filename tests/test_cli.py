@@ -562,6 +562,29 @@ def test_json_nested_too_deeply_is_one_line_schema_error(workdir, capsys, argv):
     assert not (workdir / "m.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["export-mesh", "--format", "csv", "--out", "m.csv"]],
+    ids=["solve", "export-mesh"],
+)
+def test_integer_with_too_many_digits_is_one_line_schema_error(workdir, capsys, argv):
+    # Past the interpreter's digit limit the JSON reader raises a bare ValueError.
+    huge = workdir / "huge.json"
+    huge.write_text('{"order": ' + "1" * 5000 + "}")
+    assert main([argv[0], str(huge), *argv[1:]]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "an integer with too many digits" in lines[0]
+    assert not (workdir / "m.csv").exists()
+
+
+@pytest.mark.parametrize("entry", [10**400, {"coeffs": [1.0, 10**400]}], ids=["number", "coefficient"])
+def test_integer_past_the_float_range_is_one_line_schema_error(workdir, capsys, entry):
+    _write_problem(workdir / "p.json", V=[entry, "1", "0"])
+    assert main(["solve", "p.json"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "must be a finite number, got 1000" in lines[0]
+
+
 def test_overflowing_curve_speed_is_rejected_as_overflow(workdir, capsys):
     path = _write_problem(workdir / "huge.problem.json", params={"c": 1e200})
     assert main(["solve", str(path)]) == 2

@@ -122,6 +122,9 @@ def _edits(example_id: str, order: int, *changes) -> tuple:
     12,
     _edits("heisenberg_vertical_plane", 12, (("beta", 0), "1e154*u"), (("beta", 1), "1e154*u")),
 )
+# Escape 11: a curve coefficient whose derivative overflows, differentiated
+# outside the curve jets' np.errstate.
+@example("heisenberg_helicoid", 4, _edits("heisenberg_helicoid", 4, (("beta", 0, "coeffs", 4), -1e308)))
 def test_mutated_problem_files_exit_with_one_line(tmp_path_factory, example_id, order, edits):
     work = tmp_path_factory.mktemp("fuzz")
     problem = work / "case.problem.json"

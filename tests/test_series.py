@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bjorling.config import Mode
 from bjorling.errors import DomainError
-from bjorling.series import BiSeries, USeries, ode_taylor, pair_products, power_table, table_products
+from bjorling.series import BiSeries, USeries, jet_product, ode_taylor, pair_products, power_table, table_products
 from bjorling.slices import FrameTape, TapeNode
 from kalgebra import (
     KScalar,
@@ -143,6 +143,91 @@ def test_useries_division_and_sqrt():
     assert np.allclose((s * s).coeffs, (1.0 + u * u).coeffs, atol=1e-14)
     with pytest.raises(DomainError, match="negative leading value"):
         (u * u - 1.0).sqrt()
+
+
+# ---------------------------------------------------------------------------
+# the stacked jet product
+
+
+def _sequential_product(a, b):
+    # 0.0 + a_0 b_k + a_1 b_(k-1) + ... + a_k b_0 on Python floats, at the lower order.
+    n = min(len(a), len(b))
+    out = []
+    for k in range(n):
+        s = 0.0
+        for j in range(k + 1):
+            s += float(a[j]) * float(b[k - j])
+        out.append(s)
+    return np.array(out)
+
+
+def _jets_with_zeros(rng, shape):
+    # Coefficients over many magnitudes, with exact zeros of both signs.
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2, 14, 32, 50])
+def test_jet_product_has_the_same_bits_alone_and_in_every_stack(k):
+    # The sum in its documented order, zero signs included, whether a
+    # product is made alone, as a USeries product, in a stack of rows (the
+    # curve jets' two calls), with a broadcast operand, or from strided views.
+    from bjorling.solver import _LEFT, _RIGHT
+
+    rng = np.random.default_rng(k)
+    for _ in range(4):
+        a, b = _jets_with_zeros(rng, k), _jets_with_zeros(rng, k)
+        want = _sequential_product(a, b)
+        assert jet_product(a, b).tobytes() == want.tobytes()
+        assert (USeries(a) * USeries(b)).coeffs.tobytes() == want.tobytes()
+        rows = _jets_with_zeros(rng, (6, k))
+        stacked = jet_product(rows[_LEFT], rows[_RIGHT])
+        for got, s, t in zip(stacked, _LEFT, _RIGHT):
+            assert got.tobytes() == _sequential_product(rows[s], rows[t]).tobytes()
+        coframe, velocity = _jets_with_zeros(rng, (3, 3, k)), _jets_with_zeros(rng, (3, k))
+        broadcast = jet_product(coframe, velocity)
+        assert broadcast.shape == (3, 3, k)
+        for i in range(3):
+            for j in range(3):
+                assert broadcast[i, j].tobytes() == _sequential_product(coframe[i, j], velocity[j]).tobytes()
+        columns = np.asfortranarray(rows)  # strided rows
+        assert jet_product(columns[:3], columns[3:]).tobytes() == jet_product(rows[:3], rows[3:]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 14, 32, 50])
+def test_jet_product_takes_the_lower_order(k):
+    # A product of jets of mixed lengths is that of both cut to the shorter
+    # one, and coefficient i of a longer product, or of zero-padded rows,
+    # has the bits of the product at order i: the padding is never read.
+    rng = np.random.default_rng(100 + k)
+    a, b = _jets_with_zeros(rng, k + 5), _jets_with_zeros(rng, k + 5)
+    short = jet_product(a[:k], b[:k])
+    assert jet_product(a[:k], b).tobytes() == short.tobytes()
+    assert jet_product(a, b[:k]).tobytes() == short.tobytes()
+    assert jet_product(a, b)[:k].tobytes() == short.tobytes()
+    padded = np.zeros((2, k + 5))
+    padded[0, :k], padded[1, : k + 3] = a[:k], b[: k + 3]
+    assert jet_product(padded[:1], padded[1:])[0, :k].tobytes() == short.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 14, 32, 50])
+def test_jet_product_reaches_the_coefficients_convolve_reaches(k):
+    # One inf, -inf or NaN coefficient in either factor makes exactly the
+    # coefficients np.convolve makes infinite or NaN, so overflowing data
+    # meet the same refusal: no structural zero times a later coefficient.
+    rng = np.random.default_rng(200 + k)
+    a, b = _jets_with_zeros(rng, k), _jets_with_zeros(rng, k)
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in range(k):
+            for factor in (0, 1):
+                x, y = a.copy(), b.copy()
+                (x, y)[factor][i] = bad
+                with np.errstate(invalid="ignore"):
+                    got, want = jet_product(x, y), np.convolve(x, y)[:k]
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (bad, i, factor)
+                assert np.array_equal(np.isinf(got), np.isinf(want)), (bad, i, factor)
 
 
 def test_ode_taylor_exponential():
@@ -415,7 +500,7 @@ def test_derived_ring_operators(kind):
     c, one = b.coeffs, kind.constant(1.0, 5).coeffs
     cut = a.coeffs[(slice(6),) * d] * (np.add.outer(np.arange(6), np.arange(6)) <= 5 if d == 2 else 1)
     if d == 1:
-        times = lambda x, y: np.convolve(x, y)[:6]
+        times = jet_product
     else:
         times = lambda x, y: table_products(x[None], y[None])[0]
     c2 = times(c, c)

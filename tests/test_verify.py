@@ -67,7 +67,9 @@ def _certificates(group, surface, sigma, us, vs):
 
 
 def _boundary(group, surface, curve, field, us):
-    return boundary_residuals(group, surface, curve, field, us, surface_grids(surface, us, [0.0])[..., 0])
+    # The field's jets evaluated with the surface's, as the report does.
+    tables = verify.report_tables(surface, field=field)[[0, 1, 2, 5]]
+    return boundary_residuals(group, surface, curve, us, grid_values(tables, surface[0].center, us, [0.0])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +451,8 @@ def test_certificates_make_few_frame_matrix_calls(monkeypatch):
         want = {"frame_matrix": 1, "christoffels": attempts, "u_rows": 1, "v_product": attempts}
         assert counts == want, (example_id, counts)
         n1 = sol.order + 2  # the rebuilt surface is one order above the frame data
-        assert calls["u_rows"][0][0].shape == (7, 3, n1, n1), example_id
+        # f and its four derivatives, the frame data's (re, unit) and the field.
+        assert calls["u_rows"][0][0].shape == (8, 3, n1, n1), example_id
         assert complex_calls.count(True) == attempts, (example_id, complex_calls)
         # The curve's jets, the boundary row, then one per attempt.
         assert coframe_calls == [USeries] + [np.ndarray] * (1 + attempts), (example_id, coframe_calls)
@@ -527,8 +530,9 @@ def test_report_values_equal_grid_values_of_each_table(example_id, order):
     assert report.strip_valid, example_id
     grid = prob.grid.coarse()
     us = grid.us()
-    row = grid_values(verify.report_tables(sol.surface)[:3], center, us, [0.0])[..., 0]
-    normal = boundary_residuals(sol.group, sol.surface, prob.curve, prob.normal_field, us, row)
+    tables = verify.report_tables(sol.surface, sol.frame_data, prob.normal_field)
+    row = grid_values(tables[[0, 1, 2, 7]], center, us, [0.0])[..., 0]
+    normal = boundary_residuals(sol.group, sol.surface, prob.curve, us, row)
     assert normal == (report.boundary_curve_residual, report.normal_residual, report.orientation_flipped)
     vs = grid.scaled_v(0.5**report.strip_halvings).vs()
     padded = verify.report_tables(sol.surface, sol.frame_data)[5:]
