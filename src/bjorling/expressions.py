@@ -103,16 +103,11 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
     ``tree`` is ``parse_expression(text)`` when the caller has parsed the
     text already.
     """
-    with np.errstate(all="ignore"):
-        return _evaluate(text, env, tree)
-
-
-def _evaluate(text: str, env: dict, tree: ast.Expression | None = None):
-    # evaluate_series inside the caller's np.errstate.
     if tree is None:
         tree = parse_expression(text)
     try:
-        out = _eval_node(tree, env, text)
+        with np.errstate(all="ignore"):
+            out = _eval_node(tree, env, text)
     except ZeroDivisionError:
         raise ExpressionError(f"division by zero in {_quote(text)}") from None
     except OverflowError:
@@ -126,7 +121,7 @@ def _evaluate(text: str, env: dict, tree: ast.Expression | None = None):
         # a non-finite jet.  A non-finite numerator reaches the check below.
         raise ExpressionError(f"non-finite value in {_quote(text)}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
-    if not np.isfinite(getattr(out, "coeffs", out)).all():
+    if not np.all(np.isfinite(getattr(out, "coeffs", out))):
         raise ExpressionError(f"non-finite value in {_quote(text)}")
     return out
 
@@ -142,10 +137,8 @@ def jet_environment(order: int, center: float, params: dict | None = None) -> di
 def evaluate_jet(text: str, env: dict) -> USeries:
     """Jet of an expression in u over ``jet_environment(order, center,
     params)``: a text that does not name u is evaluated on floats and is
-    the constant jet of its value.  Call it inside ``np.errstate(all=
-    "ignore")``, which one problem's texts share: an overflow then reads
-    as a value that is not finite, which raises ExpressionError."""
-    out = _evaluate(text, env)
+    the constant jet of its value."""
+    out = evaluate_series(text, env)
     if not isinstance(out, USeries):
         u = env["u"]
         out = USeries.constant(float(out), u.order, u.center)

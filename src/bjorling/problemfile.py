@@ -56,8 +56,7 @@ BLOCK_ROWS = 2048
 
 
 def _jet_entry(entry, env: dict, label: str) -> USeries:
-    # One beta or V entry as a jet of env's order about its center, inside
-    # problem_from_dict's np.errstate.
+    # One beta or V entry as a jet of env's order about its center.
     u = env["u"]
     if isinstance(entry, str):
         try:
@@ -68,12 +67,7 @@ def _jet_entry(entry, env: dict, label: str) -> USeries:
         raw = entry["coeffs"]
         if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{label}: coefficient list must be 1-D and nonempty")
-        # A list of floats is checked as one array; any other list, or one
-        # with a value that is not finite, gets _finite's message for its
-        # first bad entry (integers and numeric text pass, as they do alone).
-        coeffs = np.array(raw) if all(type(c) is float for c in raw) else None
-        if coeffs is None or not np.isfinite(coeffs).all():
-            coeffs = [_finite(c, f"{label} coefficient {k}") for k, c in enumerate(raw)]
+        coeffs = [_finite(c, f"{label} coefficient {k}") for k, c in enumerate(raw)]
         # The list length is the jet's order: padding with zeros would
         # claim accuracy the file does not contain.
         return USeries(coeffs[: u.order + 1], u.center)
@@ -209,11 +203,10 @@ def problem_from_dict(
             raise SchemaError(f"{label} must be a list of three components")
 
     # Curve jets carry one extra order so differentiated data is full order.
-    # The six entries share one jet of u and one np.errstate.
+    # The six entries share one jet of u.
     env = jet_environment(order + 1, center, params)
-    with np.errstate(all="ignore"):
-        curve = tuple(_jet_entry(beta_doc[i], env, f"beta[{i}]") for i in range(3))
-        field = tuple(_jet_entry(field_doc[i], env, f"V[{i}]") for i in range(3))
+    curve = tuple(_jet_entry(beta_doc[i], env, f"beta[{i}]") for i in range(3))
+    field = tuple(_jet_entry(field_doc[i], env, f"V[{i}]") for i in range(3))
     # The solve differentiates the curve once and uses the field as it is, so
     # the data must give the curve to order + 1 and the field to the order;
     # only a coefficient list can fall short.

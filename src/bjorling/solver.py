@@ -40,7 +40,7 @@ class CurveJets(NamedTuple):
     results of ``groups.mat_vec``, ``lorentz_dot`` and ``lorentz_cross`` on
     USeries, bit for bit."""
 
-    table: np.ndarray  # (21, k): g(w, w), w, V, g(V, V), g(w, V), curve', A^-1 row by row; zero-padded
+    table: np.ndarray  # (19, k): g(w, w), w, V, curve', A^-1 row by row; zero-padded
     w: tuple  # the frame components of curve'
     cross: tuple  # V x w
     w_square: np.ndarray  # g(w, w)
@@ -113,16 +113,15 @@ class BjorlingProblem:
             coframe = [getattr(e, "coeffs", e) for row in self.coframe_jets for e in row]
             velocity = [c.coeffs for c in self.curve_velocity()]
             field = [v.coeffs for v in self.normal_field]
-            given = [*field, None, None, *velocity, *coframe]  # rows 4 to 20
-            table = np.zeros((21, max(getattr(r, "size", 1) for r in given)))
+            given = [*field, *velocity, *coframe]  # rows 4 to 18
+            table = np.zeros((19, max(getattr(r, "size", 1) for r in given)))
             for out, row in zip(table[4:], given):
-                if row is not None:
-                    out[: getattr(row, "size", 1)] = row  # a number is a constant
+                out[: getattr(row, "size", 1)] = row  # a number is a constant
             # A^-1_aj curve'_j for each entry that is a jet, cut to the lower
             # order; mat_vec skips or scales by the numbers itself.
             at = [k for k, e in enumerate(coframe) if isinstance(e, np.ndarray)]
             nest = list(coframe)
-            for k, row in zip(at, jet_product(table[12:][at], table[9:12][[j % 3 for j in at]])):
+            for k, row in zip(at, jet_product(table[10:][at], table[7:10][[j % 3 for j in at]])):
                 nest[k] = row[: min(coframe[k].size, velocity[k % 3].size)]
             w = mat_vec((nest[:3], nest[3:6], nest[6:]), velocity,
                         lambda p, q: p if isinstance(p, np.ndarray) else jet_product(p, q), jet_sum)
@@ -136,10 +135,9 @@ class BjorlingProblem:
         pair = [min(size[s], size[t]) for s, t in zip(_LEFT, _RIGHT)]
         cut = [min(pair[c], pair[3 + c]) for c in range(3)] + [min(pair[k : k + 3]) for k in (6, 9, 12)]
         cross = tuple(sums[c, : cut[c]] for c in range(3))
-        jets = [sums[c, : cut[c]] for c in range(3, 6)]
-        for row, jet in zip((0, 7, 8), jets):
-            table[row, : jet.size] = jet
-        return CurveJets(table, w, cross, *jets)
+        speed2, field_square, w_dot_field = (sums[c, : cut[c]] for c in range(3, 6))
+        table[0, : speed2.size] = speed2
+        return CurveJets(table, w, cross, speed2, field_square, w_dot_field)
 
     def _require_shared_center(self) -> None:
         if len({c.center for c in (*self.curve, *self.normal_field)}) != 1:
@@ -174,23 +172,24 @@ class BjorlingProblem:
         jets = self.curve_jets
         # Formed in numpy floats, where an overflow is inf, not an exception.
         with np.errstate(over="ignore", invalid="ignore"):
-            # The largest coefficient of each of w, V, g(V, V) - want and
-            # g(w, V), as USeries.maxabs takes it, in one reduction.
-            checked = jets.table[1:9].copy()
-            checked[6, 0] -= want
-            peaks = np.abs(checked).max(axis=1).tolist()
-            field_scale = max(1.0, *peaks[3:6])
+            # The largest coefficient of each of w and V, as USeries.maxabs
+            # takes it, in one reduction over their rows.
+            peaks = np.max(np.abs(jets.table[1:7]), axis=1).tolist()
+            field_scale = max(1.0, *peaks[3:])
             scale = max(field_scale, *peaks[:3])
-            vdotv, ortho = peaks[6], peaks[7]
+            deviation = jets.field_square.copy()
+            deviation[0] -= want
+            vdotv = float(np.max(np.abs(deviation)))
+            ortho = float(np.max(np.abs(jets.w_dot_field)))
             bounds = 1e-9 * np.square([field_scale, scale])
             # The metric Ainv^T diag Ainv at the base point: the coframe jets' constant terms.
-            ainv = jets.table[12:, 0].reshape(3, 3).copy()
+            ainv = jets.table[10:19, 0].reshape(3, 3).copy()
             metric = ainv.T @ (SIGNATURE[:, None] * ainv)
-        if not np.isfinite([vdotv, ortho, *bounds]).all():
+        if not np.all(np.isfinite([vdotv, ortho, *bounds])):
             raise ProblemValidationError(
                 "the invariants g(V, V) and g(curve', V) or their scales overflow"
             )
-        if not np.isfinite(metric).all():
+        if not np.all(np.isfinite(metric)):
             raise ProblemValidationError(
                 f"the metric overflows at the curve base point {base.tolist()}"
             )
@@ -236,18 +235,17 @@ def classify_curve(problem: BjorlingProblem) -> CurveClass:
     # Every overflow, from the squared speed's coefficients on, reads as inf or NaN below.
     with np.errstate(over="ignore", invalid="ignore"):
         values = table @ np.vander(us - problem.center, table.shape[1], increasing=True).T
-        vals, w, field, v = values[0], values[1:4], values[4:7], values[9:12]
-        terms = np.abs(values[12:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
+        vals, w, field, v = values[0], values[1:4], values[4:7], values[7:10]
+        terms = np.abs(values[10:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
         d = gamma * terms.sum(axis=1)
-        size = np.abs(w)
         # fmax drops the NaN of a w whose rounding bound overflows with it.
-        w_reach, v_reach = np.fmax(size - d, 0.0).max(), np.abs(field).max()
+        w_reach, v_reach = np.max(np.fmax(np.abs(w) - d, 0.0)), np.max(np.abs(field))
         normal2 = w_reach**4 * v_reach**2
-        rounding = (d * (2.0 * size + d) + gamma * w * w).sum(axis=0)
-        band = problem.tolerances.causal * np.maximum(1.0, (w * w).sum(axis=0))
+        rounding = np.sum(d * (2.0 * np.abs(w) + d) + gamma * w * w, axis=0)
+        band = problem.tolerances.causal * np.maximum(1.0, np.sum(w * w, axis=0))
         # The frame components cancel terms as large as the coordinate
         # velocity; once their squares overflow, only rounding is left.
-        finite = np.isfinite(vals + rounding + (v * v).sum(axis=0)).all()
+        finite = np.all(np.isfinite(vals + rounding + np.sum(v * v, axis=0)))
     if not np.isfinite(normal2):
         raise ProblemValidationError(
             f"the boundary normal's square overflows: the frame velocity reaches "
@@ -258,18 +256,18 @@ def classify_curve(problem: BjorlingProblem) -> CurveClass:
             f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"
         )
     undecided = (np.abs(vals) <= rounding) & (rounding > band)
-    if undecided.any():
+    if np.any(undecided):
         k = int(np.argmax(undecided))
         raise ProblemValidationError(
             f"squared speed of the initial curve is lost to rounding at u = {us[k]:g}: "
             f"|g(curve', curve')| = {abs(vals[k]):.3e} is within its rounding bound "
             f"{rounding[k]:.3e} from terms of size {np.max(terms[..., k]):.3e}"
         )
-    if (np.abs(vals) <= band).any():
+    if np.any(np.abs(vals) <= band):
         return CurveClass.LIGHTLIKE
-    if (vals > 0.0).all():
+    if np.all(vals > 0.0):
         return CurveClass.SPACELIKE
-    if (vals < 0.0).all():
+    if np.all(vals < 0.0):
         return CurveClass.TIMELIKE
     return CurveClass.MIXED
 

@@ -121,10 +121,10 @@ def hermitian_sign_profile(values: np.ndarray, mode: Mode) -> tuple[float, float
 def report_tables(surface, frame=(), field=()) -> np.ndarray:
     """The tables the grid checks read, zero-padded to one (k, 3, n+1, n+1)
     stack: f, f_u, f_v, f_uu and f_vv of a series triple, then the (re,
-    unit) tables of a frame-data stack if one is given, then the jets of a
-    normal field triple if one is given, cut to the surface's order, as
-    tables of column 0 (constant in v), so that the grid's powers of u
-    give their values too."""
+    unit) tables of a frame-data stack if one is given, then, last, the
+    jets of a normal field triple if one is given, cut to the surface's
+    order, as tables of column 0 (constant in v), so that the grid's
+    powers of u give their values too."""
     f = table_stack(surface)
     fu, fv = du_tables(f), dv_tables(f)
     parts = (f, fu, fv, du_tables(fu), dv_tables(fv), *frame)
@@ -266,9 +266,9 @@ def build_report(problem, frame: np.ndarray, surface) -> ResidualReport:
     us = report_grid.us()
     rows = u_rows(report_tables(surface, frame, problem.normal_field), surface[0].center, us)
     curve_res, normal_res, flipped = boundary_residuals(
-        group, surface, problem.curve, us, rows[[0, 1, 2, 7], ..., 0]
+        group, surface, problem.curve, us, rows[[0, 1, 2, -1], ..., 0]
     )
-    rows = rows[:7]  # the field is constant in v
+    rows = rows[:-1]  # the field, the last table, is constant in v
 
     conf = float("inf")
     minim = float("inf")

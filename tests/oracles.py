@@ -729,6 +729,15 @@ def _jet_dot(y, w):
     return y[0] * w[0] + y[1] * w[1] - y[2] * w[2]
 
 
+def reference_invariants(problem) -> tuple:
+    """g(w, w), g(V, V) and g(w, V) of a problem as ``USeries``, the frame
+    velocity w made as in ``reference_front_end``."""
+    vel = _jet_mat_vec(problem.group.coframe(problem.curve), problem.curve_velocity())
+    field = problem.normal_field
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _jet_dot(vel, vel), _jet_dot(field, field), _jet_dot(vel, field)
+
+
 def reference_front_end(problem, samples: int = 33):
     """(class, initial data) of a problem from ``USeries`` jets: the frame
     velocity is the coframe along the curve times the curve's velocity,

@@ -10,10 +10,8 @@ from oracles import dot_paired
 
 
 def _jet(text, order, center, params=None):
-    # A text evaluated as a problem file's are: in the problem's environment,
-    # inside one np.errstate.
-    with np.errstate(all="ignore"):
-        return evaluate_jet(text, jet_environment(order, center, params))
+    # A text evaluated as a problem file's are, in the problem's environment.
+    return evaluate_jet(text, jet_environment(order, center, params))
 
 
 def test_polynomial_with_parameters():

@@ -52,6 +52,7 @@ from oracles import (
     level_check_ck_march,
     reference_ck_march,
     reference_front_end,
+    reference_invariants,
     slice_ck_march,
 )
 
@@ -1057,11 +1058,23 @@ def _generic_twin(prob):
     return dataclasses.replace(prob, group=gen)
 
 
+def _assert_invariant_bits(prob):
+    # g(w, w), which classify_curve reads in table row 0, and g(V, V) and
+    # g(w, V), which validate reads, have the bits of lorentz_dot on USeries.
+    jets = prob.curve_jets
+    want = reference_invariants(prob)
+    got = (jets.table[0, : jets.w_square.size], jets.w_square, jets.field_square, jets.w_dot_field)
+    for g, w in zip(got, want[:1] + want):
+        assert g.tobytes() == w.coeffs.tobytes()
+    assert not jets.table[0, jets.w_square.size :].any()
+
+
 def _assert_front_end_bits(prob):
     # classify_curve and initial_data read the problem's jets as coefficient
     # arrays; the USeries jets they replaced give the same class and the
     # same bits, the signs of zeros included.
     want_class, want = reference_front_end(prob)
+    _assert_invariant_bits(prob)
     prob.validate()
     got = initial_data(prob)
     assert want_class is not None
@@ -1111,6 +1124,7 @@ def test_front_end_keeps_the_bits_on_random_jets_of_mixed_orders(name, kind):
     field = tuple(USeries(rng.uniform(-1.0, 1.0, size), 0.25) for size in (n + 1, n - 2, n + 2))
     group = generic_group(heisenberg().C, _QUADRATIC_CHART) if name == "quadratic-chart" else groups.by_name(name)
     prob = BjorlingProblem(group, curve, field, kind, order=n)
+    _assert_invariant_bits(prob)
     want_class, want = reference_front_end(prob)
     if want_class is None:
         with pytest.raises(ProblemValidationError, match="lost to rounding"):

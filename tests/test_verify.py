@@ -68,7 +68,7 @@ def _certificates(group, surface, sigma, us, vs):
 
 def _boundary(group, surface, curve, field, us):
     # The field's jets evaluated with the surface's, as the report does.
-    tables = verify.report_tables(surface, field=field)[[0, 1, 2, 5]]
+    tables = verify.report_tables(surface, field=field)[[0, 1, 2, -1]]
     return boundary_residuals(group, surface, curve, us, grid_values(tables, surface[0].center, us, [0.0])[..., 0])
 
 
@@ -531,7 +531,7 @@ def test_report_values_equal_grid_values_of_each_table(example_id, order):
     grid = prob.grid.coarse()
     us = grid.us()
     tables = verify.report_tables(sol.surface, sol.frame_data, prob.normal_field)
-    row = grid_values(tables[[0, 1, 2, 7]], center, us, [0.0])[..., 0]
+    row = grid_values(tables[[0, 1, 2, -1]], center, us, [0.0])[..., 0]
     normal = boundary_residuals(sol.group, sol.surface, prob.curve, us, row)
     assert normal == (report.boundary_curve_residual, report.normal_residual, report.orientation_flipped)
     vs = grid.scaled_v(0.5**report.strip_halvings).vs()
