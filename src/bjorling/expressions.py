@@ -121,7 +121,7 @@ def evaluate_series(text: str, env: dict, tree: ast.Expression | None = None):
         # a non-finite jet.  A non-finite numerator reaches the check below.
         raise ExpressionError(f"non-finite value in {_quote(text)}") from None
     # Float arithmetic overflows to inf quietly ("1e400", "1e300*1e300").
-    if not np.all(np.isfinite(getattr(out, "coeffs", out))):
+    if not np.isfinite(getattr(out, "coeffs", out)).all():
         raise ExpressionError(f"non-finite value in {_quote(text)}")
     return out
 

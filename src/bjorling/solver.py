@@ -174,22 +174,22 @@ class BjorlingProblem:
         with np.errstate(over="ignore", invalid="ignore"):
             # The largest coefficient of each of w and V, as USeries.maxabs
             # takes it, in one reduction over their rows.
-            peaks = np.max(np.abs(jets.table[1:7]), axis=1).tolist()
+            peaks = np.abs(jets.table[1:7]).max(axis=1).tolist()
             field_scale = max(1.0, *peaks[3:])
             scale = max(field_scale, *peaks[:3])
             deviation = jets.field_square.copy()
             deviation[0] -= want
-            vdotv = float(np.max(np.abs(deviation)))
-            ortho = float(np.max(np.abs(jets.w_dot_field)))
+            vdotv = float(np.abs(deviation).max())
+            ortho = float(np.abs(jets.w_dot_field).max())
             bounds = 1e-9 * np.square([field_scale, scale])
             # The metric Ainv^T diag Ainv at the base point: the coframe jets' constant terms.
             ainv = jets.table[10:19, 0].reshape(3, 3).copy()
             metric = ainv.T @ (SIGNATURE[:, None] * ainv)
-        if not np.all(np.isfinite([vdotv, ortho, *bounds])):
+        if not np.isfinite([vdotv, ortho, *bounds]).all():
             raise ProblemValidationError(
                 "the invariants g(V, V) and g(curve', V) or their scales overflow"
             )
-        if not np.all(np.isfinite(metric)):
+        if not np.isfinite(metric).all():
             raise ProblemValidationError(
                 f"the metric overflows at the curve base point {base.tolist()}"
             )
@@ -238,14 +238,15 @@ def classify_curve(problem: BjorlingProblem) -> CurveClass:
         vals, w, field, v = values[0], values[1:4], values[4:7], values[7:10]
         terms = np.abs(values[10:].reshape(3, 3, -1) * v)  # [a, j]: |A^{-1}_aj curve'_j|
         d = gamma * terms.sum(axis=1)
+        size = np.abs(w)
         # fmax drops the NaN of a w whose rounding bound overflows with it.
-        w_reach, v_reach = np.max(np.fmax(np.abs(w) - d, 0.0)), np.max(np.abs(field))
+        w_reach, v_reach = np.fmax(size - d, 0.0).max(), np.abs(field).max()
         normal2 = w_reach**4 * v_reach**2
-        rounding = np.sum(d * (2.0 * np.abs(w) + d) + gamma * w * w, axis=0)
-        band = problem.tolerances.causal * np.maximum(1.0, np.sum(w * w, axis=0))
+        rounding = (d * (2.0 * size + d) + gamma * w * w).sum(axis=0)
+        band = problem.tolerances.causal * np.maximum(1.0, (w * w).sum(axis=0))
         # The frame components cancel terms as large as the coordinate
         # velocity; once their squares overflow, only rounding is left.
-        finite = np.all(np.isfinite(vals + rounding + np.sum(v * v, axis=0)))
+        finite = np.isfinite(vals + rounding + (v * v).sum(axis=0)).all()
     if not np.isfinite(normal2):
         raise ProblemValidationError(
             f"the boundary normal's square overflows: the frame velocity reaches "
@@ -256,18 +257,18 @@ def classify_curve(problem: BjorlingProblem) -> CurveClass:
             f"squared speed of the initial curve overflows on [{u_lo:g}, {u_hi:g}]"
         )
     undecided = (np.abs(vals) <= rounding) & (rounding > band)
-    if np.any(undecided):
+    if undecided.any():
         k = int(np.argmax(undecided))
         raise ProblemValidationError(
             f"squared speed of the initial curve is lost to rounding at u = {us[k]:g}: "
             f"|g(curve', curve')| = {abs(vals[k]):.3e} is within its rounding bound "
             f"{rounding[k]:.3e} from terms of size {np.max(terms[..., k]):.3e}"
         )
-    if np.any(np.abs(vals) <= band):
+    if (np.abs(vals) <= band).any():
         return CurveClass.LIGHTLIKE
-    if np.all(vals > 0.0):
+    if (vals > 0.0).all():
         return CurveClass.SPACELIKE
-    if np.all(vals < 0.0):
+    if (vals < 0.0).all():
         return CurveClass.TIMELIKE
     return CurveClass.MIXED
 
