@@ -98,19 +98,23 @@ def mat_vec(m, w, times=operator.mul, plus=operator.add):
 def mat_vec_tables(m, w: np.ndarray) -> np.ndarray:
     """``mat_vec`` of a 3x3 nest m of numbers and ``BiSeries`` (of order at
     least w's) with each vector of a (k, 3, n+1, n+1) stack w of tables, in
-    the same shape: the terms and sums of mat_vec over the series of each
-    vector, with every product of a series entry and a component made in
-    one ``series.table_products`` call."""
+    the same shape.  Every product of a series entry and a component is
+    made in one ``series.table_products`` call, and ``mat_vec`` takes them
+    as its ``times``, in the order it asks for them: the bits of mat_vec
+    over the series of each vector."""
     n1 = w.shape[-1]
     entries = [(e.coeffs[:n1, :n1], j) for row in m for j, e in enumerate(row) if isinstance(e, BiSeries)]
     x = np.array([table for vec in w for table, _ in entries]).reshape(-1, n1, n1)
     y = np.array([vec[j] for vec in w for _, j in entries]).reshape(-1, n1, n1)
     products = iter(table_products(x, y))
+
+    def times(e, table):
+        return next(products) if isinstance(e, BiSeries) else e * table
+
     out = np.zeros(w.shape)
     for vec, tables in zip(w, out):
-        for table, row in zip(tables, m):
-            terms = (next(products) if isinstance(e, BiSeries) else _times(e, wj) for e, wj in zip(row, vec))
-            table[...] = reduce(_plus, terms, 0.0)
+        for table, value in zip(tables, mat_vec(m, vec, times)):
+            table[...] = value
     return out
 
 

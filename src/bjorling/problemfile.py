@@ -20,9 +20,9 @@ from .config import SCHEMA_VERSION, GridSpec, ProblemKind, Tolerances
 from .errors import NotInvertible, SchemaError
 from .expressions import evaluate_jet, jet_environment
 from .groups import GroupModel, by_name, generic_group
-from .series import BiSeries, USeries, grid_values, table_stack
+from .series import BiSeries, USeries, grid_values
 from .solver import BjorlingProblem, BjorlingSolution
-from .verify import conformality_defect, frame_components, surface_grids
+from .verify import conformality_defect, frame_components, report_tables
 
 _REQUIRED_KEYS = {"group", "mode", "beta", "V", "order", "grid"}
 _OPTIONAL_KEYS = {
@@ -355,10 +355,8 @@ def build_mesh(solution, residual: bool = True) -> SurfaceMesh:
     surface = solution.surface
     uv = defect = None
     with np.errstate(all="ignore"):
-        if residual:
-            grids = surface_grids(surface, us, vs)
-        else:
-            grids = grid_values(table_stack(surface), surface[0].center, us, vs)[None]
+        # f, then with ``residual`` f_u and f_v: each a (3, len(us), len(vs)) grid.
+        grids = grid_values(report_tables(surface)[: 3 if residual else 1], surface[0].center, us, vs)
         finite = np.isfinite(grids).all(axis=(0, 1))
         inside = finite & solution.group.chart_mask(grids[0])
         clipped = int(inside.size - np.count_nonzero(inside))

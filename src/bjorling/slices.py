@@ -1,16 +1,15 @@
 """Slice-by-slice Taylor arithmetic on stacked coefficient tables.
 
 A table is indexed [u-degree, v-degree]; a stack adds a leading axis, and
-algebra-valued data is a (re, unit) pair of tables.  The kernels build
-one v-degree slice of a product at a time, which is what order-by-order
-recurrences in v need: the frame march and the rebuild of the immersion
-(Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008, ch. 13;
-Jorba & Zou, Exp. Math. 14, 2005).  Each level writes its matrix products
-into a ``SkewPad``, one zeroed skew buffer that the level loop makes once,
-and sums the buffer's anti-diagonals with one ones-vector product per
-pair.  ``FrameTape`` records the rebuild's right side A(x) w once so
-that the rebuild can fill it one v-column per level, each product on
-``product_slice``; the march's products run on ``cauchy_slice``.
+algebra-valued data is a (re, unit) pair of tables.  One kernel,
+``slice_products``, builds one v-degree slice of a product at a time,
+which is what order-by-order recurrences in v need: the frame march and
+the rebuild of the immersion (Griewank & Walther, Evaluating Derivatives,
+2nd ed., 2008, ch. 13; Jorba & Zou, Exp. Math. 14, 2005).  Each level
+writes its matrix products into a ``SkewPad``, one zeroed skew buffer that
+the level loop makes once, and sums the buffer's anti-diagonals with one
+ones-vector product per pair.  ``FrameTape`` records the rebuild's right
+side A(x) w once so that the rebuild can fill it one v-column per level.
 """
 
 from __future__ import annotations
@@ -51,22 +50,14 @@ class SkewPad:
         return self.ones[:rows] @ self.skew[..., :rows, :rows]
 
 
-def cauchy_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
-    """The v-degree ``level`` slice of every product x[i] * y[k].
-
-    ``x`` and ``y`` are (p, R, C) and (q, R, C) stacks; the slice keeps
-    ``rows`` u-coefficients.  ``pad`` has lead (p, q).  Shape (p, q, rows).
-    """
-    ys = y[:, :rows, level::-1].transpose(0, 2, 1)
-    return pad.sums(x[:, None, :rows, : level + 1], ys)
-
-
-def product_slice(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
-    """The v-degree ``level`` slice of every product x[k] * y[k] of two
-    (p, R, C) stacks, kept to ``rows`` u-coefficients.  ``pad`` has lead
-    (p,).  Shape (p, rows)."""
-    ys = y[:, :rows, level::-1].transpose(0, 2, 1)
-    return pad.sums(x[:, :rows, : level + 1], ys)
+def slice_products(x: np.ndarray, y: np.ndarray, level: int, rows: int, pad: SkewPad) -> np.ndarray:
+    """The v-degree ``level`` slice of every product of the (..., R, C)
+    stacks x and y paired as numpy broadcasts them, kept to ``rows``
+    u-coefficients: lead shape that of ``pad``, then ``rows``.  The march
+    passes ``x[:, None]`` and ``x`` for every pair x[i] * x[k], the tape
+    two stacks of operands for the pairs x[k] * y[k]."""
+    ys = y[..., :rows, level::-1].swapaxes(-1, -2)
+    return pad.sums(x[..., :rows, : level + 1], ys)
 
 
 class TapeNode(Ring):
@@ -142,7 +133,7 @@ class FrameTape:
     reads columns <= L of them.  The products are cut into runs, in
     recording order, a run ending before a product with an operand made in
     it.  A level fills, run by run, the operands' column L by one fixed
-    matrix and the products' by one ``product_slice`` into the run's own
+    matrix and the products' by one ``slice_products`` into the run's own
     ``SkewPad``, then column L of A(x) w by one more fixed matrix.  A frame
     entry with no polynomial expansion raises TypeError while the tape is
     recorded.
@@ -177,5 +168,5 @@ class FrameTape:
         col = self.tables[:, :rows, level]
         for lo, hi, weights, stack, pad in self._runs:
             stack[:, :rows, level] = weights @ col
-            col[lo:hi] = product_slice(stack[: hi - lo], stack[hi - lo :], level, rows, pad)
+            col[lo:hi] = slice_products(stack[: hi - lo], stack[hi - lo :], level, rows, pad)
         return self.outputs @ col

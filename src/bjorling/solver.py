@@ -31,7 +31,7 @@ from .errors import (
 )
 from .groups import SIGNATURE, GroupModel, mat_vec, mat_vec_tables
 from .series import BiSeries, USeries, du_tables, dv_tables, jet_product, jet_sum, table_stack
-from .slices import FrameTape, SkewPad, cauchy_slice
+from .slices import FrameTape, SkewPad, slice_products
 
 
 class CurveJets(NamedTuple):
@@ -334,9 +334,10 @@ def ck_march(
     of dzbar, into psi_v = unit * (psi_u + 2 G); the v-degree (L+1) slice
     of each component then follows from slices <= L because G is
     quadratic.  Each level builds only the v-degree-L slice of every
-    product of two of the six (re, unit) tables (``slices.cauchy_slice``:
-    a matrix product per pair into one ``slices.SkewPad`` that the march
-    keeps for all its levels, whose anti-diagonals a ones vector sums);
+    product of two of the six (re, unit) tables (``slices.slice_products``
+    on ``x[:, None]`` and ``x``: a matrix product per pair into one
+    ``slices.SkewPad`` that the march keeps for all its levels, whose
+    anti-diagonals a ones vector sums);
     one fixed matrix takes those 36 slices to the slices of every
     conj(psi_a) psi_b and of the cone combination, and a second one takes
     the former to G.  The march thus costs O(order^4) flops in O(order)
@@ -357,7 +358,7 @@ def ck_march(
     cone = np.zeros((order + 1, 2, order + 1))  # [level, (re, unit), u-degree]
     for level in range(order + 1):
         rows = order + 1 - level
-        parts = conj_map @ cauchy_slice(x, x, level, rows, pad).reshape(36, -1)
+        parts = conj_map @ slice_products(x[:, None], x, level, rows, pad).reshape(36, -1)
         cone[level, :, :rows] = parts[18:]
         if level < order:
             # Column level+1 from psi_v = unit * (psi_u + 2 G), and

@@ -136,13 +136,6 @@ def report_tables(surface, frame=(), field=()) -> np.ndarray:
     return tables
 
 
-def surface_grids(surface, us, vs, second: bool = False) -> np.ndarray:
-    """Points and tangents f_u, f_v of a series triple on the tensor grid
-    us x vs: one (3, 3, len(us), len(vs)) array, [0] the points, [1] f_u and
-    [2] f_v.  With ``second`` it also holds f_uu and f_vv, as [3] and [4]."""
-    return grid_values(report_tables(surface)[: 5 if second else 3], surface[0].center, us, vs)
-
-
 def frame_components(ainv, *vectors):
     """Coordinate vectors at the points of a stack, each turned into frame
     components through the inverse frame matrix ``ainv`` there."""
@@ -221,8 +214,8 @@ def tension_residual(gam, grids, vec_u, vec_v, sigma: float) -> float:
 
 def grid_certificates(group: GroupModel, grids: np.ndarray, sigma: float) -> tuple[float, float]:
     """Conformality and tension residuals of a series triple from its grid
-    values ``grids`` (f, f_u, f_v, f_uu, f_vv, as ``surface_grids(...,
-    second=True)`` gives them), with one ``christoffels`` call and one
+    values ``grids`` (f, f_u, f_v, f_uu, f_vv: the ``grid_values`` of the
+    first five ``report_tables``), with one ``christoffels`` call and one
     ``frame_components`` call.  Leaving the chart raises DomainError (the
     report uses that to shrink the strip)."""
     gam, ainv = group.christoffels(grids[0])

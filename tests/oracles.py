@@ -37,7 +37,7 @@ from bjorling.config import CurveClass, Mode
 from bjorling.errors import ConstraintDrift, ProblemValidationError
 from bjorling.groups import SIGNATURE, lorentz_dot
 from bjorling.series import BiSeries, USeries, _band_gathers, _triangle_mask, table_stack
-from bjorling.slices import SkewPad, cauchy_slice
+from bjorling.slices import SkewPad, slice_products
 from bjorling.solver import _column_zero, _march_maps
 from kalgebra import KScalar, KSeries
 
@@ -392,7 +392,7 @@ def slice_ck_march(group, frame0: np.ndarray, mode: Mode) -> tuple[np.ndarray, l
     drifts = []
     for level in range(order + 1):
         rows = order + 1 - level
-        p = cauchy_slice(x, x, level, rows, SkewPad((6, 6), rows))
+        p = slice_products(x[:, None], x, level, rows, SkewPad((6, 6), rows))
         square, cross = np.einsum("iim->im", p), np.einsum("iim->im", p[:3, 3:])
         cone = np.stack([SIGNATURE @ (square[:3] + s * square[3:]), 2.0 * SIGNATURE @ cross])
         drifts.append(float(np.max(np.abs(cone))))
@@ -423,7 +423,7 @@ def level_check_ck_march(group, frame0: np.ndarray, mode: Mode, cone_tol: float 
     x = _column_zero(frame0)
     pad = SkewPad((6, 6), order + 1)
     for level in range(order + 1):
-        parts = conj_map @ cauchy_slice(x, x, level, order + 1 - level, pad).reshape(36, -1)
+        parts = conj_map @ slice_products(x[:, None], x, level, order + 1 - level, pad).reshape(36, -1)
         drift = float(np.max(np.abs(parts[18:])))
         if not math.isfinite(drift):
             raise ProblemValidationError(f"the frame data overflow at march level {level}")

@@ -18,12 +18,12 @@ from bjorling import corpus, problemfile
 from bjorling.cli import main as cli_main
 from bjorling.config import Mode
 from bjorling.groups import de_sitter, h2xr, heisenberg, lorentz_cross, lorentz_dot
-from bjorling.series import BiSeries, USeries
+from bjorling.series import BiSeries, USeries, grid_values
 from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
     compare_to_reference,
     grid_certificates,
-    surface_grids,
+    report_tables,
 )
 from kalgebra import (
     KScalar,
@@ -218,7 +218,7 @@ def test_criterion_08_independent_minimality_certificate():
         prob, sol = _solve(ex)
         us = dataclasses.replace(prob.grid, nu=9, nv=5).us()
         vs = np.linspace(sol.report.strip_v_min, sol.report.strip_v_max, 5)
-        grids = surface_grids(sol.surface, us, vs, second=True)
+        grids = grid_values(report_tables(sol.surface)[:5], sol.surface[0].center, us, vs)
         res = grid_certificates(sol.group, grids, prob.kind.sigma)[1]
         assert res <= 1e-6, (ex, res)
         point = lambda u, v: np.array([f.eval(u, v) for f in sol.surface])
@@ -254,7 +254,8 @@ def test_criterion_08_independent_minimality_certificate():
     # (c) a non-minimal probe, (u, 1, v + 1) under the spacelike operator,
     # is loudly non-minimal
     probe = (variable_u(2), zero_series(2) + 1.0, variable_v(2) + 1.0)
-    grids = surface_grids(probe, np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5), second=True)
+    ticks = np.linspace(-0.3, 0.3, 5)
+    grids = grid_values(report_tables(probe)[:5], probe[0].center, ticks, ticks)
     res = grid_certificates(de_sitter(), grids, -1.0)[1]
     assert res > 0.1
     _report(8, "tension certificate: corpus <= 1e-6, oracle O(h^2), probe > 0.1")

@@ -1059,6 +1059,33 @@ def test_export_mesh_obj_needs_only_finite_points(workdir, capsys):
     assert not (workdir / "low.csv").exists()
 
 
+def test_export_mesh_obj_evaluates_no_tangent(workdir, capsys):
+    # x1 = 1e308 u^2 is finite on u in [-1, 1], but its u-derivative table
+    # overflows: the OBJ file evaluates the points alone, and only the CSV
+    # file, which holds the per-vertex residual, evaluates the tangents.
+    path = _write_problem(workdir / "plane.problem.json")
+    assert main(["solve", str(path), "--out", "."]) == 0
+    doc = json.loads((workdir / "plane.solution.json").read_text())
+    side = len(doc["surface"][0])
+    doc["surface"][0] = [[1e308 if (i, j) == (2, 0) else 0.0 for j in range(side)] for i in range(side)]
+    (workdir / "steep.solution.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["export-mesh", "steep.solution.json", "--format", "obj", "--out", "steep.obj"]) == 0
+        capsys.readouterr()
+        code = main(["export-mesh", "steep.solution.json", "--format", "csv", "--out", "steep.csv"])
+    vertices = [l.split() for l in (workdir / "steep.obj").read_text().splitlines() if l[0] == "v"]
+    assert len(vertices) == doc["grid"]["nu"] * doc["grid"]["nv"]
+    assert float(vertices[0][1]) == 1e308
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: surface is not finite at grid point (u, v) = (-1.0, ")
+    assert not (workdir / "steep.csv").exists()
+
+
 def _homothety(k: int) -> dict:
     # desitter_vertical_plane with its curve scaled by 2^k, an isometry of the
     # halfspace chart; the normal field's frame components stay the same.

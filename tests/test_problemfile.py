@@ -8,8 +8,9 @@ from bjorling import corpus, problemfile
 from bjorling.config import GridSpec, ProblemKind
 from bjorling.errors import SchemaError
 from bjorling.groups import GroupModel
+from bjorling.series import grid_values
 from bjorling.solver import solve_bjorling
-from bjorling.verify import surface_grids
+from bjorling.verify import report_tables
 from kalgebra import variable_u, variable_v, zero_series
 from oracles import _point_defect
 
@@ -227,7 +228,7 @@ def test_unclipped_mesh_is_a_reshape_of_the_grid(stored_solution):
     assert np.array_equal(mesh.faces, np.array(quads))
     u, v = np.meshgrid(us, vs, indexing="ij")
     assert np.array_equal(mesh.uv, np.column_stack([u.ravel(), v.ravel()]))
-    x, fu, fv = surface_grids(stored.surface, us, vs)
+    x, fu, fv = grid_values(report_tables(stored.surface)[:3], stored.surface[0].center, us, vs)
     assert np.array_equal(mesh.vertices, x.reshape(3, -1).T)
     sigma = stored.kind.sigma
     want = [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bjorling.slices import FrameTape, SkewPad, cauchy_slice, product_slice
+from bjorling.slices import FrameTape, SkewPad, slice_products
 from oracles import convolve_slice, reference_product
 
 
@@ -33,23 +33,25 @@ def _close(got, want):
 
 
 @pytest.mark.parametrize("order", [2, 12, 30])
-def test_cauchy_slice_matches_convolutions(order):
+def test_slice_of_every_pair_matches_convolutions(order):
+    # The march's lead: x[:, None] against y pairs every x[i] with every y[k].
     rng = np.random.default_rng(order)
     x, y = _triangular(rng, 4, order=order), _triangular(rng, 3, order=order)
     pad = SkewPad((4, 3), order + 1)
     for level, rows in _levels(order):
         want = _matvec_reference(x[:, None], y[:, None], level, rows).transpose(0, 2, 1, 3)
-        _close(cauchy_slice(x, y, level, rows, pad), want)
+        _close(slice_products(x[:, None], y, level, rows, pad), want)
 
 
 @pytest.mark.parametrize("order", [2, 12, 30])
-def test_product_slice_matches_convolutions(order):
+def test_slice_of_paired_stacks_matches_convolutions(order):
+    # The tape's lead: two stacks of one length pair x[k] with y[k].
     rng = np.random.default_rng(order)
     x, y = _triangular(rng, 5, order=order), _triangular(rng, 5, order=order)
     pad = SkewPad((5,), order + 1)
     for level, rows in _levels(order):
         want = _matvec_reference(x[:, None], y[:, None], level, rows)
-        _close(product_slice(x, y, level, rows, pad), np.einsum("akkm->akm", want))
+        _close(slice_products(x, y, level, rows, pad), np.einsum("akkm->akm", want))
 
 
 def _test_frame(x):
@@ -109,20 +111,22 @@ def test_equal_tables_give_equal_bits_in_every_position(order):
     x, y = t[[0, 1, 5]], t[[2, 4, 3]]
     march_pad, rebuild_pad = SkewPad((6, 6), order + 1), SkewPad((3,), order + 2)
     for level, rows in _levels(order):
-        march = cauchy_slice(t, t, level, rows, march_pad)
+        march = slice_products(t[:, None], t, level, rows, march_pad)
         assert np.array_equal(march[2, 0], march[3, 5])
         assert np.array_equal(march[0, 2], march[5, 3])
-        rebuild = product_slice(x, y, level, rows, rebuild_pad)
+        rebuild = slice_products(x, y, level, rows, rebuild_pad)
         assert np.array_equal(rebuild[2], rebuild[0])
 
 
-# Each kernel with the lead shapes of its two operands and of its buffer,
-# and how many sizes its tables and kept buffer exceed the longest rows: the
-# rebuild tape's tables and buffers are one size larger than its rows.
+# Each use of the kernel: whether its first operand gets the march's
+# x[:, None] lead (every pair) or pairs by position, the lead shapes of its
+# two operands and of its buffer, and how many sizes its tables and kept
+# buffer exceed the longest rows: the rebuild tape's tables and buffers are
+# one size larger than its rows.
 _KERNELS = {
-    "cauchy": (cauchy_slice, (6,), (6,), (6, 6), 0),
-    "product": (product_slice, (4,), (4,), (4,), 0),
-    "tape": (product_slice, (3,), (3,), (3,), 1),
+    "cauchy": (True, (6,), (6,), (6, 6), 0),
+    "product": (False, (4,), (4,), (4,), 0),
+    "tape": (False, (3,), (3,), (3,), 1),
 }
 
 
@@ -132,13 +136,15 @@ def test_kept_buffer_gives_the_bits_of_a_fresh_one(kernel, order):
     # One buffer kept over rows that shrink to 1 and grow back gives the
     # bits of a fresh zeroed buffer of each call's own size.  The tables
     # are full, so a stale product read from an earlier call would show.
-    fn, x_lead, y_lead, lead, margin = _KERNELS[kernel]
+    every_pair, x_lead, y_lead, lead, margin = _KERNELS[kernel]
     rng = np.random.default_rng(order)
     size = order + 1 + margin
     x, y = (rng.standard_normal(shape + (size, size)) for shape in (x_lead, y_lead))
+    if every_pair:
+        x = x[:, None]
     kept = SkewPad(lead, size)
     sizes = [*range(order + 1, 0, -1), *range(2, order + 2)]
     for step, rows in enumerate(sizes):
         level = (7 * step) % (order + 1)
-        want = fn(x, y, level, rows, SkewPad(lead, rows))
-        assert np.array_equal(fn(x, y, level, rows, kept), want)
+        want = slice_products(x, y, level, rows, SkewPad(lead, rows))
+        assert np.array_equal(slice_products(x, y, level, rows, kept), want)

@@ -23,7 +23,6 @@ from bjorling.verify import (
     frame_components,
     grid_certificates,
     hermitian_sign_profile,
-    surface_grids,
     weierstrass_residuals,
 )
 from kalgebra import (
@@ -63,7 +62,7 @@ def _solved(example_id, params=None):
 
 
 def _certificates(group, surface, sigma, us, vs):
-    return grid_certificates(group, surface_grids(surface, us, vs, second=True), sigma)
+    return grid_certificates(group, grid_values(verify.report_tables(surface)[:5], surface[0].center, us, vs), sigma)
 
 
 def _boundary(group, surface, curve, field, us):
@@ -154,7 +153,7 @@ def test_weierstrass_certificate_shares_no_code_with_the_march():
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
     names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     names |= {a.name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
-    assert not names & {"_march_maps", "cauchy_slice"}
+    assert not names & {"_march_maps", "slice_products"}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def test_grid_code_matches_per_point_reference(example_id):
     # whose max the report holds, from the report's evaluation and chart call.
     strip = GridSpec(us[0], us[-1], vs[0], vs[-1], len(us), len(vs))
     mesh = problemfile.build_mesh(problemfile.StoredSolution(sol.group, sol.kind, sol.surface, strip, {}))
-    grids = surface_grids(sol.surface, us, vs, second=True)
+    grids = grid_values(verify.report_tables(sol.surface)[:5], sol.surface[0].center, us, vs)
     ainv = sol.group.christoffels(grids[0])[1]
     defect = conformality_defect(*frame_components(ainv, grids[1], grids[2]), sigma)
     assert np.array_equal(mesh.residual, defect.ravel())
