@@ -118,15 +118,14 @@ def test_equal_tables_give_equal_bits_in_every_position(order):
         assert np.array_equal(rebuild[2], rebuild[0])
 
 
-# Each use of the kernel: whether its first operand gets the march's
-# x[:, None] lead (every pair) or pairs by position, the lead shapes of its
-# two operands and of its buffer, and how many sizes its tables and kept
-# buffer exceed the longest rows: the rebuild tape's tables and buffers are
-# one size larger than its rows.
+# Each use of the kernel with the lead shapes of its two operands and of its
+# buffer, and how many sizes its tables and kept buffer exceed the longest
+# rows: the march's lead (6, 1) pairs every table with every table, and the
+# rebuild tape's tables and buffers are one size larger than its rows.
 _KERNELS = {
-    "cauchy": (True, (6,), (6,), (6, 6), 0),
-    "product": (False, (4,), (4,), (4,), 0),
-    "tape": (False, (3,), (3,), (3,), 1),
+    "cauchy": ((6, 1), (6,), (6, 6), 0),
+    "product": ((4,), (4,), (4,), 0),
+    "tape": ((3,), (3,), (3,), 1),
 }
 
 
@@ -136,12 +135,10 @@ def test_kept_buffer_gives_the_bits_of_a_fresh_one(kernel, order):
     # One buffer kept over rows that shrink to 1 and grow back gives the
     # bits of a fresh zeroed buffer of each call's own size.  The tables
     # are full, so a stale product read from an earlier call would show.
-    every_pair, x_lead, y_lead, lead, margin = _KERNELS[kernel]
+    x_lead, y_lead, lead, margin = _KERNELS[kernel]
     rng = np.random.default_rng(order)
     size = order + 1 + margin
     x, y = (rng.standard_normal(shape + (size, size)) for shape in (x_lead, y_lead))
-    if every_pair:
-        x = x[:, None]
     kept = SkewPad(lead, size)
     sizes = [*range(order + 1, 0, -1), *range(2, order + 2)]
     for step, rows in enumerate(sizes):
