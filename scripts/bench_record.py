@@ -3,7 +3,7 @@
 
 Usage:
   python3 scripts/bench_record.py LABEL [--workloads corpus-o12 corpus-o30 cli-mesh]
-      [--seeds 1 2 3] [--seconds 15] [--root DIR] [--out DIR]
+      [--seeds 1 2 3] [--seconds 15] [--root DIR] [--interleave PARENT_ROOT] [--out DIR]
 
 For every workload and seed, ``perfbench/run.py`` runs twice in its own
 process: once with ``--trace 0`` (the end-to-end metrics) and once with
@@ -24,6 +24,16 @@ default), so a parent commit can be recorded the same way.  The result is
 * ``env``: the first run's environment record (Python, numpy, CPU,
   thread settings, commit).
 
+Each run's ``position`` is its place in the order the runs were made.
+``--interleave PARENT_ROOT`` records the checkout there as well, in
+``BENCH_<LABEL>-parent.json``: each (workload, seed, trace) runs once in
+each checkout, back to back, and the side that runs first alternates from
+seed to seed (and between the untraced and the traced pair of a seed), so
+drift on a shared machine falls on both sides alike.  Then, for each
+workload and each end-to-end metric of ``BENCHMARK.json``, it prints both
+sides' median and quartiles over the untraced runs, and in how many
+same-seed pairs the change is better (a tie counts for neither).
+
 Exits 1 when any op of any run failed its gate, 2 when a run did not
 finish.
 """
@@ -38,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("corpus-o12", "corpus-o30", "cli-mesh")
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -95,6 +106,38 @@ def summarize(label: str, runs: list[dict], seconds: float) -> dict:
     return summary
 
 
+def _quartiles(values: list) -> tuple:
+    # (q1, median, q3), numpy's default interpolation.
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare(parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per workload and end-to-end metric of ``BENCHMARK.json``:
+    each side's median and quartiles over its untraced runs, and the
+    change's wins over the same-seed pairs in which both sides have a value."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in change):
+        sides = [{r["seed"]: r["metrics"] for r in runs if r["workload"] == workload and r["trace"] == 0}
+                 for runs in (parent, change)]
+        seeds = sorted(sides[0].keys() & sides[1].keys())
+        for metric in END_TO_END:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            pairs = [(sides[0][seed].get(name), sides[1][seed].get(name)) for seed in seeds]
+            pairs = [pair for pair in pairs if None not in pair]
+            if not pairs:
+                continue
+            (p1, pm, p3), (c1, cm, c3) = (_quartiles([pair[k] for pair in pairs]) for k in (0, 1))
+            wins = sum(sign * (c - p) < 0 for p, c in pairs)
+            lines.append(
+                f"{workload} {name}: parent {pm:.5g} [{p1:.5g}, {p3:.5g}]  "
+                f"change {cm:.5g} [{c1:.5g}, {c3:.5g}]  change better in {wins}/{len(pairs)} pairs"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("label")
@@ -102,28 +145,38 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--root", type=Path, default=ROOT)
+    ap.add_argument("--interleave", type=Path, metavar="PARENT_ROOT")
     ap.add_argument("--out", type=Path, default=Path.cwd())
     args = ap.parse_args(argv)
 
-    runs = []
+    sides = {args.label: args.root.resolve()}
+    if args.interleave is not None:
+        sides = {f"{args.label}-parent": args.interleave.resolve(), **sides}
+    runs = {label: [] for label in sides}
     for workload in args.workloads:
-        for seed in args.seeds:
+        for i, seed in enumerate(args.seeds):
             for trace in (0, 1):
-                try:
-                    runs.append(run_once(args.root.resolve(), workload, seed, args.seconds, trace))
-                except RuntimeError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                p50 = runs[-1]["raw"]["op_ms.p50"]
-                print(
-                    f"{workload} seed {seed} trace {trace}: op_ms.p50 "
-                    f"{'none' if p50 is None else f'{p50:.3f}'}{'' if runs[-1]['correct'] else ' FAILED'}",
-                    file=sys.stderr,
-                )
-    path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(summarize(args.label, runs, args.seconds), indent=1) + "\n", encoding="utf-8")
-    print(path)
-    return 0 if all(r["correct"] for r in runs) else 1
+                for label in list(sides)[:: 1 if (i + trace) % 2 == 0 else -1]:
+                    try:
+                        run = run_once(sides[label], workload, seed, args.seconds, trace)
+                    except RuntimeError as exc:
+                        print(f"error: {exc}", file=sys.stderr)
+                        return 2
+                    run["position"] = sum(map(len, runs.values()))
+                    runs[label].append(run)
+                    p50 = run["raw"]["op_ms.p50"]
+                    print(
+                        f"{label} {workload} seed {seed} trace {trace}: op_ms.p50 "
+                        f"{'none' if p50 is None else f'{p50:.3f}'}{'' if run['correct'] else ' FAILED'}",
+                        file=sys.stderr,
+                    )
+    for label, side in runs.items():
+        path = args.out / f"BENCH_{label}.json"
+        path.write_text(json.dumps(summarize(label, side, args.seconds), indent=1) + "\n", encoding="utf-8")
+        print(path)
+    if args.interleave is not None:
+        print("\n".join(compare(*runs.values())))
+    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
 
 
 if __name__ == "__main__":

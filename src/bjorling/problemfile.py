@@ -19,10 +19,10 @@ import orjson
 from .config import SCHEMA_VERSION, GridSpec, ProblemKind, Tolerances
 from .errors import NotInvertible, SchemaError
 from .expressions import evaluate_jet, jet_environment
-from .groups import GroupModel, by_name, generic_group
+from .groups import GroupModel, by_name, generic_group, mat_vec
 from .series import BiSeries, USeries, grid_values
 from .solver import BjorlingProblem, BjorlingSolution
-from .verify import conformality_defect, frame_components, report_tables
+from .verify import conformality_defect, report_tables
 
 _REQUIRED_KEYS = {"group", "mode", "beta", "V", "order", "grid"}
 _OPTIONAL_KEYS = {
@@ -364,8 +364,10 @@ def build_mesh(solution, residual: bool = True) -> SurfaceMesh:
         kept = grids[:, :, inside] if clipped else grids.reshape(len(grids), 3, -1)
         x = kept[0]
         if residual:
-            ainv = solution.group.frame_matrix(x)
-            defect = conformality_defect(*frame_components(ainv, *kept[1:]), solution.kind.sigma)
+            # The frame components of f_u and f_v: A^-1 as the coframe nest,
+            # whose entries 0.0 and 1.0 cost mat_vec no array operation.
+            coframe = solution.group.coframe(x)
+            defect = conformality_defect(*(mat_vec(coframe, t) for t in kept[1:]), solution.kind.sigma)
             if not np.isfinite(defect).all():
                 finite[inside] = np.isfinite(defect)
     if not finite.all():
@@ -379,8 +381,9 @@ def build_mesh(solution, residual: bool = True) -> SurfaceMesh:
     else:
         index = np.arange(inside.size).reshape(inside.shape)
     if residual:
-        u, v = np.meshgrid(us, vs, indexing="ij")
-        uv = np.stack([u[inside], v[inside]] if clipped else [u.ravel(), v.ravel()], axis=1)
+        uv = np.empty(inside.shape + (2,))
+        uv[..., 0], uv[..., 1] = us[:, None], vs
+        uv = uv[inside] if clipped else uv.reshape(-1, 2)
     quads = np.stack(
         [index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]], axis=-1
     ).reshape(-1, 4)

@@ -42,6 +42,15 @@ from bjorling.solver import _column_zero, _march_maps
 from kalgebra import KScalar, KSeries
 
 
+# The built-in groups' frame matrices as a generic group declares them:
+# the same A, written as expression strings.
+GENERIC_FRAMES = {
+    "heisenberg": [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]],
+    "desitter": [["x3", "0", "0"], ["0", "x3", "0"], ["0", "0", "x3"]],
+    "h2xr": [["x2", "0", "0"], ["0", "x2", "0"], ["0", "0", "1"]],
+}
+
+
 @lru_cache(maxsize=None)
 def _symbolic_metric(name: str):
     # The coordinate symbols and the metric of one built-in chart, written out.

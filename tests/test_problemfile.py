@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,16 +242,66 @@ def test_unclipped_mesh_is_a_reshape_of_the_grid(stored_solution):
 
 
 def test_points_only_mesh_makes_no_frame_call(stored_solution, monkeypatch):
+    # The OBJ build makes no chart call; the CSV build makes one coframe call
+    # and builds no dense A^-1 stack.
     _, stored = stored_solution
+    calls = {"coframe": 0, "frame_matrix": 0}
+
+    def counted(name, raw):
+        def call(*args):
+            calls[name] += 1
+            return raw(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(GroupModel, name, counted(name, getattr(GroupModel, name)))
     full = problemfile.build_mesh(stored)
-    calls = []
-    raw = GroupModel.frame_matrix
-    monkeypatch.setattr(GroupModel, "frame_matrix", lambda *a: calls.append(a) or raw(*a))
+    assert calls == {"coframe": 1, "frame_matrix": 0}
     points = problemfile.build_mesh(stored, residual=False)
-    assert calls == []
+    assert calls == {"coframe": 1, "frame_matrix": 0}
     assert points.vertices.tobytes() == full.vertices.tobytes()
     assert np.array_equal(points.faces, full.faces) and points.clipped == full.clipped
     assert points.uv is None and points.residual is None
+
+
+def test_csv_mesh_writes_into_no_frame_component(monkeypatch):
+    # mat_vec hands back a tangent array itself for a coframe entry 1.0 (the
+    # Heisenberg coframe's first two rows), so the defect must be computed
+    # without writing into a component: here each one is read-only.
+    sol = solve_bjorling(problemfile.problem_from_dict(corpus.build_problem_dict("heisenberg_helicoid")))
+    w = tuple(np.arange(4.0) + k for k in range(3))
+    assert problemfile.mat_vec(sol.group.coframe(w), w)[0] is w[0]
+    want = problemfile.build_mesh(sol).residual
+    raw = problemfile.mat_vec
+
+    def read_only(m, w):
+        views = tuple(np.asarray(c).view() for c in raw(m, w))
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+    monkeypatch.setattr(problemfile, "mat_vec", read_only)
+    assert problemfile.build_mesh(sol).residual.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_csv_mesh_peak_memory_per_grid_point(example_id):
+    # The traced peak of a 129 x 65 CSV build, per grid point: the point and
+    # tangent grids (72 bytes), the coframe's and the defect's temporaries and
+    # the mesh's own arrays stay under 220 bytes.  A dense (3, 3, n) A^-1
+    # stack and its einsum, as the build once made, took it to about 250.
+    doc = corpus.build_problem_dict(example_id)
+    doc["grid"].update(nu=129, nv=65)
+    sol = solve_bjorling(problemfile.problem_from_dict(doc))
+    problemfile.build_mesh(sol)
+    tracemalloc.start()
+    try:
+        problemfile.build_mesh(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 220 * 129 * 65, peak / (129 * 65)
 
 
 def test_mesh_counts_full_grid(stored_solution):

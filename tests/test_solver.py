@@ -46,6 +46,7 @@ from kalgebra import (
     zero_series,
 )
 from oracles import (
+    GENERIC_FRAMES,
     coords_from_frame,
     frame_series,
     frame_stack,
@@ -297,13 +298,6 @@ def test_reconstruct_requires_recipe():
         reconstruct_surface(gen, frame_stack((p, p, p)), curve, P)
 
 
-_GENERIC_FRAMES = {
-    "heisenberg": [["1", "0", "0"], ["0", "1", "0"], ["-x2/2", "x1/2", "1"]],
-    "desitter": [["x3", "0", "0"], ["0", "x3", "0"], ["0", "0", "x3"]],
-    "h2xr": [["x2", "0", "0"], ["0", "x2", "0"], ["0", "0", "1"]],
-}
-
-
 @pytest.mark.parametrize("order", [12, 30])
 @pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
 def test_builtin_declared_generic_rebuilds_the_same_surface(example_id, order):
@@ -311,7 +305,7 @@ def test_builtin_declared_generic_rebuilds_the_same_surface(example_id, order):
     # frame becomes an expression, and A^-1 is the adjugate of A for both, so
     # the frame data, surface tables and report are the built-in's bit for bit.
     prob = _problem(example_id, order=order)
-    gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES[prob.group.name])
+    gen = generic_group(prob.group.C, frame_exprs=GENERIC_FRAMES[prob.group.name])
     gprob = dataclasses.replace(prob, group=gen)
     want, got = solve_bjorling(prob), solve_bjorling(gprob)
     assert not got.report.failures(gprob.tolerances)
@@ -328,7 +322,7 @@ def test_generic_frame_entries_are_parsed_once(monkeypatch):
     calls = []
     parse = ast.parse
     monkeypatch.setattr(ast, "parse", lambda *args, **kw: calls.append(args) or parse(*args, **kw))
-    gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES["heisenberg"])
+    gen = generic_group(prob.group.C, frame_exprs=GENERIC_FRAMES["heisenberg"])
     assert len(calls) == 9
     solution = solve_bjorling(dataclasses.replace(prob, group=gen))
     assert not solution.report.failures(prob.tolerances)
@@ -348,7 +342,7 @@ _TAPE_GROUPS = {
     "desitter": de_sitter,
     "h2xr": h2xr,
     "heisenberg-generic": lambda: generic_group(
-        heisenberg().C, frame_exprs=_GENERIC_FRAMES["heisenberg"]
+        heisenberg().C, frame_exprs=GENERIC_FRAMES["heisenberg"]
     ),
     "quadratic-chart": lambda: generic_group(heisenberg().C, frame_exprs=_QUADRATIC_CHART),
     # Products of products: x1*x2*x3 and x1**3 reach depth 2 on the tape.
@@ -797,7 +791,7 @@ def test_march_is_the_level_checked_march_bit_for_bit(example_id, chart, order):
     prob = _problem(example_id, order=order)
     if chart == "generic":
         prob = dataclasses.replace(
-            prob, group=generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES[prob.group.name])
+            prob, group=generic_group(prob.group.C, frame_exprs=GENERIC_FRAMES[prob.group.name])
         )
     frame0 = initial_data(prob)
     want = level_check_ck_march(prob.group, frame0, prob.mode)
@@ -1054,7 +1048,7 @@ def test_field_jet_one_order_short_is_caught_in_the_initial_data():
 
 
 def _generic_twin(prob):
-    gen = generic_group(prob.group.C, frame_exprs=_GENERIC_FRAMES[prob.group.name])
+    gen = generic_group(prob.group.C, frame_exprs=GENERIC_FRAMES[prob.group.name])
     return dataclasses.replace(prob, group=gen)
 
 

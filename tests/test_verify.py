@@ -13,7 +13,7 @@ import bjorling
 from bjorling import corpus, problemfile, verify
 from bjorling.config import GridSpec, Mode, ProblemKind
 from bjorling.errors import DomainError
-from bjorling.groups import GroupModel, de_sitter, h2xr, heisenberg
+from bjorling.groups import GroupModel, de_sitter, generic_group, h2xr, heisenberg
 from bjorling.series import BiSeries, USeries, grid_values
 from bjorling.solver import ck_march, solve_bjorling
 from bjorling.verify import (
@@ -37,6 +37,7 @@ from kalgebra import (
     zero_series,
 )
 from oracles import (
+    GENERIC_FRAMES,
     exact_tension_residual,
     frame_series,
     frame_stack,
@@ -412,6 +413,45 @@ def test_grid_code_matches_per_point_reference(example_id):
     defect = conformality_defect(*frame_components(ainv, grids[1], grids[2]), sigma)
     assert np.array_equal(mesh.residual, defect.ravel())
     assert np.max(mesh.residual) == sol.report.conformality_residual
+
+
+def _assert_mesh_defect_is_the_dense_one(stored):
+    # The mesh's per-vertex residual, from the coframe nest, is the defect
+    # of frame_components on the dense A^-1 stack at the grid points inside
+    # the chart, bit for bit.
+    us, vs = stored.grid.us(), stored.grid.vs()
+    x, fu, fv = grid_values(verify.report_tables(stored.surface)[:3], stored.surface[0].center, us, vs)
+    inside = stored.group.chart_mask(x)
+    ainv = stored.group.frame_matrix(x[:, inside])
+    defect = conformality_defect(*frame_components(ainv, fu[:, inside], fv[:, inside]), stored.kind.sigma)
+    mesh = problemfile.build_mesh(stored)
+    assert mesh.residual.tobytes() == defect.tobytes()
+    return mesh
+
+
+@pytest.mark.parametrize("twin", [False, True])
+@pytest.mark.parametrize("example_id", corpus.EXAMPLE_IDS)
+def test_mesh_defect_is_the_dense_one_on_the_mesh_grid(example_id, twin):
+    # On the problem's whole grid, for the built-in group and for the same
+    # frame declared as a generic group (whose coframe entries are evaluated
+    # expressions).
+    prob = _problem(example_id)
+    sol = solve_bjorling(prob)
+    group = generic_group(sol.group.C, frame_exprs=GENERIC_FRAMES[sol.group.name]) if twin else sol.group
+    _assert_mesh_defect_is_the_dense_one(problemfile.StoredSolution(group, sol.kind, sol.surface, prob.grid, {}))
+
+
+def test_clipped_mesh_defect_is_the_dense_one():
+    n = 6
+    surface = (
+        variable_u(n) + 0.3 * variable_v(n) * variable_u(n),
+        variable_v(n) + 0.5,
+        variable_u(n) * variable_v(n),
+    )
+    stored = problemfile.StoredSolution(
+        h2xr(), ProblemKind.SPACELIKE_SURFACE, surface, GridSpec(-0.5, 0.5, -1.0, 1.0, 7, 13), {}
+    )
+    assert _assert_mesh_defect_is_the_dense_one(stored).clipped > 0
 
 
 def test_certificates_make_few_frame_matrix_calls(monkeypatch):
