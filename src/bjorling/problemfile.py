@@ -43,9 +43,10 @@ _TOL_KEYS = {f.name for f in fields(Tolerances)} | {"fd_step"}
 # Largest accepted truncation order, in the file or as the CLI override.
 MAX_ORDER = 48
 # Largest accepted grid side (nu or nv): export-mesh writes the 513 x 513
-# helicoid as OBJ (21 MB) in about 0.15 s after start-up, in a process that
-# peaks at 54 MB, and as CSV (26 MB) in about 0.24 s, peaking at 99 MB, on a
-# 2-CPU machine.
+# helicoid as OBJ (21 MB) in about 0.11 s after start-up, in a process that
+# peaks at 55 MB, and as CSV (26 MB) in about 0.16 s, peaking at 81 MB; the
+# de Sitter diagonal plane takes 0.10 s and 55 MB (OBJ, 23 MB), 0.15 s and
+# 86 MB (CSV, 28 MB).  One OpenBLAS thread on a 2-CPU Xeon.
 MAX_GRID_SIDE = 513
 # Rows of mesh text formatted and written at a time.  A block's buffers (up
 # to about 250 KB) stay in cache and are reused from the heap, where buffers
